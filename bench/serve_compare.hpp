@@ -194,40 +194,6 @@ struct ForcedDispatch {
   ~ForcedDispatch() { serve::simd::set_force_scalar(false); }
 };
 
-/// Monotone thread scaling: on a machine with >= 4 hardware threads, the
-/// 4-thread flat_batch row must not be slower than the 1-thread row
-/// (3% tolerance for run-to-run noise).  On smaller machines — including
-/// the 1-vCPU containers where oversubscription makes "negative scaling"
-/// the physically correct outcome — the check is skipped and says so.
-/// Returns false (and prints why) on violation.
-inline bool check_thread_scaling(const std::vector<Row>& rows) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    std::fprintf(stderr,
-                 "thread-scaling check skipped: %u hardware threads < 4\n",
-                 hw);
-    return true;
-  }
-  double qps1 = 0, qps4 = 0;
-  for (const auto& r : rows) {
-    if (r.mode == "flat_batch" && r.threads == 1) qps1 = r.qps;
-    if (r.mode == "flat_batch" && r.threads == 4) qps4 = r.qps;
-  }
-  if (qps1 <= 0 || qps4 <= 0) {
-    return true;  // rows absent (e.g. a trimmed mode list)
-  }
-  if (qps4 < 0.97 * qps1) {
-    std::fprintf(stderr,
-                 "FAIL: negative thread scaling: flat_batch@4 %.1f qps < "
-                 "flat_batch@1 %.1f qps on a %u-thread machine\n",
-                 qps4, qps1, hw);
-    return false;
-  }
-  std::fprintf(stderr, "thread scaling ok: flat_batch 1->4 threads %.2fx\n",
-               qps4 / qps1);
-  return true;
-}
-
 /// bench_retrieval --json: explicit-path search throughput, simulator vs
 /// flat arena.  n = 2^20 catalog entries (acceptance size) unless --smoke.
 inline int run_paths_compare(const Options& o) {
@@ -396,12 +362,11 @@ inline int run_paths_compare(const Options& o) {
   }
   const double speedup = flat_qps / sim_qps;
   print_rows(rows);
-  const bool scaling_ok = check_thread_scaling(rows);
   std::fprintf(stderr,
               "flat vs simulator (single thread): %.1fx; answers equal: %s\n",
               speedup, equal ? "yes" : "NO");
   write_json(o, "serve_paths", entries, num_queries, rows, speedup, equal);
-  return equal && scaling_ok ? 0 : 1;
+  return equal ? 0 : 1;
 }
 
 /// bench_pointloc --json: point-location throughput, simulator vs flat.
@@ -499,13 +464,12 @@ inline int run_pointloc_compare(const Options& o) {
 
   const double speedup = rows[2].qps / rows[0].qps;
   print_rows(rows);
-  const bool scaling_ok = check_thread_scaling(rows);
   std::fprintf(stderr,
               "flat vs simulator (single thread): %.1fx; answers equal: %s\n",
               speedup, equal ? "yes" : "NO");
   write_json(o, "serve_pointloc", sub.edges.size(), num_queries, rows, speedup,
              equal);
-  return equal && scaling_ok ? 0 : 1;
+  return equal ? 0 : 1;
 }
 
 }  // namespace serve_bench

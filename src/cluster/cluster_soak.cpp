@@ -1,17 +1,10 @@
 #include "cluster/cluster_soak.hpp"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/syscall.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <mutex>
 #include <random>
@@ -19,6 +12,7 @@
 #include <vector>
 
 #include "catalog/tree.hpp"
+#include "cluster/child_process.hpp"
 #include "cluster/follower.hpp"
 #include "cluster/partition.hpp"
 #include "cluster/router.hpp"
@@ -61,87 +55,6 @@ struct Proc {
   std::string port_file;
   std::string log_path;
 };
-
-/// fork/exec `exe argv...` with stdout+stderr appended to `log_path`.
-coop::Expected<pid_t> spawn(const std::string& exe,
-                            const std::vector<std::string>& args,
-                            const std::string& log_path) {
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(exe.c_str()));
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    return Status::internal(std::string("fork(): ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    const int log = ::open(log_path.c_str(),
-                           O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (log >= 0) {
-      (void)::dup2(log, STDOUT_FILENO);
-      (void)::dup2(log, STDERR_FILENO);
-      ::close(log);
-    }
-    // Drop every inherited descriptor: a forked shard that keeps dup'd
-    // copies of the supervisor's sockets holds those connections open
-    // after the supervisor closes them, so peers never see EOF and
-    // teardown hangs in recv().
-#ifdef SYS_close_range
-    (void)::syscall(SYS_close_range, 3u, ~0u, 0u);
-#else
-    for (int i = 3; i < 1024; ++i) {
-      ::close(i);
-    }
-#endif
-    ::execv(exe.c_str(), argv.data());
-    _exit(127);  // execv failed; the parent sees a fast exit
-  }
-  return pid;
-}
-
-/// Reap without blocking forever: true when the pid exited.
-bool reap(pid_t pid, std::chrono::milliseconds grace) {
-  const auto until = Clock::now() + grace;
-  for (;;) {
-    const pid_t r = ::waitpid(pid, nullptr, WNOHANG);
-    if (r == pid || (r < 0 && errno == ECHILD)) {
-      return true;
-    }
-    if (Clock::now() >= until) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-void terminate_proc(Proc& p) {
-  if (p.pid <= 0) {
-    return;
-  }
-  (void)::kill(p.pid, SIGTERM);
-  if (!reap(p.pid, std::chrono::seconds(10))) {
-    (void)::kill(p.pid, SIGKILL);
-    (void)reap(p.pid, std::chrono::seconds(2));
-  }
-  p.pid = -1;
-}
-
-/// Poll `path` for coopserve's --port-file line.
-coop::Expected<std::uint16_t> read_port_file(const std::string& path,
-                                             Clock::time_point give_up) {
-  while (Clock::now() < give_up) {
-    std::ifstream in(path);
-    unsigned port = 0;
-    if (in && (in >> port) && port > 0 && port <= 65535) {
-      return static_cast<std::uint16_t>(port);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return Status::deadline_exceeded("port file '" + path +
-                                   "' never appeared; see its shard log");
-}
 
 /// Block until `host:port` answers HEALTH with collection `name` at
 /// version >= 1 (the shard is serving), or `give_up` passes.
@@ -229,7 +142,7 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
     }
     p.pid = *pid;
     const auto give_up = Clock::now() + std::chrono::seconds(15);
-    auto port = read_port_file(p.port_file, give_up);
+    auto port = read_port_file(p.port_file, give_up, p.pid);
     if (!port.ok()) {
       return port.status();
     }
@@ -238,7 +151,7 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   };
   const auto teardown = [&] {
     for (Proc& p : procs) {
-      terminate_proc(p);
+      (void)terminate_proc(p.pid);
     }
   };
   for (std::uint32_t k = 0; k < opts.num_shards; ++k) {
@@ -290,12 +203,17 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   ropts.shards[0].push_back({"127.0.0.1", follower_server->port()});
   ropts.io_timeout = std::chrono::seconds(3);
   ropts.connect_timeout = std::chrono::milliseconds(500);
-  auto router = Router::start(ropts);
+  auto router = Router::create(ropts);
   if (!router.ok()) {
     teardown();
     return router.status();
   }
-  const std::uint16_t router_port = (*router)->port();
+  auto rserver = net::Server::start(net::ServerOptions{}, *router);
+  if (!rserver.ok()) {
+    teardown();
+    return rserver.status();
+  }
+  const std::uint16_t router_port = (*rserver)->port();
 
   // ---- Client fleet: seeded traffic + oracle through the router. ----
   Tallies tally;
@@ -436,12 +354,11 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
     return best;
   }();
   note("SIGKILL shard");
-  if (::kill(procs[victim].pid, SIGKILL) == 0) {
+  if (kill_proc(procs[victim].pid)) {
     ++out.kills;
-    (void)reap(procs[victim].pid, std::chrono::seconds(5));
-    procs[victim].pid = -1;
   } else {
-    tally.fail(std::string("kill(SIGKILL) failed: ") + std::strerror(errno));
+    tally.fail("kill(SIGKILL) of shard " + std::to_string(victim) +
+               " failed");
   }
   (void)wait_until(
       [&] { return tally.typed_sheds.load(std::memory_order_relaxed) >= 1; },
@@ -517,7 +434,7 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   const RouterStats rstats = (*router)->stats();
   const FollowerStats fstats = (*follower)->stats();
   (*follower)->stop();
-  (*router)->stop();
+  (*rserver)->stop();
   follower_server->stop();
   teardown();
 

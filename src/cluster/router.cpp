@@ -1,23 +1,14 @@
 #include "cluster/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstring>
+#include <functional>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "net/client.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "robust/circuit_breaker.hpp"
 
 namespace cluster {
 
@@ -39,100 +30,6 @@ std::uint64_t carve_shard_deadline_ns(std::uint64_t client_deadline_ns,
 }
 
 namespace {
-
-int to_ms(std::chrono::nanoseconds d) {
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(d).count();
-  return ms <= 0 ? 1 : static_cast<int>(ms);
-}
-
-Status wait_fd(int fd, short events, std::chrono::nanoseconds timeout,
-               const char* what) {
-  pollfd p{};
-  p.fd = fd;
-  p.events = events;
-  const int n = ::poll(&p, 1, to_ms(timeout));
-  if (n < 0) {
-    return Status::unavailable(std::string("poll(): ") +
-                               std::strerror(errno));
-  }
-  if (n == 0) {
-    return Status::deadline_exceeded(std::string(what) + " timed out");
-  }
-  if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-      (p.revents & (POLLIN | POLLOUT)) == 0) {
-    return Status::unavailable(std::string(what) +
-                               ": connection closed by peer");
-  }
-  return coop::OkStatus();
-}
-
-/// Clamp-and-absolutize a wire deadline exactly like net::Server does.
-bool deadline_of(std::uint64_t deadline_ns, SteadyClock::time_point arrival,
-                 SteadyClock::time_point& at) {
-  if (deadline_ns == 0) {
-    return false;
-  }
-  constexpr std::uint64_t kMaxDeadlineNs = 3'600'000'000'000ULL;  // 1 h
-  if (deadline_ns > kMaxDeadlineNs) {
-    deadline_ns = kMaxDeadlineNs;
-  }
-  at = arrival +
-       std::chrono::nanoseconds(static_cast<std::int64_t>(deadline_ns));
-  return true;
-}
-
-/// Circuit breaker for one backend endpoint, shared by every router
-/// connection (failures seen by one client must shield the others).
-struct EndpointBreaker {
-  std::mutex mu;
-  std::uint32_t consecutive_failures = 0;
-  bool open = false;
-  bool probe_inflight = false;
-  SteadyClock::time_point open_until{};
-
-  /// May this attempt proceed?  OPEN endpoints admit exactly one probe
-  /// after the window.
-  bool admit(const BreakerOptions& o, bool& is_probe) {
-    std::lock_guard<std::mutex> lock(mu);
-    (void)o;
-    is_probe = false;
-    if (!open) {
-      return true;
-    }
-    if (SteadyClock::now() < open_until || probe_inflight) {
-      return false;
-    }
-    probe_inflight = true;
-    is_probe = true;
-    return true;
-  }
-
-  /// Returns true when this result tripped CLOSED -> OPEN.
-  bool on_result(const BreakerOptions& o, bool ok, bool was_probe) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (was_probe) {
-      probe_inflight = false;
-    }
-    if (ok) {
-      consecutive_failures = 0;
-      open = false;
-      return false;
-    }
-    ++consecutive_failures;
-    const bool tripped = !open && consecutive_failures >= o.failure_threshold;
-    if (tripped || open) {
-      open = true;
-      open_until = SteadyClock::now() + o.open_for;
-    }
-    return tripped;
-  }
-
-  [[nodiscard]] bool is_open() {
-    std::lock_guard<std::mutex> lock(mu);
-    return open && SteadyClock::now() < open_until;
-  }
-};
 
 struct RouterMetrics {
   obs::Counter batches;
@@ -165,259 +62,239 @@ struct RouterMetrics {
   }
 };
 
+/// A failed shard round trip that says the endpoint (or the connection
+/// to it) is broken, rather than that the shard refused the request:
+/// these count against the breaker and move on to the next replica.
+bool is_transport_failure(const Status& s) {
+  return s.code() == coop::StatusCode::kUnavailable ||
+         s.code() == coop::StatusCode::kCorrupted ||
+         s.code() == coop::StatusCode::kInternal;
+}
+
+/// Backend connections for one serving worker, [shard][replica],
+/// connected lazily and kept across batches.
+using ConnSet = std::vector<std::vector<std::unique_ptr<net::Client>>>;
+
+/// One shard's part of a scattered batch.
+struct Leg {
+  std::uint32_t shard = 0;
+  std::vector<std::uint8_t> payload;  ///< the encoded sub-batch request
+  std::uint32_t next_replica = 0;     ///< first replica not yet tried
+  std::uint32_t attempts = 0;
+  std::uint32_t replica = 0;  ///< holds the outstanding request
+  robust::CircuitBreaker::Pass pass = robust::CircuitBreaker::Pass::kNormal;
+  bool pending = false;
+  Status status = coop::OkStatus();
+};
+
+/// Merges one shard's reply into the client's response; a failure here
+/// is treated like a failed round trip.
+using MergeFn = std::function<Status(std::uint32_t shard, net::Frame& reply)>;
+
 }  // namespace
 
 struct Router::Impl {
   RouterOptions opts;
-  int listen_fd = -1;
-  std::uint16_t port = 0;
-  std::atomic<bool> stop_flag{false};
-  std::thread accept_thread;
-
-  std::mutex conn_mu;
-  std::vector<std::thread> conn_threads;
-  std::atomic<std::size_t> open_conns{0};
-
-  /// breakers[shard][replica], fixed at start().
-  std::vector<std::vector<std::unique_ptr<EndpointBreaker>>> breakers;
+  /// breakers[shard][replica], fixed at create().
+  std::vector<std::vector<std::unique_ptr<robust::CircuitBreaker>>> breakers;
   /// Last served_version observed per shard (for HEALTH).
   std::vector<std::atomic<std::uint64_t>> shard_version;
+
+  std::mutex pool_mu;
+  std::vector<std::unique_ptr<ConnSet>> idle_conns;
 
   mutable std::mutex stats_mu;
   RouterStats stats;
 
-  void bump(std::uint64_t RouterStats::* field, std::uint64_t by = 1) {
+  /// Count one event in stats() and, when given, in its obs counter.
+  void bump(std::uint64_t RouterStats::* field,
+            obs::Counter RouterMetrics::* metric = nullptr) {
+    if (metric != nullptr) {
+      (RouterMetrics::get().*metric).inc();
+    }
     std::lock_guard<std::mutex> lock(stats_mu);
-    (stats.*field) += by;
+    ++(stats.*field);
   }
 
-  ~Impl() { shutdown(); }
+  // ---- persistent backend connections ------------------------------
 
-  void shutdown() {
-    if (stop_flag.exchange(true)) {
-      return;
-    }
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
-    if (accept_thread.joinable()) {
-      accept_thread.join();
-    }
-    std::vector<std::thread> threads;
+  std::unique_ptr<ConnSet> lease_conns() {
     {
-      std::lock_guard<std::mutex> lock(conn_mu);
-      threads.swap(conn_threads);
-    }
-    for (std::thread& t : threads) {
-      if (t.joinable()) {
-        t.join();
+      std::lock_guard<std::mutex> lock(pool_mu);
+      if (!idle_conns.empty()) {
+        std::unique_ptr<ConnSet> set = std::move(idle_conns.back());
+        idle_conns.pop_back();
+        return set;
       }
     }
-  }
-
-  // ---- framing helpers ---------------------------------------------
-
-  static std::vector<std::uint8_t> make_response(
-      const net::FrameHeader& req, MsgType type,
-      std::span<const std::uint8_t> payload) {
-    net::FrameHeader h;
-    h.type = static_cast<std::uint16_t>(static_cast<std::uint16_t>(type) |
-                                        net::kResponseBit);
-    h.request_id = req.request_id;
-    h.tenant = req.tenant;
-    return net::encode_frame(h, payload);
-  }
-
-  std::vector<std::uint8_t> error_frame(const net::FrameHeader& req,
-                                        const Status& s) {
-    bump(&RouterStats::errors_sent);
-    if (s.code() == coop::StatusCode::kDeadlineExceeded) {
-      bump(&RouterStats::deadline_expired);
+    auto set = std::make_unique<ConnSet>(opts.map.num_shards);
+    for (std::uint32_t s = 0; s < opts.map.num_shards; ++s) {
+      (*set)[s].resize(opts.shards[s].size());
     }
-    const std::vector<std::uint8_t> payload =
-        net::encode(net::to_wire_error(s));
-    return make_response(req, MsgType::kError, payload);
+    return set;
   }
 
-  Status send_all(int fd, std::span<const std::uint8_t> bytes) const {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (Status s = wait_fd(fd, POLLOUT, opts.io_timeout, "send");
-              !s.ok()) {
-            return s;
-          }
-          continue;
-        }
-        return Status::unavailable(std::string("send(): ") +
-                                   std::strerror(errno));
-      }
-      off += static_cast<std::size_t>(n);
+  void return_conns(std::unique_ptr<ConnSet> set) {
+    std::lock_guard<std::mutex> lock(pool_mu);
+    idle_conns.push_back(std::move(set));
+  }
+
+  // ---- scatter-then-gather -----------------------------------------
+
+  void fail_attempt(Leg& leg, std::unique_ptr<net::Client>& conn,
+                    const Status& s) {
+    conn.reset();
+    if (breakers[leg.shard][leg.replica]->record(leg.pass, false).tripped) {
+      bump(&RouterStats::breaker_trips, &RouterMetrics::breaker_trips);
     }
-    return coop::OkStatus();
+    bump(&RouterStats::shard_failures);
+    leg.status = s;
   }
 
-  Status recv_exact(int fd, std::uint8_t* out, std::size_t n,
-                    std::chrono::nanoseconds first_byte_timeout) const {
-    std::size_t off = 0;
-    while (off < n) {
-      const ssize_t got = ::recv(fd, out + off, n - off, 0);
-      if (got > 0) {
-        off += static_cast<std::size_t>(got);
-        continue;
-      }
-      if (got == 0) {
-        return Status::unavailable("connection closed by peer");
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        const auto t = off == 0 ? first_byte_timeout : opts.io_timeout;
-        if (Status s = wait_fd(fd, POLLIN, t, "recv"); !s.ok()) {
-          return s;
-        }
-        continue;
-      }
-      return Status::unavailable(std::string("recv(): ") +
-                                 std::strerror(errno));
-    }
-    return coop::OkStatus();
-  }
-
-  // ---- backend round trips -----------------------------------------
-
-  /// One sub-batch against one shard, hedging across replica endpoints
-  /// under the breaker, re-carving the remaining deadline per attempt.
-  /// `conns` is the calling connection's lazily-connected client cache
-  /// for this shard (one slot per replica).
-  template <typename Send, typename Resp>
-  coop::Expected<Resp> shard_round_trip(
-      std::uint32_t shard, std::vector<std::unique_ptr<net::Client>>& conns,
-      bool has_deadline, SteadyClock::time_point arrival,
-      std::uint64_t client_deadline_ns, const Send& send_fn) {
-    const std::vector<Endpoint>& replicas = opts.shards[shard];
-    Status last = Status::unavailable("shard " + std::to_string(shard) +
-                                      ": no endpoint admitted the request");
+  /// Send `leg` its sub-batch on the first replica its breaker admits,
+  /// re-carving the remaining deadline per attempt.  Leaves the leg
+  /// pending, or settled with the failure that ended it.
+  void send_leg(Leg& leg, const net::Request& req, ConnSet& conns) {
+    const std::vector<Endpoint>& replicas = opts.shards[leg.shard];
     const std::uint32_t max_attempts = std::min<std::uint32_t>(
         static_cast<std::uint32_t>(replicas.size()), 1 + opts.max_hedges);
-    std::uint32_t attempts = 0;
-    for (std::uint32_t r = 0; r < replicas.size() && attempts < max_attempts;
-         ++r) {
-      EndpointBreaker& breaker = *breakers[shard][r];
-      bool is_probe = false;
-      if (!breaker.admit(opts.breaker, is_probe)) {
+    while (leg.next_replica < replicas.size() &&
+           leg.attempts < max_attempts) {
+      const std::uint32_t r = leg.next_replica++;
+      std::uint64_t carved = 0;
+      if (req.deadline) {
+        const auto left = *req.deadline - SteadyClock::now();
+        carved = carve_shard_deadline_ns(
+            static_cast<std::uint64_t>(
+                std::max<std::int64_t>(0, left.count())),
+            0, static_cast<std::uint64_t>(opts.gather_margin.count()));
+        if (carved == 0) {
+          leg.status = Status::deadline_exceeded(
+              "client deadline exhausted before shard " +
+              std::to_string(leg.shard) + " could be asked");
+          return;
+        }
+      }
+      leg.pass = breakers[leg.shard][r]->admit();
+      if (leg.pass == robust::CircuitBreaker::Pass::kRefused) {
         bump(&RouterStats::breaker_skips);
         continue;
       }
-      ++attempts;
-      if (attempts > 1) {
-        bump(&RouterStats::hedged_retries);
-        RouterMetrics::get().hedges.inc();
+      leg.replica = r;
+      if (++leg.attempts > 1) {
+        bump(&RouterStats::hedged_retries, &RouterMetrics::hedges);
       }
-      bump(&RouterStats::sub_batches_sent);
-      RouterMetrics::get().sub_batches.inc();
+      bump(&RouterStats::sub_batches_sent, &RouterMetrics::sub_batches);
 
-      std::uint64_t carved = 0;
-      if (has_deadline) {
-        const auto elapsed = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                SteadyClock::now() - arrival)
-                .count());
-        carved = carve_shard_deadline_ns(
-            client_deadline_ns, elapsed,
-            static_cast<std::uint64_t>(opts.gather_margin.count()));
-        if (carved == 0) {
-          breaker.on_result(opts.breaker, true, is_probe);  // not its fault
-          return Status::deadline_exceeded(
-              "client deadline exhausted before shard " +
-              std::to_string(shard) + " could be asked");
-        }
-      }
-      if (conns[r] == nullptr || !conns[r]->connected()) {
+      std::unique_ptr<net::Client>& conn = conns[leg.shard][r];
+      if (conn == nullptr || !conn->connected()) {
         net::ClientOptions copts;
         copts.connect_timeout = opts.connect_timeout;
-        copts.io_timeout = opts.io_timeout;
-        copts.limits = opts.limits;
-        auto c = net::Client::connect(replicas[r].host, replicas[r].port,
-                                      copts);
+        copts.limits = req.limits;
+        auto c =
+            net::Client::connect(replicas[r].host, replicas[r].port, copts);
         if (!c.ok()) {
-          if (breaker.on_result(opts.breaker, false, is_probe)) {
-            bump(&RouterStats::breaker_trips);
-            RouterMetrics::get().breaker_trips.inc();
-          }
-          bump(&RouterStats::shard_failures);
-          last = c.status();
+          fail_attempt(leg, conn, c.status());
           continue;
         }
-        conns[r] = std::make_unique<net::Client>(c.take());
+        conn = std::make_unique<net::Client>(c.take());
       }
-      net::Client& c = *conns[r];
-      c.options().deadline_ns = carved;
+      conn->options().deadline_ns = carved;
       // A dead-but-unclosed backend must not stall past the budget: the
       // io timeout shrinks to the carved deadline when one is set.
-      c.options().io_timeout =
-          has_deadline
-              ? std::min(opts.io_timeout, std::chrono::nanoseconds(
-                                              static_cast<std::int64_t>(
-                                                  carved)))
-              : opts.io_timeout;
-      auto resp = send_fn(c);
-      if (resp.ok()) {
-        breaker.on_result(opts.breaker, true, is_probe);
-        return resp;
-      }
-      // Server-side typed refusals that are not transport failures keep
-      // the endpoint healthy (the shard answered; the request was bad or
-      // timed out).  Transport-level failures poison the cached
-      // connection and count against the breaker.
-      const coop::StatusCode code = resp.status().code();
-      const bool transport = code == coop::StatusCode::kUnavailable ||
-                             code == coop::StatusCode::kCorrupted ||
-                             code == coop::StatusCode::kInternal;
-      if (transport) {
-        conns[r].reset();
-        if (breaker.on_result(opts.breaker, false, is_probe)) {
-          bump(&RouterStats::breaker_trips);
-          RouterMetrics::get().breaker_trips.inc();
-        }
-        bump(&RouterStats::shard_failures);
-        last = resp.status();
+      conn->options().io_timeout =
+          req.deadline ? std::min(opts.io_timeout,
+                                  std::chrono::nanoseconds(
+                                      static_cast<std::int64_t>(carved)))
+                       : opts.io_timeout;
+      if (Status s = conn->send_request(req.type(), leg.payload); !s.ok()) {
+        fail_attempt(leg, conn, s);
         continue;
       }
-      breaker.on_result(opts.breaker, true, is_probe);
-      return resp.status();
+      leg.pending = true;
+      return;
     }
-    return last;
+    if (leg.status.ok()) {
+      leg.status = Status::unavailable("shard " + std::to_string(leg.shard) +
+                                       ": no endpoint admitted the request");
+    }
   }
 
-  /// Group queries by the shard owning their last path node and remap
-  /// node ids to that shard's local id space.  Returns false (with an
-  /// error frame in `err`) when a path is empty, out of range, or not
-  /// contained in its owner's kept set.
-  bool scatter_queries(const net::FrameHeader& h,
-                       const std::vector<serve::PathQuery>& queries,
-                       std::vector<std::vector<serve::PathQuery>>& per_shard,
-                       std::vector<std::vector<std::size_t>>& origin,
-                       std::vector<std::uint8_t>& err) {
+  /// Read `leg`'s reply and merge it, falling back to the next replica
+  /// on a transport failure.
+  void gather_leg(Leg& leg, const net::Request& req, ConnSet& conns,
+                  const MergeFn& merge) {
+    while (leg.pending) {
+      leg.pending = false;
+      std::unique_ptr<net::Client>& conn = conns[leg.shard][leg.replica];
+      auto reply = conn->recv_response();
+      Status s = reply.ok() ? merge(leg.shard, *reply) : reply.status();
+      if (s.ok()) {
+        breakers[leg.shard][leg.replica]->record(leg.pass, true);
+        leg.status = coop::OkStatus();
+        return;
+      }
+      if (is_transport_failure(s)) {
+        fail_attempt(leg, conn, s);
+        send_leg(leg, req, conns);
+        continue;
+      }
+      // The shard answered (a typed refusal or a timeout): the endpoint
+      // is healthy, but the stream may hold a late reply, so reconnect.
+      conn.reset();
+      breakers[leg.shard][leg.replica]->record(leg.pass, true);
+      leg.status = s;
+    }
+  }
+
+  /// Send every leg, then gather every reply (so no connection is left
+  /// holding an unread answer).  Returns the first failure, preferring
+  /// deadline expiry (the most actionable for the client).
+  Status scatter_gather(std::vector<Leg>& legs, const net::Request& req,
+                        const MergeFn& merge) {
+    std::unique_ptr<ConnSet> conns = lease_conns();
+    for (Leg& leg : legs) {
+      send_leg(leg, req, *conns);
+    }
+    for (Leg& leg : legs) {
+      gather_leg(leg, req, *conns, merge);
+    }
+    return_conns(std::move(conns));
+    Status first = coop::OkStatus();
+    for (const Leg& leg : legs) {
+      if (leg.status.code() == coop::StatusCode::kDeadlineExceeded) {
+        return leg.status;
+      }
+      if (first.ok()) {
+        first = leg.status;
+      }
+    }
+    return first;
+  }
+
+  // ---- routing -----------------------------------------------------
+
+  /// Group queries by the shard owning their last path node, remap node
+  /// ids to that shard's local id space, and encode each group as one
+  /// leg's SubRequest.  `origin[s][i]` is the client position of shard
+  /// s's i-th query.  Refuses empty, out-of-range and off-shard paths.
+  template <typename SubRequest>
+  Status scatter(const std::vector<serve::PathQuery>& queries,
+                 std::vector<Leg>& legs,
+                 std::vector<std::vector<std::size_t>>& origin) const {
     const RoutingMap& map = opts.map;
-    per_shard.assign(map.num_shards, {});
+    std::vector<SubRequest> subs(map.num_shards);
     origin.assign(map.num_shards, {});
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       const serve::PathQuery& q = queries[qi];
       if (q.path.empty()) {
-        err = error_frame(h, Status::invalid_argument("empty query path"));
-        return false;
+        return Status::invalid_argument("empty query path");
       }
       for (const serve::NodeId v : q.path) {
         if (v < 0 || static_cast<std::size_t>(v) >= map.num_nodes()) {
-          err = error_frame(
-              h, Status::invalid_argument("query path node " +
+          return Status::invalid_argument("query path node " +
                                           std::to_string(v) +
-                                          " out of range"));
-          return false;
+                                          " out of range");
         }
       }
       const std::uint32_t shard = map.owner[q.path.back()];
@@ -427,335 +304,93 @@ struct Router::Impl {
       for (const serve::NodeId v : q.path) {
         const std::int32_t l = map.global_to_local[shard][v];
         if (l < 0) {
-          err = error_frame(
-              h, Status::invalid_argument(
-                     "query path node " + std::to_string(v) +
-                     " is not on shard " + std::to_string(shard) +
-                     " (paths must descend from the root)"));
-          return false;
+          return Status::invalid_argument(
+              "query path node " + std::to_string(v) + " is not on shard " +
+              std::to_string(shard) + " (paths must descend from the root)");
         }
         local.path.push_back(static_cast<serve::NodeId>(l));
       }
-      per_shard[shard].push_back(std::move(local));
+      subs[shard].queries.push_back(std::move(local));
       origin[shard].push_back(qi);
     }
-    return true;
-  }
-
-  /// Fan a scattered batch out (one thread per extra shard), run
-  /// `round_trip(shard, sub_queries)` for each, gather via `merge(shard,
-  /// response)` under a mutex.  Returns the first failure, preferring
-  /// deadline expiry (the most actionable for the client).
-  template <typename RoundTrip>
-  Status fan_out(const std::vector<std::vector<serve::PathQuery>>& per_shard,
-                 const RoundTrip& round_trip) {
-    std::vector<std::uint32_t> involved;
-    for (std::uint32_t s = 0; s < opts.map.num_shards; ++s) {
-      if (!per_shard[s].empty()) {
-        involved.push_back(s);
+    for (std::uint32_t s = 0; s < map.num_shards; ++s) {
+      if (!origin[s].empty()) {
+        subs[s].collection = opts.collection;
+        Leg leg;
+        leg.shard = s;
+        leg.payload = net::encode(subs[s]);
+        legs.push_back(std::move(leg));
       }
     }
-    std::vector<Status> results(involved.size(), coop::OkStatus());
-    std::vector<std::thread> threads;
-    for (std::size_t i = 1; i < involved.size(); ++i) {
-      threads.emplace_back([&, i] { results[i] = round_trip(involved[i]); });
-    }
-    if (!involved.empty()) {
-      results[0] = round_trip(involved[0]);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-    Status first = coop::OkStatus();
-    for (const Status& s : results) {
-      if (!s.ok()) {
-        if (s.code() == coop::StatusCode::kDeadlineExceeded) {
-          return s;
-        }
-        if (first.ok()) {
-          first = s;
-        }
-      }
-    }
-    return first;
+    return coop::OkStatus();
   }
 
-  // ---- per-connection serving --------------------------------------
-
-  struct ConnState {
-    /// Lazily connected backend clients: [shard][replica].
-    std::vector<std::vector<std::unique_ptr<net::Client>>> conns;
-  };
-
-  std::vector<std::uint8_t> process_paths(const net::FrameHeader& h,
-                                          std::span<const std::uint8_t> body,
-                                          SteadyClock::time_point arrival,
-                                          ConnState& cs) {
-    auto req = net::decode_path_request(body, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
+  /// Route one PATH_BATCH / DYN_PATH_BATCH: decode, scatter, fan out,
+  /// and un-permute each shard's answers into `resp` through `absorb`.
+  template <typename Req, typename Resp, typename Decode, typename Absorb>
+  coop::Expected<std::vector<std::uint8_t>> route(const net::Request& req,
+                                                  Decode decode,
+                                                  Resp resp,
+                                                  Absorb absorb) {
+    auto decoded = decode(req.payload, req.limits);
+    if (!decoded.ok()) {
+      return decoded.status();
     }
-    if (req->collection != opts.collection) {
-      return error_frame(h, Status::invalid_argument(
-                                "unknown collection '" + req->collection +
-                                "' (this router serves '" +
-                                opts.collection + "')"));
+    if (decoded->collection != opts.collection) {
+      return Status::invalid_argument("unknown collection '" +
+                                      decoded->collection +
+                                      "' (this router serves '" +
+                                      opts.collection + "')");
     }
-    SteadyClock::time_point deadline_at;
-    const bool has_deadline = deadline_of(h.deadline_ns, arrival, deadline_at);
-    std::vector<std::vector<serve::PathQuery>> per_shard;
+    std::vector<Leg> legs;
     std::vector<std::vector<std::size_t>> origin;
-    std::vector<std::uint8_t> err;
-    if (!scatter_queries(h, req->queries, per_shard, origin, err)) {
-      return err;
+    if (Status s = scatter<Req>(decoded->queries, legs, origin); !s.ok()) {
+      return s;
     }
-    net::PathBatchResponse resp;
-    resp.answers.resize(req->queries.size());
-    resp.served_version = ~std::uint64_t{0};
-    std::mutex merge_mu;
-    const Status s = fan_out(per_shard, [&](std::uint32_t shard) -> Status {
-      auto sub = shard_round_trip<
-          std::function<coop::Expected<net::PathBatchResponse>(net::Client&)>,
-          net::PathBatchResponse>(
-          shard, cs.conns[shard], has_deadline, arrival, h.deadline_ns,
-          [&](net::Client& c) {
-            return c.path_batch(opts.collection, per_shard[shard]);
-          });
-      if (!sub.ok()) {
-        return sub.status();
-      }
-      if (sub->answers.size() != per_shard[shard].size()) {
-        return Status::internal("shard " + std::to_string(shard) +
-                                " answered " +
-                                std::to_string(sub->answers.size()) +
-                                " of " +
-                                std::to_string(per_shard[shard].size()) +
-                                " queries");
-      }
-      shard_version[shard].store(sub->served_version,
-                                 std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(merge_mu);
-      resp.served_version = std::min(resp.served_version, sub->served_version);
-      resp.degraded = resp.degraded || sub->degraded;
-      for (std::size_t i = 0; i < sub->answers.size(); ++i) {
-        resp.answers[origin[shard][i]] = std::move(sub->answers[i]);
-      }
-      return coop::OkStatus();
-    });
+    resp.answers.resize(decoded->queries.size());
+    const Status s = scatter_gather(
+        legs, req, [&](std::uint32_t shard, net::Frame& reply) -> Status {
+          auto sub = absorb(reply.payload, req.limits);
+          if (!sub.ok()) {
+            return sub.status();
+          }
+          if (sub->answers.size() != origin[shard].size()) {
+            return Status::internal(
+                "shard " + std::to_string(shard) + " answered " +
+                std::to_string(sub->answers.size()) + " of " +
+                std::to_string(origin[shard].size()) + " queries");
+          }
+          shard_version[shard].store(sub->served_version,
+                                     std::memory_order_relaxed);
+          merge_header(resp, *sub);
+          for (std::size_t i = 0; i < sub->answers.size(); ++i) {
+            resp.answers[origin[shard][i]] = std::move(sub->answers[i]);
+          }
+          return coop::OkStatus();
+        });
     if (!s.ok()) {
-      bump(&RouterStats::sheds);
-      RouterMetrics::get().sheds.inc();
-      return error_frame(h, s);
+      bump(&RouterStats::sheds, &RouterMetrics::sheds);
+      return s;
     }
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      bump(&RouterStats::sheds);
-      return error_frame(h, Status::deadline_exceeded(
-                                "request deadline expired during gather "
-                                "(late answer suppressed)"));
-    }
-    bump(&RouterStats::batches_routed);
-    RouterMetrics::get().batches.inc();
-    return make_response(h, MsgType::kPathBatch, net::encode(resp));
+    bump(&RouterStats::batches_routed, &RouterMetrics::batches);
+    return net::encode(resp);
   }
 
-  std::vector<std::uint8_t> process_dyn_paths(
-      const net::FrameHeader& h, std::span<const std::uint8_t> body,
-      SteadyClock::time_point arrival, ConnState& cs) {
-    auto req = net::decode_dyn_path_request(body, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    if (req->collection != opts.collection) {
-      return error_frame(h, Status::invalid_argument(
-                                "unknown collection '" + req->collection +
-                                "' (this router serves '" +
-                                opts.collection + "')"));
-    }
-    SteadyClock::time_point deadline_at;
-    const bool has_deadline = deadline_of(h.deadline_ns, arrival, deadline_at);
-    std::vector<std::vector<serve::PathQuery>> per_shard;
-    std::vector<std::vector<std::size_t>> origin;
-    std::vector<std::uint8_t> err;
-    if (!scatter_queries(h, req->queries, per_shard, origin, err)) {
-      return err;
-    }
-    net::DynPathBatchResponse resp;
-    resp.answers.resize(req->queries.size());
-    resp.served_version = ~std::uint64_t{0};
-    resp.write_seq = ~std::uint64_t{0};
-    std::mutex merge_mu;
-    const Status s = fan_out(per_shard, [&](std::uint32_t shard) -> Status {
-      auto sub = shard_round_trip<
-          std::function<coop::Expected<net::DynPathBatchResponse>(
-              net::Client&)>,
-          net::DynPathBatchResponse>(
-          shard, cs.conns[shard], has_deadline, arrival, h.deadline_ns,
-          [&](net::Client& c) {
-            return c.dyn_path_batch(opts.collection, per_shard[shard]);
-          });
-      if (!sub.ok()) {
-        return sub.status();
-      }
-      if (sub->answers.size() != per_shard[shard].size()) {
-        return Status::internal("shard " + std::to_string(shard) +
-                                " answered a short dyn batch");
-      }
-      shard_version[shard].store(sub->served_version,
-                                 std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(merge_mu);
-      resp.served_version = std::min(resp.served_version, sub->served_version);
-      resp.write_seq = std::min(resp.write_seq, sub->write_seq);
-      for (std::size_t i = 0; i < sub->answers.size(); ++i) {
-        resp.answers[origin[shard][i]] = std::move(sub->answers[i]);
-      }
-      return coop::OkStatus();
-    });
-    if (!s.ok()) {
-      bump(&RouterStats::sheds);
-      RouterMetrics::get().sheds.inc();
-      return error_frame(h, s);
-    }
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      bump(&RouterStats::sheds);
-      return error_frame(h, Status::deadline_exceeded(
-                                "request deadline expired during gather "
-                                "(late answer suppressed)"));
-    }
-    bump(&RouterStats::batches_routed);
-    RouterMetrics::get().batches.inc();
-    return make_response(h, MsgType::kDynPathBatch, net::encode(resp));
+  /// The merged response reports the oldest generation (and overlay
+  /// sequence) any shard answered from.
+  static void merge_header(net::PathBatchResponse& into,
+                           const net::PathBatchResponse& sub) {
+    into.served_version = std::min(into.served_version, sub.served_version);
+    into.degraded = into.degraded || sub.degraded;
   }
-
-  std::vector<std::uint8_t> process_health(const net::FrameHeader& h) {
-    net::HealthResponse resp;
-    resp.draining = 0;
-    for (std::uint32_t s = 0; s < opts.map.num_shards; ++s) {
-      std::size_t open = 0;
-      for (const auto& b : breakers[s]) {
-        if (b->is_open()) {
-          ++open;
-        }
-      }
-      net::CollectionHealth ch;
-      ch.name = "shard" + std::to_string(s);
-      ch.version = shard_version[s].load(std::memory_order_relaxed);
-      // All endpoints reachable -> healthy; some tripped -> degraded;
-      // every replica tripped -> lame duck (batches for this shard shed).
-      ch.health = open == 0 ? 0 : (open < breakers[s].size() ? 1 : 2);
-      resp.collections.push_back(std::move(ch));
-    }
-    return make_response(h, MsgType::kHealth, net::encode(resp));
-  }
-
-  std::vector<std::uint8_t> process(const net::Frame& frame,
-                                    SteadyClock::time_point arrival,
-                                    ConnState& cs) {
-    const net::FrameHeader& h = frame.header;
-    switch (static_cast<MsgType>(h.type)) {
-      case MsgType::kPathBatch:
-        return process_paths(h, frame.payload, arrival, cs);
-      case MsgType::kDynPathBatch:
-        return process_dyn_paths(h, frame.payload, arrival, cs);
-      case MsgType::kHealth:
-        return process_health(h);
-      case MsgType::kMetrics: {
-        const std::string text =
-            obs::to_prometheus(obs::Registry::global().scrape());
-        return make_response(
-            h, MsgType::kMetrics,
-            std::span<const std::uint8_t>(
-                reinterpret_cast<const std::uint8_t*>(text.data()),
-                text.size()));
-      }
-      default:
-        return error_frame(
-            h, Status::invalid_argument(
-                   std::string("router does not accept ") +
-                   net::to_string(static_cast<MsgType>(h.type)) +
-                   "; only PATH_BATCH/DYN_PATH_BATCH/HEALTH/METRICS are "
-                   "routed"));
-    }
-  }
-
-  void serve_connection(int fd) {
-    ConnState cs;
-    cs.conns.resize(opts.map.num_shards);
-    for (std::uint32_t s = 0; s < opts.map.num_shards; ++s) {
-      cs.conns[s].resize(opts.shards[s].size());
-    }
-    constexpr std::chrono::nanoseconds kIdle = std::chrono::seconds(30);
-    while (!stop_flag.load(std::memory_order_relaxed)) {
-      std::uint8_t prefix_bytes[sizeof(std::uint32_t)];
-      if (!recv_exact(fd, prefix_bytes, sizeof(prefix_bytes), kIdle).ok()) {
-        break;
-      }
-      std::uint32_t prefix = 0;
-      std::memcpy(&prefix, prefix_bytes, sizeof(prefix));
-      if (std::size_t{prefix} <
-              sizeof(net::FrameHeader) + sizeof(std::uint32_t) ||
-          sizeof(prefix) + std::size_t{prefix} > opts.limits.max_frame_bytes) {
-        net::FrameHeader fake;
-        (void)send_all(
-            fd, error_frame(fake, Status::corrupted(
-                                      "frame length prefix " +
-                                      std::to_string(prefix) +
-                                      " outside the accepted range")));
-        break;
-      }
-      std::vector<std::uint8_t> whole(sizeof(prefix) + prefix);
-      std::memcpy(whole.data(), prefix_bytes, sizeof(prefix));
-      if (!recv_exact(fd, whole.data() + sizeof(prefix), prefix,
-                      opts.io_timeout)
-               .ok()) {
-        break;
-      }
-      const SteadyClock::time_point arrival = SteadyClock::now();
-      auto frame = net::decode_frame(whole, opts.limits);
-      if (!frame.ok()) {
-        net::FrameHeader fake;
-        (void)send_all(fd, error_frame(fake, frame.status()));
-        break;  // close after a malformed frame, like the server
-      }
-      const std::vector<std::uint8_t> resp =
-          process(*frame, arrival, cs);
-      if (!send_all(fd, resp).ok()) {
-        break;
-      }
-    }
-    ::close(fd);
-    open_conns.fetch_sub(1);
-  }
-
-  void accept_loop() {
-    while (!stop_flag.load(std::memory_order_relaxed)) {
-      sockaddr_in peer{};
-      socklen_t len = sizeof(peer);
-      const int fd =
-          ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
-      if (fd < 0) {
-        if (stop_flag.load(std::memory_order_relaxed)) {
-          return;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        return;
-      }
-      if (open_conns.load() >= opts.max_connections) {
-        ::close(fd);
-        continue;
-      }
-      const int one = 1;
-      (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      bump(&RouterStats::accepted);
-      open_conns.fetch_add(1);
-      std::lock_guard<std::mutex> lock(conn_mu);
-      conn_threads.emplace_back([this, fd] { serve_connection(fd); });
-    }
+  static void merge_header(net::DynPathBatchResponse& into,
+                           const net::DynPathBatchResponse& sub) {
+    into.served_version = std::min(into.served_version, sub.served_version);
+    into.write_seq = std::min(into.write_seq, sub.write_seq);
   }
 };
 
-coop::Expected<std::unique_ptr<Router>> Router::start(RouterOptions opts) {
+coop::Expected<std::shared_ptr<Router>> Router::create(RouterOptions opts) {
   if (opts.map.num_shards == 0) {
     return Status::invalid_argument("router needs a routing map");
   }
@@ -774,65 +409,72 @@ coop::Expected<std::unique_ptr<Router>> Router::start(RouterOptions opts) {
                                       " has no endpoints");
     }
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::unavailable(std::string("socket(): ") +
-                               std::strerror(errno));
-  }
-  const int one = 1;
-  (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts.port);
-  if (inet_pton(AF_INET, opts.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::invalid_argument("bad bind address '" +
-                                    opts.bind_address + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 128) != 0) {
-    const Status s = Status::unavailable(std::string("bind/listen: ") +
-                                         std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  (void)getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-
-  auto router = std::unique_ptr<Router>(new Router());
+  std::shared_ptr<Router> router(new Router());
   router->impl_ = std::make_unique<Impl>();
   Impl& impl = *router->impl_;
   impl.opts = std::move(opts);
-  impl.listen_fd = fd;
-  impl.port = ntohs(addr.sin_port);
   impl.breakers.resize(impl.opts.map.num_shards);
   for (std::uint32_t s = 0; s < impl.opts.map.num_shards; ++s) {
     for (std::size_t r = 0; r < impl.opts.shards[s].size(); ++r) {
-      impl.breakers[s].push_back(std::make_unique<EndpointBreaker>());
+      impl.breakers[s].push_back(std::make_unique<robust::CircuitBreaker>(
+          impl.opts.breaker.failure_threshold, impl.opts.breaker.open_for));
     }
   }
   impl.shard_version =
       std::vector<std::atomic<std::uint64_t>>(impl.opts.map.num_shards);
-  impl.accept_thread = std::thread([&impl] { impl.accept_loop(); });
   return router;
 }
 
-Router::~Router() { stop(); }
+Router::~Router() = default;
 
-std::uint16_t Router::port() const { return impl_ ? impl_->port : 0; }
-
-RouterStats Router::stats() const {
-  if (impl_ == nullptr) {
-    return {};
+coop::Expected<std::vector<std::uint8_t>> Router::serve(
+    const net::Request& req) {
+  switch (req.type()) {
+    case MsgType::kPathBatch: {
+      net::PathBatchResponse resp;
+      resp.served_version = ~std::uint64_t{0};
+      return impl_->route<net::PathBatchRequest>(
+          req, net::decode_path_request, std::move(resp),
+          net::decode_path_response);
+    }
+    case MsgType::kDynPathBatch: {
+      net::DynPathBatchResponse resp;
+      resp.served_version = ~std::uint64_t{0};
+      resp.write_seq = ~std::uint64_t{0};
+      return impl_->route<net::DynPathBatchRequest>(
+          req, net::decode_dyn_path_request, std::move(resp),
+          net::decode_dyn_path_response);
+    }
+    default:
+      return Status::invalid_argument(
+          std::string("the router serves PATH_BATCH/DYN_PATH_BATCH/HEALTH/"
+                      "METRICS only, not ") +
+          net::to_string(req.type()));
   }
-  std::lock_guard<std::mutex> lock(impl_->stats_mu);
-  return impl_->stats;
 }
 
-void Router::stop() {
-  if (impl_ != nullptr) {
-    impl_->shutdown();
+std::vector<net::CollectionHealth> Router::health() {
+  std::vector<net::CollectionHealth> rows;
+  for (std::uint32_t s = 0; s < impl_->opts.map.num_shards; ++s) {
+    const auto& replicas = impl_->breakers[s];
+    const auto tripped = static_cast<std::size_t>(std::count_if(
+        replicas.begin(), replicas.end(), [](const auto& b) {
+          return b->state() != robust::BreakerState::kClosed;
+        }));
+    net::CollectionHealth ch;
+    ch.name = "shard" + std::to_string(s);
+    ch.version = impl_->shard_version[s].load(std::memory_order_relaxed);
+    // All endpoints reachable -> healthy; some tripped -> degraded;
+    // every replica tripped -> lame duck (batches for this shard shed).
+    ch.health = tripped == 0 ? 0 : (tripped < replicas.size() ? 1 : 2);
+    rows.push_back(std::move(ch));
   }
+  return rows;
+}
+
+RouterStats Router::stats() const {
+  std::lock_guard<std::mutex> lock(impl_->stats_mu);
+  return impl_->stats;
 }
 
 }  // namespace cluster

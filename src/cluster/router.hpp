@@ -1,16 +1,19 @@
 #pragma once
 
-// Scatter-gather router (DESIGN.md §15): speaks the framed-TCP batch API
-// on the front, fans PATH_BATCH / DYN_PATH_BATCH sub-batches out to
-// shard backends (queries grouped by the owner of their last path node,
-// node ids remapped to shard-local), and merges the answers back into
-// the client's order — answers are per-position indices/keys, so the
-// merge is a pure un-permutation and the result is byte-identical to a
-// single-process serve::Frontend over the unpartitioned structure.
+// Scatter-gather router (DESIGN.md §15): a net::Backend, so a
+// net::Server serves it with the same connection plane, hygiene, quotas
+// and drain as the collections.  It fans PATH_BATCH / DYN_PATH_BATCH
+// sub-batches out to shard backends (queries grouped by the owner of
+// their last path node, node ids remapped to shard-local), and merges
+// the answers back into the client's order — answers are per-position
+// indices/keys, so the merge is a pure un-permutation and the result is
+// byte-identical to a single-process serve::Frontend over the
+// unpartitioned structure.
 //
-// Failure containment per shard: a circuit breaker per backend endpoint
-// (CLOSED -> OPEN after K consecutive failures, HALF_OPEN probe after a
-// window, mirroring serve::Frontend's breaker) plus hedged retries onto
+// The fan-out runs on the serving worker without extra threads: every
+// involved shard is sent its sub-batch over a persistent connection
+// first, then each reply is read.  Failure containment per shard: a
+// robust::CircuitBreaker per backend endpoint plus hedged retries onto
 // replica endpoints, all bounded by the per-shard deadline carved from
 // the client's wire deadline.  A dead shard sheds its batches with a
 // typed error instead of wedging the connection.
@@ -22,7 +25,7 @@
 #include <vector>
 
 #include "cluster/routing_map.hpp"
-#include "net/wire.hpp"
+#include "net/backend.hpp"
 #include "robust/status.hpp"
 
 namespace cluster {
@@ -40,8 +43,6 @@ struct BreakerOptions {
 };
 
 struct RouterOptions {
-  std::string bind_address = "127.0.0.1";
-  std::uint16_t port = 0;  ///< 0 = ephemeral; Router::port() reports it
   /// The one collection name this router serves; shards must serve the
   /// same name.
   std::string collection = "main";
@@ -49,8 +50,6 @@ struct RouterOptions {
   /// Per shard: replica endpoints, preferred first.  Must have
   /// map.num_shards entries, each non-empty.
   std::vector<std::vector<Endpoint>> shards;
-  net::DecodeLimits limits;
-  std::size_t max_connections = 256;
   std::chrono::nanoseconds connect_timeout{std::chrono::seconds(2)};
   std::chrono::nanoseconds io_timeout{std::chrono::seconds(10)};
   /// Extra replica attempts per sub-batch after the first failure.
@@ -61,7 +60,6 @@ struct RouterOptions {
 };
 
 struct RouterStats {
-  std::uint64_t accepted = 0;
   std::uint64_t batches_routed = 0;    ///< client batches answered OK
   std::uint64_t sub_batches_sent = 0;  ///< shard round trips attempted
   std::uint64_t hedged_retries = 0;    ///< attempts beyond a sub-batch's 1st
@@ -69,8 +67,6 @@ struct RouterStats {
   std::uint64_t sheds = 0;          ///< client batches shed (typed error)
   std::uint64_t breaker_trips = 0;  ///< endpoint CLOSED -> OPEN
   std::uint64_t breaker_skips = 0;  ///< attempts skipped on OPEN endpoints
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t errors_sent = 0;  ///< all typed ERROR responses
 };
 
 /// The per-shard deadline budget (relative ns) carved from a client's
@@ -84,20 +80,27 @@ struct RouterStats {
     std::uint64_t client_deadline_ns, std::uint64_t elapsed_ns,
     std::uint64_t margin_ns);
 
-class Router {
+class Router final : public net::Backend {
  public:
-  /// Bind, listen, and spawn the accept loop.  The routing map must be
-  /// validated (load_routing_map / plan_partition both do).
-  [[nodiscard]] static coop::Expected<std::unique_ptr<Router>> start(
+  /// Validate the options (the routing map must be validated too —
+  /// load_routing_map / plan_partition both do).  Serve the result with
+  /// net::Server::start(server_options, router).
+  [[nodiscard]] static coop::Expected<std::shared_ptr<Router>> create(
       RouterOptions opts);
 
-  ~Router();
+  ~Router() override;
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const;
+  /// PATH_BATCH and DYN_PATH_BATCH are routed; every other verb is a
+  /// typed kInvalidArgument.
+  [[nodiscard]] coop::Expected<std::vector<std::uint8_t>> serve(
+      const net::Request& req) override;
+  /// One row per shard, "shardK": healthy when every replica's breaker
+  /// is CLOSED, degraded when some are not, lame duck when none is.
+  [[nodiscard]] std::vector<net::CollectionHealth> health() override;
+
   [[nodiscard]] RouterStats stats() const;
-  void stop();
 
  private:
   Router() = default;

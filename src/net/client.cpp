@@ -51,7 +51,9 @@ Status wait_fd(int fd, short events, std::chrono::nanoseconds timeout,
 Client::Client(Client&& o) noexcept
     : fd_(std::exchange(o.fd_, -1)),
       opts_(o.opts_),
-      next_request_id_(o.next_request_id_) {}
+      next_request_id_(o.next_request_id_),
+      pending_type_(o.pending_type_),
+      pending_id_(o.pending_id_) {}
 
 Client& Client::operator=(Client&& o) noexcept {
   if (this != &o) {
@@ -59,6 +61,8 @@ Client& Client::operator=(Client&& o) noexcept {
     fd_ = std::exchange(o.fd_, -1);
     opts_ = o.opts_;
     next_request_id_ = o.next_request_id_;
+    pending_type_ = o.pending_type_;
+    pending_id_ = o.pending_id_;
   }
   return *this;
 }
@@ -202,24 +206,27 @@ coop::Expected<Frame> Client::read_frame() {
   return decode_frame(whole, opts_.limits);
 }
 
-coop::Expected<Frame> Client::round_trip(
-    MsgType type, std::span<const std::uint8_t> payload) {
+Status Client::send_request(MsgType type,
+                            std::span<const std::uint8_t> payload) {
   FrameHeader h;
   h.type = static_cast<std::uint16_t>(type);
   h.request_id = next_request_id_++;
   h.tenant = opts_.tenant;
   h.deadline_ns = opts_.deadline_ns;
-  if (Status s = send_all(encode_frame(h, payload)); !s.ok()) {
-    return s;
-  }
+  pending_type_ = type;
+  pending_id_ = h.request_id;
+  return send_all(encode_frame(h, payload));
+}
+
+coop::Expected<Frame> Client::recv_response() {
   auto frame = read_frame();
   if (!frame.ok()) {
     return frame.status();
   }
-  if (frame->header.request_id != h.request_id) {
+  if (frame->header.request_id != pending_id_) {
     return Status::internal(
         "response request_id " + std::to_string(frame->header.request_id) +
-        " does not match request " + std::to_string(h.request_id));
+        " does not match request " + std::to_string(pending_id_));
   }
   const auto rtype = static_cast<MsgType>(frame->header.type &
                                           ~kResponseBit);
@@ -230,44 +237,48 @@ coop::Expected<Frame> Client::round_trip(
     }
     return from_wire_error(err.value());
   }
-  if (rtype != type || (frame->header.type & kResponseBit) == 0) {
+  if (rtype != pending_type_ || (frame->header.type & kResponseBit) == 0) {
     return Status::internal("unexpected response type " +
                             std::to_string(frame->header.type));
   }
   return frame;
 }
 
-coop::Expected<PathBatchResponse> Client::path_batch(
-    const std::string& collection,
-    std::span<const serve::PathQuery> queries) {
-  PathBatchRequest req;
-  req.collection = collection;
-  req.queries.assign(queries.begin(), queries.end());
-  auto frame = round_trip(MsgType::kPathBatch, encode(req));
+coop::Expected<Frame> Client::round_trip(
+    MsgType type, std::span<const std::uint8_t> payload) {
+  if (Status s = send_request(type, payload); !s.ok()) {
+    return s;
+  }
+  return recv_response();
+}
+
+template <typename Resp>
+coop::Expected<Resp> Client::call(
+    MsgType type, std::span<const std::uint8_t> payload,
+    coop::Expected<Resp> (*decode)(std::span<const std::uint8_t>,
+                                   const DecodeLimits&)) {
+  auto frame = round_trip(type, payload);
   if (!frame.ok()) {
     return frame.status();
   }
-  return decode_path_response(frame->payload, opts_.limits);
+  return decode(frame->payload, opts_.limits);
+}
+
+coop::Expected<PathBatchResponse> Client::path_batch(
+    const std::string& collection,
+    std::span<const serve::PathQuery> queries) {
+  PathBatchRequest req{collection, {queries.begin(), queries.end()}};
+  return call(MsgType::kPathBatch, encode(req), decode_path_response);
 }
 
 coop::Expected<PointBatchResponse> Client::point_batch(
     const std::string& collection, std::span<const geom::Point> points) {
-  PointBatchRequest req;
-  req.collection = collection;
-  req.points.assign(points.begin(), points.end());
-  auto frame = round_trip(MsgType::kPointBatch, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  return decode_point_response(frame->payload, opts_.limits);
+  PointBatchRequest req{collection, {points.begin(), points.end()}};
+  return call(MsgType::kPointBatch, encode(req), decode_point_response);
 }
 
 coop::Expected<HealthResponse> Client::health() {
-  auto frame = round_trip(MsgType::kHealth, {});
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  return decode_health(frame->payload, opts_.limits);
+  return call(MsgType::kHealth, {}, decode_health);
 }
 
 coop::Expected<std::string> Client::metrics() {
@@ -279,96 +290,58 @@ coop::Expected<std::string> Client::metrics() {
                      frame->payload.size());
 }
 
-coop::Expected<std::uint64_t> Client::load(
-    const std::string& collection, const std::string& snapshot_path) {
-  AdminRequest req{collection, snapshot_path};
-  auto frame = round_trip(MsgType::kLoad, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  auto resp = decode_admin_response(frame->payload, opts_.limits);
+coop::Expected<std::uint64_t> Client::admin(MsgType type,
+                                            const std::string& collection,
+                                            const std::string& snapshot_path) {
+  auto resp = call(type, encode(AdminRequest{collection, snapshot_path}),
+                   decode_admin_response);
   if (!resp.ok()) {
     return resp.status();
   }
   return resp->version;
+}
+
+coop::Expected<std::uint64_t> Client::load(
+    const std::string& collection, const std::string& snapshot_path) {
+  return admin(MsgType::kLoad, collection, snapshot_path);
 }
 
 coop::Expected<std::uint64_t> Client::swap(
     const std::string& collection, const std::string& snapshot_path) {
-  AdminRequest req{collection, snapshot_path};
-  auto frame = round_trip(MsgType::kSwap, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  auto resp = decode_admin_response(frame->payload, opts_.limits);
-  if (!resp.ok()) {
-    return resp.status();
-  }
-  return resp->version;
+  return admin(MsgType::kSwap, collection, snapshot_path);
 }
 
 coop::Status Client::unload(const std::string& collection) {
-  AdminRequest req{collection, ""};
-  auto frame = round_trip(MsgType::kUnload, encode(req));
-  return frame.ok() ? coop::OkStatus() : frame.status();
+  return admin(MsgType::kUnload, collection, "").status();
 }
 
-coop::Status Client::drain() {
-  AdminRequest req{"", ""};
-  auto frame = round_trip(MsgType::kDrain, encode(req));
-  return frame.ok() ? coop::OkStatus() : frame.status();
-}
+coop::Status Client::drain() { return admin(MsgType::kDrain, "", "").status(); }
 
 coop::Expected<MutateResponse> Client::mutate(
     const std::string& collection,
     std::vector<std::vector<std::uint8_t>> runs) {
-  MutateRequest req;
-  req.collection = collection;
-  req.runs = std::move(runs);
-  auto frame = round_trip(MsgType::kMutate, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  return decode_mutate_response(frame->payload, opts_.limits);
+  MutateRequest req{collection, std::move(runs)};
+  return call(MsgType::kMutate, encode(req), decode_mutate_response);
 }
 
 coop::Expected<DynPathBatchResponse> Client::dyn_path_batch(
     const std::string& collection,
     std::span<const serve::PathQuery> queries) {
-  DynPathBatchRequest req;
-  req.collection = collection;
-  req.queries.assign(queries.begin(), queries.end());
-  auto frame = round_trip(MsgType::kDynPathBatch, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  return decode_dyn_path_response(frame->payload, opts_.limits);
+  DynPathBatchRequest req{collection, {queries.begin(), queries.end()}};
+  return call(MsgType::kDynPathBatch, encode(req), decode_dyn_path_response);
 }
 
 coop::Expected<CompactResponse> Client::compact(
     const std::string& collection) {
-  CompactRequest req;
-  req.collection = collection;
-  auto frame = round_trip(MsgType::kCompact, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  return decode_compact_response(frame->payload, opts_.limits);
+  return call(MsgType::kCompact, encode(CompactRequest{collection}),
+              decode_compact_response);
 }
 
 coop::Expected<FetchSnapshotResponse> Client::fetch_snapshot(
     const std::string& collection, std::uint64_t version, std::uint64_t offset,
     std::uint32_t max_chunk) {
-  FetchSnapshotRequest req;
-  req.collection = collection;
-  req.version = version;
-  req.offset = offset;
-  req.max_chunk = max_chunk;
-  auto frame = round_trip(MsgType::kFetchSnapshot, encode(req));
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  return decode_fetch_response(frame->payload, opts_.limits);
+  FetchSnapshotRequest req{collection, version, offset, max_chunk};
+  return call(MsgType::kFetchSnapshot, encode(req), decode_fetch_response);
 }
 
 }  // namespace net

@@ -89,6 +89,16 @@ class Client {
       const std::string& collection, std::uint64_t version,
       std::uint64_t offset, std::uint32_t max_chunk);
 
+  /// The two halves of every round trip, for callers that keep several
+  /// connections in flight at once (the router sends each shard its
+  /// sub-batch before reading any reply).  send_request frames and
+  /// writes one request; recv_response reads the reply to it, checks the
+  /// echoed request id and type, and unwraps ERROR frames into their
+  /// Status.  One request may be outstanding per connection.
+  [[nodiscard]] coop::Status send_request(
+      MsgType type, std::span<const std::uint8_t> payload);
+  [[nodiscard]] coop::Expected<Frame> recv_response();
+
   /// Chaos primitives ------------------------------------------------
 
   /// Write arbitrary bytes (e.g. a robust::corrupt_frame-mangled frame)
@@ -108,14 +118,26 @@ class Client {
  private:
   [[nodiscard]] coop::Status send_all(std::span<const std::uint8_t> bytes);
   [[nodiscard]] coop::Status recv_exact(std::uint8_t* out, std::size_t n);
-  /// Send a request frame and read its response; checks the echoed
-  /// request id and unwraps ERROR frames into their Status.
+  /// send_request then recv_response.
   [[nodiscard]] coop::Expected<Frame> round_trip(
       MsgType type, std::span<const std::uint8_t> payload);
+  /// LOAD/SWAP/UNLOAD/DRAIN: the published version, where there is one.
+  [[nodiscard]] coop::Expected<std::uint64_t> admin(
+      MsgType type, const std::string& collection,
+      const std::string& snapshot_path);
+  /// round_trip, then decode the response payload.
+  template <typename Resp>
+  [[nodiscard]] coop::Expected<Resp> call(
+      MsgType type, std::span<const std::uint8_t> payload,
+      coop::Expected<Resp> (*decode)(std::span<const std::uint8_t>,
+                                     const DecodeLimits&));
 
   int fd_ = -1;
   ClientOptions opts_;
   std::uint64_t next_request_id_ = 1;
+  /// The outstanding request recv_response answers.
+  MsgType pending_type_ = MsgType::kError;
+  std::uint64_t pending_id_ = 0;
 };
 
 }  // namespace net

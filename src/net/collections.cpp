@@ -1,5 +1,9 @@
 #include "net/collections.hpp"
 
+#include <algorithm>
+
+#include "snapshot/snapshot.hpp"
+
 namespace net {
 
 using coop::Status;
@@ -112,6 +116,327 @@ std::vector<std::shared_ptr<Collection>> CollectionMap::all() const {
     out.push_back(c);
   }
   return out;
+}
+
+// ---- CollectionBackend ---------------------------------------------
+
+namespace {
+
+/// Largest FETCH_SNAPSHOT data chunk the server volunteers; small enough
+/// that the whole response frame fits the default 1 MiB decode limit on
+/// both ends with generous headroom.
+constexpr std::uint64_t kFetchChunkCap = 256u << 10;
+
+Status unknown_collection(const std::string& name) {
+  return Status::invalid_argument("unknown collection '" + name + "'");
+}
+
+}  // namespace
+
+CollectionBackend::CollectionBackend(std::size_t engine_threads,
+                                     serve::FrontendOptions frontend)
+    : engine_(engine_threads),
+      batch_(frontend.batch),
+      collections_(engine_, std::move(frontend)) {}
+
+coop::Expected<std::vector<std::uint8_t>> CollectionBackend::serve(
+    const Request& req) {
+  switch (req.type()) {
+    case MsgType::kPathBatch:
+      return serve_paths(req);
+    case MsgType::kPointBatch:
+      return serve_points(req);
+    case MsgType::kDynPathBatch:
+      return serve_dyn_paths(req);
+    case MsgType::kMutate:
+      return serve_mutate(req);
+    case MsgType::kCompact:
+      return serve_compact(req);
+    case MsgType::kFetchSnapshot:
+      return serve_fetch_snapshot(req);
+    case MsgType::kLoad:
+    case MsgType::kSwap:
+    case MsgType::kUnload:
+      return serve_admin(req);
+    default:
+      return Status::invalid_argument("unknown message type " +
+                                      std::to_string(req.header.type));
+  }
+}
+
+std::vector<CollectionHealth> CollectionBackend::health() {
+  std::vector<CollectionHealth> rows;
+  for (const std::shared_ptr<Collection>& c : collections_.all()) {
+    CollectionHealth ch;
+    ch.name = c->name;
+    ch.version = c->registry.current_version();
+    ch.health = static_cast<std::uint8_t>(c->frontend.health());
+    rows.push_back(std::move(ch));
+  }
+  return rows;
+}
+
+bool CollectionBackend::batch_options(const Request& req,
+                                      serve::BatchOptions& bo) const {
+  bo = batch_;
+  if (req.deadline) {
+    bo.deadline = *req.deadline - std::chrono::steady_clock::now();
+    return bo.deadline > std::chrono::nanoseconds(0);
+  }
+  return true;
+}
+
+CollectionBackend::Reply CollectionBackend::serve_paths(const Request& req) {
+  auto decoded = decode_path_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  const std::shared_ptr<Collection> c = collections_.find(decoded->collection);
+  if (c == nullptr) {
+    return unknown_collection(decoded->collection);
+  }
+  // Validate every untrusted path against the current snapshot before
+  // the assert-free grouped kernel sees it.  The pin is held across the
+  // serve call so the validated generation cannot be reclaimed mid-batch
+  // (the serving contract requires SWAP generations to keep the node-id
+  // space — see DESIGN.md §11).
+  const snapshot::Registry::Pin pin = c->registry.pin();
+  if (!pin.has_snapshot()) {
+    return Status::failed_precondition("collection '" + decoded->collection +
+                                       "' has no published snapshot");
+  }
+  if (pin.snapshot().kind != snapshot::SnapshotKind::kCascade) {
+    return Status::failed_precondition(
+        "collection '" + decoded->collection +
+        "' serves point location, not path search");
+  }
+  for (const serve::PathQuery& q : decoded->queries) {
+    if (Status s = pin.snapshot().cascade.validate_path(q.path); !s.ok()) {
+      return s;
+    }
+  }
+  serve::BatchOptions bo;
+  if (!batch_options(req, bo)) {
+    return expired(req, "before dispatch");
+  }
+  PathBatchResponse resp;
+  serve::BatchReport report;
+  if (Status s = c->frontend.serve_paths(decoded->queries, resp.answers,
+                                         &report, &resp.served_version,
+                                         req.deadline ? &bo : nullptr);
+      !s.ok()) {
+    return s;
+  }
+  resp.degraded = report.degraded;
+  return encode(resp);
+}
+
+CollectionBackend::Reply CollectionBackend::serve_points(const Request& req) {
+  auto decoded = decode_point_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  const std::shared_ptr<Collection> c = collections_.find(decoded->collection);
+  if (c == nullptr) {
+    return unknown_collection(decoded->collection);
+  }
+  serve::BatchOptions bo;
+  if (!batch_options(req, bo)) {
+    return expired(req, "before dispatch");
+  }
+  PointBatchResponse resp;
+  serve::BatchReport report;
+  std::vector<std::size_t> regions;
+  if (Status s = c->frontend.serve_points(decoded->points, regions, &report,
+                                          &resp.served_version,
+                                          req.deadline ? &bo : nullptr);
+      !s.ok()) {
+    return s;
+  }
+  resp.regions.assign(regions.begin(), regions.end());
+  resp.degraded = report.degraded;
+  return encode(resp);
+}
+
+namespace {
+
+/// Resolve a request's collection and require it to be dynamic.
+coop::Expected<std::shared_ptr<Collection>> find_dynamic(
+    const CollectionMap& collections, const std::string& name) {
+  std::shared_ptr<Collection> c = collections.find(name);
+  if (c == nullptr) {
+    return unknown_collection(name);
+  }
+  if (!c->dynamic()) {
+    return Status::failed_precondition(
+        "collection '" + name +
+        "' is static: MUTATE/DYN_PATH_BATCH/COMPACT require a dynamic "
+        "collection (serve with --dynamic-collection)");
+  }
+  return c;
+}
+
+}  // namespace
+
+CollectionBackend::Reply CollectionBackend::serve_mutate(const Request& req) {
+  auto decoded = decode_mutate_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  auto c = find_dynamic(collections_, decoded->collection);
+  if (!c.ok()) {
+    return c.status();
+  }
+  // Decode every blob through the delta-log rejection ladder before any
+  // of them is applied: a MUTATE batch is all-or-nothing, so a corrupt
+  // run rejects the batch without leaving a partial write.
+  std::vector<dyn::Run> runs;
+  runs.reserve(decoded->runs.size());
+  for (const std::vector<std::uint8_t>& blob : decoded->runs) {
+    auto run = dyn::decode_run(blob);
+    if (!run.ok()) {
+      return run.status();
+    }
+    runs.push_back(run.take());
+  }
+  MutateResponse resp;
+  resp.applied = static_cast<std::uint32_t>(runs.size());
+  if (Status s = (*c)->frontend.apply_runs(*(*c)->dyn_catalog,
+                                           std::move(runs), &resp.ack_seq);
+      !s.ok()) {
+    return s;
+  }
+  return encode(resp);
+}
+
+CollectionBackend::Reply CollectionBackend::serve_dyn_paths(
+    const Request& req) {
+  auto decoded = decode_dyn_path_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  auto c = find_dynamic(collections_, decoded->collection);
+  if (!c.ok()) {
+    return c.status();
+  }
+  serve::BatchOptions bo;
+  if (!batch_options(req, bo)) {
+    return expired(req, "before dispatch");
+  }
+  DynPathBatchResponse resp;
+  if (Status s = (*c)->frontend.serve_dyn_paths(
+          *(*c)->dyn_catalog, decoded->queries, resp.answers,
+          &resp.served_version, &resp.write_seq,
+          req.deadline ? &bo : nullptr);
+      !s.ok()) {
+    return s;
+  }
+  return encode(resp);
+}
+
+CollectionBackend::Reply CollectionBackend::serve_compact(
+    const Request& req) {
+  auto decoded = decode_compact_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  auto c = find_dynamic(collections_, decoded->collection);
+  if (!c.ok()) {
+    return c.status();
+  }
+  auto version = (*c)->compactor->compact_once();
+  if (!version.ok()) {
+    return version.status();
+  }
+  CompactResponse resp;
+  resp.version = version.value();
+  resp.watermark = (*c)->dyn_catalog->stats().watermark;
+  return encode(resp);
+}
+
+/// FETCH_SNAPSHOT: one chunk of the collection's published snapshot,
+/// copied straight out of the registry's pinned mmap (the whole file's
+/// bytes).  Read-only over already-published data, so it rides the
+/// normal (non-admin) trust boundary like PATH_BATCH.  The pin is held
+/// while the chunk is copied, so a concurrent SWAP cannot unmap the
+/// generation mid-read; a version-pinned request against a superseded
+/// generation gets kFailedPrecondition and the follower restarts.
+CollectionBackend::Reply CollectionBackend::serve_fetch_snapshot(
+    const Request& req) {
+  auto decoded = decode_fetch_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  const FetchSnapshotRequest& f = *decoded;
+  const std::shared_ptr<Collection> c = collections_.find(f.collection);
+  if (c == nullptr) {
+    return unknown_collection(f.collection);
+  }
+  const snapshot::Registry::Pin pin = c->registry.pin();
+  if (!pin.has_snapshot()) {
+    return Status::failed_precondition("collection '" + f.collection +
+                                       "' has no published snapshot");
+  }
+  if (f.version != 0 && f.version != pin.version()) {
+    return Status::failed_precondition(
+        "snapshot generation " + std::to_string(f.version) +
+        " is no longer published (current is " +
+        std::to_string(pin.version()) + "); restart the fetch");
+  }
+  const snapshot::Snapshot& snap = pin.snapshot();
+  if (!snap.mapping.mapped()) {
+    return Status::failed_precondition(
+        "collection '" + f.collection +
+        "' serves an in-memory snapshot; only file-backed generations can "
+        "be fetched");
+  }
+  const std::uint64_t size = snap.mapping.size();
+  if (f.offset > size) {
+    return Status::invalid_argument(
+        "fetch offset " + std::to_string(f.offset) +
+        " is past the snapshot end (" + std::to_string(size) + " bytes)");
+  }
+  // Cap the chunk so the response frame always fits the decode limits of
+  // both sides (payload + strings + frame overhead stay well under
+  // max_frame_bytes).
+  const std::uint64_t cap = std::min<std::uint64_t>(
+      kFetchChunkCap, req.limits.max_frame_bytes / 2);
+  std::uint64_t want = f.max_chunk == 0 ? cap : f.max_chunk;
+  want = std::min({want, cap, size - f.offset});
+  FetchSnapshotResponse resp;
+  resp.version = pin.version();
+  resp.total_size = size;
+  resp.offset = f.offset;
+  const std::uint8_t* base = snap.mapping.data() + f.offset;
+  resp.data.assign(base, base + want);
+  return encode(resp);
+}
+
+CollectionBackend::Reply CollectionBackend::serve_admin(const Request& req) {
+  auto decoded = decode_admin_request(req.payload, req.limits);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  AdminResponse resp;
+  if (req.type() == MsgType::kUnload) {
+    if (Status s = collections_.unload(decoded->collection); !s.ok()) {
+      return s;
+    }
+    return encode(resp);
+  }
+  auto snap = snapshot::open(decoded->snapshot_path);
+  if (!snap.ok()) {
+    return snap.status();
+  }
+  const Status s =
+      req.type() == MsgType::kLoad
+          ? collections_.load(decoded->collection, snap.take(), &resp.version)
+          : collections_.swap(decoded->collection, snap.take(),
+                              &resp.version);
+  if (!s.ok()) {
+    return s;
+  }
+  return encode(resp);
 }
 
 }  // namespace net

@@ -18,6 +18,7 @@
 #include "dyn/compactor.hpp"
 #include "dyn/overlay.hpp"
 #include "dyn/recovery.hpp"
+#include "net/backend.hpp"
 #include "robust/status.hpp"
 #include "serve/frontend.hpp"
 #include "serve/query_engine.hpp"
@@ -97,6 +98,45 @@ class CollectionMap {
   const serve::FrontendOptions fopts_;
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Collection>> map_;
+};
+
+/// The server backend that serves the collections in-process: batches
+/// (PATH/POINT/DYN_PATH), writes (MUTATE/COMPACT), LOAD/SWAP/UNLOAD and
+/// FETCH_SNAPSHOT against a CollectionMap whose frontends share one
+/// QueryEngine.
+class CollectionBackend final : public Backend {
+ public:
+  /// `engine_threads` 0 = hardware concurrency; `frontend` configures
+  /// every collection's serve::Frontend.
+  CollectionBackend(std::size_t engine_threads,
+                    serve::FrontendOptions frontend);
+
+  [[nodiscard]] coop::Expected<std::vector<std::uint8_t>> serve(
+      const Request& req) override;
+  [[nodiscard]] std::vector<CollectionHealth> health() override;
+
+  [[nodiscard]] CollectionMap& collections() { return collections_; }
+
+ private:
+  using Reply = coop::Expected<std::vector<std::uint8_t>>;
+
+  Reply serve_paths(const Request& req);
+  Reply serve_points(const Request& req);
+  Reply serve_dyn_paths(const Request& req);
+  Reply serve_mutate(const Request& req);
+  Reply serve_compact(const Request& req);
+  Reply serve_fetch_snapshot(const Request& req);
+  Reply serve_admin(const Request& req);
+
+  /// The engine knobs for one batch: the frontend's defaults, with the
+  /// request's remaining budget as the watchdog deadline.  False when
+  /// that budget is already spent.
+  [[nodiscard]] bool batch_options(const Request& req,
+                                   serve::BatchOptions& bo) const;
+
+  serve::QueryEngine engine_;
+  const serve::BatchOptions batch_;
+  CollectionMap collections_;  // after engine_: frontends borrow it
 };
 
 }  // namespace net

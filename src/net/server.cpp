@@ -19,13 +19,13 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace net {
 
@@ -113,10 +113,17 @@ struct NetMetrics {
   }
 };
 
-/// Largest FETCH_SNAPSHOT data chunk the server volunteers; small enough
-/// that the whole response frame fits the default 1 MiB decode limit on
-/// both ends with generous headroom.
-constexpr std::uint64_t kFetchChunkCap = 256u << 10;
+bool is_batch(MsgType t) {
+  return t == MsgType::kPathBatch || t == MsgType::kPointBatch ||
+         t == MsgType::kDynPathBatch;
+}
+
+/// Verbs honoured only inside the admin trust boundary.
+bool is_admin(MsgType t) {
+  return t == MsgType::kLoad || t == MsgType::kSwap ||
+         t == MsgType::kUnload || t == MsgType::kDrain ||
+         t == MsgType::kMutate || t == MsgType::kCompact;
+}
 
 void set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -301,7 +308,12 @@ struct Server::Impl {
   mutable std::mutex stats_mu;
   ServerStats stats;
 
-  void bump(std::uint64_t ServerStats::* field) {
+  /// Count one event in stats() and, when given, in its obs counter.
+  void bump(std::uint64_t ServerStats::* field,
+            obs::Counter NetMetrics::* metric = nullptr) {
+    if (metric != nullptr) {
+      (NetMetrics::get().*metric).inc();
+    }
     std::lock_guard<std::mutex> lock(stats_mu);
     ++(stats.*field);
   }
@@ -326,8 +338,10 @@ struct Server::Impl {
 
   std::vector<std::uint8_t> error_frame(const FrameHeader& req,
                                         const Status& s) {
-    bump(&ServerStats::errors_sent);
-    NetMetrics::get().errors_sent.inc();
+    bump(&ServerStats::errors_sent, &NetMetrics::errors_sent);
+    if (s.code() == coop::StatusCode::kDeadlineExceeded) {
+      bump(&ServerStats::deadline_expired, &NetMetrics::deadline_expired);
+    }
     const std::vector<std::uint8_t> payload = encode(to_wire_error(s));
     return make_response(req, MsgType::kError, payload);
   }
@@ -348,7 +362,10 @@ struct Server::Impl {
         tasks.pop_front();
         ++active_tasks;
       }
+      const SteadyClock::time_point t0 = SteadyClock::now();
       std::vector<std::uint8_t> response = process(task);
+      NetMetrics::get().request_ns.record(
+          steady_ns(SteadyClock::now()) - steady_ns(t0));
       {
         std::lock_guard<std::mutex> lock(out_mu);
         outbox.emplace_back(task.conn_id, std::move(response));
@@ -361,467 +378,107 @@ struct Server::Impl {
     }
   }
 
+  /// The absolute deadline of a request, derived once from its arrival
+  /// time.  `deadline_ns` is an attacker-controlled u64: values near
+  /// INT64_MAX would wrap the signed chrono rep negative and the addition
+  /// would overflow (UB).  Anything above an hour is effectively
+  /// unbounded, so saturate there.
+  static std::optional<SteadyClock::time_point> deadline_of(
+      const Task& task) {
+    const std::uint64_t ns = task.frame.header.deadline_ns;
+    if (ns == 0) {
+      return std::nullopt;
+    }
+    constexpr std::uint64_t kMaxDeadlineNs = 3'600'000'000'000ULL;  // 1 h
+    return task.arrival + std::chrono::nanoseconds(static_cast<std::int64_t>(
+                              std::min(ns, kMaxDeadlineNs)));
+  }
+
+  /// Answer one frame: the server's own verbs here, everything else
+  /// through the backend, bracketed by the deadline checks — an expired
+  /// request gets a typed kDeadlineExceeded, never a late answer.
   std::vector<std::uint8_t> process(const Task& task) {
     const FrameHeader& h = task.frame.header;
     const auto type = static_cast<MsgType>(h.type);
-    const SteadyClock::time_point t0 = SteadyClock::now();
-    std::vector<std::uint8_t> out;
     switch (type) {
-      case MsgType::kPathBatch:
-        out = process_paths(task);
-        break;
-      case MsgType::kPointBatch:
-        out = process_points(task);
-        break;
-      case MsgType::kDynPathBatch:
-        out = process_dyn_paths(task);
-        break;
-      case MsgType::kHealth:
-        out = process_health(h);
-        break;
+      case MsgType::kHealth: {
+        HealthResponse resp;
+        resp.draining = self->draining() ? 1 : 0;
+        resp.collections = self->backend_->health();
+        return make_response(h, type, encode(resp));
+      }
       case MsgType::kMetrics: {
         const std::string text =
             obs::to_prometheus(obs::Registry::global().scrape());
-        out = make_response(
-            h, MsgType::kMetrics,
+        return make_response(
+            h, type,
             std::span<const std::uint8_t>(
                 reinterpret_cast<const std::uint8_t*>(text.data()),
                 text.size()));
-        break;
       }
-      case MsgType::kLoad:
-      case MsgType::kSwap:
-      case MsgType::kUnload:
-      case MsgType::kDrain:
-        if (!admin_allowed) {
-          out = error_frame(
-              h, Status::permission_denied(
-                     "admin frames are disabled on non-loopback binds; "
-                     "restart with enable_remote_admin to accept "
-                     "LOAD/SWAP/UNLOAD/DRAIN from remote peers"));
-          break;
-        }
-        out = process_admin(h, task.frame.payload, type);
+      case MsgType::kError:
+        return error_frame(h, Status::invalid_argument(
+                                  "ERROR is a response type, not a "
+                                  "request"));
+      default:
+        break;
+    }
+    if (is_admin(type) && !admin_allowed) {
+      // Writes and compactions share the admin trust boundary: the wire
+      // carries no authentication, and every one of these verbs loads
+      // server-side paths or mutates served state.
+      return error_frame(
+          h, Status::permission_denied(
+                 "admin frames are disabled on non-loopback binds; "
+                 "restart with enable_remote_admin to accept "
+                 "LOAD/SWAP/UNLOAD/DRAIN/MUTATE/COMPACT from remote "
+                 "peers"));
+    }
+    if (type == MsgType::kDrain) {
+      if (auto req = decode_admin_request(task.frame.payload, opts.limits);
+          !req.ok()) {
+        return error_frame(h, req.status());
+      }
+      self->begin_drain();
+      return make_response(h, type, encode(AdminResponse{}));
+    }
+    const Request req{h, task.frame.payload, opts.limits, deadline_of(task)};
+    const bool batch = is_batch(type);
+    if (req.deadline && (batch || type == MsgType::kMutate) &&
+        SteadyClock::now() >= *req.deadline) {
+      return error_frame(h, expired(req, "before dispatch"));
+    }
+    auto reply = self->backend_->serve(req);
+    if (!reply.ok()) {
+      return error_frame(h, reply.status());
+    }
+    if (batch && req.deadline && SteadyClock::now() >= *req.deadline) {
+      return error_frame(
+          h, expired(req, "during serving (late answer suppressed)"));
+    }
+    count_served(type);
+    return make_response(h, type, *reply);
+  }
+
+  void count_served(MsgType type) {
+    switch (type) {
+      case MsgType::kPathBatch:
+      case MsgType::kPointBatch:
+      case MsgType::kDynPathBatch:
+        bump(&ServerStats::batches_served, &NetMetrics::batches);
         break;
       case MsgType::kMutate:
+        bump(&ServerStats::mutates_applied, &NetMetrics::mutates);
+        break;
       case MsgType::kCompact:
-        // Writes and compactions share the admin trust boundary: the
-        // wire carries no authentication, and both verbs mutate served
-        // state, so they are honoured only where LOAD/SWAP would be.
-        if (!admin_allowed) {
-          out = error_frame(
-              h, Status::permission_denied(
-                     "admin frames are disabled on non-loopback binds; "
-                     "restart with enable_remote_admin to accept "
-                     "MUTATE/COMPACT from remote peers"));
-          break;
-        }
-        out = type == MsgType::kMutate ? process_mutate(task)
-                                       : process_compact(task);
+        bump(&ServerStats::compactions, &NetMetrics::compactions);
         break;
       case MsgType::kFetchSnapshot:
-        out = process_fetch_snapshot(task);
-        break;
-      case MsgType::kError:
-        out = error_frame(
-            h, Status::invalid_argument("ERROR is a response type, not a "
-                                        "request"));
+        bump(&ServerStats::snapshot_chunks_served, &NetMetrics::snapshot_chunks);
         break;
       default:
-        out = error_frame(h, Status::invalid_argument(
-                                 "unknown message type " +
-                                 std::to_string(h.type)));
         break;
     }
-    NetMetrics::get().request_ns.record(
-        steady_ns(SteadyClock::now()) - steady_ns(t0));
-    return out;
-  }
-
-  /// The absolute deadline of a request, derived once from its arrival
-  /// time; {} when the request did not carry one.  `deadline_ns` is an
-  /// attacker-controlled u64: values near INT64_MAX would wrap the signed
-  /// chrono rep negative and the addition would overflow (UB).  Anything
-  /// above an hour is effectively unbounded, so saturate there.
-  static bool deadline_of(const Task& task, SteadyClock::time_point& at) {
-    std::uint64_t ns = task.frame.header.deadline_ns;
-    if (ns == 0) {
-      return false;
-    }
-    constexpr std::uint64_t kMaxDeadlineNs = 3'600'000'000'000ULL;  // 1 h
-    if (ns > kMaxDeadlineNs) {
-      ns = kMaxDeadlineNs;
-    }
-    at = task.arrival +
-         std::chrono::nanoseconds(static_cast<std::int64_t>(ns));
-    return true;
-  }
-
-  std::vector<std::uint8_t> expired(const FrameHeader& h, const char* when) {
-    bump(&ServerStats::deadline_expired);
-    NetMetrics::get().deadline_expired.inc();
-    return error_frame(
-        h, Status::deadline_exceeded(
-               std::string("request deadline of ") +
-               std::to_string(h.deadline_ns) + "ns expired " + when));
-  }
-
-  std::vector<std::uint8_t> process_paths(const Task& task) {
-    const FrameHeader& h = task.frame.header;
-    auto req = decode_path_request(task.frame.payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    const std::shared_ptr<Collection> c =
-        self->collections_->find(req->collection);
-    if (c == nullptr) {
-      return error_frame(h, Status::invalid_argument(
-                                "unknown collection '" + req->collection +
-                                "'"));
-    }
-    SteadyClock::time_point deadline_at;
-    const bool has_deadline = deadline_of(task, deadline_at);
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "before dispatch");
-    }
-    // Validate every untrusted path against the current snapshot before
-    // the assert-free grouped kernel sees it.  The pin is held across
-    // the serve call so the validated generation cannot be reclaimed
-    // mid-batch (the serving contract requires SWAP generations to keep
-    // the node-id space — see DESIGN.md §11).
-    const snapshot::Registry::Pin pin = c->registry.pin();
-    if (!pin.has_snapshot()) {
-      return error_frame(h, Status::failed_precondition(
-                                "collection '" + req->collection +
-                                "' has no published snapshot"));
-    }
-    if (pin.snapshot().kind != snapshot::SnapshotKind::kCascade) {
-      return error_frame(h, Status::failed_precondition(
-                                "collection '" + req->collection +
-                                "' serves point location, not path "
-                                "search"));
-    }
-    for (const serve::PathQuery& q : req->queries) {
-      if (Status s = pin.snapshot().cascade.validate_path(q.path);
-          !s.ok()) {
-        return error_frame(h, s);
-      }
-    }
-    serve::BatchOptions bo = opts.frontend.batch;
-    if (has_deadline) {
-      bo.deadline = deadline_at - SteadyClock::now();
-      if (bo.deadline <= std::chrono::nanoseconds(0)) {
-        return expired(h, "before dispatch");
-      }
-    }
-    PathBatchResponse resp;
-    serve::BatchReport report;
-    const Status s = c->frontend.serve_paths(
-        req->queries, resp.answers, &report, &resp.served_version,
-        has_deadline ? &bo : nullptr);
-    if (!s.ok()) {
-      return error_frame(h, s);
-    }
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "during serving (late answer suppressed)");
-    }
-    resp.degraded = report.degraded;
-    bump(&ServerStats::batches_served);
-    NetMetrics::get().batches.inc();
-    return make_response(h, MsgType::kPathBatch, encode(resp));
-  }
-
-  std::vector<std::uint8_t> process_points(const Task& task) {
-    const FrameHeader& h = task.frame.header;
-    auto req = decode_point_request(task.frame.payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    const std::shared_ptr<Collection> c =
-        self->collections_->find(req->collection);
-    if (c == nullptr) {
-      return error_frame(h, Status::invalid_argument(
-                                "unknown collection '" + req->collection +
-                                "'"));
-    }
-    SteadyClock::time_point deadline_at;
-    const bool has_deadline = deadline_of(task, deadline_at);
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "before dispatch");
-    }
-    serve::BatchOptions bo = opts.frontend.batch;
-    if (has_deadline) {
-      bo.deadline = deadline_at - SteadyClock::now();
-      if (bo.deadline <= std::chrono::nanoseconds(0)) {
-        return expired(h, "before dispatch");
-      }
-    }
-    PointBatchResponse resp;
-    serve::BatchReport report;
-    std::vector<std::size_t> regions;
-    const Status s = c->frontend.serve_points(
-        req->points, regions, &report, &resp.served_version,
-        has_deadline ? &bo : nullptr);
-    if (!s.ok()) {
-      return error_frame(h, s);
-    }
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "during serving (late answer suppressed)");
-    }
-    resp.regions.assign(regions.begin(), regions.end());
-    resp.degraded = report.degraded;
-    bump(&ServerStats::batches_served);
-    NetMetrics::get().batches.inc();
-    return make_response(h, MsgType::kPointBatch, encode(resp));
-  }
-
-  /// Resolve a request's collection and require it to be dynamic.
-  /// Returns nullptr after filling `err` with the error frame to send.
-  std::shared_ptr<Collection> find_dynamic(const FrameHeader& h,
-                                           const std::string& name,
-                                           std::vector<std::uint8_t>& err) {
-    std::shared_ptr<Collection> c = self->collections_->find(name);
-    if (c == nullptr) {
-      err = error_frame(
-          h, Status::invalid_argument("unknown collection '" + name + "'"));
-      return nullptr;
-    }
-    if (!c->dynamic()) {
-      err = error_frame(
-          h, Status::failed_precondition(
-                 "collection '" + name +
-                 "' is static: MUTATE/DYN_PATH_BATCH/COMPACT require a "
-                 "dynamic collection (serve with --dynamic-collection)"));
-      return nullptr;
-    }
-    return c;
-  }
-
-  std::vector<std::uint8_t> process_mutate(const Task& task) {
-    const FrameHeader& h = task.frame.header;
-    auto req = decode_mutate_request(task.frame.payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    std::vector<std::uint8_t> err;
-    const std::shared_ptr<Collection> c =
-        find_dynamic(h, req->collection, err);
-    if (c == nullptr) {
-      return err;
-    }
-    SteadyClock::time_point deadline_at;
-    const bool has_deadline = deadline_of(task, deadline_at);
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "before dispatch");
-    }
-    // Decode every blob through the delta-log rejection ladder before
-    // any of them is applied: a MUTATE batch is all-or-nothing, so a
-    // corrupt run rejects the batch without leaving a partial write.
-    std::vector<dyn::Run> runs;
-    runs.reserve(req->runs.size());
-    for (const std::vector<std::uint8_t>& blob : req->runs) {
-      auto run = dyn::decode_run(blob);
-      if (!run.ok()) {
-        return error_frame(h, run.status());
-      }
-      runs.push_back(run.take());
-    }
-    MutateResponse resp;
-    resp.applied = static_cast<std::uint32_t>(runs.size());
-    if (Status s = c->frontend.apply_runs(*c->dyn_catalog, std::move(runs),
-                                          &resp.ack_seq);
-        !s.ok()) {
-      return error_frame(h, s);
-    }
-    bump(&ServerStats::mutates_applied);
-    NetMetrics::get().mutates.inc();
-    return make_response(h, MsgType::kMutate, encode(resp));
-  }
-
-  std::vector<std::uint8_t> process_dyn_paths(const Task& task) {
-    const FrameHeader& h = task.frame.header;
-    auto req = decode_dyn_path_request(task.frame.payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    std::vector<std::uint8_t> err;
-    const std::shared_ptr<Collection> c =
-        find_dynamic(h, req->collection, err);
-    if (c == nullptr) {
-      return err;
-    }
-    SteadyClock::time_point deadline_at;
-    const bool has_deadline = deadline_of(task, deadline_at);
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "before dispatch");
-    }
-    serve::BatchOptions bo = opts.frontend.batch;
-    if (has_deadline) {
-      bo.deadline = deadline_at - SteadyClock::now();
-      if (bo.deadline <= std::chrono::nanoseconds(0)) {
-        return expired(h, "before dispatch");
-      }
-    }
-    DynPathBatchResponse resp;
-    const Status s = c->frontend.serve_dyn_paths(
-        *c->dyn_catalog, req->queries, resp.answers, &resp.served_version,
-        &resp.write_seq, has_deadline ? &bo : nullptr);
-    if (!s.ok()) {
-      return error_frame(h, s);
-    }
-    if (has_deadline && SteadyClock::now() >= deadline_at) {
-      return expired(h, "during serving (late answer suppressed)");
-    }
-    bump(&ServerStats::batches_served);
-    NetMetrics::get().batches.inc();
-    return make_response(h, MsgType::kDynPathBatch, encode(resp));
-  }
-
-  std::vector<std::uint8_t> process_compact(const Task& task) {
-    const FrameHeader& h = task.frame.header;
-    auto req = decode_compact_request(task.frame.payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    std::vector<std::uint8_t> err;
-    const std::shared_ptr<Collection> c =
-        find_dynamic(h, req->collection, err);
-    if (c == nullptr) {
-      return err;
-    }
-    auto version = c->compactor->compact_once();
-    if (!version.ok()) {
-      return error_frame(h, version.status());
-    }
-    CompactResponse resp;
-    resp.version = version.value();
-    resp.watermark = c->dyn_catalog->stats().watermark;
-    bump(&ServerStats::compactions);
-    NetMetrics::get().compactions.inc();
-    return make_response(h, MsgType::kCompact, encode(resp));
-  }
-
-  /// FETCH_SNAPSHOT: one chunk of the collection's published snapshot,
-  /// copied straight out of the registry's pinned mmap (the whole file's
-  /// bytes).  Read-only over already-published data, so it rides the
-  /// normal (non-admin) trust boundary like PATH_BATCH.  The pin is held
-  /// while the chunk is copied, so a concurrent SWAP cannot unmap the
-  /// generation mid-read; a version-pinned request against a superseded
-  /// generation gets kFailedPrecondition and the follower restarts.
-  std::vector<std::uint8_t> process_fetch_snapshot(const Task& task) {
-    const FrameHeader& h = task.frame.header;
-    auto req = decode_fetch_request(task.frame.payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    const std::shared_ptr<Collection> c =
-        self->collections_->find(req->collection);
-    if (c == nullptr) {
-      return error_frame(h, Status::invalid_argument(
-                                "unknown collection '" + req->collection +
-                                "'"));
-    }
-    const snapshot::Registry::Pin pin = c->registry.pin();
-    if (!pin.has_snapshot()) {
-      return error_frame(h, Status::failed_precondition(
-                                "collection '" + req->collection +
-                                "' has no published snapshot"));
-    }
-    if (req->version != 0 && req->version != pin.version()) {
-      return error_frame(
-          h, Status::failed_precondition(
-                 "snapshot generation " + std::to_string(req->version) +
-                 " is no longer published (current is " +
-                 std::to_string(pin.version()) + "); restart the fetch"));
-    }
-    const snapshot::Snapshot& snap = pin.snapshot();
-    if (!snap.mapping.mapped()) {
-      return error_frame(
-          h, Status::failed_precondition(
-                 "collection '" + req->collection +
-                 "' serves an in-memory snapshot; only file-backed "
-                 "generations can be fetched"));
-    }
-    const std::uint64_t size = snap.mapping.size();
-    if (req->offset > size) {
-      return error_frame(
-          h, Status::invalid_argument(
-                 "fetch offset " + std::to_string(req->offset) +
-                 " is past the snapshot end (" + std::to_string(size) +
-                 " bytes)"));
-    }
-    // Cap the chunk so the response frame always fits the decode limits
-    // of both sides (payload + strings + frame overhead stay well under
-    // max_frame_bytes).
-    const std::uint64_t cap = std::min<std::uint64_t>(
-        kFetchChunkCap, opts.limits.max_frame_bytes / 2);
-    std::uint64_t want = req->max_chunk == 0 ? cap : req->max_chunk;
-    want = std::min({want, cap, size - req->offset});
-    FetchSnapshotResponse resp;
-    resp.version = pin.version();
-    resp.total_size = size;
-    resp.offset = req->offset;
-    const std::uint8_t* base = snap.mapping.data() + req->offset;
-    resp.data.assign(base, base + want);
-    bump(&ServerStats::snapshot_chunks_served);
-    NetMetrics::get().snapshot_chunks.inc();
-    return make_response(h, MsgType::kFetchSnapshot, encode(resp));
-  }
-
-  std::vector<std::uint8_t> process_health(const FrameHeader& h) {
-    HealthResponse resp;
-    resp.draining = self->draining() ? 1 : 0;
-    for (const std::shared_ptr<Collection>& c :
-         self->collections_->all()) {
-      CollectionHealth ch;
-      ch.name = c->name;
-      ch.version = c->registry.current_version();
-      ch.health = static_cast<std::uint8_t>(c->frontend.health());
-      resp.collections.push_back(std::move(ch));
-    }
-    return make_response(h, MsgType::kHealth, encode(resp));
-  }
-
-  std::vector<std::uint8_t> process_admin(
-      const FrameHeader& h, std::span<const std::uint8_t> payload,
-      MsgType type) {
-    auto req = decode_admin_request(payload, opts.limits);
-    if (!req.ok()) {
-      return error_frame(h, req.status());
-    }
-    AdminResponse resp;
-    switch (type) {
-      case MsgType::kLoad:
-      case MsgType::kSwap: {
-        auto snap = snapshot::open(req->snapshot_path);
-        if (!snap.ok()) {
-          return error_frame(h, snap.status());
-        }
-        const Status s =
-            type == MsgType::kLoad
-                ? self->collections_->load(req->collection, snap.take(),
-                                           &resp.version)
-                : self->collections_->swap(req->collection, snap.take(),
-                                           &resp.version);
-        if (!s.ok()) {
-          return error_frame(h, s);
-        }
-        break;
-      }
-      case MsgType::kUnload: {
-        if (Status s = self->collections_->unload(req->collection);
-            !s.ok()) {
-          return error_frame(h, s);
-        }
-        break;
-      }
-      case MsgType::kDrain:
-        self->begin_drain();
-        break;
-      default:
-        return error_frame(h, Status::internal("bad admin dispatch"));
-    }
-    return make_response(h, type, encode(resp));
   }
 
   // ---- IO-thread side ----------------------------------------------
@@ -863,8 +520,7 @@ struct Server::Impl {
       if (conn.out_off == front.size()) {
         conn.outq.pop_front();
         conn.out_off = 0;
-        bump(&ServerStats::frames_out);
-        NetMetrics::get().frames_out.inc();
+        bump(&ServerStats::frames_out, &NetMetrics::frames_out);
       }
     }
     const bool want = !conn.outq.empty();
@@ -916,8 +572,7 @@ struct Server::Impl {
       fd_to_id[fd] = conn.id;
       poller.add(fd, false);
       conns.emplace(conn.id, std::move(conn));
-      bump(&ServerStats::accepted);
-      NetMetrics::get().accepted.inc();
+      bump(&ServerStats::accepted, &NetMetrics::accepted);
       NetMetrics::get().open_connections.add(1);
     }
   }
@@ -985,8 +640,7 @@ struct Server::Impl {
       if (!frame.ok()) {
         return reject_malformed(conn, frame.status());
       }
-      bump(&ServerStats::frames_in);
-      NetMetrics::get().frames_in.inc();
+      bump(&ServerStats::frames_in, &NetMetrics::frames_in);
       if (!dispatch(conn, std::move(frame.value()))) {
         return false;  // refusal flush hit a dead peer; conn is gone
       }
@@ -994,8 +648,7 @@ struct Server::Impl {
   }
 
   bool reject_malformed(Conn& conn, const Status& s) {
-    bump(&ServerStats::malformed);
-    NetMetrics::get().malformed.inc();
+    bump(&ServerStats::malformed, &NetMetrics::malformed);
     conn.inbuf.clear();
     conn.close_after_flush = true;
     FrameHeader anon;  // the offending header is untrusted: respond id 0
@@ -1009,32 +662,24 @@ struct Server::Impl {
   [[nodiscard]] bool dispatch(Conn& conn, Frame frame) {
     const auto now = SteadyClock::now();
     const auto type = static_cast<MsgType>(frame.header.type);
-    const bool is_batch = type == MsgType::kPathBatch ||
-                          type == MsgType::kPointBatch ||
-                          type == MsgType::kDynPathBatch;
     // MUTATE is admin-gated like LOAD/SWAP but also quota-charged like a
     // batch: a hot writer drains the same per-tenant bucket its reads
     // would, so a write storm sheds before the engine sees it.
-    const bool is_write = type == MsgType::kMutate;
-    const bool is_admin = type == MsgType::kLoad ||
-                          type == MsgType::kSwap ||
-                          type == MsgType::kUnload ||
-                          type == MsgType::kCompact;
-    if (self->draining() && (is_batch || is_admin || is_write)) {
-      bump(&ServerStats::draining_refused);
-      NetMetrics::get().draining_refused.inc();
+    const bool charged = is_batch(type) || type == MsgType::kMutate;
+    if (self->draining() &&
+        (charged || (is_admin(type) && type != MsgType::kDrain))) {
+      bump(&ServerStats::draining_refused, &NetMetrics::draining_refused);
       return queue_response(conn,
                             error_frame(frame.header,
                                         Status::unavailable(
                                             "server is draining; no new "
                                             "batches accepted")));
     }
-    if (is_batch || is_write) {
+    if (charged) {
       if (Status s = self->quotas_->admit(frame.header.tenant,
                                           steady_ns(now));
           !s.ok()) {
-        bump(&ServerStats::quota_shed);
-        NetMetrics::get().quota_shed.inc();
+        bump(&ServerStats::quota_shed, &NetMetrics::quota_shed);
         return queue_response(conn, error_frame(frame.header, s));
       }
     }
@@ -1073,13 +718,11 @@ struct Server::Impl {
     for (auto& [id, conn] : conns) {
       if (conn.inflight == 0 && conn.outq.empty() &&
           now - conn.last_activity > opts.idle_timeout) {
-        bump(&ServerStats::idle_closed);
-        NetMetrics::get().idle_closed.inc();
+        bump(&ServerStats::idle_closed, &NetMetrics::idle_closed);
         doomed.push_back(id);
       } else if (!conn.outq.empty() &&
                  now - conn.stall_since > opts.write_stall_timeout) {
-        bump(&ServerStats::stall_closed);
-        NetMetrics::get().stall_closed.inc();
+        bump(&ServerStats::stall_closed, &NetMetrics::stall_closed);
         doomed.push_back(id);
       }
     }
@@ -1180,11 +823,20 @@ struct Server::Impl {
 };
 
 coop::Expected<std::unique_ptr<Server>> Server::start(ServerOptions opts) {
+  auto backend = std::make_shared<CollectionBackend>(opts.engine_threads,
+                                                     opts.frontend);
+  CollectionBackend* collections = backend.get();
+  auto server = start(std::move(opts), std::move(backend));
+  if (server.ok()) {
+    server.value()->collection_backend_ = collections;
+  }
+  return server;
+}
+
+coop::Expected<std::unique_ptr<Server>> Server::start(
+    ServerOptions opts, std::shared_ptr<Backend> backend) {
   std::unique_ptr<Server> server(new Server());
-  server->engine_ =
-      std::make_unique<serve::QueryEngine>(opts.engine_threads);
-  server->collections_ =
-      std::make_unique<CollectionMap>(*server->engine_, opts.frontend);
+  server->backend_ = std::move(backend);
   server->quotas_ = std::make_unique<TenantQuotas>(opts.quota);
   auto impl = std::make_unique<Impl>();
   impl->self = server.get();

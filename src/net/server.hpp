@@ -5,7 +5,8 @@
 // COOPNET_FORCE_POLL=1 to force the fallback) over nonblocking sockets:
 // it accepts, reassembles frames from the byte stream, enforces
 // connection hygiene, and hands complete validated frames to a worker
-// pool that serves them through each collection's serve::Frontend.
+// pool that answers them through a net::Backend (net/backend.hpp): the
+// in-process collections by default, or the cluster router.
 //
 // Hygiene discipline — a hostile or broken peer can never take the
 // process down, only its own connection:
@@ -41,12 +42,12 @@
 #include <memory>
 #include <string>
 
+#include "net/backend.hpp"
 #include "net/collections.hpp"
 #include "net/quota.hpp"
 #include "net/wire.hpp"
 #include "robust/status.hpp"
 #include "serve/frontend.hpp"
-#include "serve/query_engine.hpp"
 
 namespace net {
 
@@ -59,8 +60,9 @@ struct ServerOptions {
   std::chrono::nanoseconds idle_timeout{std::chrono::seconds(30)};
   std::chrono::nanoseconds write_stall_timeout{std::chrono::seconds(10)};
   QuotaOptions quota;
+  /// Collection backend only: every collection's frontend options, and
+  /// the threads of their shared QueryEngine (0 = hardware concurrency).
   serve::FrontendOptions frontend;
-  /// Threads of the shared QueryEngine (0 = hardware concurrency).
   std::size_t engine_threads = 0;
   /// Honour admin frames (LOAD/SWAP/UNLOAD/DRAIN) on non-loopback binds.
   /// Off by default: the protocol is unauthenticated, and admin verbs
@@ -89,19 +91,27 @@ struct ServerStats {
 
 class Server {
  public:
-  /// Bind, listen, and spawn the IO + worker threads.  On kOk the server
-  /// is accepting; port() reports the bound port (useful with port 0).
+  /// Bind, listen, and spawn the IO + worker threads, serving an empty
+  /// CollectionBackend (fill it through collections()).  On kOk the
+  /// server is accepting; port() reports the bound port (port 0 picks).
   [[nodiscard]] static coop::Expected<std::unique_ptr<Server>> start(
       ServerOptions opts);
+
+  /// The same, serving `backend` instead (e.g. a cluster::Router); no
+  /// QueryEngine or CollectionMap is built.
+  [[nodiscard]] static coop::Expected<std::unique_ptr<Server>> start(
+      ServerOptions opts, std::shared_ptr<Backend> backend);
 
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] CollectionMap& collections() { return *collections_; }
+  /// Only for servers started on the collection backend.
+  [[nodiscard]] CollectionMap& collections() {
+    return collection_backend_->collections();
+  }
   [[nodiscard]] TenantQuotas& quotas() { return *quotas_; }
-  [[nodiscard]] serve::QueryEngine& engine() { return *engine_; }
   [[nodiscard]] bool draining() const {
     return draining_.load(std::memory_order_acquire);
   }
@@ -124,8 +134,8 @@ class Server {
   struct Impl;
   Server() = default;
 
-  std::unique_ptr<serve::QueryEngine> engine_;
-  std::unique_ptr<CollectionMap> collections_;
+  std::shared_ptr<Backend> backend_;
+  CollectionBackend* collection_backend_ = nullptr;  ///< when backend_ is one
   std::unique_ptr<TenantQuotas> quotas_;
   std::unique_ptr<Impl> impl_;
   std::uint16_t port_ = 0;

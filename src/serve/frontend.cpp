@@ -85,15 +85,6 @@ const char* to_string(HealthState h) {
   return "?";
 }
 
-const char* to_string(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "CLOSED";
-    case BreakerState::kOpen: return "OPEN";
-    case BreakerState::kHalfOpen: return "HALF_OPEN";
-  }
-  return "?";
-}
-
 namespace {
 
 /// splitmix64: the jitter stream.  Chosen over a stateful RNG so the
@@ -137,104 +128,89 @@ std::chrono::nanoseconds backoff_for(const FrontendOptions& o,
 
 Frontend::Frontend(snapshot::Registry& registry, QueryEngine& engine,
                    FrontendOptions opts)
-    : registry_(registry), engine_(engine), opts_(std::move(opts)) {}
+    : registry_(registry),
+      engine_(engine),
+      opts_(std::move(opts)),
+      breaker_(opts_.breaker_threshold, opts_.breaker_open_for) {}
 
-HealthState Frontend::health_locked() const {
-  if (state_ == BreakerState::kOpen) {
+FrontendStats Frontend::stats() const {
+  FrontendStats s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s = stats_;
+  }
+  s.breaker = breaker_.state();
+  s.consecutive_degraded = breaker_.consecutive_failures();
+  s.health = health();
+  return s;
+}
+
+HealthState Frontend::health() const {
+  const BreakerState state = breaker_.state();
+  if (state == BreakerState::kOpen) {
     return HealthState::kLameDuck;
   }
-  if (state_ == BreakerState::kHalfOpen || stats_.consecutive_degraded > 0) {
+  if (state == BreakerState::kHalfOpen ||
+      breaker_.consecutive_failures() > 0) {
     return HealthState::kDegraded;
   }
   return HealthState::kHealthy;
 }
 
-FrontendStats Frontend::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  FrontendStats s = stats_;
-  s.breaker = state_;
-  s.health = health_locked();
-  return s;
-}
+BreakerState Frontend::breaker_state() const { return breaker_.state(); }
 
-HealthState Frontend::health() const {
+void Frontend::bump(std::uint64_t FrontendStats::* field) {
   std::lock_guard<std::mutex> lock(mu_);
-  return health_locked();
-}
-
-BreakerState Frontend::breaker_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
+  ++(stats_.*field);
 }
 
 Frontend::Mode Frontend::breaker_admit(std::uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto now = std::chrono::steady_clock::now();
-  if (state_ == BreakerState::kOpen && now >= open_until_) {
-    state_ = BreakerState::kHalfOpen;
-    probe_inflight_ = false;
-    note_breaker_locked(seq);
+  robust::CircuitBreaker::Change change;
+  const robust::CircuitBreaker::Pass pass = breaker_.admit(&change);
+  if (change.transitioned) {
+    note_breaker(seq);
   }
-  switch (state_) {
-    case BreakerState::kClosed:
+  switch (pass) {
+    case robust::CircuitBreaker::Pass::kNormal:
       return Mode::kParallel;
-    case BreakerState::kHalfOpen:
-      if (!probe_inflight_) {
-        probe_inflight_ = true;
-        ++stats_.breaker_probes;
-        frontend_metrics().breaker_probes.inc();
-        return Mode::kProbe;
-      }
-      [[fallthrough]];  // others wait out the probe like OPEN traffic
-    case BreakerState::kOpen:
-      return opts_.open_policy == OpenPolicy::kSequential
-                 ? Mode::kSequentialOnly
-                 : Mode::kShed;
+    case robust::CircuitBreaker::Pass::kProbe: {
+      frontend_metrics().breaker_probes.inc();
+      bump(&FrontendStats::breaker_probes);
+      return Mode::kProbe;
+    }
+    case robust::CircuitBreaker::Pass::kRefused:
+      break;  // OPEN, or waiting out the probe
   }
-  return Mode::kParallel;
+  return opts_.open_policy == OpenPolicy::kSequential ? Mode::kSequentialOnly
+                                                      : Mode::kShed;
 }
 
 void Frontend::breaker_on_result(Mode mode, bool degraded, std::uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (degraded) {
-    ++stats_.consecutive_degraded;
-    if (mode == Mode::kProbe) {
-      // Failed probe: straight back to OPEN for another window (not a
-      // new trip — the incident is still the one that opened it).
-      probe_inflight_ = false;
-      state_ = BreakerState::kOpen;
-      open_until_ = std::chrono::steady_clock::now() + opts_.breaker_open_for;
-      note_breaker_locked(seq);
-    } else if (state_ == BreakerState::kClosed &&
-               stats_.consecutive_degraded >= opts_.breaker_threshold) {
-      state_ = BreakerState::kOpen;
-      open_until_ = std::chrono::steady_clock::now() + opts_.breaker_open_for;
-      ++stats_.breaker_trips;
-      frontend_metrics().breaker_trips.inc();
-      note_breaker_locked(seq);
-    }
+  const robust::CircuitBreaker::Change change = breaker_.record(
+      mode == Mode::kProbe ? robust::CircuitBreaker::Pass::kProbe
+                           : robust::CircuitBreaker::Pass::kNormal,
+      !degraded);
+  if (change.tripped) {
+    frontend_metrics().breaker_trips.inc();
+    bump(&FrontendStats::breaker_trips);
+  }
+  if (change.transitioned) {
+    note_breaker(seq);
   } else {
-    const bool was_degraded = stats_.consecutive_degraded > 0;
-    stats_.consecutive_degraded = 0;
-    if (mode == Mode::kProbe) {
-      probe_inflight_ = false;
-      state_ = BreakerState::kClosed;
-      note_breaker_locked(seq);
-    } else if (was_degraded) {
-      // No state change, but health drops back to HEALTHY.
-      frontend_metrics().health.set(static_cast<std::int64_t>(health_locked()));
-    }
+    // No state change, but health follows the degraded streak.
+    frontend_metrics().health.set(static_cast<std::int64_t>(health()));
   }
 }
 
-void Frontend::note_breaker_locked(std::uint64_t seq) {
+void Frontend::note_breaker(std::uint64_t seq) {
   FrontendMetrics& fm = frontend_metrics();
-  fm.breaker_state.set(static_cast<std::int64_t>(state_));
-  fm.health.set(static_cast<std::int64_t>(health_locked()));
+  const BreakerState state = breaker_.state();
+  fm.breaker_state.set(static_cast<std::int64_t>(state));
+  fm.health.set(static_cast<std::int64_t>(health()));
   // Transitions are rare (one per trip/probe window), so they are traced
   // unconditionally rather than sampled per batch.
   obs::TraceRing::global().emit(seq, obs::SpanKind::kBreaker,
-                                static_cast<std::uint32_t>(state_));
+                                static_cast<std::uint32_t>(state));
 }
 
 Status Frontend::run_admitted(snapshot::SnapshotKind need,
@@ -248,10 +224,7 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
   obs::TraceRing& ring = obs::TraceRing::global();
   const bool traced = ring.sampled(seq);
   fm.submitted.inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-  }
+  bump(&FrontendStats::submitted);
 
   // Admission: bounded in-flight budget, checked lock-free on the hot
   // path.  Shedding here is the overload contract — the caller gets an
@@ -263,8 +236,7 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
     if (traced) {
       ring.emit(seq, obs::SpanKind::kShed);
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed;
+    bump(&FrontendStats::shed);
     return Status::resource_exhausted(
         "admission budget exhausted (" + std::to_string(opts_.max_inflight) +
         " batches in flight); batch shed");
@@ -286,8 +258,7 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
     if (traced) {
       ring.emit(seq, obs::SpanKind::kShedBreaker);
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_breaker;
+    bump(&FrontendStats::shed_breaker);
     return Status::unavailable("circuit breaker open; batch shed");
   }
   fm.admitted.inc();
@@ -297,12 +268,9 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
   if (traced) {
     ring.emit(seq, obs::SpanKind::kAdmit, static_cast<std::uint32_t>(mode));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.admitted;
-    if (mode == Mode::kSequentialOnly) {
-      ++stats_.sequential_batches;
-    }
+  bump(&FrontendStats::admitted);
+  if (mode == Mode::kSequentialOnly) {
+    bump(&FrontendStats::sequential_batches);
   }
 
   const BatchOptions& opts =
@@ -318,10 +286,7 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
       back = backoff_for(opts_, seq, a);
       fm.retries.inc();
       fm.backoff_ns.record(static_cast<std::uint64_t>(back.count()));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.retries;
-      }
+      bump(&FrontendStats::retries);
       if (opts_.sleep_on_backoff) {
         std::this_thread::sleep_for(back);
       }
@@ -367,10 +332,13 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
 
   breaker_on_result(mode, final_report.degraded, seq);
   fm.completed.inc();
+  bump(&FrontendStats::completed);
   if (final_report.degraded) {
     fm.degraded.inc();
+    bump(&FrontendStats::degraded_batches);
     if (final_report.cause == DegradeCause::kDeadline) {
       fm.degraded_deadline.inc();
+      bump(&FrontendStats::degraded_deadline);
     }
   }
   const auto latency_ns = static_cast<std::uint64_t>(
@@ -381,16 +349,6 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
   if (traced) {
     ring.emit(seq, obs::SpanKind::kComplete,
               final_report.degraded ? 1u : 0u, latency_ns);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.completed;
-    if (final_report.degraded) {
-      ++stats_.degraded_batches;
-      if (final_report.cause == DegradeCause::kDeadline) {
-        ++stats_.degraded_deadline;
-      }
-    }
   }
   final_report.attempts = std::move(trail);
   if (report != nullptr) {
@@ -497,18 +455,14 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
                                        const BatchOptions* batch_override) {
   FrontendMetrics& fm = frontend_metrics();
   fm.submitted.inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-  }
+  bump(&FrontendStats::submitted);
   // Reads and writes share one admission budget: the dyn plane sheds
   // under overload with the identical contract as the static plane.
   if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
       opts_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     fm.shed.inc();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed;
+    bump(&FrontendStats::shed);
     return Status::resource_exhausted(
         "admission budget exhausted (" + std::to_string(opts_.max_inflight) +
         " batches in flight); batch shed");
@@ -523,10 +477,7 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
   } guard{inflight_, fm.inflight};
   fm.inflight.add(1);
   fm.admitted.inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.admitted;
-  }
+  bump(&FrontendStats::admitted);
   const auto start = std::chrono::steady_clock::now();
 
   // One immutable State for the whole batch: the overlay's consistency
@@ -562,8 +513,7 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count()));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.completed;
+  bump(&FrontendStats::completed);
   return coop::OkStatus();
 }
 

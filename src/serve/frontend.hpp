@@ -17,7 +17,7 @@
 //              OPEN the frontend serves sequentially-only (or sheds with
 //              kUnavailable, per policy) until the window expires, then a
 //              single HALF_OPEN probe rides the full engine and either
-//              closes the breaker or reopens it.
+//              closes the breaker or reopens it (robust::CircuitBreaker).
 //
 // The frontend never owns correctness: answers come from the same grouped
 // kernel as serve::serve_path_queries, the snapshot stays pinned for the
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "dyn/overlay.hpp"
+#include "robust/circuit_breaker.hpp"
 #include "robust/status.hpp"
 #include "serve/query_engine.hpp"
 #include "snapshot/registry.hpp"
@@ -47,8 +48,8 @@ enum class HealthState : int {
 };
 [[nodiscard]] const char* to_string(HealthState h);
 
-enum class BreakerState : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-[[nodiscard]] const char* to_string(BreakerState s);
+using robust::BreakerState;
+using robust::to_string;
 
 /// What an OPEN breaker does with admitted batches.
 enum class OpenPolicy : int {
@@ -195,10 +196,10 @@ class Frontend {
                                           const AttemptFn& attempt);
   Mode breaker_admit(std::uint64_t seq);
   void breaker_on_result(Mode mode, bool degraded, std::uint64_t seq);
+  void bump(std::uint64_t FrontendStats::* field);
   /// Publish breaker/health gauges and the transition trace event after a
-  /// state change.  Caller holds mu_.
-  void note_breaker_locked(std::uint64_t seq);
-  [[nodiscard]] HealthState health_locked() const;
+  /// state change.
+  void note_breaker(std::uint64_t seq);
 
   snapshot::Registry& registry_;
   QueryEngine& engine_;
@@ -208,10 +209,9 @@ class Frontend {
   std::atomic<std::uint64_t> batch_seq_{0};
   std::atomic<std::size_t> inflight_{0};
 
-  mutable std::mutex mu_;  ///< breaker state + stats
-  BreakerState state_ = BreakerState::kClosed;
-  std::chrono::steady_clock::time_point open_until_{};
-  bool probe_inflight_ = false;
+  robust::CircuitBreaker breaker_;
+
+  mutable std::mutex mu_;  ///< stats
   FrontendStats stats_;
 };
 

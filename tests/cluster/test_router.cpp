@@ -3,14 +3,22 @@
 // the router's merged answers are byte-identical to a single-process
 // server over the unpartitioned structure, and a dead shard sheds its
 // batches with a typed error while the rest of the tree keeps serving.
+// Served as a net::Server backend, the router also inherits the server's
+// frame hygiene and drain, and fans out without spawning threads.
 
 #include "cluster/router.hpp"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "catalog/tree.hpp"
@@ -18,6 +26,7 @@
 #include "fc/build.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "robust/corrupt.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -64,6 +73,58 @@ TEST(CarveDeadline, NeverLaterThanClientNeverStarved) {
   }
 }
 
+/// A shard's collection backend behind a gate the test can close: while
+/// closed, requests wait inside serve(), i.e. stay in flight.
+class GatedShard final : public net::Backend {
+ public:
+  net::CollectionMap& collections() { return inner_.collections(); }
+
+  coop::Expected<std::vector<std::uint8_t>> serve(
+      const net::Request& req) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+      --held_;
+    }
+    return inner_.serve(req);
+  }
+  std::vector<net::CollectionHealth> health() override {
+    return inner_.health();
+  }
+
+  void set_open(bool open) {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = open;
+    cv_.notify_all();
+  }
+  /// Block until a request is waiting at the closed gate.
+  void wait_held() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ > 0 && !open_; });
+  }
+
+ private:
+  net::CollectionBackend inner_{1, serve::FrontendOptions{}};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int held_ = 0;
+};
+
+/// Threads in this process right now.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  if (DIR* d = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(d)) {
+      n += e->d_name[0] != '.';
+    }
+    ::closedir(d);
+  }
+  return n;
+}
+
 /// Three shard servers + a router in front, plus a single-process server
 /// over the whole structure as the differential oracle.
 class RouterTest : public ::testing::Test {
@@ -95,15 +156,15 @@ class RouterTest : public ::testing::Test {
       ASSERT_TRUE(snapshot::write(slice->flat, path).ok());
       net::ServerOptions sopts;
       sopts.workers = 2;
-      sopts.engine_threads = 1;
-      auto started = net::Server::start(sopts);
+      auto shard = std::make_shared<GatedShard>();
+      auto started = net::Server::start(sopts, shard);
       ASSERT_TRUE(started.ok()) << started.status().to_string();
       auto snap = snapshot::open(path);
       ASSERT_TRUE(snap.ok());
-      ASSERT_TRUE(
-          started.value()->collections().load("main", snap.take()).ok());
+      ASSERT_TRUE(shard->collections().load("main", snap.take()).ok());
       ropts.shards[s].push_back({"127.0.0.1", started.value()->port()});
       shard_servers_.push_back(started.take());
+      shards_.push_back(std::move(shard));
       snap_paths_.push_back(path);
     }
 
@@ -123,12 +184,19 @@ class RouterTest : public ::testing::Test {
 
     ropts.io_timeout = std::chrono::seconds(2);
     ropts.connect_timeout = std::chrono::milliseconds(500);
-    auto router = cluster::Router::start(std::move(ropts));
+    auto router = cluster::Router::create(std::move(ropts));
     ASSERT_TRUE(router.ok()) << router.status().to_string();
     router_ = router.take();
+    auto served = net::Server::start(net::ServerOptions{}, router_);
+    ASSERT_TRUE(served.ok()) << served.status().to_string();
+    router_server_ = served.take();
   }
 
   void TearDown() override {
+    for (const auto& shard : shards_) {
+      shard->set_open(true);
+    }
+    router_server_.reset();
     router_.reset();
     shard_servers_.clear();
     full_server_.reset();
@@ -162,14 +230,16 @@ class RouterTest : public ::testing::Test {
 
   cat::Tree tree_;
   cluster::RoutingMap map_;
+  std::vector<std::shared_ptr<GatedShard>> shards_;
   std::vector<std::unique_ptr<net::Server>> shard_servers_;
   std::unique_ptr<net::Server> full_server_;
-  std::unique_ptr<cluster::Router> router_;
+  std::shared_ptr<cluster::Router> router_;
+  std::unique_ptr<net::Server> router_server_;
   std::vector<std::string> snap_paths_;
 };
 
 TEST_F(RouterTest, MergedAnswersAreByteIdenticalToSingleProcess) {
-  net::Client through_router = connect(router_->port());
+  net::Client through_router = connect(router_server_->port());
   net::Client direct = connect(full_server_->port());
   std::mt19937_64 rng(1234);
   for (int round = 0; round < 50; ++round) {
@@ -196,7 +266,7 @@ TEST_F(RouterTest, MergedAnswersAreByteIdenticalToSingleProcess) {
 }
 
 TEST_F(RouterTest, DeadShardShedsTypedOthersKeepServing) {
-  net::Client client = connect(router_->port());
+  net::Client client = connect(router_server_->port());
   std::mt19937_64 rng(99);
 
   // Find a victim shard that owns at least one leaf, and a healthy
@@ -276,7 +346,7 @@ TEST_F(RouterTest, DeadShardShedsTypedOthersKeepServing) {
 }
 
 TEST_F(RouterTest, UnknownCollectionAndVerbAreTyped) {
-  net::Client client = connect(router_->port());
+  net::Client client = connect(router_server_->port());
   std::mt19937_64 rng(5);
   const auto batch = make_batch(4, rng);
   auto resp = client.path_batch("nope", batch);
@@ -289,7 +359,7 @@ TEST_F(RouterTest, UnknownCollectionAndVerbAreTyped) {
 }
 
 TEST_F(RouterTest, HealthReportsPerShardBreakerState) {
-  net::Client client = connect(router_->port());
+  net::Client client = connect(router_server_->port());
   auto h = client.health();
   ASSERT_TRUE(h.ok()) << h.status().to_string();
   ASSERT_EQ(h->collections.size(), kShards);
@@ -330,6 +400,123 @@ TEST_F(RouterTest, HealthReportsPerShardBreakerState) {
   }
   EXPECT_TRUE(any_unhealthy)
       << "breaker state never surfaced in router HEALTH";
+}
+
+TEST_F(RouterTest, MalformedFrameGetsTypedErrorThenClose) {
+  net::Client client = connect(router_server_->port());
+  std::mt19937_64 rng(11);
+  net::PathBatchRequest req;
+  req.collection = "main";
+  req.queries = make_batch(2, rng);
+  net::FrameHeader fh;
+  fh.type = static_cast<std::uint16_t>(net::MsgType::kPathBatch);
+  fh.request_id = 5;
+  auto frame = net::encode_frame(fh, net::encode(req));
+  ASSERT_TRUE(robust::corrupt_frame(
+                  frame, robust::CorruptionKind::kWireBitFlip, 3)
+                  .ok());
+  ASSERT_TRUE(client.send_raw(frame).ok());
+  auto resp = client.read_frame();
+  ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+  ASSERT_EQ(resp->header.type,
+            static_cast<std::uint16_t>(net::MsgType::kError) |
+                net::kResponseBit);
+  auto err = net::decode_error(resp->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(static_cast<StatusCode>(err->code), StatusCode::kCorrupted);
+  EXPECT_FALSE(client.read_frame().ok());  // the stream is forfeit
+  EXPECT_GE(router_server_->stats().malformed, 1u);
+}
+
+TEST_F(RouterTest, OversizePrefixGetsTypedErrorThenClose) {
+  net::Client client = connect(router_server_->port());
+  const std::uint32_t huge = 100u << 20;  // 100 MB announcement
+  std::vector<std::uint8_t> prefix(sizeof(huge));
+  std::memcpy(prefix.data(), &huge, sizeof(huge));
+  ASSERT_TRUE(client.send_raw(prefix).ok());
+  auto resp = client.read_frame();
+  ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+  ASSERT_EQ(resp->header.type,
+            static_cast<std::uint16_t>(net::MsgType::kError) |
+                net::kResponseBit);
+  auto err = net::decode_error(resp->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(static_cast<StatusCode>(err->code), StatusCode::kCorrupted);
+  EXPECT_FALSE(client.read_frame().ok());
+}
+
+TEST_F(RouterTest, DrainFinishesInFlightBatchThenRefuses) {
+  net::Client first = connect(router_server_->port());
+  net::Client second = connect(router_server_->port());
+  std::mt19937_64 rng(21);
+  const auto batch = make_batch(32, rng);
+  // Hold every shard so the batch is mid-gather when the drain begins.
+  for (const auto& shard : shards_) {
+    shard->set_open(false);
+  }
+  coop::Expected<net::PathBatchResponse> in_flight =
+      coop::Status::internal("not answered");
+  std::thread t([&] { in_flight = first.path_batch("main", batch); });
+  shards_[map_.owner[batch[0].path.back()]]->wait_held();
+  router_server_->begin_drain();
+
+  auto refused = second.path_batch("main", batch);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+
+  for (const auto& shard : shards_) {
+    shard->set_open(true);
+  }
+  t.join();
+  ASSERT_TRUE(in_flight.ok()) << in_flight.status().to_string();
+  ASSERT_EQ(in_flight->answers.size(), batch.size());
+  for (std::size_t qi = 0; qi < batch.size(); ++qi) {
+    for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
+      EXPECT_EQ(in_flight->answers[qi].proper_index[i],
+                tree_.catalog(batch[qi].path[i]).find(batch[qi].y));
+    }
+  }
+  first.close();
+  second.close();
+  EXPECT_TRUE(router_server_->wait_drained(std::chrono::seconds(5)));
+}
+
+TEST_F(RouterTest, RoutedBatchesSpawnNoThreads) {
+  net::Client client = connect(router_server_->port());
+  std::mt19937_64 rng(31);
+  // Warm up: the router's shard connections are opened lazily.
+  ASSERT_TRUE(client.path_batch("main", make_batch(32, rng)).ok());
+
+  // Sample the thread count for the whole run: a thread spawned and
+  // joined inside one batch is visible only while it lives.
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> peak{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const std::size_t n = thread_count();
+      if (n > peak.load()) {
+        peak.store(n);
+      }
+    }
+  });
+  while (peak.load() == 0) {
+    std::this_thread::yield();
+  }
+  const std::size_t before = thread_count();
+  std::size_t multi_shard = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto batch = make_batch(32, rng);
+    std::vector<bool> touched(kShards, false);
+    for (const auto& q : batch) {
+      touched[map_.owner[q.path.back()]] = true;
+    }
+    multi_shard += std::count(touched.begin(), touched.end(), true) >= 2;
+    ASSERT_TRUE(client.path_batch("main", batch).ok());
+  }
+  done.store(true);
+  sampler.join();
+  EXPECT_EQ(multi_shard, 200u);
+  EXPECT_EQ(peak.load(), before);
 }
 
 }  // namespace

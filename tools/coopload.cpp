@@ -46,9 +46,6 @@
 // acks, zero wrong answers, zero recovery failures, and a clean final
 // drain.
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -67,8 +65,10 @@
 #include <vector>
 
 #include "catalog/tree.hpp"
+#include "cluster/child_process.hpp"
 #include "cluster/cluster_soak.hpp"
 #include "dyn/delta.hpp"
+#include "flags.hpp"
 #include "net/client.hpp"
 #include "robust/chaos.hpp"
 #include "robust/loaders.hpp"
@@ -110,16 +110,6 @@ int usage() {
       "          (default \"wire\"), e.g. --label cluster when aimed at a\n"
       "          router\n");
   return 2;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    return false;
-  }
-  out = v;
-  return true;
 }
 
 struct BenchRow {
@@ -634,86 +624,41 @@ int run_rw(const Args& a) {
 /// Remove the durability files a previous soak left in `dir` (only the
 /// shapes the WAL owns — the directory may not exist yet, which is fine).
 void wipe_wal_dir(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    return;
-  }
-  std::vector<std::string> victims;
-  while (dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    const auto has_prefix = [&](const char* p) {
-      return name.rfind(p, 0) == 0;
-    };
-    const auto has_suffix = [&](const std::string& s) {
-      return name.size() >= s.size() &&
-             name.compare(name.size() - s.size(), s.size(), s) == 0;
-    };
-    if (name == "MANIFEST" || has_prefix("wal-") || has_prefix("base-") ||
-        has_suffix(".tmp")) {
-      victims.push_back(dir + "/" + name);
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = e.path().filename().string();
+    if (name == "MANIFEST" || name.starts_with("wal-") ||
+        name.starts_with("base-") || name.ends_with(".tmp")) {
+      std::filesystem::remove(e.path(), ec);
     }
-  }
-  ::closedir(d);
-  for (const std::string& v : victims) {
-    ::unlink(v.c_str());
   }
 }
 
-pid_t spawn_server(const Args& a, const std::string& port_file,
-                   const std::string& log_path) {
-  const std::string dyncol = "main=" + a.snapshot;
-  std::vector<std::string> args = {
-      a.server_bin,       "--port",
-      "0",                "--port-file",
-      port_file,          "--dynamic-collection",
-      dyncol,             "--wal-dir",
-      a.wal_dir,          "--fsync",
-      a.fsync,            "--wal-segment-kb",
-      "32",               "--compact-threshold",
-      "600",              "--quota-rate",
-      "1000000",          "--quota-burst",
-      "65536",
-  };
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& s : args) {
-    argv.push_back(s.data());
+/// Launch the durable coopserve under test and wait for its port; a
+/// server that dies while booting (recovery refused the directory?) or
+/// never comes up leaves `pid` at -1 and returns 0.
+std::uint16_t start_server(const Args& a, const std::string& port_file,
+                           const std::string& log_path, pid_t& pid) {
+  ::unlink(port_file.c_str());
+  auto spawned = cluster::spawn(
+      a.server_bin,
+      {"--port", "0", "--port-file", port_file, "--dynamic-collection",
+       "main=" + a.snapshot, "--wal-dir", a.wal_dir, "--fsync", a.fsync,
+       "--wal-segment-kb", "32", "--compact-threshold", "600",
+       "--quota-rate", "1000000", "--quota-burst", "65536"},
+      log_path);
+  pid = spawned.ok() ? *spawned : -1;
+  if (pid < 0) {
+    return 0;
   }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    const int fd =
-        ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, 1);
-      ::dup2(fd, 2);
-      ::close(fd);
-    }
-    ::execv(argv[0], argv.data());
-    _exit(127);
+  auto port = cluster::read_port_file(
+      port_file, std::chrono::steady_clock::now() + std::chrono::seconds(15),
+      pid);
+  if (!port.ok()) {
+    (void)cluster::kill_proc(pid);
+    return 0;
   }
-  return pid;
-}
-
-/// Poll for the server's ephemeral port, watching for an early death.
-bool wait_port(const std::string& port_file, pid_t pid,
-               std::uint16_t* port) {
-  for (int i = 0; i < 300; ++i) {
-    {
-      std::ifstream pf(port_file);
-      std::uint64_t v = 0;
-      if (pf >> v && v > 0 && v <= 65535) {
-        *port = static_cast<std::uint16_t>(v);
-        return true;
-      }
-    }
-    int wstatus = 0;
-    if (::waitpid(pid, &wstatus, WNOHANG) == pid) {
-      return false;  // died during boot: recovery refused the directory?
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
+  return *port;
 }
 
 int run_crash_soak(const Args& a) {
@@ -854,22 +799,15 @@ int run_crash_soak(const Args& a) {
 
   const std::uint64_t total_cycles = a.cycles;
   for (std::uint64_t cycle = 0; cycle < total_cycles; ++cycle) {
-    ::unlink(port_file.c_str());
-    const pid_t pid = spawn_server(a, port_file, log_path);
-    if (pid < 0) {
-      std::fprintf(stderr, "crash-soak: fork failed\n");
-      return 1;
-    }
-    std::uint16_t port = 0;
-    if (!wait_port(port_file, pid, &port)) {
+    pid_t pid = -1;
+    const std::uint16_t port = start_server(a, port_file, log_path, pid);
+    if (port == 0) {
       ++recovery_failures;
       std::fprintf(stderr,
                    "crash-soak: cycle %llu: server did not come up "
                    "(recovery failure? see %s)\n",
                    static_cast<unsigned long long>(cycle),
                    log_path.c_str());
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
       break;
     }
     if (cycle > 0) {
@@ -885,14 +823,12 @@ int run_crash_soak(const Args& a) {
       if (!c.ok()) {
         ++verify_errors;
         note_first(c.status());
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
+        (void)cluster::kill_proc(pid);
         break;
       }
       net::Client client = c.take();
       if (!verify_all(client)) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
+        (void)cluster::kill_proc(pid);
         break;
       }
     }
@@ -979,8 +915,7 @@ int run_crash_soak(const Args& a) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(pt.delay_ms));
     killed.store(true);
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
+    (void)cluster::kill_proc(pid);
     ++kills;
     for (std::thread& th : fleet) {
       th.join();
@@ -1008,15 +943,10 @@ int run_crash_soak(const Args& a) {
   // the recovered server must also still know how to shut down.
   bool drain_clean = false;
   if (recovery_failures == 0 && verify_errors == 0) {
-    ::unlink(port_file.c_str());
-    const pid_t pid = spawn_server(a, port_file, log_path);
-    std::uint16_t port = 0;
-    if (pid < 0 || !wait_port(port_file, pid, &port)) {
+    pid_t pid = -1;
+    const std::uint16_t port = start_server(a, port_file, log_path, pid);
+    if (port == 0) {
       ++recovery_failures;
-      if (pid > 0) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-      }
     } else {
       ++recoveries;
       net::ClientOptions copts;
@@ -1029,10 +959,7 @@ int run_crash_soak(const Args& a) {
         net::Client client = c.take();
         (void)verify_all(client);
       }
-      ::kill(pid, SIGTERM);
-      int wstatus = 0;
-      ::waitpid(pid, &wstatus, 0);
-      drain_clean = WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
+      drain_clean = cluster::terminate_proc(pid);
     }
   }
 
@@ -1261,153 +1188,52 @@ int run_admin(const Args& a) {
 
 int main(int argc, char** argv) {
   Args a;
+  const flags::Table table = {
+      {"--host", flags::text(a.host)},
+      {"--port", flags::number(a.port, 1, 65535)},
+      {"--port-file",
+       [&](const char* x) {
+         std::ifstream pf(x);
+         std::string port;
+         return static_cast<bool>(pf >> port) &&
+                flags::number(a.port, 1, 65535)(port.c_str());
+       }},
+      {"--op", flags::text(a.op)},
+      {"--collection",
+       [&](const char* x) {
+         a.collections.emplace_back(x);
+         return true;
+       }},
+      {"--snapshot", flags::text(a.snapshot)},
+      {"--tree", flags::text(a.tree_path)},
+      {"--threads", flags::number(a.threads, 1, 256)},
+      {"--duration-ms", flags::number(a.duration_ms, 1)},
+      {"--batch", flags::number(a.batch, 1, 65536)},
+      {"--tenant", flags::number(a.tenant)},
+      {"--deadline-ns", flags::number(a.deadline_ns)},
+      {"--seed", flags::number(a.seed)},
+      {"--server-bin", flags::text(a.server_bin)},
+      {"--wal-dir", flags::text(a.wal_dir)},
+      {"--cycles", flags::number(a.cycles, 1, 100000)},
+      {"--fsync",
+       [&](const char* x) {
+         a.fsync = x;
+         return a.fsync == "every-ack" || a.fsync == "interval" ||
+                a.fsync == "none";
+       }},
+      {"--label", flags::text(a.label)},
+      {"--dir", flags::text(a.cluster_dir)},
+      {"--shards", flags::number(a.shards, 1, 64)},
+  };
   for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    std::uint64_t v = 0;
-    if (std::strcmp(argv[i], "--host") == 0) {
-      const char* x = need("--host");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.host = x;
-    } else if (std::strcmp(argv[i], "--port") == 0) {
-      const char* x = need("--port");
-      if (x == nullptr || !parse_u64(x, v) || v == 0 || v > 65535) {
-        return usage();
-      }
-      a.port = static_cast<std::uint16_t>(v);
-    } else if (std::strcmp(argv[i], "--port-file") == 0) {
-      const char* x = need("--port-file");
-      if (x == nullptr) {
-        return usage();
-      }
-      std::ifstream pf(x);
-      if (!(pf >> v) || v == 0 || v > 65535) {
-        std::fprintf(stderr, "error: %s does not hold a port\n", x);
-        return 1;
-      }
-      a.port = static_cast<std::uint16_t>(v);
-    } else if (std::strcmp(argv[i], "--op") == 0) {
-      const char* x = need("--op");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.op = x;
-    } else if (std::strcmp(argv[i], "--collection") == 0) {
-      const char* x = need("--collection");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.collections.emplace_back(x);
-    } else if (std::strcmp(argv[i], "--snapshot") == 0) {
-      const char* x = need("--snapshot");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.snapshot = x;
-    } else if (std::strcmp(argv[i], "--tree") == 0) {
-      const char* x = need("--tree");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.tree_path = x;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const char* x = need("--threads");
-      if (x == nullptr || !parse_u64(x, v) || v == 0 || v > 256) {
-        return usage();
-      }
-      a.threads = v;
-    } else if (std::strcmp(argv[i], "--duration-ms") == 0) {
-      const char* x = need("--duration-ms");
-      if (x == nullptr || !parse_u64(x, v) || v == 0) {
-        return usage();
-      }
-      a.duration_ms = v;
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      const char* x = need("--batch");
-      if (x == nullptr || !parse_u64(x, v) || v == 0 || v > 65536) {
-        return usage();
-      }
-      a.batch = v;
-    } else if (std::strcmp(argv[i], "--tenant") == 0) {
-      const char* x = need("--tenant");
-      if (x == nullptr || !parse_u64(x, v)) {
-        return usage();
-      }
-      a.tenant = v;
-    } else if (std::strcmp(argv[i], "--deadline-ns") == 0) {
-      const char* x = need("--deadline-ns");
-      if (x == nullptr || !parse_u64(x, v)) {
-        return usage();
-      }
-      a.deadline_ns = v;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      const char* x = need("--seed");
-      if (x == nullptr || !parse_u64(x, v)) {
-        return usage();
-      }
-      a.seed = v;
-    } else if (std::strcmp(argv[i], "--server-bin") == 0) {
-      const char* x = need("--server-bin");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.server_bin = x;
-    } else if (std::strcmp(argv[i], "--wal-dir") == 0) {
-      const char* x = need("--wal-dir");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.wal_dir = x;
-    } else if (std::strcmp(argv[i], "--cycles") == 0) {
-      const char* x = need("--cycles");
-      if (x == nullptr || !parse_u64(x, v) || v == 0 || v > 100000) {
-        return usage();
-      }
-      a.cycles = v;
-    } else if (std::strcmp(argv[i], "--fsync") == 0) {
-      const char* x = need("--fsync");
-      if (x == nullptr ||
-          (std::strcmp(x, "every-ack") != 0 &&
-           std::strcmp(x, "interval") != 0 && std::strcmp(x, "none") != 0)) {
-        std::fprintf(stderr,
-                     "error: --fsync wants every-ack|interval|none\n");
-        return 2;
-      }
-      a.fsync = x;
-    } else if (std::strcmp(argv[i], "--label") == 0) {
-      const char* x = need("--label");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.label = x;
-    } else if (std::strcmp(argv[i], "--dir") == 0) {
-      const char* x = need("--dir");
-      if (x == nullptr) {
-        return usage();
-      }
-      a.cluster_dir = x;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* x = need("--shards");
-      if (x == nullptr || !parse_u64(x, v) || v == 0 || v > 64) {
-        return usage();
-      }
-      a.shards = v;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
+    if (std::strcmp(argv[i], "--check") == 0) {
       a.check = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       a.json = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       a.json = true;
       a.json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+    } else if (!flags::take(table, argc, argv, i)) {
       return usage();
     }
   }

@@ -11,11 +11,13 @@
 //             [--metrics-dump] [--remote-admin]
 //   coopserve --soak <duration-ms> <seed> [clients] [--json]
 //   coopserve --router --routing-map FILE --shard K=HOST:PORT[,HOST:PORT..]
-//             [--collection-name NAME] [--bind ADDR] [--port N]
-//             [--port-file PATH] [--max-hedges N] [--gather-margin-ms N]
+//             [--collection-name NAME] [--max-hedges N]
+//             [--gather-margin-ms N] [server-plane flags]
 //
-// Router mode (DESIGN.md §15) serves the same framed-TCP batch API but
-// owns no data: PATH_BATCH / DYN_PATH_BATCH queries are scattered to the
+// Router mode (DESIGN.md §15) serves the same framed-TCP batch API from
+// the same server plane (so --bind, --port, --port-file, --workers,
+// --max-conns, the quota flags and the SIGTERM drain all apply) but owns
+// no data: PATH_BATCH / DYN_PATH_BATCH queries are scattered to the
 // shard backends named by --shard (grouped by the owner of each query's
 // last path node, per the routing map), answered with per-shard
 // deadlines carved from the client's wire deadline, and merged back
@@ -61,6 +63,7 @@
 // server + chaos fleet) and exits 0 only on an "OK" verdict; --json
 // emits the outcome as one JSON document on stdout.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +78,7 @@
 #include "cluster/routing_map.hpp"
 #include "dyn/recovery.hpp"
 #include "dyn/wal.hpp"
+#include "flags.hpp"
 #include "net/server.hpp"
 #include "net/wire_soak.hpp"
 #include "obs/export.hpp"
@@ -82,6 +86,8 @@
 #include "snapshot/snapshot.hpp"
 
 namespace {
+
+using flags::parse_u64;
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -102,25 +108,14 @@ int usage() {
       "       coopserve --soak <duration-ms> <seed> [clients] [--json]\n"
       "       coopserve --router --routing-map FILE\n"
       "                 --shard K=HOST:PORT[,HOST:PORT...]...\n"
-      "                 [--collection-name NAME] [--bind ADDR] [--port N]\n"
-      "                 [--port-file PATH] [--max-hedges N]\n"
-      "                 [--gather-margin-ms N]\n"
+      "                 [--collection-name NAME] [--max-hedges N]\n"
+      "                 [--gather-margin-ms N] [server-plane flags above]\n"
       "follower flags (serve mode): [--follow NAME=HOST:PORT]\n"
       "                 [--follow-dir DIR] [--follow-interval-ms N]\n"
       "note: admin frames (LOAD/SWAP/UNLOAD/DRAIN) are refused with\n"
       "      PERMISSION_DENIED on non-loopback binds unless\n"
       "      --remote-admin is given.\n");
   return 2;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    return false;
-  }
-  out = v;
-  return true;
 }
 
 int run_soak(int argc, char** argv) {
@@ -211,105 +206,17 @@ bool parse_endpoint(const std::string& s, cluster::Endpoint& out) {
   return true;
 }
 
-int run_router(int argc, char** argv) {
-  cluster::RouterOptions opts;
-  std::string map_path;
-  std::string port_file;
-  std::vector<std::pair<std::uint32_t, std::vector<cluster::Endpoint>>>
-      shard_args;
-  for (int i = 0; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    std::uint64_t v = 0;
-    if (std::strcmp(argv[i], "--routing-map") == 0) {
-      const char* a = need("--routing-map");
-      if (a == nullptr) {
-        return usage();
-      }
-      map_path = a;
-    } else if (std::strcmp(argv[i], "--shard") == 0) {
-      const char* a = need("--shard");
-      const char* eq = a == nullptr ? nullptr : std::strchr(a, '=');
-      if (eq == nullptr || eq == a || eq[1] == '\0') {
-        std::fprintf(stderr,
-                     "error: --shard wants K=HOST:PORT[,HOST:PORT...]\n");
-        return 2;
-      }
-      if (!parse_u64(std::string(a, eq).c_str(), v) || v > 65535) {
-        std::fprintf(stderr, "error: bad shard index in '%s'\n", a);
-        return 2;
-      }
-      std::vector<cluster::Endpoint> eps;
-      std::string rest(eq + 1);
-      while (!rest.empty()) {
-        const auto comma = rest.find(',');
-        const std::string one = rest.substr(0, comma);
-        cluster::Endpoint ep;
-        if (!parse_endpoint(one, ep)) {
-          std::fprintf(stderr, "error: bad endpoint '%s'\n", one.c_str());
-          return 2;
-        }
-        eps.push_back(ep);
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-      }
-      shard_args.emplace_back(static_cast<std::uint32_t>(v),
-                              std::move(eps));
-    } else if (std::strcmp(argv[i], "--collection-name") == 0) {
-      const char* a = need("--collection-name");
-      if (a == nullptr) {
-        return usage();
-      }
-      opts.collection = a;
-    } else if (std::strcmp(argv[i], "--bind") == 0) {
-      const char* a = need("--bind");
-      if (a == nullptr) {
-        return usage();
-      }
-      opts.bind_address = a;
-    } else if (std::strcmp(argv[i], "--port") == 0) {
-      const char* a = need("--port");
-      if (a == nullptr || !parse_u64(a, v) || v > 65535) {
-        return usage();
-      }
-      opts.port = static_cast<std::uint16_t>(v);
-    } else if (std::strcmp(argv[i], "--port-file") == 0) {
-      const char* a = need("--port-file");
-      if (a == nullptr) {
-        return usage();
-      }
-      port_file = a;
-    } else if (std::strcmp(argv[i], "--max-hedges") == 0) {
-      const char* a = need("--max-hedges");
-      if (a == nullptr || !parse_u64(a, v) || v > 16) {
-        return usage();
-      }
-      opts.max_hedges = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--gather-margin-ms") == 0) {
-      const char* a = need("--gather-margin-ms");
-      if (a == nullptr || !parse_u64(a, v)) {
-        return usage();
-      }
-      opts.gather_margin = std::chrono::milliseconds(v);
-    } else {
-      std::fprintf(stderr, "error: unknown router flag '%s'\n", argv[i]);
-      return usage();
-    }
-  }
-  if (map_path.empty() || shard_args.empty()) {
-    std::fprintf(stderr,
-                 "error: --router needs --routing-map and --shard\n");
-    return usage();
-  }
+/// Router mode's backend: the routing map plus --shard endpoints.
+/// Prints why and returns null when they do not make a router.
+std::shared_ptr<cluster::Router> make_router(
+    cluster::RouterOptions opts, const std::string& map_path,
+    std::vector<std::pair<std::uint32_t, std::vector<cluster::Endpoint>>>
+        shard_args) {
   auto map = cluster::load_routing_map(map_path);
   if (!map.ok()) {
     std::fprintf(stderr, "coopserve: cannot load routing map %s: %s\n",
                  map_path.c_str(), map.status().to_string().c_str());
-    return 1;
+    return nullptr;
   }
   opts.map = map.take();
   opts.shards.resize(opts.map.num_shards);
@@ -318,46 +225,17 @@ int run_router(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: --shard %u out of range (map has %llu shards)\n",
                    k, static_cast<unsigned long long>(opts.map.num_shards));
-      return 2;
+      return nullptr;
     }
     opts.shards[k] = std::move(eps);
   }
-  auto started = cluster::Router::start(std::move(opts));
-  if (!started.ok()) {
+  auto router = cluster::Router::create(std::move(opts));
+  if (!router.ok()) {
     std::fprintf(stderr, "coopserve: cannot start router: %s\n",
-                 started.status().to_string().c_str());
-    return 1;
+                 router.status().to_string().c_str());
+    return nullptr;
   }
-  std::unique_ptr<cluster::Router> router = started.take();
-  if (!port_file.empty()) {
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "coopserve: cannot write %s\n",
-                   port_file.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%u\n", static_cast<unsigned>(router->port()));
-    std::fclose(f);
-  }
-  std::fprintf(stderr, "coopserve router listening on port %u\n",
-               static_cast<unsigned>(router->port()));
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGPIPE, SIG_IGN);
-  while (g_signal == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  const cluster::RouterStats stats = router->stats();
-  router->stop();
-  std::fprintf(stderr,
-               "coopserve router: routed %llu batches (%llu sub-batches, "
-               "%llu hedges, %llu sheds, %llu breaker trips)\n",
-               static_cast<unsigned long long>(stats.batches_routed),
-               static_cast<unsigned long long>(stats.sub_batches_sent),
-               static_cast<unsigned long long>(stats.hedged_retries),
-               static_cast<unsigned long long>(stats.sheds),
-               static_cast<unsigned long long>(stats.breaker_trips));
-  return 0;
+  return router.take();
 }
 
 }  // namespace
@@ -365,9 +243,6 @@ int run_router(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--soak") == 0) {
     return run_soak(argc - 2, argv + 2);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "--router") == 0) {
-    return run_router(argc - 2, argv + 2);
   }
 
   net::ServerOptions opts;
@@ -384,162 +259,143 @@ int main(int argc, char** argv) {
   dyn::WalOptions wal_opts;
   cluster::FollowerOptions follow_opts;
   bool follow = false;
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
+  bool router_mode = false;
+  cluster::RouterOptions router_opts;
+  std::string map_path;
+  std::vector<std::pair<std::uint32_t, std::vector<cluster::Endpoint>>>
+      shard_args;
+  /// NAME=REST, both non-empty.
+  const auto split_eq = [](const char* a, std::string& name,
+                           std::string& rest) {
+    const char* eq = std::strchr(a, '=');
+    if (eq == nullptr || eq == a || eq[1] == '\0') {
+      return false;
+    }
+    name.assign(a, eq);
+    rest = eq + 1;
+    return true;
+  };
+  const auto collection = [&](bool dynamic) -> flags::Handler {
+    return [&, dynamic](const char* a) {
+      Named n{"", "", dynamic};
+      if (!split_eq(a, n.name, n.path)) {
+        return false;
       }
-      return argv[++i];
+      collections.push_back(std::move(n));
+      return true;
     };
-    std::uint64_t v = 0;
-    if (std::strcmp(argv[i], "--bind") == 0) {
-      const char* a = need("--bind");
-      if (a == nullptr) {
-        return usage();
-      }
-      opts.bind_address = a;
+  };
+  std::uint64_t segment_kb = 0;
+  const flags::Table table = {
+      // Server plane (both modes).
+      {"--bind", flags::text(opts.bind_address)},
+      {"--port", flags::number(opts.port, 0, 65535)},
+      {"--port-file", flags::text(port_file)},
+      {"--workers", flags::number(opts.workers, 1, 256)},
+      {"--engine-threads", flags::number(opts.engine_threads, 0, 256)},
+      {"--max-conns", flags::number(opts.max_connections, 1)},
+      {"--quota-rate", flags::number(opts.quota.tokens_per_sec)},
+      {"--quota-burst", flags::number(opts.quota.burst, 1)},
+      // Collections, dynamic serving and durability.
+      {"--collection", collection(false)},
+      {"--dynamic-collection", collection(true)},
+      {"--compact-threshold",
+       flags::number(compactor_opts.trigger_pending, 1)},
+      {"--compact-interval-ms", flags::millis(compactor_opts.interval)},
+      {"--wal-dir", flags::text(wal_dir)},
+      {"--fsync",
+       [&](const char* a) {
+         return dyn::parse_fsync_policy(a, &wal_opts.fsync);
+       }},
+      {"--fsync-interval-ms", flags::millis(wal_opts.fsync_interval, 1)},
+      {"--wal-segment-kb", flags::number(segment_kb, 1, UINT64_MAX >> 10)},
+      // Following a leader.
+      {"--follow",
+       [&](const char* a) {
+         std::string leader;
+         cluster::Endpoint ep;
+         if (!split_eq(a, follow_opts.collection, leader) ||
+             !parse_endpoint(leader, ep)) {
+           return false;
+         }
+         follow_opts.leader_host = ep.host;
+         follow_opts.leader_port = ep.port;
+         follow = true;
+         return true;
+       }},
+      {"--follow-dir", flags::text(follow_opts.dir)},
+      {"--follow-interval-ms", flags::millis(follow_opts.poll_interval, 1)},
+      // Router mode.
+      {"--routing-map", flags::text(map_path)},
+      {"--shard",
+       [&](const char* a) {
+         std::string index, list;
+         std::uint64_t k = 0;
+         if (!split_eq(a, index, list) || !parse_u64(index.c_str(), k) ||
+             k > 65535) {
+           return false;
+         }
+         std::vector<cluster::Endpoint> eps;
+         for (std::size_t at = 0; at <= list.size();) {
+           const std::size_t comma = std::min(list.find(',', at), list.size());
+           cluster::Endpoint ep;
+           if (!parse_endpoint(list.substr(at, comma - at), ep)) {
+             return false;
+           }
+           eps.push_back(ep);
+           at = comma + 1;
+         }
+         shard_args.emplace_back(static_cast<std::uint32_t>(k),
+                                 std::move(eps));
+         return true;
+       }},
+      {"--collection-name", flags::text(router_opts.collection)},
+      {"--max-hedges", flags::number(router_opts.max_hedges, 0, 16)},
+      {"--gather-margin-ms", flags::millis(router_opts.gather_margin)},
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--router") == 0) {
+      router_mode = true;
     } else if (std::strcmp(argv[i], "--remote-admin") == 0) {
       opts.enable_remote_admin = true;
-    } else if (std::strcmp(argv[i], "--port") == 0) {
-      const char* a = need("--port");
-      if (a == nullptr || !parse_u64(a, v) || v > 65535) {
-        return usage();
-      }
-      opts.port = static_cast<std::uint16_t>(v);
-    } else if (std::strcmp(argv[i], "--port-file") == 0) {
-      const char* a = need("--port-file");
-      if (a == nullptr) {
-        return usage();
-      }
-      port_file = a;
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      const char* a = need("--workers");
-      if (a == nullptr || !parse_u64(a, v) || v == 0 || v > 256) {
-        return usage();
-      }
-      opts.workers = v;
-    } else if (std::strcmp(argv[i], "--engine-threads") == 0) {
-      const char* a = need("--engine-threads");
-      if (a == nullptr || !parse_u64(a, v) || v > 256) {
-        return usage();
-      }
-      opts.engine_threads = v;
-    } else if (std::strcmp(argv[i], "--max-conns") == 0) {
-      const char* a = need("--max-conns");
-      if (a == nullptr || !parse_u64(a, v) || v == 0) {
-        return usage();
-      }
-      opts.max_connections = v;
-    } else if (std::strcmp(argv[i], "--quota-rate") == 0) {
-      const char* a = need("--quota-rate");
-      if (a == nullptr || !parse_u64(a, v)) {
-        return usage();
-      }
-      opts.quota.tokens_per_sec = v;
-    } else if (std::strcmp(argv[i], "--quota-burst") == 0) {
-      const char* a = need("--quota-burst");
-      if (a == nullptr || !parse_u64(a, v) || v == 0) {
-        return usage();
-      }
-      opts.quota.burst = v;
-    } else if (std::strcmp(argv[i], "--collection") == 0 ||
-               std::strcmp(argv[i], "--dynamic-collection") == 0) {
-      const bool dynamic = argv[i][2] == 'd';
-      const char* flag = dynamic ? "--dynamic-collection" : "--collection";
-      const char* a = need(flag);
-      if (a == nullptr) {
-        return usage();
-      }
-      const char* eq = std::strchr(a, '=');
-      if (eq == nullptr || eq == a || eq[1] == '\0') {
-        std::fprintf(stderr, "error: %s wants NAME=FILE.snap, got '%s'\n",
-                     flag, a);
-        return 2;
-      }
-      collections.push_back(
-          Named{std::string(a, eq), std::string(eq + 1), dynamic});
-    } else if (std::strcmp(argv[i], "--compact-threshold") == 0) {
-      const char* a = need("--compact-threshold");
-      if (a == nullptr || !parse_u64(a, v) || v == 0) {
-        return usage();
-      }
-      compactor_opts.trigger_pending = v;
-    } else if (std::strcmp(argv[i], "--compact-interval-ms") == 0) {
-      const char* a = need("--compact-interval-ms");
-      if (a == nullptr || !parse_u64(a, v)) {
-        return usage();
-      }
-      compactor_opts.interval = std::chrono::milliseconds(v);
-    } else if (std::strcmp(argv[i], "--wal-dir") == 0) {
-      const char* a = need("--wal-dir");
-      if (a == nullptr || a[0] == '\0') {
-        return usage();
-      }
-      wal_dir = a;
-    } else if (std::strcmp(argv[i], "--fsync") == 0) {
-      const char* a = need("--fsync");
-      if (a == nullptr || !dyn::parse_fsync_policy(a, &wal_opts.fsync)) {
-        std::fprintf(stderr,
-                     "error: --fsync wants every-ack|interval|none\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--fsync-interval-ms") == 0) {
-      const char* a = need("--fsync-interval-ms");
-      if (a == nullptr || !parse_u64(a, v) || v == 0) {
-        return usage();
-      }
-      wal_opts.fsync_interval = std::chrono::milliseconds(v);
-    } else if (std::strcmp(argv[i], "--wal-segment-kb") == 0) {
-      const char* a = need("--wal-segment-kb");
-      if (a == nullptr || !parse_u64(a, v) || v == 0) {
-        return usage();
-      }
-      wal_opts.segment_bytes = v * 1024;
-    } else if (std::strcmp(argv[i], "--follow") == 0) {
-      const char* a = need("--follow");
-      const char* eq = a == nullptr ? nullptr : std::strchr(a, '=');
-      if (eq == nullptr || eq == a || eq[1] == '\0') {
-        std::fprintf(stderr, "error: --follow wants NAME=HOST:PORT\n");
-        return 2;
-      }
-      cluster::Endpoint ep;
-      if (!parse_endpoint(eq + 1, ep)) {
-        std::fprintf(stderr, "error: bad leader endpoint '%s'\n", eq + 1);
-        return 2;
-      }
-      follow_opts.collection = std::string(a, eq);
-      follow_opts.leader_host = ep.host;
-      follow_opts.leader_port = ep.port;
-      follow = true;
-    } else if (std::strcmp(argv[i], "--follow-dir") == 0) {
-      const char* a = need("--follow-dir");
-      if (a == nullptr || a[0] == '\0') {
-        return usage();
-      }
-      follow_opts.dir = a;
-    } else if (std::strcmp(argv[i], "--follow-interval-ms") == 0) {
-      const char* a = need("--follow-interval-ms");
-      if (a == nullptr || !parse_u64(a, v) || v == 0) {
-        return usage();
-      }
-      follow_opts.poll_interval = std::chrono::milliseconds(v);
     } else if (std::strcmp(argv[i], "--metrics-dump") == 0) {
       metrics_dump = true;
-    } else {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+    } else if (!flags::take(table, argc, argv, i)) {
       return usage();
     }
   }
+  if (segment_kb != 0) {
+    wal_opts.segment_bytes = segment_kb << 10;
+  }
 
-  auto started = net::Server::start(opts);
+  if (router_mode && (map_path.empty() || shard_args.empty())) {
+    std::fprintf(stderr, "error: --router needs --routing-map and --shard\n");
+    return usage();
+  }
+  if (router_mode ? !collections.empty() || follow
+                  : !map_path.empty() || !shard_args.empty()) {
+    std::fprintf(stderr,
+                 "error: --router serves no collections of its own, and "
+                 "--routing-map/--shard need --router\n");
+    return usage();
+  }
+
+  std::shared_ptr<cluster::Router> router;
+  if (router_mode) {
+    router = make_router(std::move(router_opts), map_path,
+                         std::move(shard_args));
+    if (router == nullptr) {
+      return 1;
+    }
+  }
+  auto started = router != nullptr ? net::Server::start(opts, router)
+                                   : net::Server::start(opts);
   if (!started.ok()) {
     std::fprintf(stderr, "coopserve: cannot start: %s\n",
                  started.status().to_string().c_str());
     return 1;
   }
   std::unique_ptr<net::Server> server = started.take();
-
   for (const auto& [name, path, dynamic] : collections) {
     std::string boot_path = path;
     dyn::DurabilityOptions durability;
@@ -632,7 +488,8 @@ int main(int argc, char** argv) {
     std::fprintf(f, "%u\n", static_cast<unsigned>(server->port()));
     std::fclose(f);
   }
-  std::fprintf(stderr, "coopserve listening on %s:%u (%zu workers)\n",
+  std::fprintf(stderr, "coopserve %slistening on %s:%u (%zu workers)\n",
+               router != nullptr ? "router " : "",
                opts.bind_address.c_str(),
                static_cast<unsigned>(server->port()), opts.workers);
 
@@ -675,6 +532,17 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.malformed),
                static_cast<unsigned long long>(stats.deadline_expired),
                static_cast<unsigned long long>(stats.quota_shed));
+  if (router != nullptr) {
+    const cluster::RouterStats rs = router->stats();
+    std::fprintf(stderr,
+                 "coopserve router: routed %llu batches (%llu sub-batches, "
+                 "%llu hedges, %llu sheds, %llu breaker trips)\n",
+                 static_cast<unsigned long long>(rs.batches_routed),
+                 static_cast<unsigned long long>(rs.sub_batches_sent),
+                 static_cast<unsigned long long>(rs.hedged_retries),
+                 static_cast<unsigned long long>(rs.sheds),
+                 static_cast<unsigned long long>(rs.breaker_trips));
+  }
   if (metrics_dump) {
     const std::string text =
         obs::to_prometheus(obs::Registry::global().scrape());
