@@ -71,7 +71,7 @@ bool is_transport_failure(const Status& s) {
          s.code() == coop::StatusCode::kInternal;
 }
 
-/// Backend connections for one serving worker, [shard][replica],
+/// Backend connections for one serving thread, [shard][replica],
 /// connected lazily and kept across batches.
 using ConnSet = std::vector<std::vector<std::unique_ptr<net::Client>>>;
 

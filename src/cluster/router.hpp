@@ -10,7 +10,7 @@
 // byte-identical to a single-process serve::Frontend over the
 // unpartitioned structure.
 //
-// The fan-out runs on the serving worker without extra threads: every
+// The fan-out runs on the serving thread without extra threads: every
 // involved shard is sent its sub-batch over a persistent connection
 // first, then each reply is read.  Failure containment per shard: a
 // robust::CircuitBreaker per backend endpoint plus hedged retries onto

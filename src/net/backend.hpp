@@ -4,7 +4,8 @@
 // connection plane — accept, framing, hygiene, deadlines, quotas, admin
 // trust, drain, and the per-frame metrics — and answers HEALTH (with the
 // backend's rows), METRICS, DRAIN and stray ERROR frames itself.  Every
-// other admitted frame is handed to the backend on a worker thread.
+// other admitted frame is handed to the backend on the serving thread
+// that read it.
 // Two backends exist: net::CollectionBackend (named snapshot collections
 // served in-process) and cluster::Router (scatter-gather over shards).
 
@@ -49,7 +50,7 @@ class Backend {
   /// Answer one request: the response payload, which the server frames
   /// under the request's type, or a Status it sends as a typed ERROR.
   /// Verbs the backend does not serve are kInvalidArgument.  Called
-  /// concurrently from every server worker.
+  /// concurrently from every serving thread.
   [[nodiscard]] virtual coop::Expected<std::vector<std::uint8_t>> serve(
       const Request& req) = 0;
 

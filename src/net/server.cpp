@@ -130,117 +130,202 @@ void set_nonblocking(int fd) {
   (void)fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Readiness abstraction: epoll where available, poll() everywhere (and
-/// on Linux too when COOPNET_FORCE_POLL=1, which CI uses to cover the
-/// fallback).  The fd set is tiny (hundreds), so the poll fallback's
-/// O(n) rebuild per wait is fine.
+/// The listener's poller token; connections are numbered from 1.
+constexpr std::uint64_t kListenerToken = 0;
+/// How long a serving thread waits before housekeeping on its own.
+constexpr int kTickMs = 100;
+
+/// Readiness with one-shot arming, shared by every serving thread: epoll
+/// (EPOLLONESHOT) where available, poll() everywhere (and on Linux too
+/// when COOPNET_FORCE_POLL=1, which the TSan CI job uses to cover the
+/// fallback).  The wait that reports a registration disarms it, so one
+/// thread owns that fd until it calls arm() again.  Each registration
+/// carries a token that comes back with its events.  The wake pipe is
+/// never disarmed: wake() interrupts one wait, and after stop() every
+/// wait returns at once.
 class Poller {
  public:
   struct Event {
-    int fd = -1;
+    std::uint64_t token = 0;
     bool readable = false;
     bool writable = false;
     bool broken = false;  ///< HUP / ERR
   };
 
-  Poller() {
+  ~Poller() {
+    for (const int fd : {epfd_, wake_r_, wake_w_}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+  }
+
+  [[nodiscard]] Status open() {
+    int pipefd[2];
+    if (::pipe(pipefd) != 0) {
+      return Status::internal(std::string("pipe(): ") +
+                              std::strerror(errno));
+    }
+    wake_r_ = pipefd[0];
+    wake_w_ = pipefd[1];
+    set_nonblocking(wake_r_);
+    set_nonblocking(wake_w_);
 #ifdef __linux__
     const char* force = std::getenv("COOPNET_FORCE_POLL");
     if (force == nullptr || force[0] == '\0' || force[0] == '0') {
       epfd_ = epoll_create1(EPOLL_CLOEXEC);
+      epoll_event ev{};
+      ev.events = EPOLLIN;  // level-triggered, never disarmed
+      ev.data.u64 = kWakeToken;
+      (void)epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_r_, &ev);
     }
 #endif
-  }
-  ~Poller() {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      ::close(epfd_);
-    }
-#endif
+    return coop::OkStatus();
   }
 
-  void add(int fd, bool want_write) {
-    want_write_[fd] = want_write;
+  /// Arm `fd` for one event (registering it first when `add`).
+  void arm(int fd, std::uint64_t token, bool want_write, bool add = false) {
 #ifdef __linux__
     if (epfd_ >= 0) {
-      epoll_event ev = make_event(fd, want_write);
-      (void)epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
+      epoll_event ev{};
+      ev.events = EPOLLIN | EPOLLONESHOT | (want_write ? EPOLLOUT : 0u);
+      ev.data.u64 = token;
+      (void)epoll_ctl(epfd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev);
+      return;
     }
 #endif
-  }
-
-  void update(int fd, bool want_write) {
-    want_write_[fd] = want_write;
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev = make_event(fd, want_write);
-      (void)epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
+    std::lock_guard<std::mutex> lock(mu_);
+    regs_[fd] = Reg{token, want_write, true};
+    if (polling_) {
+      wake();  // the leader's poll set predates this fd: make it re-poll
     }
-#endif
   }
 
   void remove(int fd) {
-    want_write_.erase(fd);
 #ifdef __linux__
     if (epfd_ >= 0) {
       (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+      return;
     }
 #endif
+    std::lock_guard<std::mutex> lock(mu_);
+    regs_.erase(fd);
   }
 
-  void wait(std::vector<Event>& out, int timeout_ms) {
-    out.clear();
+  /// One ready registration, now disarmed; false on a timeout, a wake or
+  /// a stop.
+  bool wait(Event& out, int timeout_ms) {
 #ifdef __linux__
     if (epfd_ >= 0) {
-      epoll_event evs[64];
-      const int n = epoll_wait(epfd_, evs, 64, timeout_ms);
-      for (int i = 0; i < n; ++i) {
-        Event e;
-        e.fd = static_cast<int>(evs[i].data.fd);
-        e.readable = (evs[i].events & EPOLLIN) != 0;
-        e.writable = (evs[i].events & EPOLLOUT) != 0;
-        e.broken = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-        out.push_back(e);
+      epoll_event ev{};
+      if (epoll_wait(epfd_, &ev, 1, timeout_ms) != 1) {
+        return false;
       }
-      return;
+      if (ev.data.u64 == kWakeToken) {
+        drain_wake();
+        return false;
+      }
+      out = Event{ev.data.u64, (ev.events & EPOLLIN) != 0,
+                  (ev.events & EPOLLOUT) != 0,
+                  (ev.events & (EPOLLERR | EPOLLHUP)) != 0};
+      return true;
     }
 #endif
-    std::vector<pollfd> pfds;
-    pfds.reserve(want_write_.size());
-    for (const auto& [fd, ww] : want_write_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>(POLLIN | (ww ? POLLOUT : 0));
-      pfds.push_back(p);
-    }
-    const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (n <= 0) {
-      return;
-    }
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) {
-        continue;
-      }
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.broken = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(e);
-    }
+    return wait_poll(out, timeout_ms);
+  }
+
+  void wake() {
+    const char b = 1;
+    (void)::write(wake_w_, &b, 1);
+  }
+
+  void stop() {
+    stopped_.store(true, std::memory_order_release);
+    wake();
+    std::lock_guard<std::mutex> lock(mu_);
+    cv_.notify_all();
+  }
+
+  [[nodiscard]] bool stopped() const {
+    return stopped_.load(std::memory_order_acquire);
   }
 
  private:
-#ifdef __linux__
-  static epoll_event make_event(int fd, bool want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    return ev;
+  static constexpr std::uint64_t kWakeToken = ~std::uint64_t{0};
+
+  void drain_wake() {
+    std::uint8_t sink[256];
+    while (::read(wake_r_, sink, sizeof(sink)) > 0) {
+    }
+    if (stopped()) {
+      wake();  // the byte was the stop signal: pass it on to every waiter
+    }
   }
+
+  /// Leader/followers over poll(): one thread at a time polls the armed
+  /// fds and takes the first ready one; the rest stay armed for the next
+  /// leader.
+  bool wait_poll(Event& out, int timeout_ms) {
+    const std::chrono::milliseconds timeout(timeout_ms);
+    std::unique_lock<std::mutex> lock(mu_);
+    while (polling_ || stopped()) {
+      if (stopped() ||
+          cv_.wait_for(lock, timeout) == std::cv_status::timeout) {
+        return false;
+      }
+    }
+    std::vector<pollfd> pfds{pollfd{wake_r_, POLLIN, 0}};
+    std::vector<std::uint64_t> tokens{kWakeToken};
+    for (const auto& [fd, reg] : regs_) {
+      if (reg.armed) {
+        pfds.push_back(pollfd{
+            fd, static_cast<short>(POLLIN | (reg.want_write ? POLLOUT : 0)),
+            0});
+        tokens.push_back(reg.token);
+      }
+    }
+    polling_ = true;
+    lock.unlock();
+    const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    lock.lock();
+    polling_ = false;
+    cv_.notify_one();
+    bool found = false;
+    for (std::size_t i = 1; n > 0 && !found && i < pfds.size(); ++i) {
+      const auto it = regs_.find(pfds[i].fd);
+      const short re = pfds[i].revents;
+      // A registration removed (and its fd perhaps reused) mid-poll
+      // shows up under a different token, or not at all: skip it.
+      if (re == 0 || it == regs_.end() || !it->second.armed ||
+          it->second.token != tokens[i]) {
+        continue;
+      }
+      it->second.armed = false;
+      out = Event{tokens[i], (re & POLLIN) != 0, (re & POLLOUT) != 0,
+                  (re & (POLLERR | POLLHUP | POLLNVAL)) != 0};
+      found = true;
+    }
+    if (n > 0 && pfds[0].revents != 0) {
+      drain_wake();
+    }
+    return found;
+  }
+
   int epfd_ = -1;
-#endif
-  std::unordered_map<int, bool> want_write_;
+  int wake_r_ = -1;
+  int wake_w_ = -1;
+  std::atomic<bool> stopped_{false};
+
+  // poll() fallback only.
+  struct Reg {
+    std::uint64_t token = 0;
+    bool want_write = false;
+    bool armed = false;
+  };
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::unordered_map<int, Reg> regs_;
+  bool polling_ = false;  ///< a leader is inside poll()
 };
 
 std::uint64_t steady_ns(SteadyClock::time_point t) {
@@ -258,15 +343,13 @@ struct Server::Impl {
   /// Decided once at bind time: loopback bind or explicit opt-in.
   bool admin_allowed = false;
 
-  int listen_fd = -1;
-  int wake_r = -1;
-  int wake_w = -1;
   Poller poller;
-  std::thread io_thread;
-  std::vector<std::thread> worker_threads;
+  std::vector<std::thread> threads;
 
-  /// Connections are addressed by a monotonic id, not by fd: a worker's
-  /// response must never land on a recycled fd of a different peer.
+  /// A connection belongs to at most one serving thread at a time: the
+  /// one whose wait reported it, until release() re-arms it.  The owner
+  /// touches its fields unlocked; everyone else reads them under
+  /// conns_mu, and only while the connection is not busy.
   struct Conn {
     int fd = -1;
     std::uint64_t id = 0;
@@ -275,35 +358,30 @@ struct Server::Impl {
     std::size_t out_off = 0;
     SteadyClock::time_point last_activity{};
     SteadyClock::time_point stall_since{};
-    std::size_t inflight = 0;  ///< dispatched frames awaiting a response
+    bool busy = false;  ///< owned by a serving thread
+    bool dead = false;  ///< peer gone or socket error: destroyed on release
     bool close_after_flush = false;
-    bool want_write = false;
   };
-  // IO-thread-only state.
+  /// conns_mu guards the three below.  Connections are addressed by a
+  /// monotonic id, not by fd: an event that raced a close must never
+  /// land on a recycled fd of a different peer.
+  std::mutex conns_mu;
   std::unordered_map<std::uint64_t, Conn> conns;
-  std::unordered_map<int, std::uint64_t> fd_to_id;
   std::uint64_t next_conn_id = 1;
+  int listen_fd = -1;
+  std::atomic<std::uint64_t> next_reap_ns{0};  ///< steady ns of next reap
 
-  struct Task {
-    std::uint64_t conn_id = 0;
+  /// A frame cut from a connection's stream, stamped with its arrival;
+  /// `response` holds its read-time refusal, or is empty until served.
+  struct Cut {
     Frame frame;
     SteadyClock::time_point arrival{};
+    std::vector<std::uint8_t> response;
   };
-  std::mutex task_mu;
-  std::condition_variable task_cv;
-  std::deque<Task> tasks;
-  std::size_t active_tasks = 0;  ///< popped, still being processed
-  bool shutdown_workers = false;
-
-  /// Worker -> IO thread: finished responses, routed by connection id.
-  std::mutex out_mu;
-  std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> outbox;
 
   std::mutex drain_mu;
   std::condition_variable drain_cv;
   bool drained = false;
-
-  std::atomic<bool> stop_flag{false};
 
   mutable std::mutex stats_mu;
   ServerStats stats;
@@ -316,11 +394,6 @@ struct Server::Impl {
     }
     std::lock_guard<std::mutex> lock(stats_mu);
     ++(stats.*field);
-  }
-
-  void wake() {
-    const char b = 1;
-    (void)::write(wake_w, &b, 1);
   }
 
   // ---- response plumbing -------------------------------------------
@@ -346,35 +419,66 @@ struct Server::Impl {
     return make_response(req, MsgType::kError, payload);
   }
 
-  // ---- worker side -------------------------------------------------
+  // ---- serving -----------------------------------------------------
 
-  void worker_loop() {
-    for (;;) {
-      Task task;
-      {
-        std::unique_lock<std::mutex> lock(task_mu);
-        task_cv.wait(lock,
-                     [&] { return shutdown_workers || !tasks.empty(); });
-        if (tasks.empty()) {
-          return;  // shutdown with nothing left
+  /// One of the `opts.workers` identical serving threads.
+  void serve_loop() {
+    Poller::Event ev;
+    while (!poller.stopped()) {
+      if (poller.wait(ev, kTickMs)) {
+        if (ev.token == kListenerToken) {
+          accept_ready();
+        } else {
+          serve_conn(ev);
         }
-        task = std::move(tasks.front());
-        tasks.pop_front();
-        ++active_tasks;
       }
-      const SteadyClock::time_point t0 = SteadyClock::now();
-      std::vector<std::uint8_t> response = process(task);
-      NetMetrics::get().request_ns.record(
-          steady_ns(SteadyClock::now()) - steady_ns(t0));
-      {
-        std::lock_guard<std::mutex> lock(out_mu);
-        outbox.emplace_back(task.conn_id, std::move(response));
+      tick();
+    }
+  }
+
+  /// Own the reported connection: read everything available, cut and
+  /// admit its frames, answer them in order, flush, then hand it back.
+  void serve_conn(const Poller::Event& ev) {
+    Conn* conn = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu);
+      const auto it = conns.find(ev.token);
+      if (it == conns.end()) {
+        return;  // reaped after its event fired
       }
-      {
-        std::lock_guard<std::mutex> lock(task_mu);
-        --active_tasks;
+      conn = &it->second;
+      conn->busy = true;
+    }
+    if (ev.broken && !ev.readable) {
+      conn->dead = true;
+    } else if (ev.readable) {
+      read_ready(*conn);
+    }
+    for (Cut& cut : cut_frames(*conn)) {
+      if (conn->dead) {
+        break;  // nobody left to answer
       }
-      wake();
+      if (cut.response.empty()) {
+        const SteadyClock::time_point t0 = SteadyClock::now();
+        cut.response = process(cut);
+        NetMetrics::get().request_ns.record(
+            steady_ns(SteadyClock::now()) - steady_ns(t0));
+      }
+      queue_response(*conn, std::move(cut.response));
+    }
+    flush(*conn);
+    release(*conn);
+  }
+
+  /// Give up ownership: destroy a dead or finished connection, or re-arm
+  /// it (for writing too while responses are queued).
+  void release(Conn& conn) {
+    std::lock_guard<std::mutex> lock(conns_mu);
+    conn.busy = false;
+    if (conn.dead || (conn.close_after_flush && conn.outq.empty())) {
+      destroy_locked(conn.id);
+    } else {
+      poller.arm(conn.fd, conn.id, !conn.outq.empty());
     }
   }
 
@@ -383,22 +487,21 @@ struct Server::Impl {
   /// INT64_MAX would wrap the signed chrono rep negative and the addition
   /// would overflow (UB).  Anything above an hour is effectively
   /// unbounded, so saturate there.
-  static std::optional<SteadyClock::time_point> deadline_of(
-      const Task& task) {
-    const std::uint64_t ns = task.frame.header.deadline_ns;
+  static std::optional<SteadyClock::time_point> deadline_of(const Cut& cut) {
+    const std::uint64_t ns = cut.frame.header.deadline_ns;
     if (ns == 0) {
       return std::nullopt;
     }
     constexpr std::uint64_t kMaxDeadlineNs = 3'600'000'000'000ULL;  // 1 h
-    return task.arrival + std::chrono::nanoseconds(static_cast<std::int64_t>(
-                              std::min(ns, kMaxDeadlineNs)));
+    return cut.arrival + std::chrono::nanoseconds(static_cast<std::int64_t>(
+                             std::min(ns, kMaxDeadlineNs)));
   }
 
   /// Answer one frame: the server's own verbs here, everything else
   /// through the backend, bracketed by the deadline checks — an expired
   /// request gets a typed kDeadlineExceeded, never a late answer.
-  std::vector<std::uint8_t> process(const Task& task) {
-    const FrameHeader& h = task.frame.header;
+  std::vector<std::uint8_t> process(const Cut& cut) {
+    const FrameHeader& h = cut.frame.header;
     const auto type = static_cast<MsgType>(h.type);
     switch (type) {
       case MsgType::kHealth: {
@@ -435,14 +538,14 @@ struct Server::Impl {
                  "peers"));
     }
     if (type == MsgType::kDrain) {
-      if (auto req = decode_admin_request(task.frame.payload, opts.limits);
+      if (auto req = decode_admin_request(cut.frame.payload, opts.limits);
           !req.ok()) {
         return error_frame(h, req.status());
       }
       self->begin_drain();
       return make_response(h, type, encode(AdminResponse{}));
     }
-    const Request req{h, task.frame.payload, opts.limits, deadline_of(task)};
+    const Request req{h, cut.frame.payload, opts.limits, deadline_of(cut)};
     const bool batch = is_batch(type);
     if (req.deadline && (batch || type == MsgType::kMutate) &&
         SteadyClock::now() >= *req.deadline) {
@@ -481,37 +584,31 @@ struct Server::Impl {
     }
   }
 
-  // ---- IO-thread side ----------------------------------------------
-
   /// Queue a response and opportunistically flush it (most responses fit
-  /// the socket buffer).  Returns false when the flush destroyed the
-  /// connection (peer RST etc.) — `conn` is dangling then and the caller
-  /// must stop touching it.
-  [[nodiscard]] bool queue_response(Conn& conn,
-                                    std::vector<std::uint8_t> bytes) {
+  /// the socket buffer).
+  void queue_response(Conn& conn, std::vector<std::uint8_t> bytes) {
     if (conn.outq.empty()) {
       conn.stall_since = SteadyClock::now();
     }
     conn.outq.push_back(std::move(bytes));
-    return flush(conn);
+    flush(conn);
   }
 
-  /// Try to push queued bytes; arms EPOLLOUT when the socket is full.
-  /// Returns false when the connection died.
-  bool flush(Conn& conn) {
+  /// Push queued bytes until the socket is full; a send error marks the
+  /// connection dead.
+  void flush(Conn& conn) {
     while (!conn.outq.empty()) {
       const std::vector<std::uint8_t>& front = conn.outq.front();
       const ssize_t n = ::send(conn.fd, front.data() + conn.out_off,
                                front.size() - conn.out_off, MSG_NOSIGNAL);
       if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          break;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          conn.dead = true;
         }
-        destroy(conn.id);
-        return false;
+        return;
       }
       if (n == 0) {
-        break;  // send() contract says this cannot happen; don't spin
+        return;  // send() contract says this cannot happen; don't spin
       }
       conn.out_off += static_cast<std::size_t>(n);
       // Any byte progress resets the stall clock: a slow-but-draining
@@ -523,38 +620,31 @@ struct Server::Impl {
         bump(&ServerStats::frames_out, &NetMetrics::frames_out);
       }
     }
-    const bool want = !conn.outq.empty();
-    if (want != conn.want_write) {
-      conn.want_write = want;
-      poller.update(conn.fd, want);
-    }
-    if (conn.outq.empty() && conn.close_after_flush && conn.inflight == 0) {
-      destroy(conn.id);
-      return false;
-    }
-    return true;
   }
 
-  void destroy(std::uint64_t id) {
+  /// Close and forget connection `id`; the caller holds conns_mu.
+  void destroy_locked(std::uint64_t id) {
     const auto it = conns.find(id);
     if (it == conns.end()) {
       return;
     }
     poller.remove(it->second.fd);
     ::close(it->second.fd);
-    fd_to_id.erase(it->second.fd);
     conns.erase(it);
     NetMetrics::get().open_connections.add(-1);
   }
 
   void accept_ready() {
+    std::lock_guard<std::mutex> lock(conns_mu);
+    if (listen_fd < 0) {
+      return;  // closed by the drain since its event fired
+    }
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
-        return;  // EAGAIN or transient error: try again next round
+        break;  // EAGAIN or transient error: try again next round
       }
-      if (conns.size() >= opts.max_connections ||
-          self->draining()) {
+      if (conns.size() >= opts.max_connections || self->draining()) {
         // Over budget (or lame duck): refuse at the door.  No frame has
         // been read, so there is nothing to answer — the close itself is
         // the signal.
@@ -565,103 +655,94 @@ struct Server::Impl {
       set_nonblocking(fd);
       const int one = 1;
       (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      Conn conn;
+      const std::uint64_t id = next_conn_id++;
+      Conn& conn = conns[id];
       conn.fd = fd;
-      conn.id = next_conn_id++;
+      conn.id = id;
       conn.last_activity = SteadyClock::now();
-      fd_to_id[fd] = conn.id;
-      poller.add(fd, false);
-      conns.emplace(conn.id, std::move(conn));
+      poller.arm(fd, id, false, /*add=*/true);
       bump(&ServerStats::accepted, &NetMetrics::accepted);
       NetMetrics::get().open_connections.add(1);
     }
+    poller.arm(listen_fd, kListenerToken, false);
   }
 
-  /// Read everything available; false when the connection died.
-  bool read_ready(Conn& conn) {
+  /// Read everything available; a closed or failed socket marks the
+  /// connection dead (ECONNRESET mid-batch included — never a crash).
+  void read_ready(Conn& conn) {
     std::uint8_t buf[64 * 1024];
-    for (;;) {
-      const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
-        conn.last_activity = SteadyClock::now();
-        if (static_cast<std::size_t>(n) < sizeof(buf)) {
-          break;
-        }
-        continue;
+    ssize_t n = 0;
+    while ((n = ::recv(conn.fd, buf, sizeof(buf), 0)) > 0) {
+      conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
+      conn.last_activity = SteadyClock::now();
+      if (static_cast<std::size_t>(n) < sizeof(buf)) {
+        return;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      }
-      // 0 = orderly close; other errors (ECONNRESET mid-batch included)
-      // tear the connection down.  In-flight work finishes and its
-      // response is dropped at routing time — never a crash.
-      destroy(conn.id);
-      return false;
     }
-    return parse_frames(conn);
+    conn.dead = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
   }
 
-  /// Cut complete frames out of the reassembly buffer; false when the
-  /// connection died.  One malformed frame forfeits the stream.
-  bool parse_frames(Conn& conn) {
-    for (;;) {
-      if (conn.close_after_flush) {
-        conn.inbuf.clear();  // stream already condemned
-        return true;
-      }
-      if (conn.inbuf.size() < sizeof(std::uint32_t)) {
-        return true;
-      }
+  /// Cut every complete frame out of the reassembly buffer, stamping its
+  /// arrival and running the read-time checks: drain and quota refusals
+  /// are answered here, so admission and the deadline clock run at read
+  /// time even for a pipelined burst served after it.  One malformed
+  /// frame forfeits the stream.
+  std::vector<Cut> cut_frames(Conn& conn) {
+    std::vector<Cut> cuts;
+    std::size_t off = 0;
+    while (!conn.dead && !conn.close_after_flush &&
+           conn.inbuf.size() - off >= sizeof(std::uint32_t)) {
       std::uint32_t prefix = 0;
-      std::memcpy(&prefix, conn.inbuf.data(), sizeof(prefix));
+      std::memcpy(&prefix, conn.inbuf.data() + off, sizeof(prefix));
       const std::size_t total = sizeof(prefix) + std::size_t{prefix};
       if (std::size_t{prefix} <
               sizeof(FrameHeader) + sizeof(std::uint32_t) ||
           total > opts.limits.max_frame_bytes) {
-        return reject_malformed(
-            conn, Status::corrupted(
-                      "frame length prefix " + std::to_string(prefix) +
-                      " outside [" +
-                      std::to_string(sizeof(FrameHeader) +
-                                     sizeof(std::uint32_t)) +
-                      ", " + std::to_string(opts.limits.max_frame_bytes) +
-                      ")"));
+        cuts.push_back(reject_malformed(
+            conn,
+            Status::corrupted(
+                "frame length prefix " + std::to_string(prefix) +
+                " outside [" +
+                std::to_string(sizeof(FrameHeader) + sizeof(std::uint32_t)) +
+                ", " + std::to_string(opts.limits.max_frame_bytes) + ")")));
+        break;
       }
-      if (conn.inbuf.size() < total) {
-        return true;  // wait for the rest
+      if (conn.inbuf.size() - off < total) {
+        break;  // wait for the rest
       }
       auto frame = decode_frame(
-          std::span<const std::uint8_t>(conn.inbuf.data(), total),
+          std::span<const std::uint8_t>(conn.inbuf.data() + off, total),
           opts.limits);
-      conn.inbuf.erase(conn.inbuf.begin(),
-                       conn.inbuf.begin() +
-                           static_cast<std::ptrdiff_t>(total));
+      off += total;
       if (!frame.ok()) {
-        return reject_malformed(conn, frame.status());
+        cuts.push_back(reject_malformed(conn, frame.status()));
+        break;
       }
       bump(&ServerStats::frames_in, &NetMetrics::frames_in);
-      if (!dispatch(conn, std::move(frame.value()))) {
-        return false;  // refusal flush hit a dead peer; conn is gone
-      }
+      cuts.push_back(admit(std::move(frame.value())));
     }
+    if (conn.close_after_flush) {
+      conn.inbuf.clear();  // stream condemned
+    } else {
+      conn.inbuf.erase(conn.inbuf.begin(),
+                       conn.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
+    }
+    return cuts;
   }
 
-  bool reject_malformed(Conn& conn, const Status& s) {
+  Cut reject_malformed(Conn& conn, const Status& s) {
     bump(&ServerStats::malformed, &NetMetrics::malformed);
-    conn.inbuf.clear();
     conn.close_after_flush = true;
     FrameHeader anon;  // the offending header is untrusted: respond id 0
-    return queue_response(conn, error_frame(anon, s));
+    return Cut{Frame{}, {}, error_frame(anon, s)};
   }
 
-  /// Route a decoded frame: refuse (drain/quota) with a typed error, or
-  /// hand it to the worker pool.  Returns false when the refusal's flush
-  /// destroyed the connection — `conn` is dangling then and parse_frames
-  /// must stop iterating on it.
-  [[nodiscard]] bool dispatch(Conn& conn, Frame frame) {
-    const auto now = SteadyClock::now();
-    const auto type = static_cast<MsgType>(frame.header.type);
+  /// Stamp a decoded frame's arrival, and refuse it (drain/quota) with a
+  /// typed error or leave it to be served.
+  Cut admit(Frame frame) {
+    Cut cut{std::move(frame), SteadyClock::now(), {}};
+    const FrameHeader& h = cut.frame.header;
+    const auto type = static_cast<MsgType>(h.type);
     // MUTATE is admin-gated like LOAD/SWAP but also quota-charged like a
     // batch: a hot writer drains the same per-tenant bucket its reads
     // would, so a write storm sheds before the engine sees it.
@@ -669,55 +750,56 @@ struct Server::Impl {
     if (self->draining() &&
         (charged || (is_admin(type) && type != MsgType::kDrain))) {
       bump(&ServerStats::draining_refused, &NetMetrics::draining_refused);
-      return queue_response(conn,
-                            error_frame(frame.header,
-                                        Status::unavailable(
-                                            "server is draining; no new "
-                                            "batches accepted")));
-    }
-    if (charged) {
-      if (Status s = self->quotas_->admit(frame.header.tenant,
-                                          steady_ns(now));
+      cut.response = error_frame(
+          h, Status::unavailable(
+                 "server is draining; no new batches accepted"));
+    } else if (charged) {
+      if (Status s = self->quotas_->admit(h.tenant, steady_ns(cut.arrival));
           !s.ok()) {
         bump(&ServerStats::quota_shed, &NetMetrics::quota_shed);
-        return queue_response(conn, error_frame(frame.header, s));
+        cut.response = error_frame(h, s);
       }
     }
-    ++conn.inflight;
-    {
-      std::lock_guard<std::mutex> lock(task_mu);
-      tasks.push_back(Task{conn.id, std::move(frame), now});
-    }
-    task_cv.notify_one();
-    return true;
+    return cut;
   }
 
-  void drain_outbox() {
-    std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> batch;
-    {
-      std::lock_guard<std::mutex> lock(out_mu);
-      batch.swap(outbox);
+  // ---- housekeeping ------------------------------------------------
+
+  /// Run by every serving thread after each wait: under drain, close the
+  /// listener and check whether the last response flushed; once per
+  /// tick, on whichever thread gets there first, reap idle and stalled
+  /// connections.
+  void tick() {
+    if (self->draining()) {
+      {
+        std::lock_guard<std::mutex> lock(conns_mu);
+        if (listen_fd >= 0) {
+          poller.remove(listen_fd);
+          ::close(listen_fd);
+          listen_fd = -1;
+          NetMetrics::get().draining.set(1);
+        }
+      }
+      check_drained();
     }
-    for (auto& [id, bytes] : batch) {
-      const auto it = conns.find(id);
-      if (it == conns.end()) {
-        continue;  // peer died mid-batch; drop the orphaned response
-      }
-      if (it->second.inflight > 0) {
-        --it->second.inflight;
-      }
-      // A false return destroyed (and erased) the connection; `it` is
-      // invalid either way after this call and is re-found next round.
-      (void)queue_response(it->second, std::move(bytes));
+    const std::uint64_t now = steady_ns(SteadyClock::now());
+    std::uint64_t due = next_reap_ns.load(std::memory_order_relaxed);
+    if (now >= due &&
+        next_reap_ns.compare_exchange_strong(
+            due, now + std::uint64_t{kTickMs} * 1'000'000)) {
+      reap_timers();
     }
   }
 
   void reap_timers() {
     const auto now = SteadyClock::now();
+    std::lock_guard<std::mutex> lock(conns_mu);
     std::vector<std::uint64_t> doomed;
-    for (auto& [id, conn] : conns) {
-      if (conn.inflight == 0 && conn.outq.empty() &&
-          now - conn.last_activity > opts.idle_timeout) {
+    for (const auto& [id, conn] : conns) {
+      if (conn.busy) {
+        continue;
+      }
+      if (conn.outq.empty() && now - conn.last_activity > opts.idle_timeout) {
         bump(&ServerStats::idle_closed, &NetMetrics::idle_closed);
         doomed.push_back(id);
       } else if (!conn.outq.empty() &&
@@ -727,29 +809,18 @@ struct Server::Impl {
       }
     }
     for (const std::uint64_t id : doomed) {
-      destroy(id);
+      destroy_locked(id);
     }
   }
 
+  /// Drained: no connection is being served and every response flushed.
   void check_drained() {
-    if (!self->draining()) {
-      return;
-    }
-    bool queues_empty;
     {
-      std::lock_guard<std::mutex> lock(task_mu);
-      queues_empty = tasks.empty() && active_tasks == 0;
-    }
-    if (queues_empty) {
-      std::lock_guard<std::mutex> lock(out_mu);
-      queues_empty = outbox.empty();
-    }
-    if (!queues_empty) {
-      return;
-    }
-    for (const auto& [id, conn] : conns) {
-      if (conn.inflight != 0 || !conn.outq.empty()) {
-        return;
+      std::lock_guard<std::mutex> lock(conns_mu);
+      for (const auto& [id, conn] : conns) {
+        if (conn.busy || !conn.outq.empty()) {
+          return;
+        }
       }
     }
     {
@@ -757,68 +828,6 @@ struct Server::Impl {
       drained = true;
     }
     drain_cv.notify_all();
-  }
-
-  void io_loop() {
-    std::vector<Poller::Event> events;
-    bool listening = true;
-    while (!stop_flag.load(std::memory_order_acquire)) {
-      if (listening && self->draining()) {
-        poller.remove(listen_fd);
-        ::close(listen_fd);
-        listen_fd = -1;
-        listening = false;
-        NetMetrics::get().draining.set(1);
-      }
-      drain_outbox();
-      poller.wait(events, 100);
-      for (const Poller::Event& e : events) {
-        if (e.fd == wake_r) {
-          std::uint8_t sink[256];
-          while (::read(wake_r, sink, sizeof(sink)) > 0) {
-          }
-          continue;
-        }
-        if (listening && e.fd == listen_fd) {
-          accept_ready();
-          continue;
-        }
-        const auto fid = fd_to_id.find(e.fd);
-        if (fid == fd_to_id.end()) {
-          continue;
-        }
-        const std::uint64_t id = fid->second;
-        Conn& conn = conns.at(id);
-        if (e.broken && !e.readable) {
-          destroy(id);
-          continue;
-        }
-        if (e.readable && !read_ready(conn)) {
-          continue;  // destroyed
-        }
-        if (e.writable) {
-          const auto again = conns.find(id);
-          if (again != conns.end()) {
-            (void)flush(again->second);
-          }
-        }
-      }
-      reap_timers();
-      check_drained();
-    }
-    // Hard stop: close everything still open.
-    std::vector<std::uint64_t> ids;
-    ids.reserve(conns.size());
-    for (const auto& [id, conn] : conns) {
-      ids.push_back(id);
-    }
-    for (const std::uint64_t id : ids) {
-      destroy(id);
-    }
-    if (listening && listen_fd >= 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
   }
 };
 
@@ -882,26 +891,17 @@ coop::Expected<std::unique_ptr<Server>> Server::start(
   server->port_ = ntohs(addr.sin_port);
   set_nonblocking(impl->listen_fd);
 
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) {
+  if (Status s = impl->poller.open(); !s.ok()) {
     ::close(impl->listen_fd);
-    return Status::internal(std::string("pipe(): ") +
-                            std::strerror(errno));
+    return s;
   }
-  impl->wake_r = pipefd[0];
-  impl->wake_w = pipefd[1];
-  set_nonblocking(impl->wake_r);
-  set_nonblocking(impl->wake_w);
-  impl->poller.add(impl->wake_r, false);
-  impl->poller.add(impl->listen_fd, false);
+  impl->poller.arm(impl->listen_fd, kListenerToken, false, /*add=*/true);
 
-  const std::size_t nworkers = std::max<std::size_t>(1, opts.workers);
-  impl->worker_threads.reserve(nworkers);
-  for (std::size_t i = 0; i < nworkers; ++i) {
-    impl->worker_threads.emplace_back(
-        [impl = impl.get()] { impl->worker_loop(); });
+  const std::size_t nthreads = std::max<std::size_t>(1, opts.workers);
+  impl->threads.reserve(nthreads);
+  for (std::size_t i = 0; i < nthreads; ++i) {
+    impl->threads.emplace_back([impl = impl.get()] { impl->serve_loop(); });
   }
-  impl->io_thread = std::thread([impl = impl.get()] { impl->io_loop(); });
 
   server->impl_ = std::move(impl);
   return server;
@@ -914,7 +914,7 @@ void Server::begin_drain() {
     return;  // idempotent
   }
   if (impl_ != nullptr) {
-    impl_->wake();
+    impl_->poller.wake();
   }
 }
 
@@ -931,25 +931,17 @@ void Server::stop() {
   if (impl_ == nullptr) {
     return;
   }
-  impl_->stop_flag.store(true, std::memory_order_release);
-  impl_->wake();
-  if (impl_->io_thread.joinable()) {
-    impl_->io_thread.join();
+  impl_->poller.stop();
+  for (std::thread& t : impl_->threads) {
+    t.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->task_mu);
-    impl_->shutdown_workers = true;
+  // Hard stop, with every serving thread gone: close everything still
+  // open.
+  if (impl_->listen_fd >= 0) {
+    ::close(impl_->listen_fd);
   }
-  impl_->task_cv.notify_all();
-  for (std::thread& t : impl_->worker_threads) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
-  if (impl_->wake_r >= 0) {
-    ::close(impl_->wake_r);
-    ::close(impl_->wake_w);
-    impl_->wake_r = impl_->wake_w = -1;
+  while (!impl_->conns.empty()) {
+    impl_->destroy_locked(impl_->conns.begin()->first);
   }
   impl_.reset();
 }

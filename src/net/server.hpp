@@ -1,12 +1,13 @@
 #pragma once
 
-// Fault-tolerant framed-TCP serving plane (DESIGN.md §11).  One IO
-// thread runs the event loop (epoll on Linux, poll() fallback — set
-// COOPNET_FORCE_POLL=1 to force the fallback) over nonblocking sockets:
-// it accepts, reassembles frames from the byte stream, enforces
-// connection hygiene, and hands complete validated frames to a worker
-// pool that answers them through a net::Backend (net/backend.hpp): the
-// in-process collections by default, or the cluster router.
+// Fault-tolerant framed-TCP serving plane (DESIGN.md §11).  `workers`
+// identical serving threads share one event loop (epoll on Linux, poll()
+// fallback — set COOPNET_FORCE_POLL=1 to force it) over nonblocking
+// sockets, each connection armed for one event at a time.  The thread
+// that event wakes owns the connection: it reads, reassembles and admits
+// the frames, answers them in order through a net::Backend
+// (net/backend.hpp: the in-process collections by default, or the
+// cluster router), and flushes the responses before re-arming it.
 //
 // Hygiene discipline — a hostile or broken peer can never take the
 // process down, only its own connection:
@@ -54,7 +55,7 @@ namespace net {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 picks an ephemeral port (see Server::port)
-  std::size_t workers = 2;
+  std::size_t workers = 2;  ///< serving threads
   std::size_t max_connections = 256;
   DecodeLimits limits;
   std::chrono::nanoseconds idle_timeout{std::chrono::seconds(30)};
@@ -91,7 +92,7 @@ struct ServerStats {
 
 class Server {
  public:
-  /// Bind, listen, and spawn the IO + worker threads, serving an empty
+  /// Bind, listen, and spawn the serving threads, serving an empty
   /// CollectionBackend (fill it through collections()).  On kOk the
   /// server is accepting; port() reports the bound port (port 0 picks).
   [[nodiscard]] static coop::Expected<std::unique_ptr<Server>> start(

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <random>
 #include <set>
 #include <span>
+#include <thread>
 
 #include "catalog/tree.hpp"
 #include "fc/build.hpp"
@@ -80,6 +83,18 @@ class ServerTest : public ::testing::Test {
       q.y = static_cast<cat::Key>(rng() % 1'000'000);
     }
     return batch;
+  }
+
+  void expect_oracle(std::span<const serve::PathQuery> batch,
+                     const net::PathBatchResponse& resp) {
+    ASSERT_EQ(resp.answers.size(), batch.size());
+    for (std::size_t qi = 0; qi < batch.size(); ++qi) {
+      ASSERT_EQ(resp.answers[qi].proper_index.size(), batch[qi].path.size());
+      for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
+        EXPECT_EQ(resp.answers[qi].proper_index[i],
+                  tree_.catalog(batch[qi].path[i]).find(batch[qi].y));
+      }
+    }
   }
 
   cat::Tree tree_;
@@ -291,6 +306,140 @@ TEST_F(ServerTest, DrainViaWireFrame) {
   EXPECT_TRUE(server_->draining());
   client.close();
   EXPECT_TRUE(server_->wait_drained(std::chrono::seconds(5)));
+}
+
+TEST_F(ServerTest, PipelinedBurstIsAnsweredInRequestOrder) {
+  // One write carries frames of mixed batch sizes; the thread that reads
+  // them serves them in order, so the answers come back in request order
+  // even though a small batch finishes faster than the large one before
+  // it.
+  net::Client client = connect();
+  constexpr std::uint64_t kFrames = 24;
+  std::vector<std::vector<serve::PathQuery>> batches;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t k = 0; k < kFrames; ++k) {
+    batches.push_back(make_batch(k % 3 == 0 ? 256 : 1 + k % 4, 60 + k));
+    net::PathBatchRequest req;
+    req.collection = "main";
+    req.queries = batches.back();
+    net::FrameHeader fh;
+    fh.type = static_cast<std::uint16_t>(net::MsgType::kPathBatch);
+    fh.request_id = 1000 + k;
+    const auto frame = net::encode_frame(fh, net::encode(req));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client.send_raw(burst).ok());
+  for (std::uint64_t k = 0; k < kFrames; ++k) {
+    auto resp = client.read_frame();
+    ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+    ASSERT_EQ(resp->header.request_id, 1000 + k);
+    ASSERT_EQ(resp->header.type,
+              static_cast<std::uint16_t>(net::MsgType::kPathBatch) |
+                  net::kResponseBit);
+    auto decoded = net::decode_path_response(resp->payload, {});
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    expect_oracle(batches[k], *decoded);
+  }
+}
+
+/// The collection backend behind a gate that, while closed, holds one
+/// tenant's requests inside serve().
+class GatedBackend final : public net::Backend {
+ public:
+  static constexpr std::uint64_t kGatedTenant = 9;
+
+  net::CollectionMap& collections() { return inner_.collections(); }
+
+  coop::Expected<std::vector<std::uint8_t>> serve(
+      const net::Request& req) override {
+    if (req.header.tenant == kGatedTenant) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+      --held_;
+    }
+    return inner_.serve(req);
+  }
+  std::vector<net::CollectionHealth> health() override {
+    return inner_.health();
+  }
+
+  void set_open(bool open) {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = open;
+    cv_.notify_all();
+  }
+  /// Block until a request is waiting at the closed gate.
+  void wait_held() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ > 0 && !open_; });
+  }
+
+ private:
+  net::CollectionBackend inner_{1, serve::FrontendOptions{}};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int held_ = 0;
+};
+
+/// A second server, with two serving threads, over a GatedBackend.
+class GatedServerTest : public ServerTest {
+ protected:
+  void SetUp() override {
+    ServerTest::SetUp();
+    net::ServerOptions opts;
+    opts.workers = 2;
+    auto started = net::Server::start(opts, gate_);
+    ASSERT_TRUE(started.ok()) << started.status().to_string();
+    gated_server_ = started.take();
+    auto snap = snapshot::open(kSnapPath);
+    ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+    ASSERT_TRUE(gate_->collections().load("main", snap.take()).ok());
+  }
+
+  void TearDown() override {
+    gate_->set_open(true);
+    gated_server_.reset();
+    ServerTest::TearDown();
+  }
+
+  net::Client connect_gated(std::uint64_t tenant) {
+    net::ClientOptions copts;
+    copts.tenant = tenant;
+    auto c = net::Client::connect("127.0.0.1", gated_server_->port(), copts);
+    EXPECT_TRUE(c.ok()) << c.status().to_string();
+    return c.take();
+  }
+
+  std::shared_ptr<GatedBackend> gate_ = std::make_shared<GatedBackend>();
+  std::unique_ptr<net::Server> gated_server_;
+};
+
+TEST_F(GatedServerTest, HeldRequestDoesNotStallOtherConnections) {
+  // A request blocked in the backend occupies only the thread serving
+  // it: the other serving thread answers a second connection meanwhile.
+  gate_->set_open(false);
+  net::Client held = connect_gated(GatedBackend::kGatedTenant);
+  net::Client other = connect_gated(1);
+  const auto batch = make_batch(8, 50);
+  coop::Expected<net::PathBatchResponse> held_resp =
+      Status::internal("not answered");
+  std::thread t([&] { held_resp = held.path_batch("main", batch); });
+  gate_->wait_held();
+
+  auto resp = other.path_batch("main", batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+  expect_oracle(batch, *resp);
+  auto h = other.health();
+  ASSERT_TRUE(h.ok()) << h.status().to_string();
+  EXPECT_EQ(h->collections.size(), 1u);
+
+  gate_->set_open(true);
+  t.join();
+  ASSERT_TRUE(held_resp.ok()) << held_resp.status().to_string();
+  expect_oracle(batch, *held_resp);
 }
 
 // --- Variant fixtures ---
