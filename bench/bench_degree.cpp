@@ -41,11 +41,7 @@ void BM_DegreeReducedSearch(benchmark::State& state) {
   std::mt19937_64 rng(degree * 31 + p);
   std::uint64_t steps = 0, lifted_len = 0, orig_len = 0, queries = 0;
   for (auto _ : state) {
-    std::vector<cat::NodeId> path{inst.tree.root()};
-    while (!inst.tree.is_leaf(path.back())) {
-      const auto kids = inst.tree.children(path.back());
-      path.push_back(kids[rng() % kids.size()]);
-    }
+    const std::vector<cat::NodeId> path = serve::random_path(inst.tree, rng);
     const auto lifted = coop::lift_path_to_binarized(
         inst.tree, inst.binarized, inst.orig_of_new, path);
     const cat::Key y = cat::Key(rng() % 1'000'000'000);

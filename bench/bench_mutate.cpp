@@ -145,16 +145,8 @@ int run_mutate_bench(const Options& o) {
   std::unique_ptr<dyn::DynamicCatalog> cat = attached.take();
   const serve::FlatCascade& flat = cat->state()->base->flat();
 
-  std::vector<serve::PathQuery> queries(num_queries);
-  for (auto& q : queries) {
-    std::vector<cat::NodeId> path{tree.root()};
-    while (!tree.is_leaf(path.back())) {
-      const auto kids = tree.children(path.back());
-      path.push_back(kids[rng() % kids.size()]);
-    }
-    q.path = std::move(path);
-    q.y = cat::Key(rng() % kKeyRange);
-  }
+  const std::vector<serve::PathQuery> queries =
+      serve::random_path_batch(tree, rng, num_queries);
 
   std::vector<Row> rows;
   std::vector<serve::PathAnswer> base_out(1000);

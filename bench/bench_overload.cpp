@@ -77,16 +77,8 @@ int run(const Options& o, bool emit_json) {
     registry.publish(snap.take());
   }
 
-  std::vector<serve::PathQuery> queries(batch_queries);
-  for (auto& q : queries) {
-    std::vector<cat::NodeId> path{tree.root()};
-    while (!tree.is_leaf(path.back())) {
-      const auto kids = tree.children(path.back());
-      path.push_back(kids[rng() % kids.size()]);
-    }
-    q.path = std::move(path);
-    q.y = cat::Key(rng() % 1'000'000'000);
-  }
+  const std::vector<serve::PathQuery> queries =
+      serve::random_path_batch(tree, rng, batch_queries);
 
   serve::QueryEngine engine(4);
 

@@ -82,20 +82,14 @@ int run(const Options& o, bool emit_json) {
               cold_sec, write_sec, load_sec * 1e3, load_speedup);
 
   // Query set + oracle (tree binary search) for the differential checks.
-  std::vector<serve::PathQuery> queries(num_queries);
+  const std::vector<serve::PathQuery> queries =
+      serve::random_path_batch(tree, rng, num_queries);
   std::vector<std::vector<std::uint32_t>> expected(num_queries);
   for (std::size_t qi = 0; qi < num_queries; ++qi) {
-    std::vector<cat::NodeId> path{tree.root()};
-    while (!tree.is_leaf(path.back())) {
-      const auto kids = tree.children(path.back());
-      path.push_back(kids[rng() % kids.size()]);
-    }
-    queries[qi].y = cat::Key(rng() % 1'000'000'000);
-    for (const cat::NodeId v : path) {
+    for (const cat::NodeId v : queries[qi].path) {
       expected[qi].push_back(
           static_cast<std::uint32_t>(tree.catalog(v).find(queries[qi].y)));
     }
-    queries[qi].path = std::move(path);
   }
 
   // Round-trip fidelity gate: the mmap-loaded arena must answer

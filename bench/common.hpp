@@ -21,6 +21,7 @@
 #include "fc/build.hpp"
 #include "fc/search.hpp"
 #include "pram/machine.hpp"
+#include "serve/query_engine.hpp"
 
 namespace bench {
 
@@ -79,12 +80,7 @@ inline double predicted_ratio(std::size_t n, std::size_t p) {
 inline std::vector<cat::NodeId> leftish_path(const cat::Tree& t,
                                              std::uint64_t salt) {
   std::mt19937_64 rng(salt);
-  std::vector<cat::NodeId> path{t.root()};
-  while (!t.is_leaf(path.back())) {
-    const auto kids = t.children(path.back());
-    path.push_back(kids[rng() % kids.size()]);
-  }
-  return path;
+  return serve::random_path(t, rng);
 }
 
 }  // namespace bench

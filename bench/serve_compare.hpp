@@ -220,16 +220,8 @@ inline int run_paths_compare(const Options& o) {
               double(flat.arena_bytes()) / (1024.0 * 1024.0),
               flat.total_entries());
 
-  std::vector<serve::PathQuery> queries(num_queries);
-  for (auto& q : queries) {
-    std::vector<cat::NodeId> path{tree.root()};
-    while (!tree.is_leaf(path.back())) {
-      const auto kids = tree.children(path.back());
-      path.push_back(kids[rng() % kids.size()]);
-    }
-    q.path = std::move(path);
-    q.y = cat::Key(rng() % 1'000'000'000);
-  }
+  const std::vector<serve::PathQuery> queries =
+      serve::random_path_batch(tree, rng, num_queries);
 
   // Differential gate first: every serving-mode answer is defined by the
   // sequential oracle — including the grouped kernel under BOTH simd

@@ -12,6 +12,8 @@
 #include <optional>
 #include <thread>
 
+#include "net/client.hpp"
+
 namespace cluster {
 
 using coop::Status;
@@ -37,6 +39,31 @@ std::optional<int> reap(pid_t pid, std::chrono::milliseconds grace) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+}
+
+/// Block until the server on 127.0.0.1:`port` answers HEALTH listing
+/// collection `name` at version >= 1 (it is serving), or `give_up` passes.
+coop::Status wait_healthy(std::uint16_t port, const std::string& name,
+                          Clock::time_point give_up) {
+  net::ClientOptions copts;
+  copts.connect_timeout = std::chrono::milliseconds(250);
+  copts.io_timeout = std::chrono::seconds(2);
+  while (Clock::now() < give_up) {
+    auto c = net::Client::connect("127.0.0.1", port, copts);
+    if (c.ok()) {
+      auto h = c->health();
+      if (h.ok()) {
+        for (const net::CollectionHealth& col : h->collections) {
+          if (col.name == name && col.version >= 1) {
+            return coop::OkStatus();
+          }
+        }
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return Status::deadline_exceeded("server on port " + std::to_string(port) +
+                                   " never became healthy");
 }
 
 }  // namespace
@@ -96,6 +123,32 @@ coop::Expected<std::uint16_t> read_port_file(const std::string& path,
   }
   return Status::deadline_exceeded("port file '" + path +
                                    "' never appeared; see the child's log");
+}
+
+coop::Expected<std::uint16_t> launch_server(const std::string& exe,
+                                            std::vector<std::string> args,
+                                            const std::string& port_file,
+                                            const std::string& log_path,
+                                            const std::string& name,
+                                            pid_t& pid) {
+  (void)::unlink(port_file.c_str());
+  args.push_back("--port-file");
+  args.push_back(port_file);
+  auto spawned = spawn(exe, args, log_path);
+  if (!spawned.ok()) {
+    pid = -1;
+    return spawned.status();
+  }
+  pid = *spawned;
+  const auto give_up = Clock::now() + std::chrono::seconds(15);
+  auto port = read_port_file(port_file, give_up, pid);
+  coop::Status st = port.ok() ? wait_healthy(*port, name, give_up)
+                              : port.status();
+  if (!st.ok()) {
+    (void)kill_proc(pid);
+    return st;
+  }
+  return *port;
 }
 
 bool terminate_proc(pid_t& pid) {

@@ -1,12 +1,7 @@
 #include "cluster/cluster_soak.hpp"
 
-#include <unistd.h>
-
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
-#include <functional>
-#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -18,6 +13,7 @@
 #include "cluster/router.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "robust/soak.hpp"
 
 namespace cluster {
 
@@ -28,68 +24,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct Tallies {
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> answered{0};
-  std::atomic<std::uint64_t> wrong_answers{0};
-  std::atomic<std::uint64_t> typed_sheds{0};
-  std::atomic<std::uint64_t> untyped_failures{0};
-  std::atomic<std::uint64_t> answered_after_revive{0};
+/// The launched coopserve shard processes; whatever still runs is
+/// stopped when the soak returns, on every path.
+struct Fleet {
+  Fleet() = default;
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+  ~Fleet() { stop(); }
 
-  std::mutex failure_mu;
-  std::string first_failure;
-  void fail(const std::string& what) {
-    untyped_failures.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(failure_mu);
-    if (first_failure.empty()) {
-      first_failure = what;
+  std::vector<pid_t> pids;
+  std::vector<std::uint16_t> ports;
+  void stop() {
+    for (pid_t& pid : pids) {
+      (void)terminate_proc(pid);
     }
   }
 };
-
-/// One launched coopserve shard process.
-struct Proc {
-  pid_t pid = -1;
-  std::uint16_t port = 0;
-  std::string snap_path;
-  std::string port_file;
-  std::string log_path;
-};
-
-/// Block until `host:port` answers HEALTH with collection `name` at
-/// version >= 1 (the shard is serving), or `give_up` passes.
-Status wait_healthy(std::uint16_t port, const std::string& name,
-                    Clock::time_point give_up) {
-  net::ClientOptions copts;
-  copts.connect_timeout = std::chrono::milliseconds(250);
-  copts.io_timeout = std::chrono::seconds(2);
-  while (Clock::now() < give_up) {
-    auto c = net::Client::connect("127.0.0.1", port, copts);
-    if (c.ok()) {
-      auto h = c->health();
-      if (h.ok()) {
-        for (const net::CollectionHealth& col : h->collections) {
-          if (col.name == name && col.version >= 1) {
-            return coop::OkStatus();
-          }
-        }
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return Status::deadline_exceeded("shard on port " + std::to_string(port) +
-                                   " never became healthy");
-}
-
-bool wait_until(const std::function<bool()>& pred, Clock::time_point give_up) {
-  while (Clock::now() < give_up) {
-    if (pred()) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return pred();
-}
 
 }  // namespace
 
@@ -122,41 +72,26 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   const RoutingMap map = planned.take();
 
   // ---- Shard fleet: one real coopserve process per shard. ----
-  std::vector<Proc> procs(opts.num_shards);
+  Fleet fleet;
+  fleet.pids.assign(opts.num_shards, -1);
+  fleet.ports.assign(opts.num_shards, 0);
   const auto launch = [&](std::uint32_t k,
                           std::uint16_t fixed_port) -> Status {
-    Proc& p = procs[k];
-    p.snap_path = shard_snapshot_path(opts.dir, k);
-    p.port_file = opts.dir + "/shard" + std::to_string(k) + ".port";
-    p.log_path = opts.dir + "/shard" + std::to_string(k) + ".log";
-    if (fixed_port == 0) {
-      (void)::unlink(p.port_file.c_str());
-    }
-    auto pid = spawn(opts.coopserve_path,
-                     {"--port", std::to_string(fixed_port), "--port-file",
-                      p.port_file, "--workers", "2", "--engine-threads", "2",
-                      "--collection", "main=" + p.snap_path},
-                     p.log_path);
-    if (!pid.ok()) {
-      return pid.status();
-    }
-    p.pid = *pid;
-    const auto give_up = Clock::now() + std::chrono::seconds(15);
-    auto port = read_port_file(p.port_file, give_up, p.pid);
+    const std::string stem = opts.dir + "/shard" + std::to_string(k);
+    auto port = launch_server(
+        opts.coopserve_path,
+        {"--port", std::to_string(fixed_port), "--workers", "2",
+         "--engine-threads", "2", "--collection",
+         "main=" + shard_snapshot_path(opts.dir, k)},
+        stem + ".port", stem + ".log", "main", fleet.pids[k]);
     if (!port.ok()) {
       return port.status();
     }
-    p.port = *port;
-    return wait_healthy(p.port, "main", give_up);
-  };
-  const auto teardown = [&] {
-    for (Proc& p : procs) {
-      (void)terminate_proc(p.pid);
-    }
+    fleet.ports[k] = *port;
+    return coop::OkStatus();
   };
   for (std::uint32_t k = 0; k < opts.num_shards; ++k) {
     if (Status s = launch(k, 0); !s.ok()) {
-      teardown();
       return s;
     }
   }
@@ -167,27 +102,25 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   fsopts.engine_threads = 2;
   auto fserver = net::Server::start(fsopts);
   if (!fserver.ok()) {
-    teardown();
     return fserver.status();
   }
   std::unique_ptr<net::Server> follower_server = fserver.take();
   FollowerOptions fopts;
   fopts.leader_host = "127.0.0.1";
-  fopts.leader_port = procs[0].port;
+  fopts.leader_port = fleet.ports[0];
   fopts.collection = "main";
   fopts.dir = opts.dir + "/follower";
   fopts.poll_interval = std::chrono::milliseconds(50);
   auto follower = Follower::start(follower_server->collections(), fopts);
   if (!follower.ok()) {
-    teardown();
     return follower.status();
   }
   // The router hedges shard-0 batches onto the follower, so its copy
   // must exist before traffic starts (and this IS the first catch-up,
   // over a live FETCH_SNAPSHOT transfer).
-  if (!wait_until([&] { return (*follower)->stats().last_version >= 1; },
-                  Clock::now() + std::chrono::seconds(15))) {
-    teardown();
+  if (!robust::wait_until(
+          [&] { return (*follower)->stats().last_version >= 1; },
+          Clock::now() + std::chrono::seconds(15))) {
     return Status::deadline_exceeded(
         "follower never finished its initial catch-up");
   }
@@ -198,57 +131,29 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   ropts.map = map;
   ropts.shards.resize(opts.num_shards);
   for (std::uint32_t k = 0; k < opts.num_shards; ++k) {
-    ropts.shards[k].push_back({"127.0.0.1", procs[k].port});
+    ropts.shards[k].push_back({"127.0.0.1", fleet.ports[k]});
   }
   ropts.shards[0].push_back({"127.0.0.1", follower_server->port()});
   ropts.io_timeout = std::chrono::seconds(3);
   ropts.connect_timeout = std::chrono::milliseconds(500);
   auto router = Router::create(ropts);
   if (!router.ok()) {
-    teardown();
     return router.status();
   }
   auto rserver = net::Server::start(net::ServerOptions{}, *router);
   if (!rserver.ok()) {
-    teardown();
     return rserver.status();
   }
   const std::uint16_t router_port = (*rserver)->port();
 
   // ---- Client fleet: seeded traffic + oracle through the router. ----
-  Tallies tally;
+  ClusterSoakOutcome out;
+  robust::FirstFailure fail(out.first_failure);
   std::atomic<bool> stop{false};
   std::atomic<bool> revived{false};
-  const auto make_batch = [&](std::mt19937_64& rng, std::size_t n) {
-    std::vector<serve::PathQuery> batch(n);
-    for (serve::PathQuery& q : batch) {
-      std::vector<cat::NodeId> path{tree.root()};
-      while (!tree.is_leaf(path.back())) {
-        const auto kids = tree.children(path.back());
-        path.push_back(kids[rng() % kids.size()]);
-      }
-      q.path = std::move(path);
-      q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-    }
-    return batch;
-  };
-  const auto check_batch = [&](const std::vector<serve::PathQuery>& b,
-                               const net::PathBatchResponse& resp) -> bool {
-    if (resp.answers.size() != b.size()) {
-      return false;
-    }
-    for (std::size_t qi = 0; qi < b.size(); ++qi) {
-      const auto& ans = resp.answers[qi];
-      if (ans.proper_index.size() != b[qi].path.size()) {
-        return false;
-      }
-      for (std::size_t i = 0; i < b[qi].path.size(); ++i) {
-        if (ans.proper_index[i] != tree.catalog(b[qi].path[i]).find(b[qi].y)) {
-          return false;
-        }
-      }
-    }
-    return true;
+  const auto answers_right = [&](const std::vector<serve::PathQuery>& b,
+                                 const net::PathBatchResponse& resp) {
+    return serve::count_path_mismatches(tree, b, resp.answers) == 0;
   };
 
   std::vector<std::thread> clients;
@@ -269,28 +174,28 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
           }
           client = c.take();
         }
-        const auto batch = make_batch(rng, opts.batch_queries);
+        const auto batch =
+            serve::random_path_batch(tree, rng, opts.batch_queries);
         auto resp = client.path_batch("main", batch);
-        tally.batches.fetch_add(1, std::memory_order_relaxed);
+        robust::bump(out.batches);
         if (resp.ok()) {
-          tally.answered.fetch_add(1, std::memory_order_relaxed);
+          robust::bump(out.answered);
           if (revived.load(std::memory_order_acquire)) {
-            tally.answered_after_revive.fetch_add(1,
-                                                  std::memory_order_relaxed);
+            robust::bump(out.answered_after_revive);
           }
-          if (!check_batch(batch, resp.value())) {
-            tally.wrong_answers.fetch_add(1, std::memory_order_relaxed);
+          if (!answers_right(batch, resp.value())) {
+            robust::bump(out.wrong_answers);
           }
         } else {
           const StatusCode code = resp.status().code();
           if (code == StatusCode::kUnavailable ||
               code == StatusCode::kDeadlineExceeded) {
             // The contract for a dead/slow shard: a typed shed.
-            tally.typed_sheds.fetch_add(1, std::memory_order_relaxed);
+            robust::bump(out.typed_sheds);
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
           } else {
-            tally.fail("unexpected status through router: " +
-                       resp.status().to_string());
+            fail(out.untyped_failures, "unexpected status through router: " +
+                                           resp.status().to_string());
           }
         }
       }
@@ -298,38 +203,31 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   }
 
   // ---- Conductor: swap -> catch-up -> kill -> shed -> resurrect. ----
-  ClusterSoakOutcome out;
   const auto begun = Clock::now();
   const auto hard_end = begun + opts.duration * 6 + std::chrono::seconds(10);
-  const auto note = [&](const char* msg) {
-    if (opts.verbose) {
-      std::fprintf(stderr, "cluster-soak: %s\n", msg);
-    }
-  };
-
   std::this_thread::sleep_for(opts.duration / 4);
 
   // Publish a new generation on the shard-0 leader; the follower must
   // fetch it over FETCH_SNAPSHOT while the fleet keeps answering.
-  note("SWAP on shard-0 leader");
   {
     net::ClientOptions copts;
     copts.io_timeout = std::chrono::seconds(5);
-    auto admin = net::Client::connect("127.0.0.1", procs[0].port, copts);
+    auto admin = net::Client::connect("127.0.0.1", fleet.ports[0], copts);
     if (admin.ok()) {
-      auto v = admin->swap("main", procs[0].snap_path);
+      auto v = admin->swap("main", shard_snapshot_path(opts.dir, 0));
       if (v.ok()) {
         ++out.swaps;
       } else {
-        tally.fail("leader SWAP failed: " + v.status().to_string());
+        fail(out.untyped_failures,
+             "leader SWAP failed: " + v.status().to_string());
       }
     } else {
-      tally.fail("cannot reach shard-0 for SWAP: " +
-                 admin.status().to_string());
+      fail(out.untyped_failures, "cannot reach shard-0 for SWAP: " +
+                                     admin.status().to_string());
     }
   }
-  (void)wait_until([&] { return (*follower)->stats().last_version >= 2; },
-                   hard_end);
+  (void)robust::wait_until(
+      [&] { return (*follower)->stats().last_version >= 2; }, hard_end);
 
   std::this_thread::sleep_for(opts.duration / 4);
 
@@ -353,37 +251,27 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
     }
     return best;
   }();
-  note("SIGKILL shard");
-  if (kill_proc(procs[victim].pid)) {
+  if (kill_proc(fleet.pids[victim])) {
     ++out.kills;
   } else {
-    tally.fail("kill(SIGKILL) of shard " + std::to_string(victim) +
-               " failed");
+    fail(out.untyped_failures,
+         "kill(SIGKILL) of shard " + std::to_string(victim) + " failed");
   }
-  (void)wait_until(
-      [&] { return tally.typed_sheds.load(std::memory_order_relaxed) >= 1; },
-      hard_end);
+  (void)robust::wait_until([&] { return robust::peek(out.typed_sheds) >= 1; },
+                           hard_end);
   std::this_thread::sleep_for(opts.duration / 4);
 
   // Resurrect the corpse on the same port; the breaker must close and
   // full-coverage serving must resume.
-  note("resurrecting shard");
-  if (Status s = launch(victim, procs[victim].port); s.ok()) {
+  if (Status s = launch(victim, fleet.ports[victim]); s.ok()) {
     ++out.resurrections;
     revived.store(true, std::memory_order_release);
   } else {
-    tally.fail("resurrection failed: " + s.to_string());
+    fail(out.untyped_failures, "resurrection failed: " + s.to_string());
   }
-  (void)wait_until(
-      [&] {
-        return tally.answered_after_revive.load(std::memory_order_relaxed) >=
-               1;
-      },
-      hard_end);
-  const auto min_end = begun + opts.duration;
-  while (Clock::now() < min_end) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  (void)robust::wait_until(
+      [&] { return robust::peek(out.answered_after_revive) >= 1; }, hard_end);
+  std::this_thread::sleep_until(begun + opts.duration);
 
   stop.store(true, std::memory_order_release);
   for (std::thread& t : clients) {
@@ -396,38 +284,29 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
     std::mt19937_64 rng(opts.seed ^ 0xF1A4ull);
     std::vector<serve::PathQuery> sweep;
     for (std::uint32_t s = 0; s < opts.num_shards; ++s) {
-      // Any node this shard owns; walk up to the root for its path.
+      // The root-to-v path of any node v this shard owns.
       for (std::size_t v = 0; v < map.owner.size(); ++v) {
         if (map.owner[v] == s) {
-          serve::PathQuery q;
-          cat::NodeId u = static_cast<cat::NodeId>(v);
-          while (true) {
-            q.path.insert(q.path.begin(), u);
-            if (u == tree.root()) {
-              break;
-            }
-            u = tree.parent(u);
-          }
-          q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-          sweep.push_back(std::move(q));
+          sweep.push_back(
+              {serve::root_path(tree, static_cast<cat::NodeId>(v)),
+               static_cast<cat::Key>(rng() % 1'000'000'000)});
           break;
         }
       }
     }
     net::ClientOptions copts;
     copts.io_timeout = std::chrono::seconds(5);
-    const auto sweep_until = Clock::now() + std::chrono::seconds(10);
-    while (!out.final_sweep_ok && Clock::now() < sweep_until) {
-      auto c = net::Client::connect("127.0.0.1", router_port, copts);
-      if (c.ok()) {
-        auto resp = c->path_batch("main", sweep);
-        if (resp.ok() && check_batch(sweep, resp.value())) {
-          out.final_sweep_ok = true;
-          break;
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    out.final_sweep_ok = robust::wait_until(
+        [&] {
+          auto c = net::Client::connect("127.0.0.1", router_port, copts);
+          if (!c.ok()) {
+            return false;
+          }
+          auto resp = c->path_batch("main", sweep);
+          return resp.ok() && answers_right(sweep, resp.value());
+        },
+        Clock::now() + std::chrono::seconds(10),
+        std::chrono::milliseconds(50));
   }
 
   // ---- Teardown + outcome. ----
@@ -436,50 +315,20 @@ coop::Expected<ClusterSoakOutcome> run_cluster_soak(
   (*follower)->stop();
   (*rserver)->stop();
   follower_server->stop();
-  teardown();
+  fleet.stop();
 
-  out.batches = tally.batches.load(std::memory_order_relaxed);
-  out.answered = tally.answered.load(std::memory_order_relaxed);
-  out.wrong_answers = tally.wrong_answers.load(std::memory_order_relaxed);
-  out.typed_sheds = tally.typed_sheds.load(std::memory_order_relaxed);
-  out.untyped_failures =
-      tally.untyped_failures.load(std::memory_order_relaxed);
-  out.answered_after_revive =
-      tally.answered_after_revive.load(std::memory_order_relaxed);
   out.follower_catchups = fstats.catchups;
   out.follower_version = fstats.last_version;
   out.hedged_retries = rstats.hedged_retries;
   out.breaker_trips = rstats.breaker_trips;
   out.router_sheds = rstats.sheds;
-  {
-    std::lock_guard<std::mutex> lock(tally.failure_mu);
-    out.first_failure = tally.first_failure;
-  }
-  out.goals_met = out.answered >= 1 && out.wrong_answers == 0 &&
-                  out.untyped_failures == 0 && out.kills >= 1 &&
-                  out.resurrections >= 1 && out.typed_sheds >= 1 &&
-                  out.swaps >= 1 && out.follower_catchups >= 2 &&
-                  out.answered_after_revive >= 1 && out.final_sweep_ok;
-
-  if (out.wrong_answers > 0) {
-    out.verdict = "FAIL: " + std::to_string(out.wrong_answers) +
-                  " router-merged batches disagreed with the oracle";
-  } else if (out.untyped_failures > 0) {
-    out.verdict = "FAIL: " + std::to_string(out.untyped_failures) +
-                  " requests got an unexpected status (first: " +
-                  out.first_failure + ")";
-  } else if (!out.goals_met) {
-    out.verdict =
-        "FAIL: soak ended without observing every cluster goal "
-        "(kill/resurrect/shed/swap/catch-up/final-sweep)";
-  } else {
-    out.verdict =
-        "OK: zero wrong answers through the router across a SIGKILL'd "
-        "shard (" +
-        std::to_string(out.typed_sheds) +
-        " typed sheds), a same-port resurrection, and " +
-        std::to_string(out.follower_catchups) +
-        " follower catch-ups over FETCH_SNAPSHOT";
+  robust::judge(out, "zero wrong answers through the router across a "
+                     "SIGKILL'd shard (" +
+                         std::to_string(out.typed_sheds) +
+                         " typed sheds), a same-port resurrection, and " +
+                         std::to_string(out.follower_catchups) +
+                         " follower catch-ups over FETCH_SNAPSHOT");
+  if (out.goals_met) {
     std::filesystem::remove_all(opts.dir, ec);
   }
   return out;

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "robust/soak.hpp"
 #include "robust/status.hpp"
 
 namespace cluster {
@@ -43,14 +44,13 @@ struct ClusterSoakOptions {
   std::string dir = "cluster_soak";
   /// Path to the coopserve binary to launch shard processes from.
   std::string coopserve_path;
-  bool verbose = false;
 };
 
-struct ClusterSoakOutcome {
+struct ClusterSoakOutcome : robust::SoakResult {
   // Client-side view (through the router).
   std::uint64_t batches = 0;
   std::uint64_t answered = 0;
-  std::uint64_t wrong_answers = 0;   ///< oracle mismatches (must be 0)
+  std::uint64_t wrong_answers = 0;   ///< batches the oracle refuted
   std::uint64_t typed_sheds = 0;     ///< typed UNAVAILABLE/DEADLINE errors
   std::uint64_t untyped_failures = 0;  ///< anything else (must be 0)
   std::uint64_t answered_after_revive = 0;
@@ -65,15 +65,30 @@ struct ClusterSoakOutcome {
   std::uint64_t breaker_trips = 0;
   std::uint64_t router_sheds = 0;
   bool final_sweep_ok = false;  ///< post-revive full-coverage batch served
-  std::string first_failure;
-  bool goals_met = false;
-  std::string verdict;  ///< one-line human summary
+
+  void fields(robust::FieldList& v) const {
+    v.count("batches", batches);
+    v.goal("answered", answered);
+    v.wrong("wrong_answers", wrong_answers);
+    v.goal("typed_sheds", typed_sheds);
+    v.failure("untyped_failures", untyped_failures);
+    v.goal("answered_after_revive", answered_after_revive);
+    v.goal("kills", kills);
+    v.goal("resurrections", resurrections);
+    v.goal("swaps", swaps);
+    v.goal("follower_catchups", follower_catchups, 2);
+    v.count("follower_version", follower_version);
+    v.count("hedged_retries", hedged_retries);
+    v.count("breaker_trips", breaker_trips);
+    v.count("router_sheds", router_sheds);
+    v.goal("final_sweep_ok", final_sweep_ok);
+  }
 };
 
 /// Run the soak.  Setup errors (fixture build, partitioning, process
 /// launch, router start) are the returned Status; a completed soak
-/// always returns an outcome — judge it via goals_met.  Runs for
-/// `duration`, extending (up to ~6x) until every goal is observed.
+/// always returns a judged outcome.  Runs for `duration`, giving each
+/// fault step up to ~6x that to be observed.
 [[nodiscard]] coop::Expected<ClusterSoakOutcome> run_cluster_soak(
     const ClusterSoakOptions& opts);
 

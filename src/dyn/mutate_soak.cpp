@@ -1,8 +1,6 @@
 #include "dyn/mutate_soak.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <map>
 #include <random>
 #include <thread>
 #include <vector>
@@ -10,7 +8,9 @@
 #include "catalog/tree.hpp"
 #include "dyn/compactor.hpp"
 #include "dyn/overlay.hpp"
+#include "dyn/slice_journal.hpp"
 #include "fc/build.hpp"
+#include "robust/soak.hpp"
 #include "snapshot/registry.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -18,14 +18,9 @@ namespace dyn {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Base keys stay below this; writer w owns [kWriterBase + w * kWriterSpan,
-/// ... + kWriterSpan), so no writer key ever collides with the base or
-/// another writer — each writer's journal is an exact liveness oracle.
+/// Base keys stay below this, so no writer key (SliceJournal slices start
+/// at 2*10^9) ever collides with a base key or another writer's.
 constexpr Key kBaseKeyRange = 1'000'000'000;
-constexpr Key kWriterBase = 2'000'000'000;
-constexpr Key kWriterSpan = 1'000'000;
 
 }  // namespace
 
@@ -40,7 +35,7 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
   const fc::Structure structure = fc::Structure::build(tree);
   auto compiled = serve::FlatCascade::compile(structure);
   if (!compiled.ok()) {
-    out.verdict = "build failed: " + compiled.status().to_string();
+    out.verdict = "FAIL: build failed: " + compiled.status().to_string();
     return out;
   }
   snapshot::Registry registry;
@@ -51,7 +46,7 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
   copts.merge_threshold = 4;
   auto attached = DynamicCatalog::attach(registry, copts);
   if (!attached.ok()) {
-    out.verdict = "attach failed: " + attached.status().to_string();
+    out.verdict = "FAIL: attach failed: " + attached.status().to_string();
     return out;
   }
   DynamicCatalog& cat = **attached;
@@ -64,49 +59,46 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
   compactor.start();
 
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> batches{0}, mutations{0}, reads{0};
-  std::atomic<std::uint64_t> read_errors{0}, wrong{0}, kills{0};
+  robust::FirstFailure fail(out.first_failure);
+  const auto judge_served = [&](const SliceJournal& journal,
+                                std::uint32_t node, Key key, Key served) {
+    if (journal.check(node, key, served) != JournalCheck::kOk) {
+      robust::bump(out.wrong_answers);
+    }
+  };
 
   // Writers: seeded streams over disjoint key slices; after every ack,
   // spot-check read-your-writes through a freshly captured state.
-  std::vector<std::map<std::pair<std::uint32_t, Key>, bool>> journals(
-      opts.writers);
+  std::vector<SliceJournal> journals;
+  for (std::size_t w = 0; w < opts.writers; ++w) {
+    journals.emplace_back(w);
+  }
   std::vector<std::thread> writers;
   writers.reserve(opts.writers);
   for (std::size_t w = 0; w < opts.writers; ++w) {
     writers.emplace_back([&, w] {
       std::mt19937_64 rng(opts.seed * 7919 + w);
-      auto& journal = journals[w];
-      const Key lo = kWriterBase + static_cast<Key>(w) * kWriterSpan;
-      std::vector<Mutation> batch;
+      SliceJournal& journal = journals[w];
+      const auto any_node = [&] {
+        return static_cast<std::uint32_t>(rng() % num_nodes);
+      };
       while (!stop.load(std::memory_order_acquire)) {
-        batch.clear();
-        for (std::size_t i = 0; i < opts.batch; ++i) {
-          Mutation m;
-          m.node = static_cast<std::uint32_t>(rng() % num_nodes);
-          m.key = lo + static_cast<Key>(rng() % kWriterSpan);
-          m.op = (rng() % 3 == 0) ? Op::kDelete : Op::kInsert;
-          batch.push_back(m);
-        }
+        const std::vector<Mutation> batch =
+            journal.random_batch(rng, opts.batch, 3, any_node);
         auto ack = cat.apply(batch);
         if (!ack.ok()) {
-          read_errors.fetch_add(1, std::memory_order_relaxed);
+          fail(out.read_errors, "apply: " + ack.status().to_string());
           continue;
         }
-        batches.fetch_add(1, std::memory_order_relaxed);
-        mutations.fetch_add(batch.size(), std::memory_order_relaxed);
-        for (const Mutation& m : batch) {
-          journal[{m.node, m.key}] = m.op == Op::kInsert;
-        }
+        robust::bump(out.batches_applied);
+        robust::bump(out.mutations_applied, batch.size());
+        journal.ack(SliceJournal::collapse(batch));
         // Read-your-writes: the state captured after the ack must
         // reflect this batch's *final* op per (node, key).
         const StatePtr s = cat.state();
         const Mutation& probe = batch[rng() % batch.size()];
-        const bool want_live = journal[{probe.node, probe.key}];
-        const Key got = s->live_successor(probe.node, probe.key);
-        if (want_live != (got == probe.key)) {
-          wrong.fetch_add(1, std::memory_order_relaxed);
-        }
+        judge_served(journal, probe.node, probe.key,
+                     s->live_successor(probe.node, probe.key));
       }
     });
   }
@@ -121,21 +113,15 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
     readers.emplace_back([&, r] {
       std::mt19937_64 rng(opts.seed * 104729 + r);
       while (!stop.load(std::memory_order_acquire)) {
-        std::vector<cat::NodeId> path{tree.root()};
-        while (!tree.is_leaf(path.back())) {
-          const auto kids = tree.children(path.back());
-          path.push_back(kids[rng() % kids.size()]);
-        }
-        serve::PathQuery q;
-        q.y = static_cast<Key>(rng() % kBaseKeyRange);
-        q.path = path;
+        const std::vector<serve::PathQuery> q =
+            serve::random_path_batch(tree, rng, 1);
         PathKeys ans;
         const StatePtr s = cat.state();
-        search_paths_dyn(*s, std::span<const serve::PathQuery>(&q, 1), &ans);
-        reads.fetch_add(1, std::memory_order_relaxed);
+        search_paths_dyn(*s, q, &ans);
+        robust::bump(out.reads);
         for (const Key k : ans.keys) {
-          if (k < q.y) {
-            wrong.fetch_add(1, std::memory_order_relaxed);
+          if (k < q[0].y) {
+            robust::bump(out.wrong_answers);
           }
         }
       }
@@ -153,13 +139,16 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
         compactor.compact_now();
         std::this_thread::sleep_for(std::chrono::milliseconds(rng() % 10));
         compactor.stop();
-        kills.fetch_add(1, std::memory_order_relaxed);
+        robust::bump(out.compactor_kills);
         compactor.start();
       }
     });
   }
 
-  std::this_thread::sleep_for(opts.duration);
+  robust::run_until_goals(opts.duration, [&] {
+    out.compactions = compactor.stats().compactions;
+    return robust::goals_reached(out);
+  });
   stop.store(true, std::memory_order_release);
   for (auto& t : writers) {
     t.join();
@@ -176,50 +165,20 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
   // key) — the acknowledged history must be exactly what the compacted
   // base + residual overlay serves.
   if (auto final_compact = compactor.compact_once(); !final_compact.ok()) {
-    out.verdict = "final compaction failed: " +
-                  final_compact.status().to_string();
+    fail(out.read_errors,
+         "final compaction: " + final_compact.status().to_string());
   }
   const StatePtr fin = cat.state();
-  for (const auto& journal : journals) {
-    for (const auto& [nk, live] : journal) {
+  for (const SliceJournal& journal : journals) {
+    for (const auto& [nk, live] : journal.entries()) {
       ++out.final_checked;
-      const Key got = fin->live_successor(nk.first, nk.second);
-      if (live != (got == nk.second)) {
-        wrong.fetch_add(1, std::memory_order_relaxed);
-      }
+      judge_served(journal, nk.first, nk.second,
+                   fin->live_successor(nk.first, nk.second));
     }
   }
-
-  out.batches_applied = batches.load();
-  out.mutations_applied = mutations.load();
-  out.reads = reads.load();
-  out.read_errors = read_errors.load();
-  out.wrong_answers = wrong.load();
   out.compactions = compactor.stats().compactions;
-  out.compactor_kills = kills.load();
-
-  const bool wrote = out.mutations_applied > 0;
-  const bool compacted = out.compactions > 0;
-  out.goals_met = wrote && compacted && out.wrong_answers == 0 &&
-                  out.read_errors == 0;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "mutate soak %s: %llu muts in %llu batches, %llu reads, "
-                "%llu compactions, %llu kills, %llu wrong, %llu errors, "
-                "%llu swept",
-                out.goals_met ? "OK" : "FAILED",
-                static_cast<unsigned long long>(out.mutations_applied),
-                static_cast<unsigned long long>(out.batches_applied),
-                static_cast<unsigned long long>(out.reads),
-                static_cast<unsigned long long>(out.compactions),
-                static_cast<unsigned long long>(out.compactor_kills),
-                static_cast<unsigned long long>(out.wrong_answers),
-                static_cast<unsigned long long>(out.read_errors),
-                static_cast<unsigned long long>(out.final_checked));
-  out.verdict = out.verdict.empty() ? buf : out.verdict + "; " + buf;
-  if (opts.verbose) {
-    std::fprintf(stderr, "%s\n", out.verdict.c_str());
-  }
+  robust::judge(out, "acknowledged writes read back through compaction "
+                     "churn and compactor kills");
   return out;
 }
 

@@ -10,13 +10,15 @@
 //
 // Determinism note: thread interleaving is real (that is the point —
 // ASan/TSan run this), but every input stream is seeded, and writers own
-// disjoint key ranges above the base key range so each writer's final
-// key->liveness map is an exact oracle for its slice regardless of
+// disjoint key slices above the base key range, so each writer's
+// dyn::SliceJournal is an exact oracle for its slice regardless of
 // interleaving.
 
 #include <chrono>
 #include <cstdint>
 #include <string>
+
+#include "robust/soak.hpp"
 
 namespace dyn {
 
@@ -33,10 +35,9 @@ struct MutateSoakOptions {
   /// kill-mid-compact leg.  An in-flight rebuild must either land or
   /// vanish without ever tearing the serving state.
   bool kill_mid_compact = true;
-  bool verbose = false;
 };
 
-struct MutateSoakOutcome {
+struct MutateSoakOutcome : robust::SoakResult {
   std::uint64_t batches_applied = 0;
   std::uint64_t mutations_applied = 0;
   std::uint64_t reads = 0;
@@ -45,8 +46,17 @@ struct MutateSoakOutcome {
   std::uint64_t compactions = 0;
   std::uint64_t compactor_kills = 0;
   std::uint64_t final_checked = 0;   ///< (node,key) pairs swept at the end
-  bool goals_met = false;
-  std::string verdict;
+
+  void fields(robust::FieldList& v) const {
+    v.count("batches_applied", batches_applied);
+    v.goal("mutations_applied", mutations_applied);
+    v.count("reads", reads);
+    v.failure("read_errors", read_errors);
+    v.wrong("wrong_answers", wrong_answers);
+    v.goal("compactions", compactions);
+    v.count("compactor_kills", compactor_kills);
+    v.count("final_checked", final_checked);
+  }
 };
 
 [[nodiscard]] MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts);

@@ -10,13 +10,13 @@
 #include <vector>
 
 #include "catalog/tree.hpp"
-#include "fc/build.hpp"
 #include "geom/generators.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "pointloc/separator_tree.hpp"
 #include "robust/chaos.hpp"
 #include "robust/corrupt.hpp"
+#include "robust/soak.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace net {
@@ -25,37 +25,6 @@ using coop::Status;
 using coop::StatusCode;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Shared fleet tallies: atomics, because the main thread polls them for
-/// the goal check while clients are still running.
-struct Tallies {
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> answered{0};
-  std::atomic<std::uint64_t> wrong_answers{0};
-  std::atomic<std::uint64_t> failed{0};
-  std::atomic<std::uint64_t> deadline_errors{0};
-  std::atomic<std::uint64_t> quota_sheds{0};
-  std::atomic<std::uint64_t> drain_refusals{0};
-  std::atomic<std::uint64_t> malformed_injected{0};
-  std::atomic<std::uint64_t> malformed_rejected{0};
-  std::atomic<std::uint64_t> resets_injected{0};
-  std::atomic<std::uint64_t> slow_reads{0};
-  std::atomic<std::uint64_t> reconnects{0};
-  std::atomic<std::uint64_t> swaps{0};
-  std::atomic<std::uint64_t> load_unload_cycles{0};
-
-  std::mutex failure_mu;
-  std::string first_failure;
-  void fail(const std::string& what) {
-    failed.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(failure_mu);
-    if (first_failure.empty()) {
-      first_failure = what;
-    }
-  }
-};
 
 /// The tenant the quota-storm mode hammers; normal clients use ci+1.
 constexpr std::uint64_t kHotTenant = 1000;
@@ -70,11 +39,7 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
   const cat::Tree tree =
       cat::make_balanced_binary(opts.tree_height, opts.tree_entries,
                                 cat::CatalogShape::kRandom, fixture_rng);
-  const auto structure = fc::Structure::build_checked(tree);
-  if (!structure.ok()) {
-    return structure.status();
-  }
-  auto flat = serve::FlatCascade::compile(*structure);
+  auto flat = serve::FlatCascade::compile_tree(tree);
   if (!flat.ok()) {
     return flat.status();
   }
@@ -114,35 +79,20 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
   std::unique_ptr<Server> server = started.take();
   const std::uint16_t port = server->port();
 
-  const auto open_snap = [](const std::string& path)
-      -> coop::Expected<snapshot::Snapshot> { return snapshot::open(path); };
-  {
-    auto s1 = open_snap(opts.snap_path);
-    if (!s1.ok()) {
-      return s1.status();
+  for (const auto& [name, path] :
+       {std::pair{"main", opts.snap_path}, std::pair{"alt", opts.snap_path},
+        std::pair{"points", opts.point_snap_path}}) {
+    auto snap = snapshot::open(path);
+    if (!snap.ok()) {
+      return snap.status();
     }
-    if (Status st = server->collections().load("main", s1.take());
-        !st.ok()) {
-      return st;
-    }
-    auto s2 = open_snap(opts.snap_path);
-    auto s3 = open_snap(opts.point_snap_path);
-    if (!s2.ok()) {
-      return s2.status();
-    }
-    if (!s3.ok()) {
-      return s3.status();
-    }
-    if (Status st = server->collections().load("alt", s2.take()); !st.ok()) {
-      return st;
-    }
-    if (Status st = server->collections().load("points", s3.take());
-        !st.ok()) {
+    if (Status st = server->collections().load(name, snap.take()); !st.ok()) {
       return st;
     }
   }
 
-  Tallies tally;
+  WireSoakOutcome out;
+  robust::FirstFailure fail(out.first_failure);
   std::atomic<bool> stop{false};
   std::atomic<bool> drain_started{false};
 
@@ -164,86 +114,57 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
           return false;
         }
         client = c.take();
-        tally.reconnects.fetch_add(1, std::memory_order_relaxed);
+        robust::bump(out.reconnects);
         return true;
       };
 
-      /// Random root-to-leaf path batch against the shared tree.
       const auto make_batch = [&](std::size_t n) {
-        std::vector<serve::PathQuery> batch(n);
-        for (serve::PathQuery& q : batch) {
-          std::vector<cat::NodeId> path{tree.root()};
-          while (!tree.is_leaf(path.back())) {
-            const auto kids = tree.children(path.back());
-            path.push_back(kids[rng() % kids.size()]);
-          }
-          q.path = std::move(path);
-          q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-        }
-        return batch;
+        return serve::random_path_batch(tree, rng, n);
       };
-
-      const auto check_paths = [&](const std::vector<serve::PathQuery>& b,
-                                   const PathBatchResponse& resp) {
-        if (resp.answers.size() != b.size()) {
-          tally.wrong_answers.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        for (std::size_t qi = 0; qi < b.size(); ++qi) {
-          const auto& ans = resp.answers[qi];
-          if (ans.proper_index.size() != b[qi].path.size()) {
-            tally.wrong_answers.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          for (std::size_t i = 0; i < b[qi].path.size(); ++i) {
-            if (ans.proper_index[i] !=
-                tree.catalog(b[qi].path[i]).find(b[qi].y)) {
-              tally.wrong_answers.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
+      /// A hand-framed single-query path request (for the raw-byte fault
+      /// modes that bypass the round-trip helper).
+      const auto raw_frame = [&](std::uint64_t request_id,
+                                 std::uint64_t tenant) {
+        PathBatchRequest req;
+        req.collection = "main";
+        req.queries = make_batch(1);
+        FrameHeader h;
+        h.type = static_cast<std::uint16_t>(MsgType::kPathBatch);
+        h.request_id = request_id;
+        h.tenant = tenant;
+        return encode_frame(h, encode(req));
+      };
+      std::uint64_t raw_id = 1;
+      const auto raw_request = [&] {
+        return raw_frame(0x5000'0000 + (ci << 20) + raw_id++, copts.tenant);
       };
 
       /// Shared triage for batch statuses.  Returns true when the client
       /// should exit (server is draining).
       const auto triage = [&](const Status& s, bool deadline_ok) -> bool {
         if (s.code() == StatusCode::kResourceExhausted) {
-          tally.quota_sheds.fetch_add(1, std::memory_order_relaxed);
+          robust::bump(out.quota_sheds);
           return false;
         }
         if (s.code() == StatusCode::kUnavailable) {
           if (drain_started.load(std::memory_order_acquire)) {
-            tally.drain_refusals.fetch_add(1, std::memory_order_relaxed);
+            robust::bump(out.drain_refusals);
             return true;  // lame duck: this client is done
           }
-          tally.fail("unexpected UNAVAILABLE before drain: " +
-                     s.to_string());
+          fail(out.failed,
+               "unexpected UNAVAILABLE before drain: " + s.to_string());
           return false;
         }
         if (s.code() == StatusCode::kDeadlineExceeded) {
           if (deadline_ok) {
-            tally.deadline_errors.fetch_add(1, std::memory_order_relaxed);
+            robust::bump(out.deadline_errors);
           } else {
-            tally.fail("unexpected deadline error: " + s.to_string());
+            fail(out.failed, "unexpected deadline error: " + s.to_string());
           }
           return false;
         }
-        tally.fail("unexpected status: " + s.to_string());
+        fail(out.failed, "unexpected status: " + s.to_string());
         return false;
-      };
-
-      /// A hand-framed single-query path request (for the raw-byte fault
-      /// modes that bypass the round-trip helper).
-      std::uint64_t raw_id = 1;
-      const auto raw_request = [&]() {
-        PathBatchRequest req;
-        req.collection = "main";
-        req.queries = make_batch(1);
-        FrameHeader h;
-        h.type = static_cast<std::uint16_t>(MsgType::kPathBatch);
-        h.request_id = 0x5000'0000 + (ci << 20) + raw_id++;
-        h.tenant = copts.tenant;
-        return std::make_pair(encode_frame(h, encode(req)), req);
       };
 
       for (std::uint64_t iter = 0;
@@ -258,17 +179,25 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
         const std::uint64_t mode =
             robust::chaos_mix(opts.seed, 100 + ci, iter) % 16;
         switch (mode) {
-          default: {  // modes 0..8: a normal path batch
-            const std::string col = (iter & 1) != 0 ? "alt" : "main";
+          default:    // modes 0..8: a normal path batch
+          case 10: {  // deadline squeeze: a 1 ns budget must come back
+                      // as a typed DEADLINE_EXCEEDED, never a late answer
+            const bool squeeze = mode == 10;
             const auto batch = make_batch(opts.batch_queries);
-            copts.deadline_ns = 0;
+            copts.deadline_ns = squeeze ? 1 : 0;
             client.options() = copts;
-            auto resp = client.path_batch(col, batch);
-            tally.batches.fetch_add(1, std::memory_order_relaxed);
+            auto resp = client.path_batch(
+                !squeeze && (iter & 1) != 0 ? "alt" : "main", batch);
+            copts.deadline_ns = 0;
+            robust::bump(out.batches);
             if (resp.ok()) {
-              tally.answered.fetch_add(1, std::memory_order_relaxed);
-              check_paths(batch, resp.value());
-            } else if (triage(resp.status(), /*deadline_ok=*/false)) {
+              // A squeezed batch is answered only if the server truly
+              // beat the clock; the answers must still be right.
+              robust::bump(out.answered);
+              robust::bump(out.wrong_answers,
+                           serve::count_path_mismatches(tree, batch,
+                                                        resp->answers));
+            } else if (triage(resp.status(), /*deadline_ok=*/squeeze)) {
               return;
             }
             break;
@@ -283,41 +212,23 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
             copts.deadline_ns = 0;
             client.options() = copts;
             auto resp = client.point_batch("points", pts);
-            tally.batches.fetch_add(1, std::memory_order_relaxed);
+            robust::bump(out.batches);
             if (resp.ok()) {
-              tally.answered.fetch_add(1, std::memory_order_relaxed);
+              robust::bump(out.answered);
               bool bad = resp->regions.size() != expect.size();
               for (std::size_t i = 0; !bad && i < expect.size(); ++i) {
                 bad = resp->regions[i] != expect[i];
               }
               if (bad) {
-                tally.wrong_answers.fetch_add(1, std::memory_order_relaxed);
+                robust::bump(out.wrong_answers);
               }
             } else if (triage(resp.status(), /*deadline_ok=*/false)) {
               return;
             }
             break;
           }
-          case 10: {  // deadline squeeze: a 1 ns budget must come back
-                      // as a typed DEADLINE_EXCEEDED, never a late answer
-            const auto batch = make_batch(opts.batch_queries);
-            copts.deadline_ns = 1;
-            client.options() = copts;
-            auto resp = client.path_batch("main", batch);
-            copts.deadline_ns = 0;
-            tally.batches.fetch_add(1, std::memory_order_relaxed);
-            if (resp.ok()) {
-              // Permitted only if the server truly beat the clock —
-              // answers must still be right.
-              tally.answered.fetch_add(1, std::memory_order_relaxed);
-              check_paths(batch, resp.value());
-            } else if (triage(resp.status(), /*deadline_ok=*/true)) {
-              return;
-            }
-            break;
-          }
           case 11: {  // corrupted frame injection
-            auto [frame, req] = raw_request();
+            auto frame = raw_request();
             const robust::CorruptionKind kind =
                 robust::kAllWireFaultKinds[iter % 3];
             if (!robust::corrupt_frame(
@@ -325,8 +236,7 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
                      .ok()) {
               break;
             }
-            tally.malformed_injected.fetch_add(1,
-                                               std::memory_order_relaxed);
+            robust::bump(out.malformed_injected);
             if (!client.send_raw(frame).ok()) {
               client.close();
               break;
@@ -345,18 +255,16 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
               if (err.ok() &&
                   static_cast<StatusCode>(err->code) ==
                       StatusCode::kCorrupted) {
-                tally.malformed_rejected.fetch_add(
-                    1, std::memory_order_relaxed);
+                robust::bump(out.malformed_rejected);
               }
             }
             client.close();  // server closes its side too; resync
             break;
           }
           case 12: {  // connection reset mid-batch
-            auto [frame, req] = raw_request();
+            auto frame = raw_request();
             if (client.send_raw(frame).ok()) {
-              tally.resets_injected.fetch_add(1,
-                                              std::memory_order_relaxed);
+              robust::bump(out.resets_injected);
             }
             client.close_abruptly();  // RST while the batch may be in
                                       // flight; response must be dropped,
@@ -364,7 +272,7 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
             break;
           }
           case 13: {  // slow reader: answer sits in the socket a while
-            auto [frame, req] = raw_request();
+            auto frame = raw_request();
             if (!client.send_raw(frame).ok()) {
               client.close();
               break;
@@ -372,7 +280,7 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
             std::this_thread::sleep_for(std::chrono::milliseconds(40));
             auto resp = client.read_frame();
             if (resp.ok()) {
-              tally.slow_reads.fetch_add(1, std::memory_order_relaxed);
+              robust::bump(out.slow_reads);
             } else {
               client.close();
             }
@@ -390,15 +298,9 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
             std::vector<std::uint8_t> blast;
             blast.reserve(kStormFrames * 160);
             for (int k = 0; k < kStormFrames; ++k) {
-              PathBatchRequest req;
-              req.collection = "main";
-              req.queries = make_batch(1);
-              FrameHeader h;
-              h.type = static_cast<std::uint16_t>(MsgType::kPathBatch);
-              h.request_id = 0x6000'0000 + (iter << 12) +
-                             static_cast<std::uint64_t>(k);
-              h.tenant = kHotTenant;
-              const auto bytes = encode_frame(h, encode(req));
+              const auto bytes = raw_frame(
+                  0x6000'0000 + (iter << 12) + static_cast<std::uint64_t>(k),
+                  kHotTenant);
               blast.insert(blast.end(), bytes.begin(), bytes.end());
             }
             if (!client.send_raw(blast).ok()) {
@@ -422,7 +324,7 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
               }
               const Status s = from_wire_error(err.value());
               if (s.code() == StatusCode::kResourceExhausted) {
-                tally.quota_sheds.fetch_add(1, std::memory_order_relaxed);
+                robust::bump(out.quota_sheds);
               } else if (triage(s, /*deadline_ok=*/false)) {
                 draining_out = true;  // keep reading what's in flight
               }
@@ -465,7 +367,7 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
         const std::string col = (cycle + b) % 2 == 0 ? "main" : "alt";
         auto v = admin.swap(col, opts.snap_path);
         if (v.ok()) {
-          tally.swaps.fetch_add(1, std::memory_order_relaxed);
+          robust::bump(out.swaps);
         } else if (v.status().code() == StatusCode::kUnavailable) {
           return;
         }
@@ -473,14 +375,14 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
       if (cycle % 3 == 0) {
         auto v = admin.load("ephemeral", opts.point_snap_path);
         if (v.ok() && admin.unload("ephemeral").ok()) {
-          tally.load_unload_cycles.fetch_add(1, std::memory_order_relaxed);
+          robust::bump(out.load_unload_cycles);
         }
       }
       if (opts.verbose && cycle % 50 == 0) {
         std::fprintf(stderr, "wire-soak: cycle %llu swaps=%llu\n",
                      static_cast<unsigned long long>(cycle),
                      static_cast<unsigned long long>(
-                         tally.swaps.load(std::memory_order_relaxed)));
+                         robust::peek(out.swaps)));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -488,33 +390,15 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
 
   // ---- Run until every goal is observed (bounded), then drain
   // mid-traffic. ----
-  const auto begun = Clock::now();
-  const auto min_end = begun + opts.duration;
-  const auto hard_end = begun + opts.duration * 6 + std::chrono::seconds(2);
-  const auto goals_now = [&] {
-    return tally.deadline_errors.load(std::memory_order_relaxed) >= 1 &&
-           tally.quota_sheds.load(std::memory_order_relaxed) >= 1 &&
-           tally.malformed_rejected.load(std::memory_order_relaxed) >= 1 &&
-           tally.resets_injected.load(std::memory_order_relaxed) >= 1 &&
-           tally.slow_reads.load(std::memory_order_relaxed) >= 1 &&
-           tally.swaps.load(std::memory_order_relaxed) >= 1 &&
-           tally.load_unload_cycles.load(std::memory_order_relaxed) >= 1 &&
-           tally.answered.load(std::memory_order_relaxed) >= 1;
-  };
-  for (;;) {
-    const auto now = Clock::now();
-    if ((now >= min_end && goals_now()) || now >= hard_end) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  robust::run_until_goals(opts.duration,
+                          [&] { return robust::goals_reached(out); });
 
   // Drain while clients are still firing: in-flight batches must finish,
   // new ones must get typed refusals, and the server must report fully
   // drained inside the grace window.
   drain_started.store(true, std::memory_order_release);
   server->begin_drain();
-  const bool drained = server->wait_drained(opts.drain_grace);
+  out.drained_in_grace = server->wait_drained(opts.drain_grace);
 
   stop.store(true, std::memory_order_release);
   for (std::thread& t : clients) {
@@ -524,56 +408,12 @@ coop::Expected<WireSoakOutcome> run_wire_soak(const WireSoakOptions& opts) {
   const ServerStats sstats = server->stats();
   server->stop();
 
-  // ---- Assemble the outcome. ----
-  WireSoakOutcome out;
-  out.batches = tally.batches.load(std::memory_order_relaxed);
-  out.answered = tally.answered.load(std::memory_order_relaxed);
-  out.wrong_answers = tally.wrong_answers.load(std::memory_order_relaxed);
-  out.failed = tally.failed.load(std::memory_order_relaxed);
-  out.deadline_errors =
-      tally.deadline_errors.load(std::memory_order_relaxed);
-  out.quota_sheds = tally.quota_sheds.load(std::memory_order_relaxed);
-  out.drain_refusals =
-      tally.drain_refusals.load(std::memory_order_relaxed);
-  out.malformed_injected =
-      tally.malformed_injected.load(std::memory_order_relaxed);
-  out.malformed_rejected =
-      tally.malformed_rejected.load(std::memory_order_relaxed);
-  out.resets_injected =
-      tally.resets_injected.load(std::memory_order_relaxed);
-  out.slow_reads = tally.slow_reads.load(std::memory_order_relaxed);
-  out.reconnects = tally.reconnects.load(std::memory_order_relaxed);
-  out.swaps = tally.swaps.load(std::memory_order_relaxed);
-  out.load_unload_cycles =
-      tally.load_unload_cycles.load(std::memory_order_relaxed);
-  out.drained_in_grace = drained;
-  {
-    std::lock_guard<std::mutex> lock(tally.failure_mu);
-    out.first_failure = tally.first_failure;
-  }
-  out.goals_met = goals_now() && drained;
-
-  if (out.wrong_answers > 0) {
-    out.verdict = "FAIL: " + std::to_string(out.wrong_answers) +
-                  " answers disagreed with the oracle";
-  } else if (out.failed > 0) {
-    out.verdict = "FAIL: " + std::to_string(out.failed) +
-                  " requests got an unexpected status (first: " +
-                  out.first_failure + ")";
-  } else if (!out.drained_in_grace) {
-    out.verdict = "FAIL: drain did not complete within the grace window";
-  } else if (!out.goals_met) {
-    out.verdict =
-        "FAIL: soak ended without observing every wire-fault goal "
-        "(deadline/quota/malformed/reset/slow/swap/load-unload)";
-  } else {
-    out.verdict =
-        "OK: zero wrong answers, zero unexpected statuses; server "
-        "survived resets, corrupt frames, deadline squeezes, quota "
-        "storms, swap storms, and drained cleanly (" +
-        std::to_string(sstats.malformed) + " malformed frames rejected)";
-  }
-
+  robust::judge(out,
+                "zero wrong answers, zero unexpected statuses; server "
+                "survived resets, corrupt frames, deadline squeezes, quota "
+                "storms, swap storms, and drained cleanly (" +
+                    std::to_string(sstats.malformed) +
+                    " malformed frames rejected)");
   std::remove(opts.snap_path.c_str());
   std::remove(opts.point_snap_path.c_str());
   return out;

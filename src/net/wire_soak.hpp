@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "robust/soak.hpp"
 #include "robust/status.hpp"
 
 namespace net {
@@ -46,7 +47,7 @@ struct WireSoakOptions {
   bool verbose = false;
 };
 
-struct WireSoakOutcome {
+struct WireSoakOutcome : robust::SoakResult {
   // Client-side view.
   std::uint64_t batches = 0;          ///< path/point batches submitted
   std::uint64_t answered = 0;         ///< served OK
@@ -65,15 +66,31 @@ struct WireSoakOutcome {
   std::uint64_t load_unload_cycles = 0;
   // Lifecycle.
   bool drained_in_grace = false;
-  std::string first_failure;
-  bool goals_met = false;
-  std::string verdict;  ///< one-line human summary
+
+  void fields(robust::FieldList& v) const {
+    v.count("batches", batches);
+    v.goal("answered", answered);
+    v.wrong("wrong_answers", wrong_answers);
+    v.failure("failed", failed);
+    v.goal("deadline_errors", deadline_errors);
+    v.goal("quota_sheds", quota_sheds);
+    v.count("drain_refusals", drain_refusals);
+    v.count("malformed_injected", malformed_injected);
+    v.goal("malformed_rejected", malformed_rejected);
+    v.goal("resets_injected", resets_injected);
+    v.goal("slow_reads", slow_reads);
+    v.count("reconnects", reconnects);
+    v.goal("swaps", swaps);
+    v.goal("load_unload_cycles", load_unload_cycles);
+    v.must("drained_in_grace", drained_in_grace,
+           "drain did not complete within the grace window");
+  }
 };
 
 /// Run the soak.  Setup errors (fixture build, snapshot IO, server
-/// start) are the returned Status; a completed soak always returns an
-/// outcome — judge it via goals_met / failed / wrong_answers.  Runs for
-/// `duration`, extending (up to ~6x) until every goal is observed.
+/// start) are the returned Status; a completed soak always returns a
+/// judged outcome.  Runs for `duration`, extending (up to ~6x) until
+/// every goal is observed.
 [[nodiscard]] coop::Expected<WireSoakOutcome> run_wire_soak(
     const WireSoakOptions& opts);
 

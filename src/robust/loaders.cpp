@@ -1,5 +1,6 @@
 #include "robust/loaders.hpp"
 
+#include <fstream>
 #include <istream>
 #include <string>
 #include <vector>
@@ -84,6 +85,14 @@ coop::Expected<cat::Tree> load_tree(std::istream& in) {
     return Status::internal("tree file: loaded tree failed validation");
   }
   return tree;
+}
+
+coop::Expected<cat::Tree> load_tree_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    return coop::Status::invalid_argument("cannot open " + path);
+  }
+  return load_tree(in);
 }
 
 coop::Expected<geom::MonotoneSubdivision> load_subdivision(std::istream& in) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 
 #include "catalog/tree.hpp"
 #include "geom/subdivision.hpp"
@@ -17,6 +18,9 @@ namespace robust {
 /// "<parent|-1> <k> <key_1> ... <key_k>" in id order (node 0 is the root,
 /// parents must precede children; keys strictly increasing, < +infinity).
 [[nodiscard]] coop::Expected<cat::Tree> load_tree(std::istream& in);
+/// load_tree on the file `path`; an unreadable file is INVALID_ARGUMENT.
+[[nodiscard]] coop::Expected<cat::Tree> load_tree_file(
+    const std::string& path);
 
 /// Subdivision file format: first line "f ymin ymax E"; then one line per
 /// edge "lox loy hix hiy min_sep max_sep".  The result passes the full

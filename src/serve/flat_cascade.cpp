@@ -15,6 +15,14 @@ std::string at_node(std::size_t v) {
 
 }  // namespace
 
+coop::Expected<FlatCascade> FlatCascade::compile_tree(const cat::Tree& t) {
+  const auto s = fc::Structure::build_checked(t);
+  if (!s.ok()) {
+    return s.status();
+  }
+  return compile(*s);
+}
+
 coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
   const cat::Tree& t = s.tree();
   const std::size_t nn = t.num_nodes();

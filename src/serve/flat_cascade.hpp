@@ -58,6 +58,10 @@ class FlatCascade {
   /// structure is not referenced after compile() returns.
   [[nodiscard]] static coop::Expected<FlatCascade> compile(
       const fc::Structure& s);
+  /// The checked build of `t`'s cascade (fc::Structure::build_checked),
+  /// compiled: the chain every tree-to-arena path takes.
+  [[nodiscard]] static coop::Expected<FlatCascade> compile_tree(
+      const cat::Tree& t);
 
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] std::uint32_t fanout_bound() const { return b_; }

@@ -1,7 +1,10 @@
 #include "serve/query_engine.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
+#include "catalog/tree.hpp"
 #include "obs/metrics.hpp"
 
 namespace serve {
@@ -64,7 +67,17 @@ GroupKernelMetrics& group_kernel_metrics() {
   return m;
 }
 
+/// CPUs this process may run on: the affinity mask (a cpuset or taskset
+/// narrows it), not the host's count, so a pinned server neither starts
+/// idle workers nor spins against itself.
 std::size_t default_threads() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) {
+      return static_cast<std::size_t>(n);
+    }
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
@@ -537,6 +550,59 @@ BatchReport serve_point_queries(const FlatPointLocator& loc,
   return engine.for_each(
       points.size(), [&](std::size_t i) { out[i] = loc.locate(points[i]); },
       opts);
+}
+
+std::vector<NodeId> random_path(const cat::Tree& tree, std::mt19937_64& rng) {
+  std::vector<NodeId> path{tree.root()};
+  while (!tree.is_leaf(path.back())) {
+    const auto kids = tree.children(path.back());
+    path.push_back(kids[rng() % kids.size()]);
+  }
+  return path;
+}
+
+std::vector<NodeId> root_path(const cat::Tree& tree, NodeId v) {
+  std::vector<NodeId> path{v};
+  while (path.back() != tree.root()) {
+    path.push_back(tree.parent(path.back()));
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+std::vector<PathQuery> random_path_batch(const cat::Tree& tree,
+                                         std::mt19937_64& rng,
+                                         std::size_t n) {
+  std::vector<PathQuery> batch(n);
+  for (PathQuery& q : batch) {
+    q.path = random_path(tree, rng);
+    q.y = static_cast<Key>(rng() % 1'000'000'000);
+  }
+  return batch;
+}
+
+std::uint64_t count_path_mismatches(const cat::Tree& tree,
+                                    std::span<const PathQuery> queries,
+                                    std::span<const PathAnswer> answers) {
+  std::uint64_t wrong = 0;
+  if (answers.size() > queries.size()) {
+    wrong += answers.size() - queries.size();
+  }
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const PathQuery& q = queries[qi];
+    const std::vector<std::uint32_t>* got =
+        qi < answers.size() ? &answers[qi].proper_index : nullptr;
+    if (got != nullptr && got->size() > q.path.size()) {
+      ++wrong;
+    }
+    for (std::size_t i = 0; i < q.path.size(); ++i) {
+      if (got == nullptr || i >= got->size() ||
+          (*got)[i] != tree.catalog(q.path[i]).find(q.y)) {
+        ++wrong;
+      }
+    }
+  }
+  return wrong;
 }
 
 }  // namespace serve

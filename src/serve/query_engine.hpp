@@ -7,6 +7,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,10 @@
 #include "geom/primitives.hpp"
 #include "serve/flat_cascade.hpp"
 #include "serve/flat_pointloc.hpp"
+
+namespace cat {
+class Tree;
+}
 
 namespace serve {
 
@@ -156,6 +162,29 @@ struct PathAnswer {
   std::vector<std::uint32_t> aug_index;
   std::vector<std::uint32_t> proper_index;
 };
+
+/// A random root-to-leaf path of `tree`: one child drawn uniformly at
+/// every inner node.
+[[nodiscard]] std::vector<NodeId> random_path(const cat::Tree& tree,
+                                              std::mt19937_64& rng);
+
+/// The path from the root down to `v`.
+[[nodiscard]] std::vector<NodeId> root_path(const cat::Tree& tree, NodeId v);
+
+/// `n` queries, each a random_path with y drawn uniformly from
+/// [0, 10^9), the key range of cat::make_balanced_binary's trees: the
+/// random root-to-leaf workload of the soaks, the bench/ programs and the
+/// CLI checks.
+[[nodiscard]] std::vector<PathQuery> random_path_batch(
+    const cat::Tree& tree, std::mt19937_64& rng, std::size_t n);
+
+/// The path oracle: how many (query, node) answers differ from the
+/// source catalog's find(y, v) — a missing answer counts as wrong, and so
+/// does every answer beyond the last query or node.  Zero means every answer is
+/// exactly the paper's find(y, v).
+[[nodiscard]] std::uint64_t count_path_mismatches(
+    const cat::Tree& tree, std::span<const PathQuery> queries,
+    std::span<const PathAnswer> answers);
 
 /// Queries per lockstep group in search_paths_grouped: enough in-flight
 /// misses to cover DRAM latency, small enough that per-query state stays

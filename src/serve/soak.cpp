@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <random>
 #include <string>
 #include <thread>
@@ -10,30 +11,14 @@
 #include <vector>
 
 #include "catalog/tree.hpp"
-#include "fc/build.hpp"
 #include "robust/chaos.hpp"
+#include "robust/soak.hpp"
 #include "snapshot/registry.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace serve {
 
 using coop::Status;
-
-namespace {
-
-/// Client-side tallies, one struct per client thread (no sharing).
-struct ClientTally {
-  std::uint64_t batches = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t shed_breaker = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t wrong_answers = 0;
-  std::string first_failure;
-};
-
-}  // namespace
 
 coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   using Clock = std::chrono::steady_clock;
@@ -43,11 +28,7 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   const cat::Tree tree =
       cat::make_balanced_binary(opts.tree_height, opts.tree_entries,
                                 cat::CatalogShape::kRandom, fixture_rng);
-  const auto structure = fc::Structure::build_checked(tree);
-  if (!structure.ok()) {
-    return structure.status();
-  }
-  auto flat = FlatCascade::compile(*structure);
+  auto flat = FlatCascade::compile_tree(tree);
   if (!flat.ok()) {
     return flat.status();
   }
@@ -126,26 +107,18 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   // ---- Clients: build random root-leaf batches, serve them through the
   // frontend with the plan's faults, and differentially check every
   // admitted answer against the source tree. ----
+  SoakOutcome out;
+  robust::FirstFailure fail(out.first_failure);
   const std::size_t n_clients = std::max<std::size_t>(1, opts.clients);
-  std::vector<ClientTally> tallies(n_clients);
   std::vector<std::thread> clients;
   clients.reserve(n_clients);
   for (std::size_t ci = 0; ci < n_clients; ++ci) {
     clients.emplace_back([&, ci] {
-      ClientTally& tally = tallies[ci];
       std::mt19937_64 rng(opts.seed ^ (0xC11E57ull * (ci + 1)));
-      std::vector<PathQuery> batch(opts.batch_queries);
       std::vector<PathAnswer> answers;
       while (!stop.load(std::memory_order_acquire)) {
-        for (auto& q : batch) {
-          std::vector<cat::NodeId> path{tree.root()};
-          while (!tree.is_leaf(path.back())) {
-            const auto kids = tree.children(path.back());
-            path.push_back(kids[rng() % kids.size()]);
-          }
-          q.path = std::move(path);
-          q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-        }
+        const std::vector<PathQuery> batch =
+            random_path_batch(tree, rng, opts.batch_queries);
         const std::uint64_t seq =
             chaos_seq.fetch_add(1, std::memory_order_relaxed);
         const robust::BatchFault fault = plan.fault_for_batch(seq);
@@ -176,31 +149,20 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
         BatchReport report;
         const Status st = frontend.serve_paths(batch, answers, &report,
                                                nullptr, override_opts, chaos);
-        ++tally.batches;
+        robust::bump(out.batches);
         if (st.ok()) {
-          ++tally.admitted;
+          robust::bump(out.admitted);
           if (report.degraded) {
-            ++tally.degraded;
+            robust::bump(out.degraded);
           }
-          for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-            for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
-              if (answers[qi].proper_index.size() !=
-                      batch[qi].path.size() ||
-                  answers[qi].proper_index[i] !=
-                      tree.catalog(batch[qi].path[i]).find(batch[qi].y)) {
-                ++tally.wrong_answers;
-              }
-            }
-          }
+          robust::bump(out.wrong_answers,
+                       count_path_mismatches(tree, batch, answers));
         } else if (st.code() == coop::StatusCode::kResourceExhausted) {
-          ++tally.shed;
+          robust::bump(out.shed);
         } else if (st.code() == coop::StatusCode::kUnavailable) {
-          ++tally.shed_breaker;
+          robust::bump(out.shed_breaker);
         } else {
-          ++tally.failed;
-          if (tally.first_failure.empty()) {
-            tally.first_failure = st.to_string();
-          }
+          fail(out.failed, st.to_string());
         }
       }
     });
@@ -210,32 +172,22 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   // Each cycle waits for the scrubber to bless the fresh current
   // generation before rotting it, so every flip has a rollback target and
   // every detection is attributable to that cycle's flip. ----
-  std::atomic<std::uint64_t> publishes{0};
-  std::atomic<std::uint64_t> bitflips{0};
   std::thread conductor([&] {
     std::uint64_t cycle = 0;
-    const auto wait_until = [&](const auto& pred) {
-      const auto deadline = Clock::now() + std::chrono::seconds(1);
-      while (!stop.load(std::memory_order_acquire) && Clock::now() < deadline) {
-        if (pred()) {
-          return true;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      return pred();
+    // Each wait gives up after a second, or at once when the soak stops.
+    const auto wait_until = [&](const std::function<bool()>& pred) {
+      return robust::wait_until(
+                 [&] { return stop.load(std::memory_order_acquire) || pred(); },
+                 Clock::now() + std::chrono::seconds(1),
+                 std::chrono::milliseconds(2)) &&
+             pred();
     };
     while (!stop.load(std::memory_order_acquire)) {
       const std::uint32_t burst = plan.publish_burst_size(cycle);
       for (std::uint32_t b = 0; b < burst; ++b) {
         if (publish_clean().ok()) {
-          publishes.fetch_add(1, std::memory_order_relaxed);
+          robust::bump(out.publishes);
         }
-      }
-      if (opts.verbose) {
-        std::fprintf(stderr, "soak: cycle %llu published %u (registry at gen %llu)\n",
-                    static_cast<unsigned long long>(cycle), burst,
-                    static_cast<unsigned long long>(
-                        registry.current_version()));
       }
       // Wait for a clean scrub of the new current generation.
       if (!wait_until([&] {
@@ -255,12 +207,7 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
           continue;
         }
         pin.snapshot().mapping.mutable_data()[flip_off] ^= 0x01;
-        bitflips.fetch_add(1, std::memory_order_relaxed);
-        if (opts.verbose) {
-          std::fprintf(stderr, "soak: cycle %llu flipped bit in gen %llu\n",
-                      static_cast<unsigned long long>(cycle),
-                      static_cast<unsigned long long>(pin.version()));
-        }
+        robust::bump(out.bitflips);
       }
       // Wait for detection + rollback before the next storm.
       (void)wait_until([&] {
@@ -268,39 +215,25 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
       });
       if (opts.verbose) {
         const ScrubberStats ss = scrubber.stats();
-        std::fprintf(stderr, "soak: cycle %llu scrubber quarantines=%llu "
-                    "rollbacks=%llu (gen %llu -> %llu)\n",
-                    static_cast<unsigned long long>(cycle),
-                    static_cast<unsigned long long>(ss.quarantines),
-                    static_cast<unsigned long long>(ss.rollbacks),
-                    static_cast<unsigned long long>(ss.last_bad_version),
-                    static_cast<unsigned long long>(ss.last_rollback_to));
+        std::fprintf(stderr,
+                     "soak: cycle %llu published %u, flipped gen %llu, "
+                     "rolled back to %llu (quarantines=%llu)\n",
+                     static_cast<unsigned long long>(cycle), burst,
+                     static_cast<unsigned long long>(ss.last_bad_version),
+                     static_cast<unsigned long long>(ss.last_rollback_to),
+                     static_cast<unsigned long long>(ss.quarantines));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       ++cycle;
     }
   });
 
-  // ---- Run until the duration elapsed AND every goal was observed (the
-  // goals are probabilistic in time, not in outcome; the hard cap bounds
-  // a pathological scheduler). ----
-  const auto started = Clock::now();
-  const auto min_end = started + opts.duration;
-  const auto hard_end =
-      started + opts.duration * 6 + std::chrono::seconds(2);
-  const auto goals_met_now = [&] {
-    const FrontendStats fs = frontend.stats();
-    const ScrubberStats ss = scrubber.stats();
-    return fs.shed >= 1 && fs.breaker_trips >= 1 && ss.quarantines >= 1 &&
-           ss.rollbacks >= 1 && bitflips.load(std::memory_order_relaxed) >= 1;
-  };
-  for (;;) {
-    const auto now = Clock::now();
-    if ((now >= min_end && goals_met_now()) || now >= hard_end) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  // ---- Run until the duration elapsed AND every goal was observed. ----
+  robust::run_until_goals(opts.duration, [&] {
+    out.frontend = frontend.stats();
+    out.scrubber = scrubber.stats();
+    return robust::goals_reached(out);
+  });
 
   stop.store(true, std::memory_order_release);
   for (auto& c : clients) {
@@ -309,45 +242,11 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   conductor.join();
   scrubber.stop();
 
-  // ---- Assemble the outcome. ----
-  SoakOutcome out;
-  std::string first_failure;
-  for (const ClientTally& t : tallies) {
-    out.batches += t.batches;
-    out.admitted += t.admitted;
-    out.shed += t.shed;
-    out.shed_breaker += t.shed_breaker;
-    out.failed += t.failed;
-    out.degraded += t.degraded;
-    out.wrong_answers += t.wrong_answers;
-    if (first_failure.empty() && !t.first_failure.empty()) {
-      first_failure = t.first_failure;
-    }
-  }
-  out.publishes = publishes.load(std::memory_order_relaxed);
-  out.bitflips = bitflips.load(std::memory_order_relaxed);
   out.frontend = frontend.stats();
   out.scrubber = scrubber.stats();
-  out.goals_met = out.frontend.shed >= 1 && out.frontend.breaker_trips >= 1 &&
-                  out.scrubber.quarantines >= 1 &&
-                  out.scrubber.rollbacks >= 1 && out.bitflips >= 1;
-
-  if (out.wrong_answers > 0) {
-    out.verdict = "FAIL: " + std::to_string(out.wrong_answers) +
-                  " wrong answers among admitted batches";
-  } else if (out.failed > 0) {
-    out.verdict = "FAIL: " + std::to_string(out.failed) +
-                  " batches failed with unexpected status (first: " +
-                  first_failure + ")";
-  } else if (!out.goals_met) {
-    out.verdict =
-        "FAIL: soak ended without observing every chaos goal "
-        "(shed/trip/quarantine/rollback/flip)";
-  } else {
-    out.verdict = "OK: zero wrong answers, zero unexpected failures; "
-                  "observed >=1 shed, breaker trip, quarantine, rollback";
-  }
-
+  robust::judge(out,
+                "zero wrong answers, zero unexpected failures; observed "
+                ">=1 shed, breaker trip, quarantine, rollback");
   std::remove(opts.snap_path.c_str());
   return out;
 }

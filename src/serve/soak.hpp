@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "robust/soak.hpp"
 #include "robust/status.hpp"
 #include "serve/frontend.hpp"
 #include "serve/scrubber.hpp"
@@ -45,7 +46,7 @@ struct SoakOptions {
   bool verbose = false;  ///< print conductor events + final counters
 };
 
-struct SoakOutcome {
+struct SoakOutcome : robust::SoakResult {
   // Client-side view.
   std::uint64_t batches = 0;       ///< submitted
   std::uint64_t admitted = 0;      ///< served OK
@@ -57,19 +58,35 @@ struct SoakOutcome {
   // Conductor-side view.
   std::uint64_t publishes = 0;
   std::uint64_t bitflips = 0;
-  // Subsystem stats at shutdown.
+  // Subsystem stats, refreshed while the goals are polled.
   FrontendStats frontend;
   ScrubberStats scrubber;
-  /// All soak goals observed: >=1 shed, >=1 breaker trip, >=1 scrubber
-  /// quarantine, >=1 rollback, >=1 bit flip.
-  bool goals_met = false;
-  std::string verdict;  ///< one-line human summary
+
+  /// Goals: >=1 shed, breaker trip, scrubber quarantine, rollback and
+  /// bit flip.
+  void fields(robust::FieldList& v) const {
+    v.count("batches", batches);
+    v.count("admitted", admitted);
+    v.count("shed", shed);
+    v.count("shed_breaker", shed_breaker);
+    v.failure("failed", failed);
+    v.count("degraded", degraded);
+    v.wrong("wrong_answers", wrong_answers);
+    v.goal("frontend_shed", frontend.shed);
+    v.goal("breaker_trips", frontend.breaker_trips);
+    v.count("breaker_probes", frontend.breaker_probes);
+    v.count("scrub_passes", scrubber.passes);
+    v.goal("quarantines", scrubber.quarantines);
+    v.goal("rollbacks", scrubber.rollbacks);
+    v.count("publishes", publishes);
+    v.goal("bitflips", bitflips);
+  }
 };
 
 /// Run the soak.  Setup errors (tree build, snapshot write/open) are the
-/// returned Status; a completed soak always returns an outcome — the
-/// caller judges it via goals_met / failed / wrong_answers.  Runs for
-/// `duration`, extending (up to ~6x) until the goals are observed.
+/// returned Status; a completed soak always returns a judged outcome.
+/// Runs for `duration`, extending (up to ~6x) until the goals are
+/// observed.
 [[nodiscard]] coop::Expected<SoakOutcome> run_chaos_soak(
     const SoakOptions& opts);
 

@@ -1,6 +1,7 @@
 #include "serve/query_engine.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -109,6 +110,24 @@ TEST(QueryEngine, ReusableAcrossBatches) {
     EXPECT_FALSE(report.degraded);
     fx.expect_answers_match(out);
   }
+}
+
+// threads == 0 sizes the pool from the CPUs the process may use, not
+// the host's count: pinned to one CPU, the engine runs inline.
+TEST(QueryEngine, DefaultSizeFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) {
+    ++cpu;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t threads = QueryEngine(0).threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(threads, 1u);
 }
 
 TEST(QueryEngine, EmptyBatch) {

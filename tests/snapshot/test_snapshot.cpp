@@ -13,6 +13,7 @@
 #include "helpers.hpp"
 #include "pointloc/separator_tree.hpp"
 #include "serve/flat_pointloc.hpp"
+#include "snapshot/format.hpp"
 
 namespace {
 
@@ -220,6 +221,99 @@ TEST(Snapshot, InMemoryWrapsCompiledStructures) {
   for (std::size_t i = 0; i < path.size(); ++i) {
     EXPECT_EQ(r.proper_index[i], t.catalog(path[i]).find(500));
   }
+}
+
+/// Every answer a loaded snapshot gives on a fixed probe set: find and
+/// find_binary at every node for each probe key, and for a point locator
+/// locate() on each probe point as well.
+std::vector<std::uint64_t> probe_answers(const snapshot::Snapshot& snap,
+                                         const std::vector<cat::Key>& keys,
+                                         const std::vector<geom::Point>& pts) {
+  std::vector<std::uint64_t> out{static_cast<std::uint64_t>(snap.kind)};
+  const FlatCascade& c = snap.kind == snapshot::SnapshotKind::kCascade
+                             ? snap.cascade
+                             : snap.pointloc->cascade();
+  for (std::uint32_t v = 0; v < c.num_nodes(); ++v) {
+    for (const cat::Key y : keys) {
+      out.push_back(c.find(v, y));
+      out.push_back(c.find_binary(v, y));
+    }
+  }
+  if (snap.kind == snapshot::SnapshotKind::kPointLocator) {
+    for (const geom::Point& q : pts) {
+      out.push_back(snap.pointloc->locate(q));
+    }
+  }
+  return out;
+}
+
+// The decoder contract (ROADMAP aim 3) for snapshots: a file with any one
+// byte inverted either fails to open with a typed Status, or opens into a
+// structure that answers every probe exactly as the pristine file does.
+TEST(Snapshot, EveryByteFlipIsRejectedOrHarmless) {
+  std::mt19937_64 rng(7);
+  const cat::Tree tree =
+      cat::make_balanced_binary(3, 200, CatalogShape::kRandom, rng);
+  const auto sub = geom::make_random_monotone(12, 6, rng);
+  auto septree = pointloc::SeparatorTree::build_checked(sub);
+  ASSERT_TRUE(septree.ok()) << septree.status().to_string();
+  auto ploc = FlatPointLocator::compile(*septree);
+  ASSERT_TRUE(ploc.ok()) << ploc.status().to_string();
+
+  std::vector<cat::Key> keys{-1, 0, 1, 250'000'000, 500'000'000,
+                             999'999'999, 1'000'000'000};
+  for (int i = 0; i < 16; ++i) {
+    keys.push_back(static_cast<cat::Key>(rng() % 1'000'000'000));
+  }
+  std::vector<geom::Point> pts;
+  for (int i = 0; i < 64; ++i) {
+    pts.push_back(geom::random_query_point(sub, rng));
+  }
+
+  const std::string path = tmp_path("byte_flip.snap");
+  for (const bool cascade : {true, false}) {
+    ASSERT_TRUE((cascade ? snapshot::write(compile_tree(tree), path)
+                         : snapshot::write(*ploc, path))
+                    .ok());
+    std::vector<char> original;
+    {
+      std::ifstream f(path, std::ios::binary);
+      original.assign(std::istreambuf_iterator<char>(f),
+                      std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(original.empty());
+    auto pristine = snapshot::open(path);
+    ASSERT_TRUE(pristine.ok()) << pristine.status().to_string();
+    const std::vector<std::uint64_t> want = probe_answers(*pristine, keys, pts);
+
+    std::size_t rejected = 0;
+    for (std::size_t pos = 0; pos < original.size(); ++pos) {
+      std::vector<char> mutated = original;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ 0xFF);
+      {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+      }
+      auto snap = snapshot::open(path);
+      if (!snap.ok()) {
+        EXPECT_NE(snap.status().code(), coop::StatusCode::kOk);
+        ++rejected;
+        continue;
+      }
+      ASSERT_EQ(probe_answers(*snap, keys, pts), want)
+          << (cascade ? "cascade" : "point locator") << " flip at byte "
+          << pos;
+    }
+    // The CRC ladder does the work: nearly every byte is covered.
+    EXPECT_GT(rejected, original.size() * 3 / 4);
+  }
+  std::remove(path.c_str());
+}
+
+// Pins the CRC-32C polynomial whichever kernel (SSE4.2 or table) a build
+// runs: the standard check value of "123456789".
+TEST(Snapshot, Crc32cKnownAnswer) {
+  EXPECT_EQ(snapshot::crc32("123456789", 9), 0xE3069283u);
 }
 
 }  // namespace

@@ -24,27 +24,19 @@
 // scripts/check_bench_regression.py gates against bench/baselines/.
 // --port-file PATH reads the port coopserve wrote there.
 //
-// rw drives the end-to-end write path against a *dynamic* collection
-// (coopserve --dynamic-collection): --threads writer/reader clients
-// each own a disjoint key slice above every base key, apply a seeded
-// mutation stream with MUTATE, and immediately verify read-your-writes
-// with DYN_PATH_BATCH against a local journal of their own slice
-// (exact within the slice — other writers' keys cannot fall inside
-// it).  Thread 0 periodically issues COMPACT; the run passes only with
-// zero wrong answers, zero request errors, and at least three
-// compaction publishes observed over the wire.
+// rw drives the write path of a *dynamic* collection (coopserve
+// --dynamic-collection): --threads writers, each on its own key slice,
+// MUTATE and read their writes back with DYN_PATH_BATCH against a
+// dyn::SliceJournal while thread 0 issues COMPACT (DESIGN.md §13).
 //
-// crash-soak is the kill -9 supervisor (DESIGN.md §14): it repeatedly
-// spawns a durable coopserve (--server-bin, WAL under --wal-dir), aims
-// a two-writer MUTATE storm at it, SIGKILLs the server at a seeded
-// point mid-storm (robust::CrashPlan — every third cycle provokes a
-// compaction first so kills land mid-spool / mid-manifest-commit),
-// restarts it, and verifies every *acknowledged* write is still
-// served.  Writes a writer is unsure about (sent, never acked) are
-// held indeterminate and excluded until re-acked — the durability
-// contract covers acks, nothing else.  Passes only with zero lost
-// acks, zero wrong answers, zero recovery failures, and a clean final
-// drain.
+// crash-soak is the kill -9 supervisor (DESIGN.md §14): it restarts a
+// durable coopserve, storms it with writes, SIGKILLs it at seeded points
+// (robust::CrashPlan) and checks that every *acknowledged* write is
+// still served; writes in flight at a kill stay indeterminate.
+//
+// Both, like cluster-soak, report through the soak kernel
+// (robust/soak.hpp): a verdict, a summary line, and with --json one
+// {"soak": ...} document.
 
 #include <unistd.h>
 
@@ -56,10 +48,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
+#include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,10 +58,12 @@
 #include "cluster/child_process.hpp"
 #include "cluster/cluster_soak.hpp"
 #include "dyn/delta.hpp"
+#include "dyn/slice_journal.hpp"
 #include "flags.hpp"
 #include "net/client.hpp"
 #include "robust/chaos.hpp"
 #include "robust/loaders.hpp"
+#include "robust/soak.hpp"
 #include "serve/frontend.hpp"
 
 namespace {
@@ -112,15 +104,6 @@ int usage() {
   return 2;
 }
 
-struct BenchRow {
-  std::string mode;
-  std::size_t threads = 0;
-  double qps = 0.0;
-  std::uint64_t p99_ns = 0;
-  std::uint64_t answered = 0;
-  std::uint64_t sheds = 0;
-};
-
 struct Args {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
@@ -157,49 +140,45 @@ int typed_json_error(const Args& a, const char* phase,
   std::fprintf(stderr, "coopload: %s failed: %s\n", phase,
                st.to_string().c_str());
   if (a.json) {
-    std::string msg;
-    for (const char c : st.to_string()) {
-      if (c == '"' || c == '\\') {
-        msg += '\\';
-      }
-      msg += c == '\n' ? ' ' : c;
-    }
-    char doc[768];
-    std::snprintf(doc, sizeof(doc),
-                  "{\"bench\":\"%s\",\"rows\":[],\"error\":{\"phase\":"
-                  "\"%s\",\"code\":%d,\"message\":\"%s\"}}\n",
-                  a.label.c_str(), phase,
-                  static_cast<int>(st.code()), msg.c_str());
-    if (a.json_path.empty()) {
-      std::fputs(doc, stdout);
-    } else {
-      std::FILE* f = std::fopen(a.json_path.c_str(), "w");
-      if (f != nullptr) {
-        std::fputs(doc, f);
-        std::fclose(f);
-      }
-    }
+    robust::JsonFields error;
+    error.text("phase", phase);
+    error.count("code", static_cast<std::uint64_t>(st.code()));
+    error.text("message", st.to_string());
+    robust::JsonFields doc;
+    doc.text("bench", a.label);
+    doc.raw("rows", "[]");
+    doc.raw("error", error.str());
+    (void)robust::emit_json(a.json_path, doc.str());
   }
   return 1;
 }
 
-int run_bench(const Args& a) {
+/// The --tree file, loaded through the checked loader.  On failure
+/// prints why and sets `rc`: 2 when the flag is missing, 1 otherwise.
+std::optional<cat::Tree> tree_arg(const Args& a, int& rc) {
   if (a.tree_path.empty()) {
-    std::fprintf(stderr, "error: --op bench needs --tree tree.txt\n");
-    return 2;
+    std::fprintf(stderr, "error: --op %s needs --tree tree.txt\n",
+                 a.op.c_str());
+    rc = 2;
+    return std::nullopt;
   }
-  std::ifstream in(a.tree_path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", a.tree_path.c_str());
-    return 1;
-  }
-  auto loaded = robust::load_tree(in);
+  auto loaded = robust::load_tree_file(a.tree_path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", a.tree_path.c_str(),
                  loaded.status().to_string().c_str());
-    return 1;
+    rc = 1;
+    return std::nullopt;
   }
-  const cat::Tree tree = loaded.take();
+  return loaded.take();
+}
+
+int run_bench(const Args& a) {
+  int rc = 0;
+  const std::optional<cat::Tree> loaded = tree_arg(a, rc);
+  if (!loaded) {
+    return rc;
+  }
+  const cat::Tree& tree = *loaded;
   const std::vector<std::string> cols =
       a.collections.empty() ? std::vector<std::string>{"main"}
                             : a.collections;
@@ -220,12 +199,12 @@ int run_bench(const Args& a) {
     }
   }
 
-  std::vector<BenchRow> rows;
+  std::string rows;
   std::uint64_t mismatches = 0, errors = 0;
   std::string first_error;
+  robust::FirstFailure fail(first_error);
   for (const std::string& col : cols) {
-    std::atomic<std::uint64_t> answered{0}, sheds{0}, bad{0}, errs{0};
-    std::mutex err_mu;
+    std::atomic<std::uint64_t> answered{0}, sheds{0}, bad{0};
     std::vector<std::vector<std::uint64_t>> lat(a.threads);
     std::vector<std::thread> fleet;
     const auto until =
@@ -238,25 +217,13 @@ int run_bench(const Args& a) {
         copts.deadline_ns = a.deadline_ns;
         auto c = net::Client::connect(a.host, a.port, copts);
         if (!c.ok()) {
-          errs.fetch_add(1, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (first_error.empty()) {
-            first_error = c.status().to_string();
-          }
+          fail(errors, c.status().to_string());
           return;
         }
         net::Client client = c.take();
-        std::vector<serve::PathQuery> batch(a.batch);
         while (Clock::now() < until) {
-          for (serve::PathQuery& q : batch) {
-            std::vector<cat::NodeId> path{tree.root()};
-            while (!tree.is_leaf(path.back())) {
-              const auto kids = tree.children(path.back());
-              path.push_back(kids[rng() % kids.size()]);
-            }
-            q.path = std::move(path);
-            q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-          }
+          const std::vector<serve::PathQuery> batch =
+              serve::random_path_batch(tree, rng, a.batch);
           const auto t0 = Clock::now();
           auto resp = client.path_batch(col, batch);
           const auto t1 = Clock::now();
@@ -267,18 +234,9 @@ int run_bench(const Args& a) {
                                                                      t0)
                     .count()));
             if (a.check) {
-              for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-                const auto& ans = resp->answers[qi];
-                for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
-                  if (i >= ans.proper_index.size() ||
-                      ans.proper_index[i] !=
-                          tree.catalog(batch[qi].path[i]).find(
-                              batch[qi].y)) {
-                    bad.fetch_add(1, std::memory_order_relaxed);
-                    break;
-                  }
-                }
-              }
+              bad.fetch_add(
+                  serve::count_path_mismatches(tree, batch, resp->answers),
+                  std::memory_order_relaxed);
             }
           } else if (resp.status().code() ==
                          StatusCode::kResourceExhausted ||
@@ -290,11 +248,7 @@ int run_bench(const Args& a) {
             sheds.fetch_add(1, std::memory_order_relaxed);
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           } else {
-            errs.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (first_error.empty()) {
-              first_error = resp.status().to_string();
-            }
+            fail(errors, resp.status().to_string());
             return;  // a broken stream will not heal; stop this thread
           }
         }
@@ -312,27 +266,26 @@ int run_bench(const Args& a) {
       merged.insert(merged.end(), v.begin(), v.end());
     }
     std::sort(merged.begin(), merged.end());
-    BenchRow row;
-    row.mode = "paths:" + col;
-    row.threads = a.threads;
-    row.answered = answered.load();
-    row.sheds = sheds.load();
-    row.qps = secs > 0 ? static_cast<double>(row.answered) / secs : 0.0;
-    row.p99_ns =
-        merged.empty() ? 0 : merged[merged.size() * 99 / 100 ==
-                                            merged.size()
-                                        ? merged.size() - 1
-                                        : merged.size() * 99 / 100];
-    rows.push_back(row);
+    const std::string mode = "paths:" + col;
+    const double qps =
+        secs > 0 ? static_cast<double>(answered.load()) / secs : 0.0;
+    const std::uint64_t p99_ns =
+        merged.empty() ? 0 : merged[merged.size() * 99 / 100];
+    robust::JsonFields row;
+    row.text("mode", mode);
+    row.count("threads", a.threads);
+    row.real("qps", qps);
+    row.count("p99_ns", p99_ns);
+    row.count("sheds", sheds.load());
+    rows += (rows.empty() ? "" : ",") + row.str();
     mismatches += bad.load();
-    errors += errs.load();
     std::fprintf(stderr,
                  "%-16s threads=%zu qps=%.0f p99=%.3fms answered=%llu "
                  "sheds=%llu\n",
-                 row.mode.c_str(), row.threads, row.qps,
-                 static_cast<double>(row.p99_ns) / 1e6,
-                 static_cast<unsigned long long>(row.answered),
-                 static_cast<unsigned long long>(row.sheds));
+                 mode.c_str(), a.threads, qps,
+                 static_cast<double>(p99_ns) / 1e6,
+                 static_cast<unsigned long long>(answered.load()),
+                 static_cast<unsigned long long>(sheds.load()));
   }
   if (errors > 0) {
     std::fprintf(stderr, "coopload: %llu request errors (first: %s)\n",
@@ -345,93 +298,55 @@ int run_bench(const Args& a) {
   }
 
   if (a.json) {
-    std::string doc = "{\"bench\":\"" + a.label + "\",\"rows\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"mode\":\"%s\",\"threads\":%zu,\"qps\":%.1f,"
-                    "\"p99_ns\":%llu,\"sheds\":%llu}",
-                    i == 0 ? "" : ",", rows[i].mode.c_str(),
-                    rows[i].threads, rows[i].qps,
-                    static_cast<unsigned long long>(rows[i].p99_ns),
-                    static_cast<unsigned long long>(rows[i].sheds));
-      doc += buf;
-    }
-    char tail[128];
-    std::snprintf(tail, sizeof(tail),
-                  "],\"checked\":%s,\"mismatches\":%llu,\"errors\":%llu}",
-                  a.check ? "true" : "false",
-                  static_cast<unsigned long long>(mismatches),
-                  static_cast<unsigned long long>(errors));
-    doc += tail;
-    doc += "\n";
-    if (a.json_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(a.json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     a.json_path.c_str());
-        return 1;
-      }
-      std::fputs(doc.c_str(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "coopload: wrote %s\n", a.json_path.c_str());
+    robust::JsonFields doc;
+    doc.text("bench", a.label);
+    doc.raw("rows", "[" + rows + "]");
+    doc.flag("checked", a.check);
+    doc.count("mismatches", mismatches);
+    doc.count("errors", errors);
+    if (!robust::emit_json(a.json_path, doc.str())) {
+      return 1;
     }
   }
   return (mismatches == 0 && errors == 0) ? 0 : 1;
 }
 
-/// Writer key slices sit above every base key so each thread's local
-/// journal is an exact oracle for queries inside its own slice.
-constexpr cat::Key kRwSliceBase = 2'000'000'000;
-constexpr cat::Key kRwSliceSpan = 1'000'000;
+/// The read-write soak's outcome, in the soak kernel's shape
+/// (robust/soak.hpp).
+struct RwOutcome : robust::SoakResult {
+  std::uint64_t mutates = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t checks = 0;
+  std::uint64_t wrong_answers = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t compactions = 0;
+
+  void fields(robust::FieldList& v) const {
+    v.count("mutates", mutates);
+    v.count("reads", reads);
+    v.count("checks", checks);
+    v.wrong("wrong_answers", wrong_answers);
+    v.failure("errors", errors);
+    v.goal("compactions", compactions, 3);
+  }
+};
 
 int run_rw(const Args& a) {
-  if (a.tree_path.empty()) {
-    std::fprintf(stderr, "error: --op rw needs --tree tree.txt\n");
-    return 2;
+  int rc = 0;
+  const std::optional<cat::Tree> loaded = tree_arg(a, rc);
+  if (!loaded) {
+    return rc;
   }
-  std::ifstream in(a.tree_path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", a.tree_path.c_str());
+  const cat::Tree& tree = *loaded;
+  if (const coop::Status st = dyn::SliceJournal::check_base(tree); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
     return 1;
-  }
-  auto loaded = robust::load_tree(in);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", a.tree_path.c_str(),
-                 loaded.status().to_string().c_str());
-    return 1;
-  }
-  const cat::Tree tree = loaded.take();
-  for (cat::NodeId v = 0; v < static_cast<cat::NodeId>(tree.num_nodes());
-       ++v) {
-    for (const cat::Key k : tree.catalog(v).keys()) {
-      if (k != cat::kInfinity && k >= kRwSliceBase) {
-        std::fprintf(stderr,
-                     "error: base key %lld >= writer slice base %lld; the "
-                     "rw oracle needs every base key below the slices\n",
-                     static_cast<long long>(k),
-                     static_cast<long long>(kRwSliceBase));
-        return 1;
-      }
-    }
   }
   const std::string col =
       a.collections.empty() ? "main" : a.collections.front();
 
-  std::atomic<std::uint64_t> mutates{0}, reads{0}, wrong{0}, errors{0};
-  std::atomic<std::uint64_t> ryw_checks{0}, compactions{0};
-  std::mutex err_mu;
-  std::string first_error;
-  const auto fail = [&](const coop::Status& st) {
-    errors.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (first_error.empty()) {
-      first_error = st.to_string();
-    }
-  };
-
+  RwOutcome out;
+  robust::FirstFailure fail(out.first_failure);
   std::vector<std::thread> fleet;
   const auto until = Clock::now() + std::chrono::milliseconds(a.duration_ms);
   for (std::size_t t = 0; t < a.threads; ++t) {
@@ -441,123 +356,74 @@ int run_rw(const Args& a) {
       copts.tenant = a.tenant + t;
       auto c = net::Client::connect(a.host, a.port, copts);
       if (!c.ok()) {
-        fail(c.status());
+        fail(out.errors, c.status().to_string());
         return;
       }
       net::Client client = c.take();
-      const cat::Key slice_lo =
-          kRwSliceBase + static_cast<cat::Key>(t) * kRwSliceSpan;
-      const cat::Key slice_hi = slice_lo + kRwSliceSpan;
-      // node -> this writer's live keys, all inside [slice_lo, slice_hi).
-      std::map<std::uint32_t, std::set<cat::Key>> journal;
+      dyn::SliceJournal journal(t);
       std::uint64_t last_version = 0;
       std::uint64_t iter = 0;
       while (Clock::now() < until) {
         ++iter;
         // One root-to-leaf path; mutate a handful of its nodes.
-        std::vector<cat::NodeId> path{tree.root()};
-        while (!tree.is_leaf(path.back())) {
-          const auto kids = tree.children(path.back());
-          path.push_back(kids[rng() % kids.size()]);
-        }
-        std::vector<dyn::Mutation> muts;
-        for (int i = 0; i < 6; ++i) {
-          dyn::Mutation m;
-          m.node =
-              static_cast<std::uint32_t>(path[rng() % path.size()]);
-          m.key = slice_lo +
-                  static_cast<cat::Key>(rng() %
-                                        static_cast<std::uint64_t>(
-                                            kRwSliceSpan));
-          m.op = rng() % 3 == 0 ? dyn::Op::kDelete : dyn::Op::kInsert;
-          muts.push_back(m);
-        }
+        const std::vector<cat::NodeId> path = serve::random_path(tree, rng);
+        const std::vector<dyn::Mutation> muts =
+            journal.random_batch(rng, 6, 3, [&] {
+              return static_cast<std::uint32_t>(path[rng() % path.size()]);
+            });
         std::vector<std::vector<std::uint8_t>> blobs;
         for (const dyn::Run& r : dyn::runs_from_mutations(muts)) {
           blobs.push_back(dyn::encode_run(r));
         }
         auto ack = client.mutate(col, std::move(blobs));
         if (!ack.ok()) {
-          fail(ack.status());
+          fail(out.errors, ack.status().to_string());
           return;  // a broken stream will not heal; stop this thread
         }
-        mutates.fetch_add(muts.size(), std::memory_order_relaxed);
-        // Mirror into the journal with the same last-op-wins collapse
-        // the run grouping applied.
-        std::map<std::pair<std::uint32_t, cat::Key>, dyn::Op> final_ops;
-        for (const dyn::Mutation& m : muts) {
-          final_ops[{m.node, m.key}] = m.op;
-        }
-        for (const auto& [nk, op] : final_ops) {
-          if (op == dyn::Op::kInsert) {
-            journal[nk.first].insert(nk.second);
-          } else {
-            journal[nk.first].erase(nk.second);
-          }
-        }
+        robust::bump(out.mutates, muts.size());
+        const dyn::SliceJournal::Collapsed final_ops =
+            dyn::SliceJournal::collapse(muts);
+        journal.ack(final_ops);
         // Read-your-writes: probe the mutated keys plus a random y,
         // all inside this writer's slice, on the same path.
         std::vector<serve::PathQuery> batch;
         for (const auto& [nk, op] : final_ops) {
-          serve::PathQuery q;
-          q.path = path;
-          q.y = nk.second;
-          batch.push_back(std::move(q));
+          batch.push_back({path, nk.second});
         }
-        serve::PathQuery probe;
-        probe.path = path;
-        probe.y = slice_lo +
-                  static_cast<cat::Key>(
-                      rng() % static_cast<std::uint64_t>(kRwSliceSpan));
-        batch.push_back(std::move(probe));
+        batch.push_back({path, journal.random_key(rng)});
         auto resp = client.dyn_path_batch(col, batch);
         if (!resp.ok()) {
-          fail(resp.status());
+          fail(out.errors, resp.status().to_string());
           return;
         }
         if (resp->write_seq < ack->ack_seq ||
             resp->answers.size() != batch.size()) {
-          wrong.fetch_add(1, std::memory_order_relaxed);
+          robust::bump(out.wrong_answers);
         } else {
           for (std::size_t qi = 0; qi < batch.size(); ++qi) {
             const auto& keys = resp->answers[qi].keys;
             for (std::size_t i = 0; i < path.size(); ++i) {
-              const auto node = static_cast<std::uint32_t>(path[i]);
-              const cat::Key y = batch[qi].y;
-              const cat::Key ans =
-                  i < keys.size() ? keys[i] : cat::Key{-1};
-              ryw_checks.fetch_add(1, std::memory_order_relaxed);
-              const auto jt = journal.find(node);
-              const auto* mine =
-                  jt == journal.end() ? nullptr : &jt->second;
-              const auto it = mine == nullptr ? std::set<cat::Key>::
-                                                    const_iterator{}
-                                              : mine->lower_bound(y);
-              if (mine != nullptr && it != mine->end()) {
-                // This writer's successor is the global one: lower
-                // slices are < y, higher slices and +inf are above it.
-                if (ans != *it) {
-                  wrong.fetch_add(1, std::memory_order_relaxed);
-                }
-              } else if (ans < slice_hi) {
-                // Nothing of ours >= y: the answer must come from a
-                // higher slice or be +inf — never inside our slice.
-                wrong.fetch_add(1, std::memory_order_relaxed);
+              robust::bump(out.checks);
+              const cat::Key served = i < keys.size() ? keys[i] : -1;
+              if (journal.check(static_cast<std::uint32_t>(path[i]),
+                                batch[qi].y,
+                                served) != dyn::JournalCheck::kOk) {
+                robust::bump(out.wrong_answers);
               }
             }
           }
         }
-        reads.fetch_add(batch.size(), std::memory_order_relaxed);
+        robust::bump(out.reads, batch.size());
         // Thread 0 drives the compaction churn the run must survive.
         if (t == 0 && iter % 8 == 0) {
           auto compacted = client.compact(col);
           if (!compacted.ok()) {
-            fail(compacted.status());
+            fail(out.errors, compacted.status().to_string());
             return;
           }
           if (compacted->version > last_version) {
             if (last_version != 0 || compacted->version > 1) {
-              compactions.fetch_add(1, std::memory_order_relaxed);
+              robust::bump(out.compactions);
             }
             last_version = compacted->version;
           }
@@ -569,57 +435,52 @@ int run_rw(const Args& a) {
     th.join();
   }
 
-  const bool goals_met =
-      wrong.load() == 0 && errors.load() == 0 && compactions.load() >= 3;
-  std::fprintf(stderr,
-               "rw:%-12s threads=%zu mutates=%llu reads=%llu checks=%llu "
-               "wrong=%llu errors=%llu compactions=%llu -> %s\n",
-               col.c_str(), a.threads,
-               static_cast<unsigned long long>(mutates.load()),
-               static_cast<unsigned long long>(reads.load()),
-               static_cast<unsigned long long>(ryw_checks.load()),
-               static_cast<unsigned long long>(wrong.load()),
-               static_cast<unsigned long long>(errors.load()),
-               static_cast<unsigned long long>(compactions.load()),
-               goals_met ? "OK" : "FAILED");
-  if (errors.load() > 0) {
-    std::fprintf(stderr, "coopload: first error: %s\n",
-                 first_error.c_str());
-  }
-  if (a.json) {
-    char doc[512];
-    std::snprintf(
-        doc, sizeof(doc),
-        "{\"soak\":\"rw_wire\",\"collection\":\"%s\",\"threads\":%zu,"
-        "\"mutates\":%llu,\"reads\":%llu,\"checks\":%llu,"
-        "\"wrong_answers\":%llu,\"errors\":%llu,\"compactions\":%llu,"
-        "\"goals_met\":%s}\n",
-        col.c_str(), a.threads,
-        static_cast<unsigned long long>(mutates.load()),
-        static_cast<unsigned long long>(reads.load()),
-        static_cast<unsigned long long>(ryw_checks.load()),
-        static_cast<unsigned long long>(wrong.load()),
-        static_cast<unsigned long long>(errors.load()),
-        static_cast<unsigned long long>(compactions.load()),
-        goals_met ? "true" : "false");
-    if (a.json_path.empty()) {
-      std::fputs(doc, stdout);
-    } else {
-      std::FILE* f = std::fopen(a.json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     a.json_path.c_str());
-        return 1;
-      }
-      std::fputs(doc, f);
-      std::fclose(f);
-      std::fprintf(stderr, "coopload: wrote %s\n", a.json_path.c_str());
-    }
-  }
-  return goals_met ? 0 : 1;
+  robust::judge(out, "every read-your-writes probe matched the journal "
+                     "across compaction publishes");
+  robust::ReportOptions where;
+  where.json = a.json;
+  where.json_path = a.json_path;
+  where.context = [&](robust::JsonFields& j) {
+    j.text("collection", col);
+    j.count("threads", a.threads);
+  };
+  return robust::report("rw", "rw_wire", out, where);
 }
 
 // ---- crash-soak -----------------------------------------------------
+
+/// The kill -9 soak's outcome, in the soak kernel's shape
+/// (robust/soak.hpp).
+struct CrashOutcome : robust::SoakResult {
+  std::uint64_t cycles = 0;
+  std::uint64_t kills = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t compact_nudges = 0;
+  std::uint64_t acked = 0;
+  std::uint64_t verified = 0;
+  std::uint64_t lost = 0;   ///< acked inserts no longer served
+  std::uint64_t wrong = 0;  ///< any other answer the journal refutes
+  std::uint64_t verify_errors = 0;
+  std::uint64_t storm_errors = 0;
+  std::uint64_t recovery_failures = 0;
+  bool drain_clean = false;
+
+  void fields(robust::FieldList& v) const {
+    v.count("cycles", cycles);
+    v.goal("kills", kills, cycles);
+    v.count("recoveries", recoveries);
+    v.count("compact_nudges", compact_nudges);
+    v.count("acked", acked);
+    v.count("verified", verified);
+    v.wrong("lost", lost);
+    v.wrong("wrong", wrong);
+    v.failure("verify_errors", verify_errors);
+    v.failure("storm_errors", storm_errors);
+    v.failure("recovery_failures", recovery_failures);
+    v.must("drain_clean", drain_clean,
+           "the recovered server did not drain cleanly on SIGTERM");
+  }
+};
 
 /// Remove the durability files a previous soak left in `dir` (only the
 /// shapes the WAL owns — the directory may not exist yet, which is fine).
@@ -634,33 +495,6 @@ void wipe_wal_dir(const std::string& dir) {
   }
 }
 
-/// Launch the durable coopserve under test and wait for its port; a
-/// server that dies while booting (recovery refused the directory?) or
-/// never comes up leaves `pid` at -1 and returns 0.
-std::uint16_t start_server(const Args& a, const std::string& port_file,
-                           const std::string& log_path, pid_t& pid) {
-  ::unlink(port_file.c_str());
-  auto spawned = cluster::spawn(
-      a.server_bin,
-      {"--port", "0", "--port-file", port_file, "--dynamic-collection",
-       "main=" + a.snapshot, "--wal-dir", a.wal_dir, "--fsync", a.fsync,
-       "--wal-segment-kb", "32", "--compact-threshold", "600",
-       "--quota-rate", "1000000", "--quota-burst", "65536"},
-      log_path);
-  pid = spawned.ok() ? *spawned : -1;
-  if (pid < 0) {
-    return 0;
-  }
-  auto port = cluster::read_port_file(
-      port_file, std::chrono::steady_clock::now() + std::chrono::seconds(15),
-      pid);
-  if (!port.ok()) {
-    (void)cluster::kill_proc(pid);
-    return 0;
-  }
-  return *port;
-}
-
 int run_crash_soak(const Args& a) {
   if (a.server_bin.empty() || a.snapshot.empty() || a.tree_path.empty() ||
       a.wal_dir.empty()) {
@@ -669,54 +503,15 @@ int run_crash_soak(const Args& a) {
                  "--tree, and --wal-dir\n");
     return 2;
   }
-  std::ifstream in(a.tree_path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", a.tree_path.c_str());
+  int rc = 0;
+  const std::optional<cat::Tree> loaded = tree_arg(a, rc);
+  if (!loaded) {
+    return rc;
+  }
+  const cat::Tree& tree = *loaded;
+  if (const coop::Status st = dyn::SliceJournal::check_base(tree); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
     return 1;
-  }
-  auto loaded = robust::load_tree(in);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", a.tree_path.c_str(),
-                 loaded.status().to_string().c_str());
-    return 1;
-  }
-  const cat::Tree tree = loaded.take();
-
-  // One fixed root-to-leaf verification path through every node: up to
-  // the root via a parent map, then first-child down to a leaf.  The
-  // journal check for (node, key) queries this path and reads the
-  // answer at the node's depth.
-  const std::size_t num_nodes = tree.num_nodes();
-  std::vector<cat::NodeId> parent(num_nodes, -1);
-  {
-    std::vector<cat::NodeId> stack{tree.root()};
-    while (!stack.empty()) {
-      const cat::NodeId v = stack.back();
-      stack.pop_back();
-      if (!tree.is_leaf(v)) {
-        for (const cat::NodeId c : tree.children(v)) {
-          parent[static_cast<std::size_t>(c)] = v;
-          stack.push_back(c);
-        }
-      }
-    }
-  }
-  std::vector<std::vector<cat::NodeId>> path_of(num_nodes);
-  std::vector<std::size_t> depth_of(num_nodes, 0);
-  for (std::size_t v = 0; v < num_nodes; ++v) {
-    std::vector<cat::NodeId> up;
-    for (cat::NodeId w = static_cast<cat::NodeId>(v); w != -1;
-         w = parent[static_cast<std::size_t>(w)]) {
-      up.push_back(w);
-    }
-    std::reverse(up.begin(), up.end());
-    depth_of[v] = up.size() - 1;
-    cat::NodeId w = static_cast<cat::NodeId>(v);
-    while (!tree.is_leaf(w)) {
-      w = tree.children(w).front();
-      up.push_back(w);
-    }
-    path_of[v] = std::move(up);
   }
 
   // Start from a clean slate so every run replays from its own seed.
@@ -724,113 +519,93 @@ int run_crash_soak(const Args& a) {
   const std::string port_file = a.wal_dir + "/port";
   const std::string log_path = a.wal_dir + "/server.log";
   ::unlink(log_path.c_str());
+  const auto start_server = [&](pid_t& pid) {
+    return cluster::launch_server(
+        a.server_bin,
+        {"--port", "0", "--dynamic-collection", "main=" + a.snapshot,
+         "--wal-dir", a.wal_dir, "--fsync", a.fsync, "--wal-segment-kb", "32",
+         "--compact-threshold", "600", "--quota-rate", "1000000",
+         "--quota-burst", "65536"},
+        port_file, log_path, "main", pid);
+  };
 
   const robust::CrashPlan plan(a.seed);
   constexpr std::size_t kWriters = 2;
-  using NodeKey = std::pair<std::uint32_t, cat::Key>;
   // Per-writer (disjoint-slice) durability oracle, carried across
-  // cycles: determinate entries are acked (live or deleted);
-  // indeterminate keys were in flight at a kill and stay excluded from
-  // verification until a later cycle re-acks them.
-  std::vector<std::map<NodeKey, bool>> journal(kWriters);
-  std::vector<std::set<NodeKey>> indeterminate(kWriters);
+  // cycles: a key in flight at a kill stays excluded from verification
+  // until a later cycle re-acks it.
+  std::vector<dyn::SliceJournal> journal;
+  for (std::size_t t = 0; t < kWriters; ++t) {
+    journal.emplace_back(t);
+  }
+  CrashOutcome out;
+  out.cycles = a.cycles;
+  robust::FirstFailure fail(out.first_failure);
 
-  std::atomic<std::uint64_t> acked_total{0}, storm_errors{0};
-  std::uint64_t verified_total = 0;
-  std::uint64_t lost = 0, wrong = 0;
-  std::uint64_t verify_errors = 0, recovery_failures = 0;
-  std::uint64_t kills = 0, recoveries = 0, compact_nudges = 0;
-  std::mutex err_mu;
-  std::string first_error;
-  const auto note_first = [&](const coop::Status& st) {
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (first_error.empty()) {
-      first_error = st.to_string();
+  // Verify every acknowledged journal entry through one client, querying
+  // the root path of its node: a live key must answer itself (anything
+  // above it means the acked insert is LOST), a deleted key must not
+  // resurface.
+  const auto verify_all = [&](std::uint16_t port) {
+    net::ClientOptions copts;
+    copts.tenant = 1;
+    auto c = net::Client::connect(a.host, port, copts);
+    if (!c.ok()) {
+      fail(out.verify_errors, c.status().to_string());
+      return false;
     }
-  };
-
-  // Verify every determinate journal entry through one client: a live
-  // key must answer itself (anything above it means the acked insert is
-  // LOST), a deleted key must not resurface.
-  const auto verify_all = [&](net::Client& client) -> bool {
-    std::vector<std::pair<NodeKey, bool>> checks;
-    for (std::size_t t = 0; t < kWriters; ++t) {
-      for (const auto& [nk, live] : journal[t]) {
-        checks.emplace_back(nk, live);
-      }
-    }
-    for (std::size_t at = 0; at < checks.size();) {
-      const std::size_t n = std::min<std::size_t>(64, checks.size() - at);
-      std::vector<serve::PathQuery> batch(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto& [nk, live] = checks[at + i];
-        batch[i].path = path_of[nk.first];
-        batch[i].y = nk.second;
-      }
-      auto resp = client.dyn_path_batch("main", batch);
-      if (!resp.ok()) {
-        ++verify_errors;
-        note_first(resp.status());
-        return false;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto& [nk, live] = checks[at + i];
-        const auto& keys = resp->answers[i].keys;
-        const cat::Key ans = depth_of[nk.first] < keys.size()
-                                 ? keys[depth_of[nk.first]]
-                                 : cat::Key{-1};
-        ++verified_total;
-        if (live) {
-          if (ans > nk.second) {
-            ++lost;  // acked insert vanished: the durability bug
-          } else if (ans != nk.second) {
-            ++wrong;
-          }
-        } else if (ans == nk.second) {
-          ++wrong;  // acked delete resurfaced
-        } else if (ans < nk.second) {
-          ++wrong;
+    for (const dyn::SliceJournal& j : journal) {
+      std::vector<std::pair<dyn::SliceJournal::NodeKey, bool>> checks(
+          j.entries().begin(), j.entries().end());
+      for (std::size_t at = 0; at < checks.size();) {
+        const std::size_t n = std::min<std::size_t>(64, checks.size() - at);
+        std::vector<serve::PathQuery> batch(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto& [node, key] = checks[at + i].first;
+          batch[i] = {serve::root_path(tree, static_cast<cat::NodeId>(node)),
+                      key};
         }
+        auto resp = c->dyn_path_batch("main", batch);
+        if (!resp.ok()) {
+          fail(out.verify_errors, resp.status().to_string());
+          return false;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto& [node, key] = checks[at + i].first;
+          // The answer at `node`, the last node of its root path.
+          const auto& keys = resp->answers[i].keys;
+          const cat::Key served =
+              keys.size() == batch[i].path.size() ? keys.back() : -1;
+          const dyn::JournalCheck verdict = j.check(node, key, served);
+          ++out.verified;
+          out.lost += verdict == dyn::JournalCheck::kLost ? 1 : 0;
+          out.wrong += verdict == dyn::JournalCheck::kWrong ? 1 : 0;
+        }
+        at += n;
       }
-      at += n;
     }
     return true;
   };
 
-  const std::uint64_t total_cycles = a.cycles;
-  for (std::uint64_t cycle = 0; cycle < total_cycles; ++cycle) {
+  for (std::uint64_t cycle = 0; cycle < out.cycles; ++cycle) {
     pid_t pid = -1;
-    const std::uint16_t port = start_server(a, port_file, log_path, pid);
-    if (port == 0) {
-      ++recovery_failures;
-      std::fprintf(stderr,
-                   "crash-soak: cycle %llu: server did not come up "
-                   "(recovery failure? see %s)\n",
-                   static_cast<unsigned long long>(cycle),
-                   log_path.c_str());
+    const auto started = start_server(pid);
+    if (!started.ok()) {
+      fail(out.recovery_failures,
+           "cycle " + std::to_string(cycle) + ": server did not come up " +
+               "(see " + log_path + "): " + started.status().to_string());
       break;
     }
+    const std::uint16_t port = *started;
     if (cycle > 0) {
-      ++recoveries;
+      ++out.recoveries;
     }
 
     // Read-your-writes over the restart boundary: everything acked in
     // earlier cycles must still be served before this one adds more.
-    {
-      net::ClientOptions copts;
-      copts.tenant = 1;
-      auto c = net::Client::connect(a.host, port, copts);
-      if (!c.ok()) {
-        ++verify_errors;
-        note_first(c.status());
-        (void)cluster::kill_proc(pid);
-        break;
-      }
-      net::Client client = c.take();
-      if (!verify_all(client)) {
-        (void)cluster::kill_proc(pid);
-        break;
-      }
+    if (!verify_all(port)) {
+      (void)cluster::kill_proc(pid);
+      break;
     }
 
     // Write storm, then the seeded kill.
@@ -846,37 +621,22 @@ int run_crash_soak(const Args& a) {
         auto c = net::Client::connect(a.host, port, copts);
         if (!c.ok()) {
           if (!killed.load()) {
-            storm_errors.fetch_add(1, std::memory_order_relaxed);
-            note_first(c.status());
+            fail(out.storm_errors, c.status().to_string());
           }
           return;
         }
         net::Client client = c.take();
-        auto& j = journal[t];
-        auto& ind = indeterminate[t];
-        const cat::Key slice_lo =
-            kRwSliceBase + static_cast<cat::Key>(t) * kRwSliceSpan;
+        dyn::SliceJournal& j = journal[t];
         while (!killed.load()) {
-          std::vector<dyn::Mutation> muts;
-          for (int i = 0; i < 4; ++i) {
-            dyn::Mutation m;
-            m.node = static_cast<std::uint32_t>(rng() % num_nodes);
-            m.key = slice_lo +
-                    static_cast<cat::Key>(
-                        rng() % static_cast<std::uint64_t>(kRwSliceSpan));
-            m.op = rng() % 4 == 0 ? dyn::Op::kDelete : dyn::Op::kInsert;
-            muts.push_back(m);
-          }
-          std::map<NodeKey, dyn::Op> final_ops;
-          for (const dyn::Mutation& m : muts) {
-            final_ops[{m.node, m.key}] = m.op;
-          }
-          // In flight = indeterminate: the kill may land between the
-          // server applying the batch and the ack reaching us.
-          for (const auto& [nk, op] : final_ops) {
-            ind.insert(nk);
-            j.erase(nk);
-          }
+          const std::vector<dyn::Mutation> muts =
+              j.random_batch(rng, 4, 4, [&] {
+                return static_cast<std::uint32_t>(rng() % tree.num_nodes());
+              });
+          const dyn::SliceJournal::Collapsed final_ops =
+              dyn::SliceJournal::collapse(muts);
+          // In flight: the kill may land between the server applying the
+          // batch and the ack reaching us.
+          j.begin(final_ops);
           std::vector<std::vector<std::uint8_t>> blobs;
           for (const dyn::Run& r : dyn::runs_from_mutations(muts)) {
             blobs.push_back(dyn::encode_run(r));
@@ -884,23 +644,18 @@ int run_crash_soak(const Args& a) {
           auto ack = client.mutate("main", std::move(blobs));
           if (!ack.ok()) {
             if (!killed.load()) {
-              storm_errors.fetch_add(1, std::memory_order_relaxed);
-              note_first(ack.status());
+              fail(out.storm_errors, ack.status().to_string());
             }
-            return;  // keys stay indeterminate until a later re-ack
+            return;  // keys stay in flight until a later re-ack
           }
-          acked_total.fetch_add(final_ops.size(),
-                                std::memory_order_relaxed);
-          for (const auto& [nk, op] : final_ops) {
-            j[nk] = op == dyn::Op::kInsert;
-            ind.erase(nk);
-          }
+          robust::bump(out.acked, final_ops.size());
+          j.ack(final_ops);
         }
       });
     }
     std::thread nudger;
     if (pt.compact_first) {
-      ++compact_nudges;
+      ++out.compact_nudges;
       nudger = std::thread([&, port] {
         std::this_thread::sleep_for(std::chrono::milliseconds(
             pt.delay_ms - pt.compact_lead_ms));
@@ -916,7 +671,7 @@ int run_crash_soak(const Args& a) {
     std::this_thread::sleep_for(std::chrono::milliseconds(pt.delay_ms));
     killed.store(true);
     (void)cluster::kill_proc(pid);
-    ++kills;
+    ++out.kills;
     for (std::thread& th : fleet) {
       th.join();
     }
@@ -924,109 +679,41 @@ int run_crash_soak(const Args& a) {
       nudger.join();
     }
     std::size_t determinate = 0, in_flight = 0;
-    for (std::size_t t = 0; t < kWriters; ++t) {
-      determinate += journal[t].size();
-      in_flight += indeterminate[t].size();
+    for (const dyn::SliceJournal& j : journal) {
+      determinate += j.entries().size();
+      in_flight += j.in_flight();
     }
     std::fprintf(stderr,
                  "crash-soak: cycle %llu/%llu: killed at +%ums%s, "
                  "journal=%zu in_flight=%zu acked=%llu lost=%llu\n",
                  static_cast<unsigned long long>(cycle + 1),
-                 static_cast<unsigned long long>(total_cycles),
-                 pt.delay_ms, pt.compact_first ? " (compact nudged)" : "",
-                 determinate, in_flight,
-                 static_cast<unsigned long long>(acked_total.load()),
-                 static_cast<unsigned long long>(lost));
+                 static_cast<unsigned long long>(out.cycles), pt.delay_ms,
+                 pt.compact_first ? " (compact nudged)" : "", determinate,
+                 in_flight, static_cast<unsigned long long>(out.acked),
+                 static_cast<unsigned long long>(out.lost));
   }
 
   // Final restart: full verification, then a graceful SIGTERM drain —
   // the recovered server must also still know how to shut down.
-  bool drain_clean = false;
-  if (recovery_failures == 0 && verify_errors == 0) {
+  if (out.recovery_failures == 0 && out.verify_errors == 0) {
     pid_t pid = -1;
-    const std::uint16_t port = start_server(a, port_file, log_path, pid);
-    if (port == 0) {
-      ++recovery_failures;
+    const auto started = start_server(pid);
+    if (!started.ok()) {
+      fail(out.recovery_failures,
+           "final restart: " + started.status().to_string());
     } else {
-      ++recoveries;
-      net::ClientOptions copts;
-      copts.tenant = 1;
-      auto c = net::Client::connect(a.host, port, copts);
-      if (!c.ok()) {
-        ++verify_errors;
-        note_first(c.status());
-      } else {
-        net::Client client = c.take();
-        (void)verify_all(client);
-      }
-      drain_clean = cluster::terminate_proc(pid);
+      ++out.recoveries;
+      (void)verify_all(*started);
+      out.drain_clean = cluster::terminate_proc(pid);
     }
   }
 
-  const bool goals_met = kills == total_cycles && lost == 0 &&
-                         wrong == 0 && verify_errors == 0 &&
-                         storm_errors.load() == 0 &&
-                         recovery_failures == 0 && drain_clean;
-  std::fprintf(stderr,
-               "crash soak %s: cycles=%llu kills=%llu recoveries=%llu "
-               "compact_nudges=%llu acked=%llu verified=%llu lost=%llu "
-               "wrong=%llu errors=%llu/%llu recovery_failures=%llu "
-               "drain_clean=%s (fsync=%s)\n",
-               goals_met ? "OK" : "FAILED",
-               static_cast<unsigned long long>(total_cycles),
-               static_cast<unsigned long long>(kills),
-               static_cast<unsigned long long>(recoveries),
-               static_cast<unsigned long long>(compact_nudges),
-               static_cast<unsigned long long>(acked_total.load()),
-               static_cast<unsigned long long>(verified_total),
-               static_cast<unsigned long long>(lost),
-               static_cast<unsigned long long>(wrong),
-               static_cast<unsigned long long>(verify_errors),
-               static_cast<unsigned long long>(storm_errors.load()),
-               static_cast<unsigned long long>(recovery_failures),
-               drain_clean ? "yes" : "no", a.fsync.c_str());
-  if (!first_error.empty()) {
-    std::fprintf(stderr, "crash-soak: first error: %s\n",
-                 first_error.c_str());
-  }
-  if (a.json) {
-    char doc[512];
-    std::snprintf(
-        doc, sizeof(doc),
-        "{\"soak\":\"crash\",\"cycles\":%llu,\"kills\":%llu,"
-        "\"recoveries\":%llu,\"compact_nudges\":%llu,\"acked\":%llu,"
-        "\"verified\":%llu,\"lost\":%llu,\"wrong\":%llu,"
-        "\"verify_errors\":%llu,\"storm_errors\":%llu,"
-        "\"recovery_failures\":%llu,\"drain_clean\":%s,\"fsync\":\"%s\","
-        "\"goals_met\":%s}\n",
-        static_cast<unsigned long long>(total_cycles),
-        static_cast<unsigned long long>(kills),
-        static_cast<unsigned long long>(recoveries),
-        static_cast<unsigned long long>(compact_nudges),
-        static_cast<unsigned long long>(acked_total.load()),
-        static_cast<unsigned long long>(verified_total),
-        static_cast<unsigned long long>(lost),
-        static_cast<unsigned long long>(wrong),
-        static_cast<unsigned long long>(verify_errors),
-        static_cast<unsigned long long>(storm_errors.load()),
-        static_cast<unsigned long long>(recovery_failures),
-        drain_clean ? "true" : "false", a.fsync.c_str(),
-        goals_met ? "true" : "false");
-    if (a.json_path.empty()) {
-      std::fputs(doc, stdout);
-    } else {
-      std::FILE* f = std::fopen(a.json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     a.json_path.c_str());
-        return 1;
-      }
-      std::fputs(doc, f);
-      std::fclose(f);
-      std::fprintf(stderr, "coopload: wrote %s\n", a.json_path.c_str());
-    }
-  }
-  return goals_met ? 0 : 1;
+  robust::judge(out, "every acknowledged write survived every SIGKILL");
+  robust::ReportOptions where;
+  where.json = a.json;
+  where.json_path = a.json_path;
+  where.context = [&](robust::JsonFields& j) { j.text("fsync", a.fsync); };
+  return robust::report("crash soak", "crash", out, where);
 }
 
 // ---- cluster-soak ---------------------------------------------------
@@ -1051,48 +738,10 @@ int run_cluster_soak_op(const Args& a) {
                  run.status().to_string().c_str());
     return 1;
   }
-  const cluster::ClusterSoakOutcome& o = run.value();
-  std::fprintf(stderr, "cluster-soak: %s\n", o.verdict.c_str());
-  if (!o.first_failure.empty()) {
-    std::fprintf(stderr, "cluster-soak: first failure: %s\n",
-                 o.first_failure.c_str());
-  }
-  if (a.json) {
-    const auto u = [](std::uint64_t x) {
-      return static_cast<unsigned long long>(x);
-    };
-    char doc[1024];
-    std::snprintf(
-        doc, sizeof(doc),
-        "{\"bench\":\"cluster-soak\",\"goals_met\":%s,"
-        "\"batches\":%llu,\"answered\":%llu,\"wrong_answers\":%llu,"
-        "\"typed_sheds\":%llu,\"untyped_failures\":%llu,"
-        "\"answered_after_revive\":%llu,\"kills\":%llu,"
-        "\"resurrections\":%llu,\"swaps\":%llu,"
-        "\"follower_catchups\":%llu,\"follower_version\":%llu,"
-        "\"hedged_retries\":%llu,\"breaker_trips\":%llu,"
-        "\"router_sheds\":%llu,\"final_sweep_ok\":%s}\n",
-        o.goals_met ? "true" : "false", u(o.batches), u(o.answered),
-        u(o.wrong_answers), u(o.typed_sheds), u(o.untyped_failures),
-        u(o.answered_after_revive), u(o.kills), u(o.resurrections),
-        u(o.swaps), u(o.follower_catchups), u(o.follower_version),
-        u(o.hedged_retries), u(o.breaker_trips), u(o.router_sheds),
-        o.final_sweep_ok ? "true" : "false");
-    if (a.json_path.empty()) {
-      std::fputs(doc, stdout);
-    } else {
-      std::FILE* f = std::fopen(a.json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     a.json_path.c_str());
-        return 1;
-      }
-      std::fputs(doc, f);
-      std::fclose(f);
-      std::fprintf(stderr, "coopload: wrote %s\n", a.json_path.c_str());
-    }
-  }
-  return o.goals_met ? 0 : 1;
+  robust::ReportOptions where;
+  where.json = a.json;
+  where.json_path = a.json_path;
+  return robust::report("cluster-soak", "cluster-soak", run.value(), where);
 }
 
 int run_admin(const Args& a) {

@@ -55,6 +55,7 @@
 #include "obs/trace.hpp"
 #include "pointloc/coop_pointloc.hpp"
 #include "robust/loaders.hpp"
+#include "robust/soak.hpp"
 #include "robust/validate.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/soak.hpp"
@@ -204,13 +205,7 @@ int cmd_gen_sub(int argc, char** argv) {
   return 0;
 }
 
-coop::Expected<cat::Tree> load_tree_file(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    return coop::Status::invalid_argument(std::string("cannot open ") + path);
-  }
-  return robust::load_tree(in);
-}
+using robust::load_tree_file;
 
 int cmd_search(int argc, char** argv) {
   const char* use =
@@ -420,82 +415,17 @@ int cmd_serve_soak(int argc, char** argv) {
   if (!outcome.ok()) {
     return fail(outcome.status());
   }
-  const serve::SoakOutcome& o = *outcome;
-  // With --json the summary moves to stderr so stdout carries exactly
+  // With --json the human lines move to stderr so stdout carries exactly
   // one machine-parseable document.
-  std::FILE* hs = json_mode ? stderr : stdout;
-  std::fprintf(hs,
-               "batches: %llu submitted = %llu admitted + %llu shed + "
-               "%llu breaker-shed + %llu failed (%llu degraded)\n",
-               static_cast<unsigned long long>(o.batches),
-               static_cast<unsigned long long>(o.admitted),
-               static_cast<unsigned long long>(o.shed),
-               static_cast<unsigned long long>(o.shed_breaker),
-               static_cast<unsigned long long>(o.failed),
-               static_cast<unsigned long long>(o.degraded));
-  std::fprintf(hs, "breaker: %llu trips, %llu probes; health %s\n",
-               static_cast<unsigned long long>(o.frontend.breaker_trips),
-               static_cast<unsigned long long>(o.frontend.breaker_probes),
-               serve::to_string(o.frontend.health));
-  std::fprintf(hs,
-               "scrubber: %llu passes (%llu clean), %llu quarantines, "
-               "%llu rollbacks; %llu publishes, %llu bit flips\n",
-               static_cast<unsigned long long>(o.scrubber.passes),
-               static_cast<unsigned long long>(o.scrubber.clean_passes),
-               static_cast<unsigned long long>(o.scrubber.quarantines),
-               static_cast<unsigned long long>(o.scrubber.rollbacks),
-               static_cast<unsigned long long>(o.publishes),
-               static_cast<unsigned long long>(o.bitflips));
-  std::fprintf(hs, "%s\n", o.verdict.c_str());
-  const bool ok = o.wrong_answers == 0 && o.failed == 0 && o.goals_met;
-  if (json_mode) {
-    std::printf(
-        "{\n"
-        "  \"bench\": \"serve_soak\",\n"
-        "  \"seed\": %llu,\n"
-        "  \"millis\": %llu,\n"
-        "  \"threads\": %zu,\n"
-        "  \"batches\": %llu,\n"
-        "  \"admitted\": %llu,\n"
-        "  \"shed\": %llu,\n"
-        "  \"shed_breaker\": %llu,\n"
-        "  \"failed\": %llu,\n"
-        "  \"degraded\": %llu,\n"
-        "  \"wrong_answers\": %llu,\n"
-        "  \"breaker_trips\": %llu,\n"
-        "  \"breaker_probes\": %llu,\n"
-        "  \"scrub_passes\": %llu,\n"
-        "  \"quarantines\": %llu,\n"
-        "  \"rollbacks\": %llu,\n"
-        "  \"publishes\": %llu,\n"
-        "  \"bitflips\": %llu,\n"
-        "  \"goals_met\": %s,\n"
-        "  \"ok\": %s,\n"
-        "  \"rows\": []\n"
-        "}\n",
-        static_cast<unsigned long long>(seed),
-        static_cast<unsigned long long>(millis), threads,
-        static_cast<unsigned long long>(o.batches),
-        static_cast<unsigned long long>(o.admitted),
-        static_cast<unsigned long long>(o.shed),
-        static_cast<unsigned long long>(o.shed_breaker),
-        static_cast<unsigned long long>(o.failed),
-        static_cast<unsigned long long>(o.degraded),
-        static_cast<unsigned long long>(o.wrong_answers),
-        static_cast<unsigned long long>(o.frontend.breaker_trips),
-        static_cast<unsigned long long>(o.frontend.breaker_probes),
-        static_cast<unsigned long long>(o.scrubber.passes),
-        static_cast<unsigned long long>(o.scrubber.quarantines),
-        static_cast<unsigned long long>(o.scrubber.rollbacks),
-        static_cast<unsigned long long>(o.publishes),
-        static_cast<unsigned long long>(o.bitflips),
-        o.goals_met ? "true" : "false", ok ? "true" : "false");
-  }
-  if (!ok) {
-    return 1;
-  }
-  std::fprintf(hs, "chaos soak OK\n");
-  return 0;
+  robust::ReportOptions where;
+  where.json = json_mode;
+  where.human = json_mode ? stderr : stdout;
+  where.context = [&](robust::JsonFields& j) {
+    j.count("seed", seed);
+    j.count("millis", millis);
+    j.count("threads", threads);
+  };
+  return robust::report("chaos soak", "serve_soak", *outcome, where);
 }
 
 int cmd_serve_batch(int argc, char** argv) {
@@ -510,11 +440,7 @@ int cmd_serve_batch(int argc, char** argv) {
   if (!tree.ok()) {
     return fail(tree.status());
   }
-  const auto s = fc::Structure::build_checked(*tree);
-  if (!s.ok()) {
-    return fail(s.status());
-  }
-  auto flat = serve::FlatCascade::compile(*s);
+  auto flat = serve::FlatCascade::compile_tree(*tree);
   if (!flat.ok()) {
     return fail(flat.status());
   }
@@ -522,16 +448,8 @@ int cmd_serve_batch(int argc, char** argv) {
               flat->num_nodes(), flat->total_entries(), flat->arena_bytes());
 
   std::mt19937_64 rng(seed);
-  std::vector<serve::PathQuery> batch(queries);
-  for (auto& q : batch) {
-    std::vector<cat::NodeId> path{tree->root()};
-    while (!tree->is_leaf(path.back())) {
-      const auto kids = tree->children(path.back());
-      path.push_back(kids[rng() % kids.size()]);
-    }
-    q.path = std::move(path);
-    q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-  }
+  const std::vector<serve::PathQuery> batch =
+      serve::random_path_batch(*tree, rng, queries);
 
   serve::QueryEngine engine(threads);
   std::vector<serve::PathAnswer> answers;
@@ -544,18 +462,13 @@ int cmd_serve_batch(int argc, char** argv) {
     std::printf("degraded: %s\n", report.reason.c_str());
   }
 
-  std::size_t mismatches = 0;
-  for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-    for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
-      if (answers[qi].proper_index[i] !=
-          tree->catalog(batch[qi].path[i]).find(batch[qi].y)) {
-        ++mismatches;
-      }
-    }
-  }
-  std::printf("%zu queries on %zu threads: %.0f queries/sec, %zu mismatches\n",
+  const std::uint64_t mismatches =
+      serve::count_path_mismatches(*tree, batch, answers);
+  std::printf("%zu queries on %zu threads: %.0f queries/sec, %llu "
+              "mismatches\n",
               batch.size(), engine.threads(),
-              sec > 0 ? double(batch.size()) / sec : 0.0, mismatches);
+              sec > 0 ? double(batch.size()) / sec : 0.0,
+              static_cast<unsigned long long>(mismatches));
   if (mismatches != 0) {
     return 1;
   }
@@ -589,11 +502,7 @@ int cmd_snapshot_save(int argc, char** argv) {
   if (!tree.ok()) {
     return fail(tree.status());
   }
-  const auto s = fc::Structure::build_checked(*tree);
-  if (!s.ok()) {
-    return fail(s.status());
-  }
-  auto flat = serve::FlatCascade::compile(*s);
+  auto flat = serve::FlatCascade::compile_tree(*tree);
   if (!flat.ok()) {
     return fail(flat.status());
   }
@@ -723,14 +632,7 @@ int cmd_snapshot_serve(int argc, char** argv) {
     if (!tree.ok()) {
       return fail(tree.status());
     }
-    for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-      for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
-        if (answers[qi].proper_index[i] !=
-            tree->catalog(batch[qi].path[i]).find(batch[qi].y)) {
-          ++mismatches;
-        }
-      }
-    }
+    mismatches += serve::count_path_mismatches(*tree, batch, answers);
     std::printf("checked against %s\n", tree_path);
   }
   std::printf("version %llu: %zu queries on %zu threads: %.0f queries/sec, "

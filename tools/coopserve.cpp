@@ -83,6 +83,7 @@
 #include "net/wire_soak.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "robust/soak.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -145,51 +146,9 @@ int run_soak(int argc, char** argv) {
                  out.status().to_string().c_str());
     return 1;
   }
-  const net::WireSoakOutcome& o = out.value();
-  if (json) {
-    std::printf(
-        "{\"soak\":\"wire\",\"batches\":%llu,\"answered\":%llu,"
-        "\"wrong_answers\":%llu,\"failed\":%llu,\"deadline_errors\":%llu,"
-        "\"quota_sheds\":%llu,\"drain_refusals\":%llu,"
-        "\"malformed_injected\":%llu,\"malformed_rejected\":%llu,"
-        "\"resets_injected\":%llu,\"slow_reads\":%llu,\"reconnects\":%llu,"
-        "\"swaps\":%llu,\"load_unload_cycles\":%llu,"
-        "\"drained_in_grace\":%s,\"goals_met\":%s}\n",
-        static_cast<unsigned long long>(o.batches),
-        static_cast<unsigned long long>(o.answered),
-        static_cast<unsigned long long>(o.wrong_answers),
-        static_cast<unsigned long long>(o.failed),
-        static_cast<unsigned long long>(o.deadline_errors),
-        static_cast<unsigned long long>(o.quota_sheds),
-        static_cast<unsigned long long>(o.drain_refusals),
-        static_cast<unsigned long long>(o.malformed_injected),
-        static_cast<unsigned long long>(o.malformed_rejected),
-        static_cast<unsigned long long>(o.resets_injected),
-        static_cast<unsigned long long>(o.slow_reads),
-        static_cast<unsigned long long>(o.reconnects),
-        static_cast<unsigned long long>(o.swaps),
-        static_cast<unsigned long long>(o.load_unload_cycles),
-        o.drained_in_grace ? "true" : "false",
-        o.goals_met ? "true" : "false");
-  }
-  std::fprintf(stderr, "%s\n", o.verdict.c_str());
-  std::fprintf(stderr,
-               "  batches=%llu answered=%llu deadline=%llu quota=%llu "
-               "malformed=%llu/%llu resets=%llu slow=%llu swaps=%llu "
-               "cycles=%llu drain_refusals=%llu reconnects=%llu\n",
-               static_cast<unsigned long long>(o.batches),
-               static_cast<unsigned long long>(o.answered),
-               static_cast<unsigned long long>(o.deadline_errors),
-               static_cast<unsigned long long>(o.quota_sheds),
-               static_cast<unsigned long long>(o.malformed_rejected),
-               static_cast<unsigned long long>(o.malformed_injected),
-               static_cast<unsigned long long>(o.resets_injected),
-               static_cast<unsigned long long>(o.slow_reads),
-               static_cast<unsigned long long>(o.swaps),
-               static_cast<unsigned long long>(o.load_unload_cycles),
-               static_cast<unsigned long long>(o.drain_refusals),
-               static_cast<unsigned long long>(o.reconnects));
-  return o.verdict.rfind("OK", 0) == 0 ? 0 : 1;
+  robust::ReportOptions where;
+  where.json = json;
+  return robust::report("wire soak", "wire", out.value(), where);
 }
 
 bool parse_endpoint(const std::string& s, cluster::Endpoint& out) {
