@@ -197,7 +197,7 @@ int run_mutate_bench(const Options& o) {
         }
       }
     }
-    char mode[32];
+    char mode[40];  // "dyn_read_depth" + up to 20 digits + NUL
     std::snprintf(mode, sizeof(mode), "dyn_read_depth%zu", depth);
     rows.push_back(make_row(
         mode, 1,

@@ -102,7 +102,7 @@ coop::Expected<Run> decode_run(std::span<const std::uint8_t> bytes) {
       snapshot::crc32(bytes.data(), bytes.size() - sizeof(want_crc));
   if (got_crc != want_crc) {
     return Status::corrupted("delta run CRC mismatch: stored 0x" + [&] {
-      char buf[24];
+      char buf[32];  // "%08x computed 0x%08x": 28 characters + NUL
       std::snprintf(buf, sizeof(buf), "%08x computed 0x%08x", want_crc,
                     got_crc);
       return std::string(buf);

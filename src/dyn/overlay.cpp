@@ -1,6 +1,8 @@
 #include "dyn/overlay.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -50,8 +52,103 @@ void set_state_gauges(const State& s) {
   DynMetrics& m = dyn_metrics();
   m.depth.set(static_cast<std::int64_t>(s.max_depth));
   m.pending.set(static_cast<std::int64_t>(s.pending));
-  m.touched_nodes.set(static_cast<std::int64_t>(s.runs.size()));
+  m.touched_nodes.set(static_cast<std::int64_t>(s.touched));
 }
+
+/// Move one node's run-list length from `from` to `to` in the State's
+/// per-depth node count, keeping `touched` and `max_depth` exact.
+void recount_depth(State& s, std::size_t from, std::size_t to) {
+  if (from > 0) {
+    --s.depth_nodes[from];
+    --s.touched;
+  }
+  if (to > 0) {
+    if (s.depth_nodes.size() <= to) {
+      s.depth_nodes.resize(to + 1, 0);
+    }
+    ++s.depth_nodes[to];
+    ++s.touched;
+    s.max_depth = std::max(s.max_depth, to);
+  }
+  while (s.max_depth > 0 && s.depth_nodes[s.max_depth] == 0) {
+    --s.max_depth;
+  }
+}
+
+/// Run lists up to this long keep their merge cursors on the stack; only
+/// longer ones (merge_threshold above it) allocate.
+constexpr std::size_t kInlineCursors = 16;
+
+/// Newest-wins merge of one node's base keys and run list, walking the
+/// live keys upward from the first key >= y.  The +inf sentinel ends
+/// every walk: runs never mention it and it is always live in the base.
+class LiveMerge {
+ public:
+  LiveMerge(std::span<const Key> base, std::size_t bi,
+            std::span<const RunPtr> runs, Key y)
+      : base_(base.data() + bi) {
+    cur_ = runs.size() <= kInlineCursors
+               ? inline_.data()
+               : (heap_ = std::make_unique<Cursor[]>(runs.size())).get();
+    for (const RunPtr& r : runs) {
+      const RunEntry* end = r->entries.data() + r->entries.size();
+      const RunEntry* at =
+          std::lower_bound(r->entries.data(), end, y,
+                           [](const RunEntry& e, Key k) { return e.key < k; });
+      if (at != end) {
+        cur_[n_++] = {at, end};
+      }
+    }
+  }
+
+  /// The next live key; kInfinity once the walk reaches the sentinel.
+  Key next() {
+    for (;;) {
+      Key cand = *base_;
+      for (std::size_t k = 0; k < n_; ++k) {
+        if (cur_[k].at != cur_[k].end) {
+          cand = std::min(cand, cur_[k].at->key);
+        }
+      }
+      if (cand == cat::kInfinity) {
+        return cand;
+      }
+      // Newest run holding `cand` decides liveness; base only decides
+      // when no run mentions it.  Every cursor sitting on `cand` advances,
+      // so a tombstoned (or already-shadowed) `cand` is never seen again.
+      bool decided = false;
+      bool live = false;
+      for (std::size_t k = n_; k-- > 0;) {
+        Cursor& c = cur_[k];
+        if (c.at != c.end && c.at->key == cand) {
+          if (!decided) {
+            decided = true;
+            live = c.at->tombstone == 0;
+          }
+          ++c.at;
+        }
+      }
+      if (*base_ == cand) {
+        live = live || !decided;
+        ++base_;
+      }
+      if (live) {
+        return cand;
+      }
+    }
+  }
+
+ private:
+  struct Cursor {
+    const RunEntry* at;
+    const RunEntry* end;
+  };
+  const Key* base_;  ///< never passes the +inf sentinel
+  std::array<Cursor, kInlineCursors> inline_;
+  std::unique_ptr<Cursor[]> heap_;
+  Cursor* cur_;
+  std::size_t n_ = 0;
+};
 
 /// Newest-wins merge of one node's whole run list into a single run.
 /// Tombstones are preserved — they may still shadow base keys — which is
@@ -101,6 +198,10 @@ Run merge_runs(const std::vector<RunPtr>& list) {
   return out;
 }
 
+std::size_t num_chunks(std::size_t num_nodes) {
+  return (num_nodes + kChunkNodes - 1) / kChunkNodes;
+}
+
 }  // namespace
 
 ProperIndex ProperIndex::build(const serve::FlatCascade& flat) {
@@ -132,112 +233,29 @@ ProperIndex ProperIndex::build(const serve::FlatCascade& flat) {
 Key State::live_successor(std::uint32_t node, Key y,
                           std::uint32_t base_hint) const {
   const std::span<const Key> bk = base->proper.node_keys(node);
-  std::size_t bi =
+  const std::size_t bi =
       base_hint != ~0u
           ? base_hint
           : static_cast<std::size_t>(
                 std::lower_bound(bk.begin(), bk.end(), y) - bk.begin());
-  const std::vector<RunPtr>* rl = node_runs(node);
-  if (rl == nullptr) {
+  const std::span<const RunPtr> rl = node_runs(node);
+  if (rl.empty()) {
     return bk[bi];
   }
-  // One cursor per run, positioned at its first entry >= y.
-  std::vector<std::pair<const Run*, std::size_t>> cur;
-  cur.reserve(rl->size());
-  for (const RunPtr& r : *rl) {
-    const auto& es = r->entries;
-    const std::size_t i = static_cast<std::size_t>(
-        std::lower_bound(es.begin(), es.end(), y,
-                         [](const RunEntry& e, Key k) { return e.key < k; }) -
-        es.begin());
-    if (i < es.size()) {
-      cur.emplace_back(r.get(), i);
-    }
-  }
-  for (;;) {
-    Key cand = bi < bk.size() ? bk[bi] : cat::kInfinity;
-    for (const auto& [r, i] : cur) {
-      if (i < r->entries.size()) {
-        cand = std::min(cand, r->entries[i].key);
-      }
-    }
-    // Newest run holding `cand` decides liveness; base only decides when
-    // no run mentions it.  Every cursor sitting on `cand` advances.
-    bool decided = false;
-    bool live = false;
-    for (std::size_t k = cur.size(); k-- > 0;) {
-      auto& [r, i] = cur[k];
-      if (i < r->entries.size() && r->entries[i].key == cand) {
-        if (!decided) {
-          decided = true;
-          live = r->entries[i].tombstone == 0;
-        }
-        ++i;
-      }
-    }
-    if (bi < bk.size() && bk[bi] == cand) {
-      if (!decided) {
-        decided = true;
-        live = true;
-      }
-      ++bi;
-    }
-    if (live) {
-      return cand;
-    }
-    // `cand` was tombstoned (or an already-shadowed duplicate): every
-    // cursor moved past it, so the loop strictly progresses toward the
-    // +inf sentinel, which is always live in the base.
-  }
+  return LiveMerge(bk, bi, rl, y).next();
 }
 
 std::vector<Key> State::live_keys(std::uint32_t node) const {
   const std::span<const Key> bk = base->proper.node_keys(node);
   std::vector<Key> out;
-  const std::vector<RunPtr>* rl = node_runs(node);
-  if (rl == nullptr) {
+  const std::span<const RunPtr> rl = node_runs(node);
+  if (rl.empty()) {
     out.assign(bk.begin(), bk.end() - 1);  // strip the +inf sentinel
     return out;
   }
-  std::size_t bi = 0;
-  std::vector<std::pair<const Run*, std::size_t>> cur;
-  cur.reserve(rl->size());
-  for (const RunPtr& r : *rl) {
-    if (!r->entries.empty()) {
-      cur.emplace_back(r.get(), 0);
-    }
-  }
-  for (;;) {
-    Key cand = bk[bi];
-    for (const auto& [r, i] : cur) {
-      if (i < r->entries.size()) {
-        cand = std::min(cand, r->entries[i].key);
-      }
-    }
-    if (cand == cat::kInfinity) {
-      break;
-    }
-    bool decided = false;
-    bool live = false;
-    for (std::size_t k = cur.size(); k-- > 0;) {
-      auto& [r, i] = cur[k];
-      if (i < r->entries.size() && r->entries[i].key == cand) {
-        if (!decided) {
-          decided = true;
-          live = r->entries[i].tombstone == 0;
-        }
-        ++i;
-      }
-    }
-    if (bk[bi] == cand) {
-      if (!decided) {
-        live = true;
-      }
-      ++bi;
-    }
-    if (live) {
-      out.push_back(cand);
-    }
+  LiveMerge merge(bk, 0, rl, std::numeric_limits<Key>::min());
+  for (Key k = merge.next(); k != cat::kInfinity; k = merge.next()) {
+    out.push_back(k);
   }
   return out;
 }
@@ -245,26 +263,43 @@ std::vector<Key> State::live_keys(std::uint32_t node) const {
 void search_paths_dyn(const State& state,
                       std::span<const serve::PathQuery> queries,
                       PathKeys* out) {
-  if (queries.empty()) {
-    return;
-  }
   // Phase 1: the untouched grouped base kernel answers every (query,
-  // node) with a base proper index — on the no-delta path this is the
-  // whole cost apart from one ProperIndex load per hop.
-  std::vector<serve::PathAnswer> base_answers(queries.size());
-  serve::search_paths_grouped(state.base->flat(), queries.data(),
-                              queries.size(), base_answers.data());
-  const bool no_runs = state.runs.empty();
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const serve::PathQuery& q = queries[qi];
-    out[qi].keys.resize(q.path.size());
-    for (std::size_t step = 0; step < q.path.size(); ++step) {
-      const auto node = static_cast<std::uint32_t>(q.path[step]);
-      const std::uint32_t hint = base_answers[qi].proper_index[step];
-      if (no_runs) {
-        out[qi].keys[step] = state.base->proper.node_keys(node)[hint];
-      } else {
-        out[qi].keys[step] = state.live_successor(node, q.y, hint);
+  // node) with a base proper index, written into one flat buffer per
+  // lockstep group — on the no-delta path this is the whole cost apart
+  // from one ProperIndex load per hop.
+  const serve::FlatCascade& flat = state.base->flat();
+  const ProperIndex& proper = state.base->proper;
+  std::vector<std::uint32_t> scratch;
+  for (std::size_t at = 0; at < queries.size(); at += serve::kPathGroup) {
+    const std::size_t g = std::min(serve::kPathGroup, queries.size() - at);
+    const serve::PathQuery* qs = queries.data() + at;
+    std::size_t total = 0;
+    for (std::size_t q = 0; q < g; ++q) {
+      total += qs[q].path.size();
+    }
+    scratch.resize(2 * total);
+    std::uint32_t* aug[serve::kPathGroup];
+    std::uint32_t* hints[serve::kPathGroup];
+    std::size_t off = 0;
+    for (std::size_t q = 0; q < g; ++q) {
+      aug[q] = scratch.data() + off;
+      hints[q] = scratch.data() + total + off;
+      off += qs[q].path.size();
+    }
+    serve::search_paths_grouped_into(flat, qs, g, aug, hints);
+    // Phase 2: per hop, two loads decide whether the node has runs; only
+    // nodes that do pay the merge.
+    for (std::size_t q = 0; q < g; ++q) {
+      const serve::PathQuery& pq = qs[q];
+      std::vector<Key>& keys = out[at + q].keys;
+      keys.resize(pq.path.size());
+      for (std::size_t step = 0; step < pq.path.size(); ++step) {
+        const auto node = static_cast<std::uint32_t>(pq.path[step]);
+        const std::span<const Key> bk = proper.node_keys(node);
+        const std::span<const RunPtr> rl = state.node_runs(node);
+        keys[step] = rl.empty()
+                         ? bk[hints[q][step]]
+                         : LiveMerge(bk, hints[q][step], rl, pq.y).next();
       }
     }
   }
@@ -287,6 +322,7 @@ coop::Expected<std::unique_ptr<DynamicCatalog>> DynamicCatalog::attach(
   base->version = pin.version();
   base->pin = std::move(pin);
   auto st = std::make_shared<State>();
+  st->chunks.resize(num_chunks(base->proper.num_nodes()));
   st->base = std::move(base);
   std::unique_ptr<DynamicCatalog> cat(new DynamicCatalog(registry, opts));
   cat->state_ = std::move(st);
@@ -311,12 +347,12 @@ void DynamicCatalog::attach_wal(std::unique_ptr<Wal> wal) {
 coop::Status DynamicCatalog::restore_durable(std::uint64_t watermark) {
   std::lock_guard<std::mutex> lock(mu_);
   if (state_->write_seq != 0 || state_->watermark != 0 ||
-      !state_->runs.empty()) {
+      state_->touched != 0) {
     return Status::failed_precondition(
         "restore_durable needs a virgin catalog (write_seq " +
         std::to_string(state_->write_seq) + ", watermark " +
         std::to_string(state_->watermark) + ", " +
-        std::to_string(state_->runs.size()) + " touched nodes)");
+        std::to_string(state_->touched) + " touched nodes)");
   }
   auto next = std::make_shared<State>(*state_);
   next->write_seq = watermark;
@@ -348,7 +384,10 @@ coop::Expected<std::uint64_t> DynamicCatalog::apply(
 }
 
 std::uint64_t DynamicCatalog::commit_runs_locked(std::vector<Run>&& runs) {
+  // Copy only the chunk-pointer vector; each chunk this batch touches is
+  // cloned once, on first touch, and every other chunk stays shared.
   auto next = std::make_shared<State>(*state_);
+  std::vector<RunChunk*> cloned(next->chunks.size(), nullptr);
   std::uint64_t seq = next->write_seq;
   std::size_t added = 0;
   std::size_t appended = 0;
@@ -360,7 +399,16 @@ std::uint64_t DynamicCatalog::commit_runs_locked(std::vector<Run>&& runs) {
     seq = r.max_seq;  // stamps are contiguous; callers validated them
     added += r.entries.size();
     ++appended;
-    std::vector<RunPtr>& list = next->runs[r.node];
+    const std::size_t c = r.node / kChunkNodes;
+    if (cloned[c] == nullptr) {
+      auto fresh = next->chunks[c] != nullptr
+                       ? std::make_shared<RunChunk>(*next->chunks[c])
+                       : std::make_shared<RunChunk>();
+      cloned[c] = fresh.get();
+      next->chunks[c] = std::move(fresh);
+    }
+    std::vector<RunPtr>& list = cloned[c]->lists[r.node % kChunkNodes];
+    const std::size_t before = list.size();
     list.push_back(std::make_shared<const Run>(std::move(r)));
     if (list.size() > opts_.merge_threshold) {
       Run m = merge_runs(list);
@@ -368,14 +416,10 @@ std::uint64_t DynamicCatalog::commit_runs_locked(std::vector<Run>&& runs) {
       list.push_back(std::make_shared<const Run>(std::move(m)));
       ++merged;
     }
+    recount_depth(*next, before, list.size());
   }
   next->write_seq = seq;
   next->pending += added;
-  std::size_t depth = 0;
-  for (const auto& [node, list] : next->runs) {
-    depth = std::max(depth, list.size());
-  }
-  next->max_depth = depth;
   applied_total_ += added;
   merges_total_ += merged;
   DynMetrics& m = dyn_metrics();
@@ -524,30 +568,39 @@ coop::Expected<std::uint64_t> DynamicCatalog::install_compacted(
     next->base = std::move(base);
     next->write_seq = state_->write_seq;
     next->watermark = watermark;
+    next->chunks.resize(state_->chunks.size());
     std::size_t pending = 0;
-    std::size_t depth = 0;
     std::size_t dropped = 0;
-    for (const auto& [node, list] : state_->runs) {
-      std::vector<RunPtr> keep;
-      for (const RunPtr& r : list) {
-        if (r->max_seq > watermark) {
-          keep.push_back(r);
+    for (std::size_t c = 0; c < state_->chunks.size(); ++c) {
+      const RunChunk* old = state_->chunks[c].get();
+      if (old == nullptr) {
+        continue;
+      }
+      // Rebuild only chunks with runs above the watermark; the rest stay
+      // null in the new table.
+      auto fresh = std::make_shared<RunChunk>();
+      bool survivors = false;
+      for (std::uint32_t i = 0; i < kChunkNodes; ++i) {
+        for (const RunPtr& r : old->lists[i]) {
+          if (r->max_seq <= watermark) {
+            ++dropped;
+            continue;
+          }
+          fresh->lists[i].push_back(r);
+          survivors = true;
           // Entries carry contiguous seqs, so the count above the
           // watermark is a range difference (stale entries below it are
           // harmless shadows — see merge_runs).
           pending += static_cast<std::size_t>(
               r->max_seq - std::max(watermark, r->min_seq - 1));
-        } else {
-          ++dropped;
         }
+        recount_depth(*next, 0, fresh->lists[i].size());
       }
-      if (!keep.empty()) {
-        depth = std::max(depth, keep.size());
-        next->runs.emplace(node, std::move(keep));
+      if (survivors) {
+        next->chunks[c] = std::move(fresh);
       }
     }
     next->pending = pending;
-    next->max_depth = depth;
     ++compactions_total_;
     DynMetrics& m = dyn_metrics();
     m.compactions.inc();
@@ -582,7 +635,7 @@ DynamicCatalog::Stats DynamicCatalog::stats() const {
   s.base_version = state_->base->version;
   s.pending = state_->pending;
   s.max_depth = state_->max_depth;
-  s.nodes_with_runs = state_->runs.size();
+  s.nodes_with_runs = state_->touched;
   s.applied_total = applied_total_;
   s.merges_total = merges_total_;
   s.compactions_total = compactions_total_;

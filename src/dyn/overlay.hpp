@@ -23,9 +23,15 @@
 //   * depth-0 fast path: a node with no runs answers with one
 //     ProperIndex lookup seeded by the untouched SIMD base kernel; the
 //     merge machinery costs nothing until the first write.
+//   * writes cost O(touched): run lists live in a chunked copy-on-write
+//     node table (blocks of kChunkNodes node ids).  An apply copies the
+//     chunk-pointer vector and clones each chunk it touches once; every
+//     other chunk is shared with the previous State.  Reads find a
+//     node's runs with two loads.  A per-depth node count keeps
+//     `max_depth` exact without rescanning the table.
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -65,9 +71,19 @@ class ProperIndex {
 
 using RunPtr = std::shared_ptr<const Run>;
 
+/// Node ids per block of the copy-on-write run table.
+inline constexpr std::uint32_t kChunkNodes = 64;
+
+/// The run lists (oldest run first) of kChunkNodes consecutive node ids.
+/// Immutable once a State publishes it; writers clone before changing.
+struct RunChunk {
+  std::array<std::vector<RunPtr>, kChunkNodes> lists;
+};
+
 /// One immutable view of the dynamic catalog: a pinned base generation
 /// plus the per-node run lists layered over it.  Captured by readers and
-/// by the compactor; replaced wholesale by writers.
+/// by the compactor; writers publish a new State that shares every
+/// chunk they did not touch.
 struct State {
   /// The pinned base generation, shared across States so swaps don't
   /// re-pin: the registry Pin keeps the arena mapped, the ProperIndex
@@ -82,16 +98,25 @@ struct State {
   };
 
   std::shared_ptr<const Base> base;
-  /// node -> runs, oldest first.  Sparse: untouched nodes absent.
-  std::map<std::uint32_t, std::vector<RunPtr>> runs;
+  /// The run table: chunks[v / kChunkNodes] holds node v's run list, or
+  /// is null when no node of that block has runs.  Chunks are shared
+  /// between States; only the ones an apply touches are cloned.
+  std::vector<std::shared_ptr<const RunChunk>> chunks;
+  /// depth_nodes[d] counts the nodes with exactly d runs (d >= 1).
+  std::vector<std::size_t> depth_nodes;
   std::uint64_t write_seq = 0;   ///< seq of the newest applied mutation
   std::uint64_t watermark = 0;   ///< seqs <= watermark are baked into base
   std::size_t pending = 0;       ///< mutations in runs above the watermark
   std::size_t max_depth = 0;     ///< max run-list length over all nodes
+  std::size_t touched = 0;       ///< nodes with at least one run
 
-  [[nodiscard]] const std::vector<RunPtr>* node_runs(std::uint32_t v) const {
-    const auto it = runs.find(v);
-    return it == runs.end() ? nullptr : &it->second;
+  /// Node v's runs, oldest first; empty when v has none.
+  [[nodiscard]] std::span<const RunPtr> node_runs(std::uint32_t v) const {
+    const RunChunk* c = chunks[v / kChunkNodes].get();
+    if (c == nullptr) {
+      return {};
+    }
+    return c->lists[v % kChunkNodes];
   }
 
   /// The dynamic answer at `node`: smallest live key >= y under

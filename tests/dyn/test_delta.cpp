@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -157,6 +159,58 @@ TEST(DeltaCorruption, TombstoneBitFlipIsCaughtByCrc) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("CRC mismatch"),
             std::string::npos);
+}
+
+TEST(DeltaCorruption, CrcMismatchNamesBothCrcsInFull) {
+  auto bytes = dyn::encode_run(make_run());
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
+              sizeof(stored));
+  bytes[sizeof(dyn::RunHeader)] ^= 0xFF;  // first entry's key, CRC-covered
+  const std::uint32_t computed =
+      snapshot::crc32(bytes.data(), bytes.size() - sizeof(stored));
+  ASSERT_NE(stored, computed);
+  const auto decoded = dyn::decode_run(bytes);
+  ASSERT_FALSE(decoded.ok());
+  char want[64];
+  std::snprintf(want, sizeof(want), "stored 0x%08x computed 0x%08x", stored,
+                computed);
+  EXPECT_NE(decoded.status().message().find(want), std::string::npos)
+      << decoded.status().message();
+}
+
+// Every decoder that takes bytes from outside the process has two
+// outcomes for any input: a typed refusal, or a load identical to the
+// original.  Flip every byte of a multi-entry run in turn.
+TEST(DeltaCorruption, EveryByteFlipIsRejectedOrHarmless) {
+  const dyn::Run original = make_run();
+  const std::vector<std::uint8_t> pristine = dyn::encode_run(original);
+  std::size_t rejected = 0;
+  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+    std::vector<std::uint8_t> mutated = pristine;
+    mutated[pos] ^= 0xFF;
+    const auto decoded = dyn::decode_run(mutated);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), coop::StatusCode::kCorrupted)
+          << "flip at byte " << pos << ": " << decoded.status().to_string();
+      ++rejected;
+      continue;
+    }
+    EXPECT_EQ(decoded->node, original.node) << "flip at byte " << pos;
+    EXPECT_EQ(decoded->min_seq, original.min_seq) << "flip at byte " << pos;
+    EXPECT_EQ(decoded->max_seq, original.max_seq) << "flip at byte " << pos;
+    ASSERT_EQ(decoded->entries.size(), original.entries.size())
+        << "flip at byte " << pos;
+    for (std::size_t i = 0; i < original.entries.size(); ++i) {
+      EXPECT_EQ(decoded->entries[i].key, original.entries[i].key)
+          << "flip at byte " << pos << " entry " << i;
+      EXPECT_EQ(decoded->entries[i].tombstone, original.entries[i].tombstone)
+          << "flip at byte " << pos << " entry " << i;
+    }
+  }
+  // The CRC-32C trailer covers every byte, and a single-byte flip is a
+  // burst it always detects.
+  EXPECT_EQ(rejected, pristine.size());
 }
 
 TEST(DeltaCorruption, KeyDisorderSurvivesCrcButNotTheValidator) {

@@ -36,8 +36,8 @@ class Oracle {
  public:
   explicit Oracle(const cat::Tree& tree) {
     live_.resize(tree.num_nodes());
-    for (cat::NodeId v = 0; v < tree.num_nodes(); ++v) {
-      const auto keys = tree.catalog(v).keys();
+    for (std::size_t v = 0; v < tree.num_nodes(); ++v) {
+      const auto keys = tree.catalog(static_cast<cat::NodeId>(v)).keys();
       for (const Key k : keys) {
         if (k != cat::kInfinity) {
           live_[v].insert(k);
@@ -123,9 +123,9 @@ TEST(ProperIndex, ReconstructsEveryNodesProperKeys) {
   const StatePtr s = fx.cat->state();
   const auto& proper = s->base->proper;
   ASSERT_EQ(proper.num_nodes(), fx.tree.num_nodes());
-  for (cat::NodeId v = 0; v < fx.tree.num_nodes(); ++v) {
+  for (std::size_t v = 0; v < fx.tree.num_nodes(); ++v) {
     const auto got = proper.node_keys(static_cast<std::uint32_t>(v));
-    const auto want = fx.tree.catalog(v).keys();
+    const auto want = fx.tree.catalog(static_cast<cat::NodeId>(v)).keys();
     ASSERT_EQ(got.size(), want.size()) << "node " << v;
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "node " << v << " slot " << i;
@@ -338,6 +338,140 @@ TEST(Overlay, ReadYourWritesAfterEveryAck) {
     ASSERT_TRUE(fx.cat->apply({{{v, k, Op::kDelete}}}).ok());
     EXPECT_NE(fx.cat->state()->live_successor(v, k), k);
   }
+}
+
+/// Brute-force recount over every node of the State's depth bookkeeping:
+/// max_depth and touched must equal the longest run list and the number
+/// of nodes with any run, in the State and in stats().
+void expect_exact_depth(const DynamicCatalog& cat, std::size_t num_nodes) {
+  const StatePtr s = cat.state();
+  std::size_t depth = 0;
+  std::size_t touched = 0;
+  for (std::uint32_t v = 0; v < num_nodes; ++v) {
+    const std::size_t len = s->node_runs(v).size();
+    depth = std::max(depth, len);
+    touched += len > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(s->max_depth, depth);
+  EXPECT_EQ(s->touched, touched);
+  const DynamicCatalog::Stats st = cat.stats();
+  EXPECT_EQ(st.max_depth, depth);
+  EXPECT_EQ(st.nodes_with_runs, touched);
+}
+
+/// Rebuild the generation `s` describes (its merged live keys over its
+/// base topology), as the compactor does.
+Snapshot rebuild(const dyn::State& s, std::size_t num_nodes) {
+  cat::Tree tree(num_nodes);
+  const auto& flat = s.base->flat();
+  for (std::uint32_t v = 0; v < num_nodes; ++v) {
+    for (std::uint32_t c = 0; c < flat.node(v).num_children; ++c) {
+      tree.add_child(static_cast<cat::NodeId>(v),
+                     static_cast<cat::NodeId>(flat.child(v, c)));
+    }
+  }
+  for (std::uint32_t v = 0; v < num_nodes; ++v) {
+    tree.set_catalog(static_cast<cat::NodeId>(v),
+                     cat::Catalog::from_sorted_keys(s.live_keys(v)));
+  }
+  tree.finalize();
+  const auto st = fc::Structure::build_checked(tree);
+  EXPECT_TRUE(st.ok());
+  auto f = serve::FlatCascade::compile(*st);
+  EXPECT_TRUE(f.ok());
+  return Snapshot::in_memory(f.take());
+}
+
+TEST(Overlay, CapturedStatesStayIsolatedAcrossChunkBoundaries) {
+  // Height 6: 127 nodes, one full chunk and a partial last one.
+  Fixture fx(/*seed=*/73, /*height=*/6, /*entries=*/1200,
+             /*merge_threshold=*/3);
+  const auto n = static_cast<std::uint32_t>(fx.tree.num_nodes());
+  ASSERT_GT(n, dyn::kChunkNodes);
+  ASSERT_NE(n % dyn::kChunkNodes, 0u);
+  const std::vector<std::uint32_t> edges = {0, dyn::kChunkNodes - 1,
+                                            dyn::kChunkNodes, n - 1};
+  Oracle oracle(fx.tree);
+  std::mt19937_64 rng(79);
+
+  // Two mutations per listed node, last op per (node, key) wins.
+  const auto apply_at = [&](const std::vector<std::uint32_t>& nodes) {
+    std::vector<Mutation> batch;
+    for (const std::uint32_t v : nodes) {
+      for (int i = 0; i < 2; ++i) {
+        batch.push_back({v, static_cast<Key>(rng() % (2 * kKeyRange)),
+                         (rng() % 3 == 0) ? Op::kDelete : Op::kInsert});
+      }
+    }
+    ASSERT_TRUE(fx.cat->apply(batch).ok());
+    std::map<std::pair<std::uint32_t, Key>, Op> final_ops;
+    for (const Mutation& m : batch) {
+      final_ops[{m.node, m.key}] = m.op;
+    }
+    for (const auto& [nk, op] : final_ops) {
+      oracle.apply({nk.first, nk.second, op});
+    }
+  };
+  // Everything a reader can ask of the boundary nodes.
+  std::vector<Key> probes = {0, kKeyRange / 2, kKeyRange, 2 * kKeyRange};
+  for (int i = 0; i < 12; ++i) {
+    probes.push_back(static_cast<Key>(rng() % (2 * kKeyRange)));
+  }
+  const auto answers = [&](const StatePtr& s) {
+    std::vector<std::vector<Key>> out;
+    for (const std::uint32_t v : edges) {
+      out.push_back(s->live_keys(v));
+      std::vector<Key> succ;
+      for (const Key y : probes) {
+        succ.push_back(s->live_successor(v, y));
+      }
+      out.push_back(std::move(succ));
+    }
+    return out;
+  };
+
+  apply_at(edges);
+  expect_exact_depth(*fx.cat, n);
+  const StatePtr captured = fx.cat->state();
+  const auto captured_want = answers(captured);
+
+  // A write to one chunk clones that chunk only.
+  apply_at({0});
+  EXPECT_NE(fx.cat->state()->chunks[0], captured->chunks[0]);
+  EXPECT_EQ(fx.cat->state()->chunks[1], captured->chunks[1]);
+
+  // Deepen every boundary node past the merge threshold.
+  for (int round = 0; round < 6; ++round) {
+    apply_at(edges);
+    EXPECT_EQ(answers(captured), captured_want) << "round " << round;
+    expect_exact_depth(*fx.cat, n);
+  }
+  EXPECT_GT(fx.cat->stats().merges_total, 0u);
+
+  // Compact at a watermark that the last chunk's runs outlive: chunk 0
+  // empties, the partial last chunk is rebuilt with its survivors.
+  const StatePtr mid = fx.cat->state();
+  const auto mid_want = answers(mid);
+  apply_at({dyn::kChunkNodes, n - 1});
+  auto installed =
+      fx.cat->install_compacted(rebuild(*mid, n), mid->write_seq);
+  ASSERT_TRUE(installed.ok()) << installed.status().to_string();
+  expect_exact_depth(*fx.cat, n);
+  EXPECT_EQ(fx.cat->stats().nodes_with_runs, 2u);
+  EXPECT_EQ(fx.cat->stats().max_depth, 1u);
+  EXPECT_EQ(fx.cat->state()->chunks[0], nullptr);
+  EXPECT_EQ(answers(captured), captured_want);
+  EXPECT_EQ(answers(mid), mid_want);
+  fx.check_against(oracle, fx.cat->state(), rng, /*probes=*/6);
+
+  // A full compaction empties the table; the captures still answer.
+  dyn::Compactor compactor(*fx.cat, {});
+  ASSERT_TRUE(compactor.compact_once().ok());
+  expect_exact_depth(*fx.cat, n);
+  EXPECT_EQ(fx.cat->stats().nodes_with_runs, 0u);
+  EXPECT_EQ(answers(captured), captured_want);
+  EXPECT_EQ(answers(mid), mid_want);
+  fx.check_against(oracle, fx.cat->state(), rng, /*probes=*/6);
 }
 
 }  // namespace

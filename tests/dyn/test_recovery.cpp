@@ -274,7 +274,7 @@ TEST(Recovery, MidLogDamageRejectedTypedWithNoPartialState) {
     ASSERT_NE(b.cat, nullptr);
     EXPECT_EQ(b.cat->stats().write_seq, 0u);
     EXPECT_EQ(b.cat->state()->pending, 0u);
-    EXPECT_EQ(b.cat->state()->runs.size(), 0u);
+    EXPECT_EQ(b.cat->state()->touched, 0u);
     EXPECT_EQ(b.cat->wal(), nullptr);
   }
 }
