@@ -24,8 +24,9 @@ void BM_SpacePerSubstructure(benchmark::State& state) {
   state.counters["total_over_n"] =
       double(inst.coop->total_entries()) / double(entries);
   for (std::uint32_t i = 0; i < inst.coop->substructure_count(); ++i) {
-    state.counters["T" + std::to_string(i)] =
-        double(inst.coop->substructure(i).skeleton_entries);
+    std::string name = "T";
+    name += std::to_string(i);
+    state.counters[name] = double(inst.coop->substructure(i).skeleton_entries);
   }
 }
 

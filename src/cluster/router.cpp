@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -75,11 +74,12 @@ bool is_transport_failure(const Status& s) {
 /// connected lazily and kept across batches.
 using ConnSet = std::vector<std::vector<std::unique_ptr<net::Client>>>;
 
-/// One shard's part of a scattered batch.
+/// One shard's part of a routed batch: its sub-request out, and once
+/// gathered, its checked reply.
 struct Leg {
-  std::uint32_t shard = 0;
-  std::vector<std::uint8_t> payload;  ///< the encoded sub-batch request
-  std::uint32_t next_replica = 0;     ///< first replica not yet tried
+  net::SubBatch sub;
+  net::PathReply reply;
+  std::uint32_t next_replica = 0;  ///< first replica not yet tried
   std::uint32_t attempts = 0;
   std::uint32_t replica = 0;  ///< holds the outstanding request
   robust::CircuitBreaker::Pass pass = robust::CircuitBreaker::Pass::kNormal;
@@ -87,13 +87,9 @@ struct Leg {
   Status status = coop::OkStatus();
 };
 
-/// Merges one shard's reply into the client's response; a failure here
-/// is treated like a failed round trip.
-using MergeFn = std::function<Status(std::uint32_t shard, net::Frame& reply)>;
-
 }  // namespace
 
-struct Router::Impl {
+struct Router::Impl final : net::PathRouter {
   RouterOptions opts;
   /// breakers[shard][replica], fixed at create().
   std::vector<std::vector<std::unique_ptr<robust::CircuitBreaker>>> breakers;
@@ -144,7 +140,7 @@ struct Router::Impl {
   void fail_attempt(Leg& leg, std::unique_ptr<net::Client>& conn,
                     const Status& s) {
     conn.reset();
-    if (breakers[leg.shard][leg.replica]->record(leg.pass, false).tripped) {
+    if (breakers[leg.sub.shard][leg.replica]->record(leg.pass, false).tripped) {
       bump(&RouterStats::breaker_trips, &RouterMetrics::breaker_trips);
     }
     bump(&RouterStats::shard_failures);
@@ -155,7 +151,7 @@ struct Router::Impl {
   /// re-carving the remaining deadline per attempt.  Leaves the leg
   /// pending, or settled with the failure that ended it.
   void send_leg(Leg& leg, const net::Request& req, ConnSet& conns) {
-    const std::vector<Endpoint>& replicas = opts.shards[leg.shard];
+    const std::vector<Endpoint>& replicas = opts.shards[leg.sub.shard];
     const std::uint32_t max_attempts = std::min<std::uint32_t>(
         static_cast<std::uint32_t>(replicas.size()), 1 + opts.max_hedges);
     while (leg.next_replica < replicas.size() &&
@@ -171,11 +167,11 @@ struct Router::Impl {
         if (carved == 0) {
           leg.status = Status::deadline_exceeded(
               "client deadline exhausted before shard " +
-              std::to_string(leg.shard) + " could be asked");
+              std::to_string(leg.sub.shard) + " could be asked");
           return;
         }
       }
-      leg.pass = breakers[leg.shard][r]->admit();
+      leg.pass = breakers[leg.sub.shard][r]->admit();
       if (leg.pass == robust::CircuitBreaker::Pass::kRefused) {
         bump(&RouterStats::breaker_skips);
         continue;
@@ -186,7 +182,7 @@ struct Router::Impl {
       }
       bump(&RouterStats::sub_batches_sent, &RouterMetrics::sub_batches);
 
-      std::unique_ptr<net::Client>& conn = conns[leg.shard][r];
+      std::unique_ptr<net::Client>& conn = conns[leg.sub.shard][r];
       if (conn == nullptr || !conn->connected()) {
         net::ClientOptions copts;
         copts.connect_timeout = opts.connect_timeout;
@@ -207,7 +203,7 @@ struct Router::Impl {
                                   std::chrono::nanoseconds(
                                       static_cast<std::int64_t>(carved)))
                        : opts.io_timeout;
-      if (Status s = conn->send_request(req.type(), leg.payload); !s.ok()) {
+      if (Status s = conn->send_request(req.type(), leg.sub.payload); !s.ok()) {
         fail_attempt(leg, conn, s);
         continue;
       }
@@ -215,22 +211,43 @@ struct Router::Impl {
       return;
     }
     if (leg.status.ok()) {
-      leg.status = Status::unavailable("shard " + std::to_string(leg.shard) +
-                                       ": no endpoint admitted the request");
+      leg.status =
+          Status::unavailable("shard " + std::to_string(leg.sub.shard) +
+                              ": no endpoint admitted the request");
     }
   }
 
-  /// Read `leg`'s reply and merge it, falling back to the next replica
+  /// Check one shard reply's layout and answer count and keep it in
+  /// `leg`; a failure here is treated like a failed round trip.
+  Status absorb(Leg& leg, const net::Request& req, net::Frame& frame) {
+    auto reply =
+        net::index_path_reply(req.type(), std::move(frame.payload),
+                              req.limits);
+    if (!reply.ok()) {
+      return reply.status();
+    }
+    if (reply->answers() != leg.sub.count) {
+      return Status::internal(
+          "shard " + std::to_string(leg.sub.shard) + " answered " +
+          std::to_string(reply->answers()) + " of " +
+          std::to_string(leg.sub.count) + " queries");
+    }
+    shard_version[leg.sub.shard].store(reply->served_version,
+                                       std::memory_order_relaxed);
+    leg.reply = reply.take();
+    return coop::OkStatus();
+  }
+
+  /// Read `leg`'s reply and absorb it, falling back to the next replica
   /// on a transport failure.
-  void gather_leg(Leg& leg, const net::Request& req, ConnSet& conns,
-                  const MergeFn& merge) {
+  void gather_leg(Leg& leg, const net::Request& req, ConnSet& conns) {
     while (leg.pending) {
       leg.pending = false;
-      std::unique_ptr<net::Client>& conn = conns[leg.shard][leg.replica];
+      std::unique_ptr<net::Client>& conn = conns[leg.sub.shard][leg.replica];
       auto reply = conn->recv_response();
-      Status s = reply.ok() ? merge(leg.shard, *reply) : reply.status();
+      Status s = reply.ok() ? absorb(leg, req, *reply) : reply.status();
       if (s.ok()) {
-        breakers[leg.shard][leg.replica]->record(leg.pass, true);
+        breakers[leg.sub.shard][leg.replica]->record(leg.pass, true);
         leg.status = coop::OkStatus();
         return;
       }
@@ -242,7 +259,7 @@ struct Router::Impl {
       // The shard answered (a typed refusal or a timeout): the endpoint
       // is healthy, but the stream may hold a late reply, so reconnect.
       conn.reset();
-      breakers[leg.shard][leg.replica]->record(leg.pass, true);
+      breakers[leg.sub.shard][leg.replica]->record(leg.pass, true);
       leg.status = s;
     }
   }
@@ -250,14 +267,13 @@ struct Router::Impl {
   /// Send every leg, then gather every reply (so no connection is left
   /// holding an unread answer).  Returns the first failure, preferring
   /// deadline expiry (the most actionable for the client).
-  Status scatter_gather(std::vector<Leg>& legs, const net::Request& req,
-                        const MergeFn& merge) {
+  Status scatter_gather(std::vector<Leg>& legs, const net::Request& req) {
     std::unique_ptr<ConnSet> conns = lease_conns();
     for (Leg& leg : legs) {
       send_leg(leg, req, *conns);
     }
     for (Leg& leg : legs) {
-      gather_leg(leg, req, *conns, merge);
+      gather_leg(leg, req, *conns);
     }
     return_conns(std::move(conns));
     Status first = coop::OkStatus();
@@ -274,119 +290,46 @@ struct Router::Impl {
 
   // ---- routing -----------------------------------------------------
 
-  /// Group queries by the shard owning their last path node, remap node
-  /// ids to that shard's local id space, and encode each group as one
-  /// leg's SubRequest.  `origin[s][i]` is the client position of shard
-  /// s's i-th query.  Refuses empty, out-of-range and off-shard paths.
-  template <typename SubRequest>
-  Status scatter(const std::vector<serve::PathQuery>& queries,
-                 std::vector<Leg>& legs,
-                 std::vector<std::vector<std::size_t>>& origin) const {
-    const RoutingMap& map = opts.map;
-    std::vector<SubRequest> subs(map.num_shards);
-    origin.assign(map.num_shards, {});
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      const serve::PathQuery& q = queries[qi];
-      if (q.path.empty()) {
-        return Status::invalid_argument("empty query path");
-      }
-      for (const serve::NodeId v : q.path) {
-        if (v < 0 || static_cast<std::size_t>(v) >= map.num_nodes()) {
-          return Status::invalid_argument("query path node " +
-                                          std::to_string(v) +
-                                          " out of range");
-        }
-      }
-      const std::uint32_t shard = map.owner[q.path.back()];
-      serve::PathQuery local;
-      local.y = q.y;
-      local.path.reserve(q.path.size());
-      for (const serve::NodeId v : q.path) {
-        const std::int32_t l = map.global_to_local[shard][v];
-        if (l < 0) {
-          return Status::invalid_argument(
-              "query path node " + std::to_string(v) + " is not on shard " +
-              std::to_string(shard) + " (paths must descend from the root)");
-        }
-        local.path.push_back(static_cast<serve::NodeId>(l));
-      }
-      subs[shard].queries.push_back(std::move(local));
-      origin[shard].push_back(qi);
-    }
-    for (std::uint32_t s = 0; s < map.num_shards; ++s) {
-      if (!origin[s].empty()) {
-        subs[s].collection = opts.collection;
-        Leg leg;
-        leg.shard = s;
-        leg.payload = net::encode(subs[s]);
-        legs.push_back(std::move(leg));
-      }
-    }
-    return coop::OkStatus();
+  std::uint32_t num_shards() const override { return opts.map.num_shards; }
+  coop::Expected<std::uint32_t> route(
+      std::span<std::uint32_t> path) const override {
+    return opts.map.route(path);
   }
 
-  /// Route one PATH_BATCH / DYN_PATH_BATCH: decode, scatter, fan out,
-  /// and un-permute each shard's answers into `resp` through `absorb`.
-  template <typename Req, typename Resp, typename Decode, typename Absorb>
-  coop::Expected<std::vector<std::uint8_t>> route(const net::Request& req,
-                                                  Decode decode,
-                                                  Resp resp,
-                                                  Absorb absorb) {
-    auto decoded = decode(req.payload, req.limits);
-    if (!decoded.ok()) {
-      return decoded.status();
+  /// Route one PATH_BATCH / DYN_PATH_BATCH at the byte level: split the
+  /// request by the shard owning each path's last node, fan the
+  /// sub-requests out, and splice the shards' answers back into the
+  /// client's order.
+  coop::Expected<std::vector<std::uint8_t>> route_batch(
+      const net::Request& req) {
+    auto scattered =
+        net::scatter_path_request(req.type(), req.payload, *this, req.limits);
+    if (!scattered.ok()) {
+      return scattered.status();
     }
-    if (decoded->collection != opts.collection) {
+    if (scattered->collection != opts.collection) {
       return Status::invalid_argument("unknown collection '" +
-                                      decoded->collection +
+                                      scattered->collection +
                                       "' (this router serves '" +
                                       opts.collection + "')");
     }
-    std::vector<Leg> legs;
-    std::vector<std::vector<std::size_t>> origin;
-    if (Status s = scatter<Req>(decoded->queries, legs, origin); !s.ok()) {
-      return s;
+    if (!scattered->refused.ok()) {
+      return scattered->refused;
     }
-    resp.answers.resize(decoded->queries.size());
-    const Status s = scatter_gather(
-        legs, req, [&](std::uint32_t shard, net::Frame& reply) -> Status {
-          auto sub = absorb(reply.payload, req.limits);
-          if (!sub.ok()) {
-            return sub.status();
-          }
-          if (sub->answers.size() != origin[shard].size()) {
-            return Status::internal(
-                "shard " + std::to_string(shard) + " answered " +
-                std::to_string(sub->answers.size()) + " of " +
-                std::to_string(origin[shard].size()) + " queries");
-          }
-          shard_version[shard].store(sub->served_version,
-                                     std::memory_order_relaxed);
-          merge_header(resp, *sub);
-          for (std::size_t i = 0; i < sub->answers.size(); ++i) {
-            resp.answers[origin[shard][i]] = std::move(sub->answers[i]);
-          }
-          return coop::OkStatus();
-        });
-    if (!s.ok()) {
+    std::vector<Leg> legs(scattered->subs.size());
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      legs[i].sub = std::move(scattered->subs[i]);
+    }
+    if (Status s = scatter_gather(legs, req); !s.ok()) {
       bump(&RouterStats::sheds, &RouterMetrics::sheds);
       return s;
     }
+    std::vector<net::PathReply> replies(legs.size());
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      replies[i] = std::move(legs[i].reply);
+    }
     bump(&RouterStats::batches_routed, &RouterMetrics::batches);
-    return net::encode(resp);
-  }
-
-  /// The merged response reports the oldest generation (and overlay
-  /// sequence) any shard answered from.
-  static void merge_header(net::PathBatchResponse& into,
-                           const net::PathBatchResponse& sub) {
-    into.served_version = std::min(into.served_version, sub.served_version);
-    into.degraded = into.degraded || sub.degraded;
-  }
-  static void merge_header(net::DynPathBatchResponse& into,
-                           const net::DynPathBatchResponse& sub) {
-    into.served_version = std::min(into.served_version, sub.served_version);
-    into.write_seq = std::min(into.write_seq, sub.write_seq);
+    return net::splice_path_replies(req.type(), replies, scattered->slots);
   }
 };
 
@@ -430,21 +373,9 @@ Router::~Router() = default;
 coop::Expected<std::vector<std::uint8_t>> Router::serve(
     const net::Request& req) {
   switch (req.type()) {
-    case MsgType::kPathBatch: {
-      net::PathBatchResponse resp;
-      resp.served_version = ~std::uint64_t{0};
-      return impl_->route<net::PathBatchRequest>(
-          req, net::decode_path_request, std::move(resp),
-          net::decode_path_response);
-    }
-    case MsgType::kDynPathBatch: {
-      net::DynPathBatchResponse resp;
-      resp.served_version = ~std::uint64_t{0};
-      resp.write_seq = ~std::uint64_t{0};
-      return impl_->route<net::DynPathBatchRequest>(
-          req, net::decode_dyn_path_request, std::move(resp),
-          net::decode_dyn_path_response);
-    }
+    case MsgType::kPathBatch:
+    case MsgType::kDynPathBatch:
+      return impl_->route_batch(req);
     default:
       return Status::invalid_argument(
           std::string("the router serves PATH_BATCH/DYN_PATH_BATCH/HEALTH/"

@@ -8,7 +8,10 @@
 // the answers back into the client's order — answers are per-position
 // indices/keys, so the merge is a pure un-permutation and the result is
 // byte-identical to a single-process serve::Frontend over the
-// unpartitioned structure.
+// unpartitioned structure.  Both steps work on the wire bytes through
+// net::scatter_path_request / index_path_reply / splice_path_replies:
+// the router builds no PathQuery or PathAnswer, and the payload layout
+// stays known to net/wire.cpp alone.
 //
 // The fan-out runs on the serving thread without extra threads: every
 // involved shard is sent its sub-batch over a persistent connection

@@ -27,6 +27,33 @@ void RoutingMap::build_reverse() {
   }
 }
 
+coop::Expected<std::uint32_t> RoutingMap::route(
+    std::span<std::uint32_t> path) const {
+  if (path.empty()) {
+    return Status::invalid_argument("empty query path");
+  }
+  // Node ids are signed on the client side; name them as it does.
+  for (const std::uint32_t v : path) {
+    if (v >= num_nodes()) {
+      return Status::invalid_argument(
+          "query path node " + std::to_string(static_cast<std::int32_t>(v)) +
+          " out of range");
+    }
+  }
+  const std::uint32_t shard = owner[path.back()];
+  const std::vector<std::int32_t>& local = global_to_local[shard];
+  for (std::uint32_t& v : path) {
+    const std::int32_t l = local[v];
+    if (l < 0) {
+      return Status::invalid_argument(
+          "query path node " + std::to_string(v) + " is not on shard " +
+          std::to_string(shard) + " (paths must descend from the root)");
+    }
+    v = static_cast<std::uint32_t>(l);
+  }
+  return shard;
+}
+
 coop::Status RoutingMap::validate() const {
   if (num_shards == 0) {
     return Status::corrupted("routing map has zero shards");

@@ -8,6 +8,7 @@
 // and a bit-flipped map is a typed Status instead of misrouted queries.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,14 @@ struct RoutingMap {
 
   /// Rebuild global_to_local from local_to_global.
   void build_reverse();
+
+  /// Route one query path of global node ids to owner(path.back()),
+  /// rewriting the ids in place to that shard's local ids, and return
+  /// the shard.  Refuses (kInvalidArgument) an empty path, a node out of
+  /// range, and a node the shard does not keep (a path that does not
+  /// descend from the root).
+  [[nodiscard]] coop::Expected<std::uint32_t> route(
+      std::span<std::uint32_t> path) const;
 
   /// Check every structural invariant listed above; descriptive Status
   /// on the first violation.  Requires build_reverse() to have run.

@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -156,12 +158,31 @@ Status Client::send_all(std::span<const std::uint8_t> bytes) {
   return coop::OkStatus();
 }
 
-Status Client::recv_exact(std::uint8_t* out, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t got = ::recv(fd_, out + off, n - off, 0);
+Status Client::recv_exact(std::span<iovec> parts) {
+  msghdr msg{};
+  msg.msg_iov = parts.data();
+  msg.msg_iovlen = parts.size();
+  while (msg.msg_iovlen != 0) {
+    if (msg.msg_iov->iov_len == 0) {
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+      continue;
+    }
+    const ssize_t got = ::recvmsg(fd_, &msg, 0);
     if (got > 0) {
-      off += static_cast<std::size_t>(got);
+      // Advance past the bytes received, which may end mid-part.
+      auto left = static_cast<std::size_t>(got);
+      while (left != 0) {
+        const std::size_t step = std::min(left, msg.msg_iov->iov_len);
+        msg.msg_iov->iov_base =
+            static_cast<char*>(msg.msg_iov->iov_base) + step;
+        msg.msg_iov->iov_len -= step;
+        left -= step;
+        if (msg.msg_iov->iov_len == 0) {
+          ++msg.msg_iov;
+          --msg.msg_iovlen;
+        }
+      }
       continue;
     }
     if (got == 0) {
@@ -185,25 +206,33 @@ Status Client::send_raw(std::span<const std::uint8_t> bytes) {
 }
 
 coop::Expected<Frame> Client::read_frame() {
-  std::uint8_t prefix_bytes[sizeof(std::uint32_t)];
-  if (Status s = recv_exact(prefix_bytes, sizeof(prefix_bytes)); !s.ok()) {
+  std::uint32_t prefix = 0;
+  iovec head{&prefix, sizeof(prefix)};
+  if (Status s = recv_exact({&head, 1}); !s.ok()) {
     return s;
   }
-  std::uint32_t prefix = 0;
-  std::memcpy(&prefix, prefix_bytes, sizeof(prefix));
   if (std::size_t{prefix} < sizeof(FrameHeader) + sizeof(std::uint32_t) ||
-      sizeof(prefix) + std::size_t{prefix} > opts_.limits.max_frame_bytes) {
+      sizeof(prefix) + std::size_t{prefix} > opts_.limits.max_frame_bytes ||
+      sizeof(prefix) + std::size_t{prefix} > kAbsoluteMaxFrame) {
     return Status::corrupted("server sent a frame with length prefix " +
                              std::to_string(prefix) +
                              " outside the accepted range");
   }
-  std::vector<std::uint8_t> whole(sizeof(prefix) + prefix);
-  std::memcpy(whole.data(), prefix_bytes, sizeof(prefix));
-  if (Status s = recv_exact(whole.data() + sizeof(prefix), prefix);
-      !s.ok()) {
+  // The header, payload and CRC trailer land in their own storage, so
+  // the payload is copied once, from the socket.
+  Frame f;
+  f.payload.resize(prefix - sizeof(FrameHeader) - sizeof(std::uint32_t));
+  std::uint32_t trailer = 0;
+  iovec parts[] = {{&f.header, sizeof(f.header)},
+                   {f.payload.data(), f.payload.size()},
+                   {&trailer, sizeof(trailer)}};
+  if (Status s = recv_exact(parts); !s.ok()) {
     return s;
   }
-  return decode_frame(whole, opts_.limits);
+  if (Status s = check_frame(prefix, f.header, f.payload, trailer); !s.ok()) {
+    return s;
+  }
+  return f;
 }
 
 Status Client::send_request(MsgType type,

@@ -7,6 +7,8 @@
 // speak; it also exposes the raw-byte and abrupt-close primitives the
 // chaos harness needs to inject corrupted frames and mid-batch resets.
 
+#include <sys/uio.h>
+
 #include <chrono>
 #include <cstdint>
 #include <span>
@@ -117,7 +119,8 @@ class Client {
 
  private:
   [[nodiscard]] coop::Status send_all(std::span<const std::uint8_t> bytes);
-  [[nodiscard]] coop::Status recv_exact(std::uint8_t* out, std::size_t n);
+  /// Fill every part, in order, from the socket.
+  [[nodiscard]] coop::Status recv_exact(std::span<iovec> parts);
   /// send_request then recv_response.
   [[nodiscard]] coop::Expected<Frame> round_trip(
       MsgType type, std::span<const std::uint8_t> payload);

@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace net {
@@ -8,11 +9,22 @@ using coop::Status;
 
 namespace {
 
-/// Append-only little-endian byte builder.
+static_assert(sizeof(serve::NodeId) == sizeof(std::uint32_t),
+              "path node ids travel as u32");
+static_assert(sizeof(dyn::Key) == sizeof(std::int64_t),
+              "dynamic answer keys travel as i64");
+
+/// Encoded size of a string or blob: its u32 length, then its bytes.
+std::size_t str_size(std::size_t n) { return sizeof(std::uint32_t) + n; }
+
+/// Little-endian byte builder.  Each encoder reserves the payload's exact
+/// size up front, so encoding allocates once; arrays go in with one copy
+/// each (the platform is little-endian, see serve/arena.hpp).
 class Writer {
  public:
+  explicit Writer(std::size_t size) { buf_.reserve(size); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
   void i64(std::int64_t v) { raw(&v, sizeof(v)); }
@@ -24,19 +36,24 @@ class Writer {
     u32(static_cast<std::uint32_t>(b.size()));
     raw(b.data(), b.size());
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
+  template <typename T>
+  void array(const std::vector<T>& v) {
+    raw(v.data(), v.size() * sizeof(T));
+  }
   void raw(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
+
+ private:
   std::vector<std::uint8_t> buf_;
 };
 
 /// Bounds-checked little-endian reader over hostile payload bytes.
 /// Every getter reports the failing field by name, so a rejected frame's
-/// Status tells the operator *what* was malformed, not just "bad".
+/// Status tells the operator *what* was malformed, not just "bad".  An
+/// array is checked once and copied with one memcpy.
 class Reader {
  public:
   Reader(std::span<const std::uint8_t> bytes, const DecodeLimits& limits)
@@ -62,11 +79,11 @@ class Reader {
     if (len > limits_.max_name_len) {
       return overlong(what, len, limits_.max_name_len);
     }
-    if (len > remaining()) {
-      return truncated(what);
+    const std::uint8_t* at = nullptr;
+    if (Status s = bytes(len, at, what); !s.ok()) {
+      return s;
     }
-    out.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
+    out.assign(reinterpret_cast<const char*>(at), len);
     return coop::OkStatus();
   }
   [[nodiscard]] Status blob(std::vector<std::uint8_t>& out,
@@ -75,11 +92,35 @@ class Reader {
     if (Status s = u32(len, what); !s.ok()) {
       return s;
     }
-    if (len > remaining()) {
+    const std::uint8_t* at = nullptr;
+    if (Status s = bytes(len, at, what); !s.ok()) {
+      return s;
+    }
+    out.assign(at, at + len);
+    return coop::OkStatus();
+  }
+  /// `n` elements of T in one bounds check and one copy.
+  template <typename T>
+  [[nodiscard]] Status array(std::vector<T>& out, std::size_t n,
+                             const char* what) {
+    if (n > remaining() / sizeof(T)) {
       return truncated(what);
     }
-    out.assign(bytes_.data() + pos_, bytes_.data() + pos_ + len);
-    pos_ += len;
+    out.resize(n);
+    if (n != 0) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(T));
+      pos_ += n * sizeof(T);
+    }
+    return coop::OkStatus();
+  }
+  /// Step over `n` bytes, pointing `at` at the first of them.
+  [[nodiscard]] Status bytes(std::size_t n, const std::uint8_t*& at,
+                             const char* what) {
+    if (n > remaining()) {
+      return truncated(what);
+    }
+    at = bytes_.data() + pos_;
+    pos_ += n;
     return coop::OkStatus();
   }
   /// A count field that bounds a following repetition.
@@ -93,6 +134,7 @@ class Reader {
     }
     return coop::OkStatus();
   }
+  [[nodiscard]] std::size_t pos() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
   /// Decoders call this last: accepting trailing garbage would let a
   /// peer smuggle bytes past the payload CRC unexamined.
@@ -129,6 +171,76 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+/// The fewest bytes one query (i64 key, u32 length) and one answer (u32
+/// length) take: a count is trusted for reservations only this far.
+constexpr std::size_t kMinQueryBytes =
+    sizeof(std::int64_t) + sizeof(std::uint32_t);
+constexpr std::size_t kMinAnswerBytes = sizeof(std::uint32_t);
+
+/// PATH_BATCH and DYN_PATH_BATCH share one request layout and differ
+/// only in the names their messages use.
+struct PathNames {
+  const char* batch_size;
+  const char* request;
+  const char* response;
+};
+
+PathNames path_names(MsgType verb) {
+  if (verb == MsgType::kDynPathBatch) {
+    return {"dyn batch size", "dyn path request", "dyn path response"};
+  }
+  return {"path batch size", "path request", "path response"};
+}
+
+std::vector<std::uint8_t> encode_queries(
+    const std::string& collection,
+    const std::vector<serve::PathQuery>& queries) {
+  std::size_t size = str_size(collection.size()) + sizeof(std::uint32_t);
+  for (const serve::PathQuery& q : queries) {
+    size += kMinQueryBytes + q.path.size() * sizeof(std::uint32_t);
+  }
+  Writer w(size);
+  w.str(collection);
+  w.u32(static_cast<std::uint32_t>(queries.size()));
+  for (const serve::PathQuery& q : queries) {
+    w.i64(q.y);
+    w.u32(static_cast<std::uint32_t>(q.path.size()));
+    w.array(q.path);
+  }
+  return w.take();
+}
+
+Status decode_queries(std::span<const std::uint8_t> payload,
+                      const DecodeLimits& limits, MsgType verb,
+                      std::string& collection,
+                      std::vector<serve::PathQuery>& queries) {
+  const PathNames names = path_names(verb);
+  Reader r(payload, limits);
+  if (Status s = r.str(collection, "collection name"); !s.ok()) {
+    return s;
+  }
+  std::uint32_t n = 0;
+  if (Status s = r.count(n, names.batch_size, limits.max_queries); !s.ok()) {
+    return s;
+  }
+  queries.reserve(std::min<std::size_t>(n, r.remaining() / kMinQueryBytes));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    serve::PathQuery& q = queries.emplace_back();
+    if (Status s = r.i64(q.y, "query key"); !s.ok()) {
+      return s;
+    }
+    std::uint32_t len = 0;
+    if (Status s = r.count(len, "path length", limits.max_path_len);
+        !s.ok()) {
+      return s;
+    }
+    if (Status s = r.array(q.path, len, "path node"); !s.ok()) {
+      return s;
+    }
+  }
+  return r.done(names.request);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(FrameHeader h,
@@ -138,18 +250,44 @@ std::vector<std::uint8_t> encode_frame(FrameHeader h,
   const auto total = static_cast<std::uint32_t>(sizeof(FrameHeader) +
                                                 payload.size() +
                                                 sizeof(std::uint32_t));
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof(total) + total);
-  Writer w;
+  Writer w(sizeof(total) + total);
   w.u32(total);
-  out = w.take();
-  const auto* hb = reinterpret_cast<const std::uint8_t*>(&h);
-  out.insert(out.end(), hb, hb + sizeof(h));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = snapshot::crc32(payload.data(), payload.size());
-  const auto* cb = reinterpret_cast<const std::uint8_t*>(&crc);
-  out.insert(out.end(), cb, cb + sizeof(crc));
-  return out;
+  w.raw(&h, sizeof(h));
+  w.raw(payload.data(), payload.size());
+  w.u32(snapshot::crc32(payload.data(), payload.size()));
+  return w.take();
+}
+
+Status check_frame(std::uint32_t prefix, const FrameHeader& h,
+                   std::span<const std::uint8_t> payload,
+                   std::uint32_t trailer) {
+  if (h.magic != kWireMagic) {
+    return Status::corrupted("bad frame magic (not a coopserve frame)");
+  }
+  if (h.version != kWireVersion) {
+    return Status::corrupted("unsupported frame version " +
+                             std::to_string(h.version) + " (expected " +
+                             std::to_string(kWireVersion) + ")");
+  }
+  if (h.header_crc != frame_header_crc(h)) {
+    return Status::corrupted("frame header CRC mismatch");
+  }
+  // The header survived its CRC, so a disagreement here means the length
+  // prefix lies about the payload (or bytes were dropped after the
+  // header): reject before trusting either length.
+  const std::size_t expect =
+      sizeof(h) + std::size_t{h.payload_len} + sizeof(std::uint32_t);
+  if (std::size_t{prefix} != expect) {
+    return Status::corrupted(
+        "frame length lie: prefix promises " + std::to_string(prefix) +
+        " bytes but the header's payload_len implies " +
+        std::to_string(expect));
+  }
+  if (trailer != snapshot::crc32(payload.data(), payload.size())) {
+    return Status::corrupted("frame payload CRC mismatch (corrupted in "
+                             "flight)");
+  }
+  return coop::OkStatus();
 }
 
 coop::Expected<Frame> decode_frame(std::span<const std::uint8_t> bytes,
@@ -175,40 +313,16 @@ coop::Expected<Frame> decode_frame(std::span<const std::uint8_t> bytes,
         " bytes but " + std::to_string(bytes.size() - sizeof(prefix)) +
         " follow");
   }
-  FrameHeader h;
-  std::memcpy(&h, bytes.data() + sizeof(prefix), sizeof(h));
-  if (h.magic != kWireMagic) {
-    return Status::corrupted("bad frame magic (not a coopserve frame)");
-  }
-  if (h.version != kWireVersion) {
-    return Status::corrupted("unsupported frame version " +
-                             std::to_string(h.version) + " (expected " +
-                             std::to_string(kWireVersion) + ")");
-  }
-  if (h.header_crc != frame_header_crc(h)) {
-    return Status::corrupted("frame header CRC mismatch");
-  }
-  // The header survived its CRC, so a disagreement here means the length
-  // prefix lies about the payload (or bytes were dropped after the
-  // header): reject before trusting either length.
-  const std::size_t expect =
-      sizeof(h) + std::size_t{h.payload_len} + sizeof(std::uint32_t);
-  if (std::size_t{prefix} != expect) {
-    return Status::corrupted(
-        "frame length lie: prefix promises " + std::to_string(prefix) +
-        " bytes but the header's payload_len implies " +
-        std::to_string(expect));
-  }
-  const std::uint8_t* payload = bytes.data() + sizeof(prefix) + sizeof(h);
-  std::uint32_t trailer = 0;
-  std::memcpy(&trailer, payload + h.payload_len, sizeof(trailer));
-  if (trailer != snapshot::crc32(payload, h.payload_len)) {
-    return Status::corrupted("frame payload CRC mismatch (corrupted in "
-                             "flight)");
-  }
   Frame f;
-  f.header = h;
-  f.payload.assign(payload, payload + h.payload_len);
+  std::memcpy(&f.header, bytes.data() + sizeof(prefix), sizeof(f.header));
+  const std::span<const std::uint8_t> payload = bytes.subspan(
+      sizeof(prefix) + sizeof(f.header), bytes.size() - kFrameOverhead);
+  std::uint32_t trailer = 0;
+  std::memcpy(&trailer, payload.data() + payload.size(), sizeof(trailer));
+  if (Status s = check_frame(prefix, f.header, payload, trailer); !s.ok()) {
+    return s;
+  }
+  f.payload.assign(payload.begin(), payload.end());
   return f;
 }
 
@@ -216,68 +330,36 @@ coop::Expected<Frame> decode_frame(std::span<const std::uint8_t> bytes,
 // Payload codecs.
 
 std::vector<std::uint8_t> encode(const PathBatchRequest& m) {
-  Writer w;
-  w.str(m.collection);
-  w.u32(static_cast<std::uint32_t>(m.queries.size()));
-  for (const serve::PathQuery& q : m.queries) {
-    w.i64(q.y);
-    w.u32(static_cast<std::uint32_t>(q.path.size()));
-    for (const serve::NodeId v : q.path) {
-      w.u32(static_cast<std::uint32_t>(v));
-    }
-  }
-  return w.take();
+  return encode_queries(m.collection, m.queries);
 }
 
 coop::Expected<PathBatchRequest> decode_path_request(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits) {
-  Reader r(payload, limits);
   PathBatchRequest m;
-  if (Status s = r.str(m.collection, "collection name"); !s.ok()) {
-    return s;
-  }
-  std::uint32_t n = 0;
-  if (Status s = r.count(n, "path batch size", limits.max_queries); !s.ok()) {
-    return s;
-  }
-  m.queries.resize(n);
-  for (serve::PathQuery& q : m.queries) {
-    if (Status s = r.i64(q.y, "query key"); !s.ok()) {
-      return s;
-    }
-    std::uint32_t len = 0;
-    if (Status s = r.count(len, "path length", limits.max_path_len);
-        !s.ok()) {
-      return s;
-    }
-    q.path.resize(len);
-    for (serve::NodeId& v : q.path) {
-      std::uint32_t node = 0;
-      if (Status s = r.u32(node, "path node"); !s.ok()) {
-        return s;
-      }
-      v = static_cast<serve::NodeId>(node);
-    }
-  }
-  if (Status s = r.done("path request"); !s.ok()) {
+  if (Status s = decode_queries(payload, limits, MsgType::kPathBatch,
+                                m.collection, m.queries);
+      !s.ok()) {
     return s;
   }
   return m;
 }
 
 std::vector<std::uint8_t> encode(const PathBatchResponse& m) {
-  Writer w;
+  std::size_t size =
+      sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
+  for (const serve::PathAnswer& a : m.answers) {
+    size += kMinAnswerBytes +
+            (a.aug_index.size() + a.proper_index.size()) *
+                sizeof(std::uint32_t);
+  }
+  Writer w(size);
   w.u64(m.served_version);
   w.u8(m.degraded ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(m.answers.size()));
   for (const serve::PathAnswer& a : m.answers) {
     w.u32(static_cast<std::uint32_t>(a.aug_index.size()));
-    for (const std::uint32_t v : a.aug_index) {
-      w.u32(v);
-    }
-    for (const std::uint32_t v : a.proper_index) {
-      w.u32(v);
-    }
+    w.array(a.aug_index);
+    w.array(a.proper_index);
   }
   return w.take();
 }
@@ -298,24 +380,19 @@ coop::Expected<PathBatchResponse> decode_path_response(
   if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
     return s;
   }
-  m.answers.resize(n);
-  for (serve::PathAnswer& a : m.answers) {
+  m.answers.reserve(std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    serve::PathAnswer& a = m.answers.emplace_back();
     std::uint32_t len = 0;
     if (Status s = r.count(len, "answer path length", limits.max_path_len);
         !s.ok()) {
       return s;
     }
-    a.aug_index.resize(len);
-    a.proper_index.resize(len);
-    for (std::uint32_t& v : a.aug_index) {
-      if (Status s = r.u32(v, "aug index"); !s.ok()) {
-        return s;
-      }
+    if (Status s = r.array(a.aug_index, len, "aug index"); !s.ok()) {
+      return s;
     }
-    for (std::uint32_t& v : a.proper_index) {
-      if (Status s = r.u32(v, "proper index"); !s.ok()) {
-        return s;
-      }
+    if (Status s = r.array(a.proper_index, len, "proper index"); !s.ok()) {
+      return s;
     }
   }
   if (Status s = r.done("path response"); !s.ok()) {
@@ -325,7 +402,8 @@ coop::Expected<PathBatchResponse> decode_path_response(
 }
 
 std::vector<std::uint8_t> encode(const PointBatchRequest& m) {
-  Writer w;
+  Writer w(str_size(m.collection.size()) + sizeof(std::uint32_t) +
+           m.points.size() * 2 * sizeof(std::int64_t));
   w.str(m.collection);
   w.u32(static_cast<std::uint32_t>(m.points.size()));
   for (const geom::Point& p : m.points) {
@@ -367,13 +445,12 @@ coop::Expected<PointBatchRequest> decode_point_request(
 }
 
 std::vector<std::uint8_t> encode(const PointBatchResponse& m) {
-  Writer w;
+  Writer w(sizeof(std::uint64_t) + sizeof(std::uint8_t) +
+           sizeof(std::uint32_t) + m.regions.size() * sizeof(std::uint64_t));
   w.u64(m.served_version);
   w.u8(m.degraded ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(m.regions.size()));
-  for (const std::uint64_t v : m.regions) {
-    w.u64(v);
-  }
+  w.array(m.regions);
   return w.take();
 }
 
@@ -393,11 +470,8 @@ coop::Expected<PointBatchResponse> decode_point_response(
   if (Status s = r.count(n, "region count", limits.max_queries); !s.ok()) {
     return s;
   }
-  m.regions.resize(n);
-  for (std::uint64_t& v : m.regions) {
-    if (Status s = r.u64(v, "region index"); !s.ok()) {
-      return s;
-    }
+  if (Status s = r.array(m.regions, n, "region index"); !s.ok()) {
+    return s;
   }
   if (Status s = r.done("point response"); !s.ok()) {
     return s;
@@ -406,7 +480,7 @@ coop::Expected<PointBatchResponse> decode_point_response(
 }
 
 std::vector<std::uint8_t> encode(const ErrorResponse& m) {
-  Writer w;
+  Writer w(sizeof(std::uint32_t) + str_size(m.message.size()));
   w.u32(m.code);
   w.str(m.message);
   return w.take();
@@ -433,7 +507,12 @@ coop::Expected<ErrorResponse> decode_error(
 }
 
 std::vector<std::uint8_t> encode(const HealthResponse& m) {
-  Writer w;
+  std::size_t size = sizeof(std::uint8_t) + sizeof(std::uint32_t);
+  for (const CollectionHealth& c : m.collections) {
+    size += str_size(c.name.size()) + sizeof(std::uint64_t) +
+            sizeof(std::uint8_t);
+  }
+  Writer w(size);
   w.u8(m.draining);
   w.u32(static_cast<std::uint32_t>(m.collections.size()));
   for (const CollectionHealth& c : m.collections) {
@@ -475,7 +554,7 @@ coop::Expected<HealthResponse> decode_health(
 }
 
 std::vector<std::uint8_t> encode(const AdminRequest& m) {
-  Writer w;
+  Writer w(str_size(m.collection.size()) + str_size(m.snapshot_path.size()));
   w.str(m.collection);
   w.str(m.snapshot_path);
   return w.take();
@@ -498,7 +577,7 @@ coop::Expected<AdminRequest> decode_admin_request(
 }
 
 std::vector<std::uint8_t> encode(const AdminResponse& m) {
-  Writer w;
+  Writer w(sizeof(std::uint64_t));
   w.u64(m.version);
   return w.take();
 }
@@ -517,7 +596,11 @@ coop::Expected<AdminResponse> decode_admin_response(
 }
 
 std::vector<std::uint8_t> encode(const MutateRequest& m) {
-  Writer w;
+  std::size_t size = str_size(m.collection.size()) + sizeof(std::uint32_t);
+  for (const std::vector<std::uint8_t>& r : m.runs) {
+    size += str_size(r.size());
+  }
+  Writer w(size);
   w.str(m.collection);
   w.u32(static_cast<std::uint32_t>(m.runs.size()));
   for (const std::vector<std::uint8_t>& r : m.runs) {
@@ -555,7 +638,7 @@ coop::Expected<MutateRequest> decode_mutate_request(
 }
 
 std::vector<std::uint8_t> encode(const MutateResponse& m) {
-  Writer w;
+  Writer w(sizeof(std::uint64_t) + sizeof(std::uint32_t));
   w.u64(m.ack_seq);
   w.u32(m.applied);
   return w.take();
@@ -578,65 +661,32 @@ coop::Expected<MutateResponse> decode_mutate_response(
 }
 
 std::vector<std::uint8_t> encode(const DynPathBatchRequest& m) {
-  Writer w;
-  w.str(m.collection);
-  w.u32(static_cast<std::uint32_t>(m.queries.size()));
-  for (const serve::PathQuery& q : m.queries) {
-    w.i64(q.y);
-    w.u32(static_cast<std::uint32_t>(q.path.size()));
-    for (const serve::NodeId v : q.path) {
-      w.u32(static_cast<std::uint32_t>(v));
-    }
-  }
-  return w.take();
+  return encode_queries(m.collection, m.queries);
 }
 
 coop::Expected<DynPathBatchRequest> decode_dyn_path_request(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits) {
-  Reader r(payload, limits);
   DynPathBatchRequest m;
-  if (Status s = r.str(m.collection, "collection name"); !s.ok()) {
-    return s;
-  }
-  std::uint32_t n = 0;
-  if (Status s = r.count(n, "dyn batch size", limits.max_queries); !s.ok()) {
-    return s;
-  }
-  m.queries.resize(n);
-  for (serve::PathQuery& q : m.queries) {
-    if (Status s = r.i64(q.y, "query key"); !s.ok()) {
-      return s;
-    }
-    std::uint32_t len = 0;
-    if (Status s = r.count(len, "path length", limits.max_path_len);
-        !s.ok()) {
-      return s;
-    }
-    q.path.resize(len);
-    for (serve::NodeId& v : q.path) {
-      std::uint32_t node = 0;
-      if (Status s = r.u32(node, "path node"); !s.ok()) {
-        return s;
-      }
-      v = static_cast<serve::NodeId>(node);
-    }
-  }
-  if (Status s = r.done("dyn path request"); !s.ok()) {
+  if (Status s = decode_queries(payload, limits, MsgType::kDynPathBatch,
+                                m.collection, m.queries);
+      !s.ok()) {
     return s;
   }
   return m;
 }
 
 std::vector<std::uint8_t> encode(const DynPathBatchResponse& m) {
-  Writer w;
+  std::size_t size = 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  for (const dyn::PathKeys& a : m.answers) {
+    size += kMinAnswerBytes + a.keys.size() * sizeof(dyn::Key);
+  }
+  Writer w(size);
   w.u64(m.served_version);
   w.u64(m.write_seq);
   w.u32(static_cast<std::uint32_t>(m.answers.size()));
   for (const dyn::PathKeys& a : m.answers) {
     w.u32(static_cast<std::uint32_t>(a.keys.size()));
-    for (const dyn::Key k : a.keys) {
-      w.i64(k);
-    }
+    w.array(a.keys);
   }
   return w.take();
 }
@@ -655,18 +705,16 @@ coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
   if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
     return s;
   }
-  m.answers.resize(n);
-  for (dyn::PathKeys& a : m.answers) {
+  m.answers.reserve(std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    dyn::PathKeys& a = m.answers.emplace_back();
     std::uint32_t len = 0;
     if (Status s = r.count(len, "answer path length", limits.max_path_len);
         !s.ok()) {
       return s;
     }
-    a.keys.resize(len);
-    for (dyn::Key& k : a.keys) {
-      if (Status s = r.i64(k, "answer key"); !s.ok()) {
-        return s;
-      }
+    if (Status s = r.array(a.keys, len, "answer key"); !s.ok()) {
+      return s;
     }
   }
   if (Status s = r.done("dyn path response"); !s.ok()) {
@@ -676,7 +724,7 @@ coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
 }
 
 std::vector<std::uint8_t> encode(const CompactRequest& m) {
-  Writer w;
+  Writer w(str_size(m.collection.size()));
   w.str(m.collection);
   return w.take();
 }
@@ -695,7 +743,7 @@ coop::Expected<CompactRequest> decode_compact_request(
 }
 
 std::vector<std::uint8_t> encode(const CompactResponse& m) {
-  Writer w;
+  Writer w(2 * sizeof(std::uint64_t));
   w.u64(m.version);
   w.u64(m.watermark);
   return w.take();
@@ -718,7 +766,8 @@ coop::Expected<CompactResponse> decode_compact_response(
 }
 
 std::vector<std::uint8_t> encode(const FetchSnapshotRequest& m) {
-  Writer w;
+  Writer w(str_size(m.collection.size()) + 2 * sizeof(std::uint64_t) +
+           sizeof(std::uint32_t));
   w.str(m.collection);
   w.u64(m.version);
   w.u64(m.offset);
@@ -749,7 +798,7 @@ coop::Expected<FetchSnapshotRequest> decode_fetch_request(
 }
 
 std::vector<std::uint8_t> encode(const FetchSnapshotResponse& m) {
-  Writer w;
+  Writer w(3 * sizeof(std::uint64_t) + str_size(m.data.size()));
   w.u64(m.version);
   w.u64(m.total_size);
   w.u64(m.offset);
@@ -777,6 +826,177 @@ coop::Expected<FetchSnapshotResponse> decode_fetch_response(
     return s;
   }
   return m;
+}
+
+// --------------------------------------------------------------------
+// Byte-level routing of PATH_BATCH / DYN_PATH_BATCH.
+
+coop::Expected<ScatteredPaths> scatter_path_request(
+    MsgType verb, std::span<const std::uint8_t> payload,
+    const PathRouter& router, const DecodeLimits& limits) {
+  const PathNames names = path_names(verb);
+  Reader r(payload, limits);
+  ScatteredPaths out;
+  if (Status s = r.str(out.collection, "collection name"); !s.ok()) {
+    return s;
+  }
+  // Every sub-request opens with the client's collection name, verbatim.
+  const std::span<const std::uint8_t> name = payload.first(r.pos());
+  std::uint32_t n = 0;
+  if (Status s = r.count(n, names.batch_size, limits.max_queries); !s.ok()) {
+    return s;
+  }
+  out.slots.reserve(std::min<std::size_t>(n, r.remaining() / kMinQueryBytes));
+  std::vector<std::int32_t> sub_of(router.num_shards(), -1);
+  std::vector<std::uint32_t> path;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    // The key and the path length travel to the shard unchanged.
+    const std::uint8_t* head = nullptr;
+    if (Status s = r.bytes(sizeof(std::int64_t), head, "query key");
+        !s.ok()) {
+      return s;
+    }
+    std::uint32_t len = 0;
+    if (Status s = r.count(len, "path length", limits.max_path_len);
+        !s.ok()) {
+      return s;
+    }
+    const std::uint8_t* nodes = nullptr;
+    if (Status s = r.bytes(std::size_t{len} * sizeof(std::uint32_t), nodes,
+                           "path node");
+        !s.ok()) {
+      return s;
+    }
+    if (!out.refused.ok()) {
+      continue;  // only the layout is still checked
+    }
+    path.resize(len);
+    if (len != 0) {
+      std::memcpy(path.data(), nodes, path.size() * sizeof(std::uint32_t));
+    }
+    auto shard = router.route(path);
+    if (!shard.ok()) {
+      out.refused = shard.status();
+      continue;
+    }
+    std::int32_t& k = sub_of.at(*shard);
+    if (k < 0) {
+      k = static_cast<std::int32_t>(out.subs.size());
+      SubBatch& sub = out.subs.emplace_back();
+      sub.shard = *shard;
+      sub.payload.reserve(payload.size());
+      sub.payload.assign(name.begin(), name.end());
+      sub.payload.resize(name.size() + sizeof(std::uint32_t));  // count
+    }
+    SubBatch& sub = out.subs[static_cast<std::size_t>(k)];
+    out.slots.push_back({static_cast<std::uint32_t>(k), sub.count++});
+    sub.payload.insert(sub.payload.end(), head, nodes);
+    const auto* local = reinterpret_cast<const std::uint8_t*>(path.data());
+    sub.payload.insert(sub.payload.end(), local,
+                       local + path.size() * sizeof(std::uint32_t));
+  }
+  if (Status s = r.done(names.request); !s.ok()) {
+    return s;
+  }
+  if (!out.refused.ok()) {
+    out.subs.clear();
+    out.slots.clear();
+  }
+  for (SubBatch& sub : out.subs) {
+    std::memcpy(sub.payload.data() + name.size(), &sub.count,
+                sizeof(sub.count));
+  }
+  return out;
+}
+
+coop::Expected<PathReply> index_path_reply(MsgType verb,
+                                           std::vector<std::uint8_t> payload,
+                                           const DecodeLimits& limits) {
+  const bool dyn = verb == MsgType::kDynPathBatch;
+  Reader r(payload, limits);
+  PathReply out;
+  if (Status s = r.u64(out.served_version, "served version"); !s.ok()) {
+    return s;
+  }
+  if (dyn) {
+    if (Status s = r.u64(out.write_seq, "write seq"); !s.ok()) {
+      return s;
+    }
+  } else {
+    std::uint8_t degraded = 0;
+    if (Status s = r.u8(degraded, "degraded flag"); !s.ok()) {
+      return s;
+    }
+    out.degraded = degraded != 0;
+  }
+  std::uint32_t n = 0;
+  if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
+    return s;
+  }
+  out.offsets.reserve(
+      std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes) + 1);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.offsets.push_back(r.pos());
+    std::uint32_t len = 0;
+    if (Status s = r.count(len, "answer path length", limits.max_path_len);
+        !s.ok()) {
+      return s;
+    }
+    // Either answer kind is 8·len bytes: i64 keys, or u32 aug indices
+    // followed by u32 proper indices.
+    const std::uint8_t* at = nullptr;
+    const std::size_t half = std::size_t{len} * sizeof(std::uint32_t);
+    if (dyn) {
+      if (Status s = r.bytes(2 * half, at, "answer key"); !s.ok()) {
+        return s;
+      }
+    } else {
+      if (Status s = r.bytes(half, at, "aug index"); !s.ok()) {
+        return s;
+      }
+      if (Status s = r.bytes(half, at, "proper index"); !s.ok()) {
+        return s;
+      }
+    }
+  }
+  out.offsets.push_back(r.pos());
+  if (Status s = r.done(path_names(verb).response); !s.ok()) {
+    return s;
+  }
+  out.payload = std::move(payload);
+  return out;
+}
+
+std::vector<std::uint8_t> splice_path_replies(
+    MsgType verb, std::span<const PathReply> replies,
+    std::span<const QuerySlot> slots) {
+  const bool dyn = verb == MsgType::kDynPathBatch;
+  std::uint64_t version = ~std::uint64_t{0};
+  std::uint64_t write_seq = ~std::uint64_t{0};
+  bool degraded = false;
+  std::size_t size = sizeof(std::uint64_t) +
+                     (dyn ? sizeof(std::uint64_t) : sizeof(std::uint8_t)) +
+                     sizeof(std::uint32_t);
+  for (const PathReply& reply : replies) {
+    version = std::min(version, reply.served_version);
+    write_seq = std::min(write_seq, reply.write_seq);
+    degraded = degraded || reply.degraded;
+    size += reply.offsets.back() - reply.offsets.front();
+  }
+  Writer w(size);
+  w.u64(version);
+  if (dyn) {
+    w.u64(write_seq);
+  } else {
+    w.u8(degraded ? 1 : 0);
+  }
+  w.u32(static_cast<std::uint32_t>(slots.size()));
+  for (const QuerySlot& slot : slots) {
+    const PathReply& reply = replies[slot.sub];
+    const std::size_t begin = reply.offsets[slot.index];
+    w.raw(reply.payload.data() + begin, reply.offsets[slot.index + 1] - begin);
+  }
+  return w.take();
 }
 
 ErrorResponse to_wire_error(const coop::Status& s) {

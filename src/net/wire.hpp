@@ -4,8 +4,11 @@
 // encode/decode plus the typed payloads that ride inside frames.  Every
 // decoder treats its input as hostile — bounds-checked reads, explicit
 // limits, descriptive Status on the first violation — because these
-// bytes arrive straight off a socket.  Layout constants live in
-// frame_format.hpp (self-contained, shared with robust::corrupt_frame).
+// bytes arrive straight off a socket.  Arrays (path node ids, answer
+// indices, dynamic answer keys) are checked once and copied with one
+// memcpy, and every encoder reserves its exact size up front.  Layout
+// constants live in frame_format.hpp (self-contained, shared with
+// robust::corrupt_frame).
 
 #include <cstdint>
 #include <span>
@@ -49,6 +52,16 @@ struct Frame {
 /// mismatch (bit flip).
 [[nodiscard]] coop::Expected<Frame> decode_frame(
     std::span<const std::uint8_t> bytes, const DecodeLimits& limits = {});
+
+/// The checks decode_frame makes once a frame's size is known to match
+/// its length prefix `prefix` (magic, version, header CRC, length lie,
+/// payload CRC), for a reader that receives the header, the payload and
+/// the CRC trailer straight into its own storage (net::Client does, so
+/// a reply's payload is copied once, from the socket).
+[[nodiscard]] coop::Status check_frame(std::uint32_t prefix,
+                                       const FrameHeader& h,
+                                       std::span<const std::uint8_t> payload,
+                                       std::uint32_t trailer);
 
 // ---------------------------------------------------------------------
 // Payloads.  encode_* returns the payload bytes to wrap in a frame;
@@ -214,6 +227,84 @@ struct FetchSnapshotResponse {
     std::span<const std::uint8_t> payload, const DecodeLimits& limits = {});
 [[nodiscard]] coop::Expected<FetchSnapshotResponse> decode_fetch_response(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits = {});
+
+// ---------------------------------------------------------------------
+// Byte-level routing of PATH_BATCH and DYN_PATH_BATCH (the scatter-
+// gather router, DESIGN.md §15).  The two verbs share one request
+// layout, and each answer of either kind is `u32 len` followed by
+// `8·len` bytes, so a router splits a request and merges the replies
+// without building a PathQuery, PathAnswer or PathKeys: the layout stays
+// known to this module alone.  Each helper accepts exactly the payloads
+// the matching decode_* accepts, and its output is byte-identical to
+// decoding, remapping and re-encoding.
+
+/// Where a router sends a query: picks the shard for one path and
+/// rewrites its node ids to that shard's id space.
+class PathRouter {
+ public:
+  virtual ~PathRouter() = default;
+  [[nodiscard]] virtual std::uint32_t num_shards() const = 0;
+  /// Rewrite `path` in place from the client's node ids to those of the
+  /// shard that serves it and return that shard, or refuse the path
+  /// with a typed Status.
+  [[nodiscard]] virtual coop::Expected<std::uint32_t> route(
+      std::span<std::uint32_t> path) const = 0;
+};
+
+/// One shard's part of a scattered request.
+struct SubBatch {
+  std::uint32_t shard = 0;
+  std::uint32_t count = 0;            ///< queries in `payload`
+  std::vector<std::uint8_t> payload;  ///< the encoded sub-request
+};
+
+/// Where one client query went: its sub-batch and its position there.
+struct QuerySlot {
+  std::uint32_t sub = 0;
+  std::uint32_t index = 0;
+};
+
+struct ScatteredPaths {
+  std::string collection;  ///< as the client named it
+  /// The first path the router refused, or OK.  A request that fails to
+  /// decode is refused before this, so a decode error always wins.
+  coop::Status refused;
+  std::vector<SubBatch> subs;    ///< in order of each shard's first query
+  std::vector<QuerySlot> slots;  ///< one per client query, in order
+};
+
+/// Walk a PATH_BATCH or DYN_PATH_BATCH request (`verb`) once: check its
+/// layout, route each path through `router` and append the query to its
+/// shard's sub-request, which repeats the client's collection name.
+/// After the first refused path only the layout is checked and `subs`
+/// and `slots` come back empty.
+[[nodiscard]] coop::Expected<ScatteredPaths> scatter_path_request(
+    MsgType verb, std::span<const std::uint8_t> payload,
+    const PathRouter& router, const DecodeLimits& limits = {});
+
+/// A PATH_BATCH or DYN_PATH_BATCH response whose layout has been checked
+/// once: its header and the byte span of every answer.
+struct PathReply {
+  std::uint64_t served_version = 0;
+  bool degraded = false;        ///< PATH_BATCH only
+  std::uint64_t write_seq = 0;  ///< DYN_PATH_BATCH only
+  std::vector<std::uint8_t> payload;
+  /// Answer i is payload[offsets[i], offsets[i + 1]).
+  std::vector<std::size_t> offsets;
+
+  [[nodiscard]] std::size_t answers() const { return offsets.size() - 1; }
+};
+
+[[nodiscard]] coop::Expected<PathReply> index_path_reply(
+    MsgType verb, std::vector<std::uint8_t> payload,
+    const DecodeLimits& limits = {});
+
+/// The client's response: the oldest `served_version` (and `write_seq`)
+/// of any reply, `degraded` if any reply was, and the answers in client
+/// order.  Every slot must name an answer that its reply holds.
+[[nodiscard]] std::vector<std::uint8_t> splice_path_replies(
+    MsgType verb, std::span<const PathReply> replies,
+    std::span<const QuerySlot> slots);
 
 /// Map a non-OK Status to its wire error payload and back.  Unknown
 /// codes coming off the wire collapse to kInternal (never UB, never OK).

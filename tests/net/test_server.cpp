@@ -585,10 +585,11 @@ class DynServerTest : public ServerTest {
                     .make_dynamic("main", copts, kopts, false)
                     .ok());
     live_.resize(tree_.num_nodes());
-    for (cat::NodeId v = 0; v < tree_.num_nodes(); ++v) {
-      for (const cat::Key k : tree_.catalog(v).keys()) {
+    for (std::size_t v = 0; v < tree_.num_nodes(); ++v) {
+      for (const cat::Key k :
+           tree_.catalog(static_cast<cat::NodeId>(v)).keys()) {
         if (k != cat::kInfinity) {
-          live_[static_cast<std::size_t>(v)].insert(k);
+          live_[v].insert(k);
         }
       }
     }

@@ -69,6 +69,9 @@ TEST(Wire, EveryPayloadTypeRoundTrips) {
     ASSERT_EQ(d->answers.size(), 2u);
     EXPECT_EQ(d->answers[0].proper_index,
               (std::vector<std::uint32_t>{3, 4}));
+    // An empty answer round-trips without copying from a null pointer.
+    EXPECT_TRUE(d->answers[1].aug_index.empty());
+    EXPECT_TRUE(d->answers[1].proper_index.empty());
   }
   {
     net::PointBatchRequest m;

@@ -160,7 +160,8 @@ std::string make_wal_segment(const std::string& tag, int records) {
     r.node = static_cast<std::uint32_t>(i);
     r.min_seq = seq;
     r.max_seq = seq + 2;
-    r.entries = {{10 + seq, 0}, {20 + seq, 0}, {30 + seq, 1}};
+    const auto key = static_cast<cat::Key>(seq);
+    r.entries = {{10 + key, 0}, {20 + key, 0}, {30 + key, 1}};
     seq += 3;
     EXPECT_TRUE(wal.value()->append({&r, 1}).ok());
     EXPECT_TRUE(wal.value()->wait_durable(r.max_seq).ok());
