@@ -186,14 +186,36 @@ bool CollectionBackend::batch_options(const Request& req,
   return true;
 }
 
+namespace {
+
+/// One serving thread's PATH_BATCH / DYN_PATH_BATCH state, reused across
+/// its requests: the decoded batch and its flat answers.  The buffers
+/// keep their capacity, so a request costs a fixed number of allocations
+/// however many queries it carries.
+struct PathScratch {
+  std::string collection;
+  serve::PathBatch batch;
+  serve::PathAnswerSet answers;
+  dyn::PathKeySet keys;
+};
+
+PathScratch& path_scratch() {
+  thread_local PathScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 CollectionBackend::Reply CollectionBackend::serve_paths(const Request& req) {
-  auto decoded = decode_path_request(req.payload, req.limits);
-  if (!decoded.ok()) {
-    return decoded.status();
+  PathScratch& s = path_scratch();
+  if (Status st = decode_path_batch(MsgType::kPathBatch, req.payload,
+                                    req.limits, s.collection, s.batch);
+      !st.ok()) {
+    return st;
   }
-  const std::shared_ptr<Collection> c = collections_.find(decoded->collection);
+  const std::shared_ptr<Collection> c = collections_.find(s.collection);
   if (c == nullptr) {
-    return unknown_collection(decoded->collection);
+    return unknown_collection(s.collection);
   }
   // Validate every untrusted path against the current snapshot before
   // the assert-free grouped kernel sees it.  The pin is held across the
@@ -202,33 +224,33 @@ CollectionBackend::Reply CollectionBackend::serve_paths(const Request& req) {
   // space — see DESIGN.md §11).
   const snapshot::Registry::Pin pin = c->registry.pin();
   if (!pin.has_snapshot()) {
-    return Status::failed_precondition("collection '" + decoded->collection +
+    return Status::failed_precondition("collection '" + s.collection +
                                        "' has no published snapshot");
   }
   if (pin.snapshot().kind != snapshot::SnapshotKind::kCascade) {
     return Status::failed_precondition(
-        "collection '" + decoded->collection +
+        "collection '" + s.collection +
         "' serves point location, not path search");
   }
-  for (const serve::PathQuery& q : decoded->queries) {
-    if (Status s = pin.snapshot().cascade.validate_path(q.path); !s.ok()) {
-      return s;
+  for (const serve::PathRef& q : s.batch.queries()) {
+    if (Status st = pin.snapshot().cascade.validate_path({q.path, q.len});
+        !st.ok()) {
+      return st;
     }
   }
   serve::BatchOptions bo;
   if (!batch_options(req, bo)) {
     return expired(req, "before dispatch");
   }
-  PathBatchResponse resp;
   serve::BatchReport report;
-  if (Status s = c->frontend.serve_paths(decoded->queries, resp.answers,
-                                         &report, &resp.served_version,
-                                         req.deadline ? &bo : nullptr);
-      !s.ok()) {
-    return s;
+  std::uint64_t version = 0;
+  if (Status st = c->frontend.serve_paths(s.batch.queries(), s.answers,
+                                          &report, &version,
+                                          req.deadline ? &bo : nullptr);
+      !st.ok()) {
+    return st;
   }
-  resp.degraded = report.degraded;
-  return encode(resp);
+  return encode_path_response(version, report.degraded, s.answers);
 }
 
 CollectionBackend::Reply CollectionBackend::serve_points(const Request& req) {
@@ -311,11 +333,13 @@ CollectionBackend::Reply CollectionBackend::serve_mutate(const Request& req) {
 
 CollectionBackend::Reply CollectionBackend::serve_dyn_paths(
     const Request& req) {
-  auto decoded = decode_dyn_path_request(req.payload, req.limits);
-  if (!decoded.ok()) {
-    return decoded.status();
+  PathScratch& s = path_scratch();
+  if (Status st = decode_path_batch(MsgType::kDynPathBatch, req.payload,
+                                    req.limits, s.collection, s.batch);
+      !st.ok()) {
+    return st;
   }
-  auto c = find_dynamic(collections_, decoded->collection);
+  auto c = find_dynamic(collections_, s.collection);
   if (!c.ok()) {
     return c.status();
   }
@@ -323,15 +347,15 @@ CollectionBackend::Reply CollectionBackend::serve_dyn_paths(
   if (!batch_options(req, bo)) {
     return expired(req, "before dispatch");
   }
-  DynPathBatchResponse resp;
-  if (Status s = (*c)->frontend.serve_dyn_paths(
-          *(*c)->dyn_catalog, decoded->queries, resp.answers,
-          &resp.served_version, &resp.write_seq,
+  std::uint64_t version = 0;
+  std::uint64_t write_seq = 0;
+  if (Status st = (*c)->frontend.serve_dyn_paths(
+          *(*c)->dyn_catalog, s.batch.queries(), s.keys, &version, &write_seq,
           req.deadline ? &bo : nullptr);
-      !s.ok()) {
-    return s;
+      !st.ok()) {
+    return st;
   }
-  return encode(resp);
+  return encode_dyn_path_response(version, write_seq, s.keys);
 }
 
 CollectionBackend::Reply CollectionBackend::serve_compact(

@@ -36,9 +36,10 @@ class Writer {
     u32(static_cast<std::uint32_t>(b.size()));
     raw(b.data(), b.size());
   }
-  template <typename T>
-  void array(const std::vector<T>& v) {
-    raw(v.data(), v.size() * sizeof(T));
+  /// A vector's or span's elements, in one copy.
+  template <typename Array>
+  void array(const Array& v) {
+    raw(v.data(), v.size() * sizeof(*v.data()));
   }
   void raw(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
@@ -210,10 +211,16 @@ std::vector<std::uint8_t> encode_queries(
   return w.take();
 }
 
-Status decode_queries(std::span<const std::uint8_t> payload,
-                      const DecodeLimits& limits, MsgType verb,
-                      std::string& collection,
-                      std::vector<serve::PathQuery>& queries) {
+/// Walk a PATH_BATCH or DYN_PATH_BATCH request (`verb`): the one
+/// refusal ladder of both verbs and of every decoder over them.  Once the
+/// query count is read, `reserve(k)` learns how many queries the bytes
+/// left could hold at most; then each query goes to `add(y, len, nodes)`,
+/// where `nodes` points at its `len` node ids (4·len bytes, unaligned)
+/// inside the payload.
+template <typename Reserve, typename Add>
+Status walk_queries(std::span<const std::uint8_t> payload,
+                    const DecodeLimits& limits, MsgType verb,
+                    std::string& collection, Reserve reserve, Add add) {
   const PathNames names = path_names(verb);
   Reader r(payload, limits);
   if (Status s = r.str(collection, "collection name"); !s.ok()) {
@@ -223,10 +230,10 @@ Status decode_queries(std::span<const std::uint8_t> payload,
   if (Status s = r.count(n, names.batch_size, limits.max_queries); !s.ok()) {
     return s;
   }
-  queries.reserve(std::min<std::size_t>(n, r.remaining() / kMinQueryBytes));
+  reserve(std::min<std::size_t>(n, r.remaining() / kMinQueryBytes));
   for (std::uint32_t i = 0; i < n; ++i) {
-    serve::PathQuery& q = queries.emplace_back();
-    if (Status s = r.i64(q.y, "query key"); !s.ok()) {
+    std::int64_t y = 0;
+    if (Status s = r.i64(y, "query key"); !s.ok()) {
       return s;
     }
     std::uint32_t len = 0;
@@ -234,11 +241,76 @@ Status decode_queries(std::span<const std::uint8_t> payload,
         !s.ok()) {
       return s;
     }
-    if (Status s = r.array(q.path, len, "path node"); !s.ok()) {
+    const std::uint8_t* nodes = nullptr;
+    if (Status s = r.bytes(std::size_t{len} * sizeof(std::uint32_t), nodes,
+                           "path node");
+        !s.ok()) {
       return s;
     }
+    add(y, len, nodes);
   }
   return r.done(names.request);
+}
+
+Status decode_queries(std::span<const std::uint8_t> payload,
+                      const DecodeLimits& limits, MsgType verb,
+                      std::string& collection,
+                      std::vector<serve::PathQuery>& queries) {
+  return walk_queries(
+      payload, limits, verb, collection,
+      [&](std::size_t k) { queries.reserve(k); },
+      [&](std::int64_t y, std::uint32_t len, const std::uint8_t* nodes) {
+        serve::PathQuery& q = queries.emplace_back();
+        q.y = y;
+        q.path.resize(len);
+        if (len != 0) {  // an empty vector's data() may be null
+          std::memcpy(q.path.data(), nodes, len * sizeof(std::uint32_t));
+        }
+      });
+}
+
+/// A PATH_BATCH response of `n` answers: answer q is aug(q) and
+/// proper(q), arrays of one length (its `len` field is aug(q)'s).
+template <typename Aug, typename Proper>
+std::vector<std::uint8_t> encode_path_answers(std::uint64_t served_version,
+                                              bool degraded, std::size_t n,
+                                              Aug aug, Proper proper) {
+  std::size_t size =
+      sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
+  for (std::size_t q = 0; q < n; ++q) {
+    size += kMinAnswerBytes +
+            (aug(q).size() + proper(q).size()) * sizeof(std::uint32_t);
+  }
+  Writer w(size);
+  w.u64(served_version);
+  w.u8(degraded ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(n));
+  for (std::size_t q = 0; q < n; ++q) {
+    w.u32(static_cast<std::uint32_t>(aug(q).size()));
+    w.array(aug(q));
+    w.array(proper(q));
+  }
+  return w.take();
+}
+
+/// A DYN_PATH_BATCH response of `n` answers: answer q is keys(q).
+template <typename Keys>
+std::vector<std::uint8_t> encode_dyn_answers(std::uint64_t served_version,
+                                             std::uint64_t write_seq,
+                                             std::size_t n, Keys keys) {
+  std::size_t size = 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  for (std::size_t q = 0; q < n; ++q) {
+    size += kMinAnswerBytes + keys(q).size() * sizeof(dyn::Key);
+  }
+  Writer w(size);
+  w.u64(served_version);
+  w.u64(write_seq);
+  w.u32(static_cast<std::uint32_t>(n));
+  for (std::size_t q = 0; q < n; ++q) {
+    w.u32(static_cast<std::uint32_t>(keys(q).size()));
+    w.array(keys(q));
+  }
+  return w.take();
 }
 
 }  // namespace
@@ -345,23 +417,14 @@ coop::Expected<PathBatchRequest> decode_path_request(
 }
 
 std::vector<std::uint8_t> encode(const PathBatchResponse& m) {
-  std::size_t size =
-      sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
-  for (const serve::PathAnswer& a : m.answers) {
-    size += kMinAnswerBytes +
-            (a.aug_index.size() + a.proper_index.size()) *
-                sizeof(std::uint32_t);
-  }
-  Writer w(size);
-  w.u64(m.served_version);
-  w.u8(m.degraded ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(m.answers.size()));
-  for (const serve::PathAnswer& a : m.answers) {
-    w.u32(static_cast<std::uint32_t>(a.aug_index.size()));
-    w.array(a.aug_index);
-    w.array(a.proper_index);
-  }
-  return w.take();
+  return encode_path_answers(
+      m.served_version, m.degraded, m.answers.size(),
+      [&](std::size_t q) -> const std::vector<std::uint32_t>& {
+        return m.answers[q].aug_index;
+      },
+      [&](std::size_t q) -> const std::vector<std::uint32_t>& {
+        return m.answers[q].proper_index;
+      });
 }
 
 coop::Expected<PathBatchResponse> decode_path_response(
@@ -675,20 +738,40 @@ coop::Expected<DynPathBatchRequest> decode_dyn_path_request(
   return m;
 }
 
+Status decode_path_batch(MsgType verb, std::span<const std::uint8_t> payload,
+                         const DecodeLimits& limits, std::string& collection,
+                         serve::PathBatch& batch) {
+  batch.clear();
+  if (Status s = walk_queries(
+          payload, limits, verb, collection, [](std::size_t) {},
+          [&](std::int64_t y, std::uint32_t len, const std::uint8_t* nodes) {
+            serve::NodeId* path = batch.add(y, len);
+            if (len != 0) {
+              std::memcpy(path, nodes, len * sizeof(std::uint32_t));
+            }
+          });
+      !s.ok()) {
+    return s;
+  }
+  batch.seal();
+  return coop::OkStatus();
+}
+
+std::vector<std::uint8_t> encode_path_response(
+    std::uint64_t served_version, bool degraded,
+    const serve::PathAnswerSet& answers) {
+  return encode_path_answers(
+      served_version, degraded, answers.size(),
+      [&](std::size_t q) { return answers.aug(q); },
+      [&](std::size_t q) { return answers.proper(q); });
+}
+
 std::vector<std::uint8_t> encode(const DynPathBatchResponse& m) {
-  std::size_t size = 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  for (const dyn::PathKeys& a : m.answers) {
-    size += kMinAnswerBytes + a.keys.size() * sizeof(dyn::Key);
-  }
-  Writer w(size);
-  w.u64(m.served_version);
-  w.u64(m.write_seq);
-  w.u32(static_cast<std::uint32_t>(m.answers.size()));
-  for (const dyn::PathKeys& a : m.answers) {
-    w.u32(static_cast<std::uint32_t>(a.keys.size()));
-    w.array(a.keys);
-  }
-  return w.take();
+  return encode_dyn_answers(
+      m.served_version, m.write_seq, m.answers.size(),
+      [&](std::size_t q) -> const std::vector<dyn::Key>& {
+        return m.answers[q].keys;
+      });
 }
 
 coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
@@ -721,6 +804,13 @@ coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
     return s;
   }
   return m;
+}
+
+std::vector<std::uint8_t> encode_dyn_path_response(
+    std::uint64_t served_version, std::uint64_t write_seq,
+    const dyn::PathKeySet& answers) {
+  return encode_dyn_answers(served_version, write_seq, answers.size(),
+                            [&](std::size_t q) { return answers.keys(q); });
 }
 
 std::vector<std::uint8_t> encode(const CompactRequest& m) {

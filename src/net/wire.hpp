@@ -195,6 +195,30 @@ struct FetchSnapshotResponse {
 [[nodiscard]] std::vector<std::uint8_t> encode(const FetchSnapshotRequest& m);
 [[nodiscard]] std::vector<std::uint8_t> encode(const FetchSnapshotResponse& m);
 
+/// Decode a PATH_BATCH or DYN_PATH_BATCH request (`verb`) into `batch`
+/// and `collection`, reusing their buffers: the served decoder, which
+/// allocates only when a request outgrows every earlier one.  It refuses
+/// exactly the payloads decode_path_request / decode_dyn_path_request
+/// refuse, with the same Status; on a refusal `batch` holds no usable
+/// queries.
+[[nodiscard]] coop::Status decode_path_batch(
+    MsgType verb, std::span<const std::uint8_t> payload,
+    const DecodeLimits& limits, std::string& collection,
+    serve::PathBatch& batch);
+
+/// A PATH_BATCH response encoded straight from flat answers, in one
+/// allocation: byte-identical to encode(PathBatchResponse) with the same
+/// answers.
+[[nodiscard]] std::vector<std::uint8_t> encode_path_response(
+    std::uint64_t served_version, bool degraded,
+    const serve::PathAnswerSet& answers);
+
+/// The DYN_PATH_BATCH twin: byte-identical to
+/// encode(DynPathBatchResponse).
+[[nodiscard]] std::vector<std::uint8_t> encode_dyn_path_response(
+    std::uint64_t served_version, std::uint64_t write_seq,
+    const dyn::PathKeySet& answers);
+
 [[nodiscard]] coop::Expected<PathBatchRequest> decode_path_request(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits = {});
 [[nodiscard]] coop::Expected<PathBatchResponse> decode_path_response(

@@ -125,11 +125,19 @@ class Frontend {
   Frontend& operator=(const Frontend&) = delete;
 
   /// Serve one explicit-path batch through admission -> breaker ->
-  /// retry loop.  On kOk, `out` holds every answer and `report` (if
-  /// given) the final engine report plus the full attempt trail;
-  /// `served_version` receives the registry version of the *final*
-  /// attempt.  Shed batches return kResourceExhausted (admission) or
-  /// kUnavailable (breaker) without touching `out`.
+  /// retry loop.  On kOk, `out` holds every answer (it is reset to the
+  /// batch) and `report` (if given) the final engine report plus the
+  /// full attempt trail; `served_version` receives the registry version
+  /// of the *final* attempt.  Shed batches return kResourceExhausted
+  /// (admission) or kUnavailable (breaker) without touching `out`.  With
+  /// a reused `out` this allocates nothing per query.
+  [[nodiscard]] coop::Status serve_paths(
+      std::span<const PathRef> queries, PathAnswerSet& out,
+      BatchReport* report = nullptr, std::uint64_t* served_version = nullptr,
+      const BatchOptions* batch_override = nullptr,
+      const ChaosHooks* chaos = nullptr);
+
+  /// serve_paths over PathQuery, into one PathAnswer per query.
   [[nodiscard]] coop::Status serve_paths(
       std::span<const PathQuery> queries, std::vector<PathAnswer>& out,
       BatchReport* report = nullptr, std::uint64_t* served_version = nullptr,
@@ -153,6 +161,13 @@ class Frontend {
   /// sequence the answers include.  The batch deadline (if set) is
   /// enforced as an up-front check between validation and the merge —
   /// the merge post-pass is single-threaded and not watchdogged.
+  [[nodiscard]] coop::Status serve_dyn_paths(
+      dyn::DynamicCatalog& cat, std::span<const PathRef> queries,
+      dyn::PathKeySet& out, std::uint64_t* served_version = nullptr,
+      std::uint64_t* write_seq = nullptr,
+      const BatchOptions* batch_override = nullptr);
+
+  /// serve_dyn_paths over PathQuery, into one PathKeys per query.
   [[nodiscard]] coop::Status serve_dyn_paths(
       dyn::DynamicCatalog& cat, std::span<const PathQuery> queries,
       std::vector<dyn::PathKeys>& out, std::uint64_t* served_version = nullptr,

@@ -391,4 +391,168 @@ TEST(WireFaults, CorruptFrameRefusesNonFrames) {
   EXPECT_FALSE(s2.ok());
 }
 
+// --- The served decoder: decode_path_batch refuses exactly what
+// decode_path_request / decode_dyn_path_request refuse, with the same
+// Status, and otherwise yields the same collection and queries. ---
+
+/// A router with one shard that takes every path: scatter_path_request
+/// then fails exactly on the payloads whose layout is bad, through its
+/// own walk of the bytes.
+class OneShard final : public net::PathRouter {
+ public:
+  std::uint32_t num_shards() const override { return 1; }
+  coop::Expected<std::uint32_t> route(std::span<std::uint32_t>) const override {
+    return std::uint32_t{0};
+  }
+};
+
+/// Seven queries with path lengths 0 to 6 and keys of both signs.
+std::vector<serve::PathQuery> mixed_queries() {
+  std::mt19937_64 rng(11);
+  std::vector<serve::PathQuery> qs(7);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    qs[i].y = static_cast<cat::Key>(rng() % 100'000) - 50'000;
+    for (std::size_t k = 0; k < i; ++k) {
+      qs[i].path.push_back(static_cast<cat::NodeId>(rng() % 500));
+    }
+  }
+  return qs;
+}
+
+/// Compare the served decoder on `payload` with the struct decoder
+/// `decode` and with the router's walk.  `batch` and `collection` are
+/// reused across calls, as a serving thread reuses them.
+template <typename Decode>
+void expect_same_decode(MsgType verb, const std::vector<std::uint8_t>& payload,
+                        const DecodeLimits& limits, Decode decode,
+                        std::string& collection, serve::PathBatch& batch,
+                        const std::string& where) {
+  const coop::Status got =
+      net::decode_path_batch(verb, payload, limits, collection, batch);
+  const auto ref = decode(payload, limits);
+  const auto walk =
+      net::scatter_path_request(verb, payload, OneShard{}, limits);
+  if (!ref.ok()) {
+    ASSERT_FALSE(got.ok()) << where;
+    EXPECT_EQ(got.code(), ref.status().code()) << where;
+    EXPECT_EQ(got.message(), ref.status().message()) << where;
+    ASSERT_FALSE(walk.ok()) << where;
+    EXPECT_EQ(walk.status().to_string(), got.to_string()) << where;
+    return;
+  }
+  ASSERT_TRUE(got.ok()) << where << ": " << got.to_string();
+  ASSERT_TRUE(walk.ok()) << where;
+  EXPECT_EQ(collection, ref->collection) << where;
+  const std::span<const serve::PathRef> qs = batch.queries();
+  ASSERT_EQ(qs.size(), ref->queries.size()) << where;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(qs[i].y, ref->queries[i].y) << where << " query " << i;
+    EXPECT_EQ(std::vector<cat::NodeId>(qs[i].path, qs[i].path + qs[i].len),
+              ref->queries[i].path)
+        << where << " query " << i;
+  }
+}
+
+/// Every one-byte flip (masks 0x01, 0x80, 0xFF), every truncation and
+/// one trailing byte of `bytes`.
+template <typename Check>
+void for_each_mutation(const std::vector<std::uint8_t>& bytes, Check check) {
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::vector<std::uint8_t> m = bytes;
+      m[pos] = static_cast<std::uint8_t>(m[pos] ^ mask);
+      check(m, "flip " + std::to_string(mask) + " at byte " +
+                   std::to_string(pos));
+    }
+  }
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    check(std::vector<std::uint8_t>(
+              bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)),
+          "truncated to " + std::to_string(len));
+  }
+  std::vector<std::uint8_t> longer = bytes;
+  longer.push_back(0);
+  check(longer, "one trailing byte");
+}
+
+TEST(FlatDecode, PathRequestMatchesDecodePathRequestUnderEveryMutation) {
+  const auto bytes =
+      net::encode(net::PathBatchRequest{"main", mixed_queries()});
+  std::string collection;
+  serve::PathBatch batch;
+  for_each_mutation(bytes, [&](const std::vector<std::uint8_t>& m,
+                               const std::string& where) {
+    expect_same_decode(MsgType::kPathBatch, m, DecodeLimits{},
+                       net::decode_path_request, collection, batch, where);
+  });
+}
+
+TEST(FlatDecode, DynRequestMatchesDecodeDynPathRequestUnderEveryMutation) {
+  const auto bytes =
+      net::encode(net::DynPathBatchRequest{"main", mixed_queries()});
+  std::string collection;
+  serve::PathBatch batch;
+  for_each_mutation(bytes, [&](const std::vector<std::uint8_t>& m,
+                               const std::string& where) {
+    expect_same_decode(MsgType::kDynPathBatch, m, DecodeLimits{},
+                       net::decode_dyn_path_request, collection, batch, where);
+  });
+}
+
+TEST(FlatDecode, LimitsRefuseWithTheSameStatus) {
+  const auto bytes =
+      net::encode(net::PathBatchRequest{"main", mixed_queries()});
+  std::string collection;
+  serve::PathBatch batch;
+  DecodeLimits few_queries;
+  few_queries.max_queries = 6;
+  DecodeLimits short_paths;
+  short_paths.max_path_len = 5;
+  DecodeLimits short_names;
+  short_names.max_name_len = 3;
+  for (const DecodeLimits& limits : {few_queries, short_paths, short_names}) {
+    expect_same_decode(MsgType::kPathBatch, bytes, limits,
+                       net::decode_path_request, collection, batch, "limits");
+    expect_same_decode(MsgType::kDynPathBatch, bytes, limits,
+                       net::decode_dyn_path_request, collection, batch,
+                       "limits");
+    EXPECT_FALSE(
+        net::decode_path_batch(MsgType::kPathBatch, bytes, limits, collection,
+                               batch)
+            .ok());
+  }
+}
+
+TEST(FlatDecode, FlatResponsesAreByteIdenticalToTheStructEncoders) {
+  const std::vector<serve::PathQuery> qs = mixed_queries();
+  const std::vector<serve::PathRef> refs = serve::path_refs(qs);
+  std::mt19937_64 rng(5);
+  serve::PathAnswerSet set;
+  dyn::PathKeySet keys;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, qs.size()}) {
+    const std::span<const serve::PathRef> batch(refs.data(), n);
+    set.reset(batch);
+    keys.reset(batch);
+    net::PathBatchResponse resp{9, true, {}};
+    net::DynPathBatchResponse dyn_resp{9, 33, {}};
+    for (std::size_t q = 0; q < n; ++q) {
+      serve::PathAnswer& a = resp.answers.emplace_back();
+      dyn::PathKeys& k = dyn_resp.answers.emplace_back();
+      for (std::uint32_t i = 0; i < refs[q].len; ++i) {
+        set.aug_data(q)[i] = static_cast<std::uint32_t>(rng());
+        set.proper_data(q)[i] = static_cast<std::uint32_t>(rng());
+        keys.keys_data(q)[i] = static_cast<cat::Key>(rng());
+        a.aug_index.push_back(set.aug_data(q)[i]);
+        a.proper_index.push_back(set.proper_data(q)[i]);
+        k.keys.push_back(keys.keys_data(q)[i]);
+      }
+    }
+    EXPECT_EQ(net::encode_path_response(9, true, set), net::encode(resp))
+        << n;
+    EXPECT_EQ(net::encode_dyn_path_response(9, 33, keys),
+              net::encode(dyn_resp))
+        << n;
+  }
+}
+
 }  // namespace
