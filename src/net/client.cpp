@@ -6,7 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,51 +20,26 @@ using coop::Status;
 
 namespace {
 
-int to_ms(std::chrono::nanoseconds d) {
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(d).count();
-  return ms <= 0 ? 1 : static_cast<int>(ms);
-}
-
-/// Wait for readability/writability with a timeout; OK means ready.
-Status wait_fd(int fd, short events, std::chrono::nanoseconds timeout,
-               const char* what) {
-  pollfd p{};
-  p.fd = fd;
-  p.events = events;
-  const int n = ::poll(&p, 1, to_ms(timeout));
-  if (n < 0) {
-    return Status::unavailable(std::string("poll(): ") +
-                               std::strerror(errno));
-  }
-  if (n == 0) {
-    return Status::deadline_exceeded(std::string(what) + " timed out");
-  }
-  if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-      (p.revents & (POLLIN | POLLOUT)) == 0) {
-    return Status::unavailable(std::string(what) +
-                               ": connection closed by peer");
-  }
-  return coop::OkStatus();
-}
+/// The receive buffer's first size: a reply to a small batch fits, so it
+/// is read with one recv; a larger frame grows the buffer once.
+constexpr std::size_t kMinReceiveBuffer = 4096;
 
 }  // namespace
 
-Client::Client(Client&& o) noexcept
-    : fd_(std::exchange(o.fd_, -1)),
-      opts_(o.opts_),
-      next_request_id_(o.next_request_id_),
-      pending_type_(o.pending_type_),
-      pending_id_(o.pending_id_) {}
+Client::Client(Client&& o) noexcept { *this = std::move(o); }
 
 Client& Client::operator=(Client&& o) noexcept {
   if (this != &o) {
     close();
     fd_ = std::exchange(o.fd_, -1);
     opts_ = o.opts_;
+    applied_io_timeout_ = o.applied_io_timeout_;
     next_request_id_ = o.next_request_id_;
     pending_type_ = o.pending_type_;
     pending_id_ = o.pending_id_;
+    rbuf_ = std::move(o.rbuf_);
+    rbegin_ = std::exchange(o.rbegin_, 0);
+    rend_ = std::exchange(o.rend_, 0);
   }
   return *this;
 }
@@ -85,7 +60,7 @@ coop::Expected<Client> Client::connect(const std::string& host,
     return Status::invalid_argument("bad host address '" + host + "'");
   }
   // Nonblocking connect + poll, so a black-holed server respects
-  // connect_timeout instead of the kernel's.
+  // connect_timeout instead of the kernel's; the socket blocks after.
   const int flags = fcntl(fd, F_GETFL, 0);
   (void)fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
@@ -95,10 +70,17 @@ coop::Expected<Client> Client::connect(const std::string& host,
     ::close(fd);
     return s;
   }
-  if (Status s = wait_fd(fd, POLLOUT, opts.connect_timeout, "connect");
-      !s.ok()) {
+  pollfd p{fd, POLLOUT, 0};
+  const auto ms = std::max<std::int64_t>(
+      1, std::chrono::duration_cast<std::chrono::milliseconds>(
+             opts.connect_timeout)
+             .count());
+  const int ready = ::poll(&p, 1, static_cast<int>(ms));
+  if (ready <= 0) {
     ::close(fd);
-    return s;
+    return ready == 0 ? Status::deadline_exceeded("connect timed out")
+                      : Status::unavailable(std::string("poll(): ") +
+                                            std::strerror(errno));
   }
   int err = 0;
   socklen_t len = sizeof(err);
@@ -107,11 +89,13 @@ coop::Expected<Client> Client::connect(const std::string& host,
     return Status::unavailable(std::string("connect(): ") +
                                std::strerror(err != 0 ? err : errno));
   }
+  (void)fcntl(fd, F_SETFL, flags);
   const int one = 1;
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   Client c;
   c.fd_ = fd;
   c.opts_ = opts;
+  c.apply_io_timeout();
   return c;
 }
 
@@ -134,69 +118,69 @@ void Client::close_abruptly() {
   fd_ = -1;
 }
 
+void Client::apply_io_timeout() {
+  if (opts_.io_timeout == applied_io_timeout_) {
+    return;
+  }
+  // A zero timeval means "wait forever", so the shortest timeout is 1 µs.
+  const auto us = std::max<std::int64_t>(
+      1, std::chrono::ceil<std::chrono::microseconds>(opts_.io_timeout)
+             .count());
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(us / 1'000'000);
+  tv.tv_usec = static_cast<suseconds_t>(us % 1'000'000);
+  (void)setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  (void)setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  applied_io_timeout_ = opts_.io_timeout;
+}
+
 Status Client::send_all(std::span<const std::uint8_t> bytes) {
   if (fd_ < 0) {
     return Status::unavailable("client is not connected");
   }
+  apply_io_timeout();
   std::size_t off = 0;
   while (off < bytes.size()) {
     const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
                              MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (Status s = wait_fd(fd_, POLLOUT, opts_.io_timeout, "send");
-            !s.ok()) {
-          return s;
-        }
-        continue;
-      }
-      return Status::unavailable(std::string("send(): ") +
+    if (n >= 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::deadline_exceeded("send timed out");
+    } else if (errno != EINTR) {
+      return Status::unavailable(std::string("connection lost in send(): ") +
                                  std::strerror(errno));
     }
-    off += static_cast<std::size_t>(n);
   }
   return coop::OkStatus();
 }
 
-Status Client::recv_exact(std::span<iovec> parts) {
-  msghdr msg{};
-  msg.msg_iov = parts.data();
-  msg.msg_iovlen = parts.size();
-  while (msg.msg_iovlen != 0) {
-    if (msg.msg_iov->iov_len == 0) {
-      ++msg.msg_iov;
-      --msg.msg_iovlen;
-      continue;
+Status Client::fill(std::size_t need) {
+  if (rbuf_.size() - rbegin_ < need) {
+    // Move the unread bytes to the front, then grow if that is not room
+    // enough.
+    if (rbegin_ != 0) {
+      std::memmove(rbuf_.data(), rbuf_.data() + rbegin_, rend_ - rbegin_);
+      rend_ -= rbegin_;
+      rbegin_ = 0;
     }
-    const ssize_t got = ::recvmsg(fd_, &msg, 0);
+    if (rbuf_.size() < need) {
+      rbuf_.resize(std::max({need, 2 * rbuf_.size(), kMinReceiveBuffer}));
+    }
+  }
+  while (rend_ - rbegin_ < need) {
+    const ssize_t got =
+        ::recv(fd_, rbuf_.data() + rend_, rbuf_.size() - rend_, 0);
     if (got > 0) {
-      // Advance past the bytes received, which may end mid-part.
-      auto left = static_cast<std::size_t>(got);
-      while (left != 0) {
-        const std::size_t step = std::min(left, msg.msg_iov->iov_len);
-        msg.msg_iov->iov_base =
-            static_cast<char*>(msg.msg_iov->iov_base) + step;
-        msg.msg_iov->iov_len -= step;
-        left -= step;
-        if (msg.msg_iov->iov_len == 0) {
-          ++msg.msg_iov;
-          --msg.msg_iovlen;
-        }
-      }
-      continue;
-    }
-    if (got == 0) {
+      rend_ += static_cast<std::size_t>(got);
+    } else if (got == 0) {
       return Status::unavailable("connection closed by server mid-frame");
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::deadline_exceeded("recv timed out");
+    } else if (errno != EINTR) {
+      return Status::unavailable(std::string("connection lost in recv(): ") +
+                                 std::strerror(errno));
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (Status s = wait_fd(fd_, POLLIN, opts_.io_timeout, "recv");
-          !s.ok()) {
-        return s;
-      }
-      continue;
-    }
-    return Status::unavailable(std::string("recv(): ") +
-                               std::strerror(errno));
   }
   return coop::OkStatus();
 }
@@ -205,33 +189,43 @@ Status Client::send_raw(std::span<const std::uint8_t> bytes) {
   return send_all(bytes);
 }
 
-coop::Expected<Frame> Client::read_frame() {
+Status Client::next_frame(FrameHeader& h,
+                          std::span<const std::uint8_t>& payload) {
+  apply_io_timeout();
+  if (rbegin_ == rend_) {
+    rbegin_ = rend_ = 0;  // nothing unread: receive at the front
+  }
   std::uint32_t prefix = 0;
-  iovec head{&prefix, sizeof(prefix)};
-  if (Status s = recv_exact({&head, 1}); !s.ok()) {
+  if (Status s = fill(sizeof(prefix)); !s.ok()) {
     return s;
   }
+  std::memcpy(&prefix, rbuf_.data() + rbegin_, sizeof(prefix));
+  const std::size_t size = sizeof(prefix) + std::size_t{prefix};
   if (std::size_t{prefix} < sizeof(FrameHeader) + sizeof(std::uint32_t) ||
-      sizeof(prefix) + std::size_t{prefix} > opts_.limits.max_frame_bytes ||
-      sizeof(prefix) + std::size_t{prefix} > kAbsoluteMaxFrame) {
+      size > opts_.limits.max_frame_bytes || size > kAbsoluteMaxFrame) {
     return Status::corrupted("server sent a frame with length prefix " +
                              std::to_string(prefix) +
                              " outside the accepted range");
   }
-  // The header, payload and CRC trailer land in their own storage, so
-  // the payload is copied once, from the socket.
-  Frame f;
-  f.payload.resize(prefix - sizeof(FrameHeader) - sizeof(std::uint32_t));
+  if (Status s = fill(size); !s.ok()) {
+    return s;
+  }
+  const std::uint8_t* frame = rbuf_.data() + rbegin_;
+  rbegin_ += size;
+  std::memcpy(&h, frame + sizeof(prefix), sizeof(h));
+  payload = {frame + sizeof(prefix) + sizeof(h), size - kFrameOverhead};
   std::uint32_t trailer = 0;
-  iovec parts[] = {{&f.header, sizeof(f.header)},
-                   {f.payload.data(), f.payload.size()},
-                   {&trailer, sizeof(trailer)}};
-  if (Status s = recv_exact(parts); !s.ok()) {
+  std::memcpy(&trailer, frame + size - sizeof(trailer), sizeof(trailer));
+  return check_frame(prefix, h, payload, trailer);
+}
+
+coop::Expected<Frame> Client::read_frame() {
+  Frame f;
+  std::span<const std::uint8_t> payload;
+  if (Status s = next_frame(f.header, payload); !s.ok()) {
     return s;
   }
-  if (Status s = check_frame(prefix, f.header, f.payload, trailer); !s.ok()) {
-    return s;
-  }
+  f.payload.assign(payload.begin(), payload.end());
   return f;
 }
 
@@ -247,38 +241,53 @@ Status Client::send_request(MsgType type,
   return send_all(encode_frame(h, payload));
 }
 
-coop::Expected<Frame> Client::recv_response() {
-  auto frame = read_frame();
-  if (!frame.ok()) {
-    return frame.status();
+Status Client::next_response(FrameHeader& h,
+                             std::span<const std::uint8_t>& payload) {
+  if (Status s = next_frame(h, payload); !s.ok()) {
+    return s;
   }
-  if (frame->header.request_id != pending_id_) {
-    return Status::internal(
-        "response request_id " + std::to_string(frame->header.request_id) +
-        " does not match request " + std::to_string(pending_id_));
+  if (h.request_id != pending_id_) {
+    return Status::internal("response request_id " +
+                            std::to_string(h.request_id) +
+                            " does not match request " +
+                            std::to_string(pending_id_));
   }
-  const auto rtype = static_cast<MsgType>(frame->header.type &
-                                          ~kResponseBit);
+  const auto rtype = static_cast<MsgType>(h.type & ~kResponseBit);
   if (rtype == MsgType::kError) {
-    auto err = decode_error(frame->payload, opts_.limits);
+    auto err = decode_error(payload, opts_.limits);
     if (!err.ok()) {
       return err.status();
     }
     return from_wire_error(err.value());
   }
-  if (rtype != pending_type_ || (frame->header.type & kResponseBit) == 0) {
+  if (rtype != pending_type_ || (h.type & kResponseBit) == 0) {
     return Status::internal("unexpected response type " +
-                            std::to_string(frame->header.type));
+                            std::to_string(h.type));
   }
-  return frame;
+  return coop::OkStatus();
 }
 
-coop::Expected<Frame> Client::round_trip(
+coop::Expected<Frame> Client::recv_response() {
+  Frame f;
+  std::span<const std::uint8_t> payload;
+  if (Status s = next_response(f.header, payload); !s.ok()) {
+    return s;
+  }
+  f.payload.assign(payload.begin(), payload.end());
+  return f;
+}
+
+coop::Expected<std::span<const std::uint8_t>> Client::round_trip(
     MsgType type, std::span<const std::uint8_t> payload) {
   if (Status s = send_request(type, payload); !s.ok()) {
     return s;
   }
-  return recv_response();
+  FrameHeader h;
+  std::span<const std::uint8_t> reply;
+  if (Status s = next_response(h, reply); !s.ok()) {
+    return s;
+  }
+  return reply;
 }
 
 template <typename Resp>
@@ -286,18 +295,18 @@ coop::Expected<Resp> Client::call(
     MsgType type, std::span<const std::uint8_t> payload,
     coop::Expected<Resp> (*decode)(std::span<const std::uint8_t>,
                                    const DecodeLimits&)) {
-  auto frame = round_trip(type, payload);
-  if (!frame.ok()) {
-    return frame.status();
+  auto reply = round_trip(type, payload);
+  if (!reply.ok()) {
+    return reply.status();
   }
-  return decode(frame->payload, opts_.limits);
+  return decode(*reply, opts_.limits);
 }
 
 coop::Expected<PathBatchResponse> Client::path_batch(
     const std::string& collection,
     std::span<const serve::PathQuery> queries) {
-  PathBatchRequest req{collection, {queries.begin(), queries.end()}};
-  return call(MsgType::kPathBatch, encode(req), decode_path_response);
+  return call(MsgType::kPathBatch, encode_path_request(collection, queries),
+              decode_path_response);
 }
 
 coop::Expected<PointBatchResponse> Client::point_batch(
@@ -311,12 +320,12 @@ coop::Expected<HealthResponse> Client::health() {
 }
 
 coop::Expected<std::string> Client::metrics() {
-  auto frame = round_trip(MsgType::kMetrics, {});
-  if (!frame.ok()) {
-    return frame.status();
+  auto reply = round_trip(MsgType::kMetrics, {});
+  if (!reply.ok()) {
+    return reply.status();
   }
-  return std::string(reinterpret_cast<const char*>(frame->payload.data()),
-                     frame->payload.size());
+  return std::string(reinterpret_cast<const char*>(reply->data()),
+                     reply->size());
 }
 
 coop::Expected<std::uint64_t> Client::admin(MsgType type,
@@ -356,8 +365,9 @@ coop::Expected<MutateResponse> Client::mutate(
 coop::Expected<DynPathBatchResponse> Client::dyn_path_batch(
     const std::string& collection,
     std::span<const serve::PathQuery> queries) {
-  DynPathBatchRequest req{collection, {queries.begin(), queries.end()}};
-  return call(MsgType::kDynPathBatch, encode(req), decode_dyn_path_response);
+  return call(MsgType::kDynPathBatch,
+              encode_path_request(collection, queries),
+              decode_dyn_path_response);
 }
 
 coop::Expected<CompactResponse> Client::compact(

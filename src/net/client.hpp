@@ -1,13 +1,16 @@
 #pragma once
 
 // Blocking client for the framed-TCP protocol: one connection, one
-// request in flight, poll()-guarded reads and writes so a dead or
-// stalled server surfaces as a typed Status instead of a hang.  This is
-// what coopload, the CI smoke job, and the wire soak's client fleet
-// speak; it also exposes the raw-byte and abrupt-close primitives the
-// chaos harness needs to inject corrupted frames and mid-batch resets.
-
-#include <sys/uio.h>
+// request in flight.  The socket blocks, with SO_RCVTIMEO/SO_SNDTIMEO
+// taken from io_timeout, so each send and each receive waits at most
+// io_timeout and a dead or stalled server surfaces as a typed Status
+// instead of a hang.  A reply is usually read with one recv into the
+// client's receive buffer, which grows to the largest frame seen and
+// keeps any bytes past a frame for the next read.  This is what coopload,
+// the CI smoke job, the wire soak's client fleet, the follower's fetch
+// and the router's shard legs speak; it also exposes the raw-byte and
+// abrupt-close primitives the chaos harness needs to inject corrupted
+// frames and mid-batch resets.
 
 #include <chrono>
 #include <cstdint>
@@ -119,10 +122,21 @@ class Client {
 
  private:
   [[nodiscard]] coop::Status send_all(std::span<const std::uint8_t> bytes);
-  /// Fill every part, in order, from the socket.
-  [[nodiscard]] coop::Status recv_exact(std::span<iovec> parts);
-  /// send_request then recv_response.
-  [[nodiscard]] coop::Expected<Frame> round_trip(
+  /// Set SO_RCVTIMEO/SO_SNDTIMEO when io_timeout changed since last set.
+  void apply_io_timeout();
+  /// Read until the receive buffer holds `need` bytes past rbegin_.
+  [[nodiscard]] coop::Status fill(std::size_t need);
+  /// Read and check one frame.  `payload` views the receive buffer and
+  /// stays valid until the next read.
+  [[nodiscard]] coop::Status next_frame(FrameHeader& h,
+                                        std::span<const std::uint8_t>& payload);
+  /// next_frame, then match it to the outstanding request and unwrap an
+  /// ERROR frame into its Status.
+  [[nodiscard]] coop::Status next_response(
+      FrameHeader& h, std::span<const std::uint8_t>& payload);
+  /// send_request then next_response: the reply payload, as a view into
+  /// the receive buffer.
+  [[nodiscard]] coop::Expected<std::span<const std::uint8_t>> round_trip(
       MsgType type, std::span<const std::uint8_t> payload);
   /// LOAD/SWAP/UNLOAD/DRAIN: the published version, where there is one.
   [[nodiscard]] coop::Expected<std::uint64_t> admin(
@@ -137,10 +151,16 @@ class Client {
 
   int fd_ = -1;
   ClientOptions opts_;
+  /// The io_timeout the socket's timeouts were last set from (-1: none).
+  std::chrono::nanoseconds applied_io_timeout_{-1};
   std::uint64_t next_request_id_ = 1;
   /// The outstanding request recv_response answers.
   MsgType pending_type_ = MsgType::kError;
   std::uint64_t pending_id_ = 0;
+  /// Received bytes not yet consumed are rbuf_[rbegin_, rend_).
+  std::vector<std::uint8_t> rbuf_;
+  std::size_t rbegin_ = 0;
+  std::size_t rend_ = 0;
 };
 
 }  // namespace net

@@ -4,18 +4,13 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -135,14 +130,12 @@ constexpr std::uint64_t kListenerToken = 0;
 /// How long a serving thread waits before housekeeping on its own.
 constexpr int kTickMs = 100;
 
-/// Readiness with one-shot arming, shared by every serving thread: epoll
-/// (EPOLLONESHOT) where available, poll() everywhere (and on Linux too
-/// when COOPNET_FORCE_POLL=1, which the TSan CI job uses to cover the
-/// fallback).  The wait that reports a registration disarms it, so one
-/// thread owns that fd until it calls arm() again.  Each registration
+/// Readiness with one-shot arming (EPOLLONESHOT), shared by every
+/// serving thread.  The wait that reports a registration disarms it, so
+/// one thread owns that fd until it calls arm() again.  Each registration
 /// carries a token that comes back with its events.  The wake pipe is
-/// never disarmed: wake() interrupts one wait, and after stop() every
-/// wait returns at once.
+/// level-triggered and never disarmed: wake() interrupts one wait, and
+/// after stop() every wait returns at once.
 class Poller {
  public:
   struct Event {
@@ -170,68 +163,43 @@ class Poller {
     wake_w_ = pipefd[1];
     set_nonblocking(wake_r_);
     set_nonblocking(wake_w_);
-#ifdef __linux__
-    const char* force = std::getenv("COOPNET_FORCE_POLL");
-    if (force == nullptr || force[0] == '\0' || force[0] == '0') {
-      epfd_ = epoll_create1(EPOLL_CLOEXEC);
-      epoll_event ev{};
-      ev.events = EPOLLIN;  // level-triggered, never disarmed
-      ev.data.u64 = kWakeToken;
-      (void)epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_r_, &ev);
+    epfd_ = epoll_create1(EPOLL_CLOEXEC);
+    if (epfd_ < 0) {
+      return Status::internal(std::string("epoll_create1(): ") +
+                              std::strerror(errno));
     }
-#endif
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kWakeToken;
+    (void)epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_r_, &ev);
     return coop::OkStatus();
   }
 
   /// Arm `fd` for one event (registering it first when `add`).
   void arm(int fd, std::uint64_t token, bool want_write, bool add = false) {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLONESHOT | (want_write ? EPOLLOUT : 0u);
-      ev.data.u64 = token;
-      (void)epoll_ctl(epfd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev);
-      return;
-    }
-#endif
-    std::lock_guard<std::mutex> lock(mu_);
-    regs_[fd] = Reg{token, want_write, true};
-    if (polling_) {
-      wake();  // the leader's poll set predates this fd: make it re-poll
-    }
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT | (want_write ? EPOLLOUT : 0u);
+    ev.data.u64 = token;
+    (void)epoll_ctl(epfd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void remove(int fd) {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-      return;
-    }
-#endif
-    std::lock_guard<std::mutex> lock(mu_);
-    regs_.erase(fd);
-  }
+  void remove(int fd) { (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
   /// One ready registration, now disarmed; false on a timeout, a wake or
   /// a stop.
   bool wait(Event& out, int timeout_ms) {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      if (epoll_wait(epfd_, &ev, 1, timeout_ms) != 1) {
-        return false;
-      }
-      if (ev.data.u64 == kWakeToken) {
-        drain_wake();
-        return false;
-      }
-      out = Event{ev.data.u64, (ev.events & EPOLLIN) != 0,
-                  (ev.events & EPOLLOUT) != 0,
-                  (ev.events & (EPOLLERR | EPOLLHUP)) != 0};
-      return true;
+    epoll_event ev{};
+    if (epoll_wait(epfd_, &ev, 1, timeout_ms) != 1) {
+      return false;
     }
-#endif
-    return wait_poll(out, timeout_ms);
+    if (ev.data.u64 == kWakeToken) {
+      drain_wake();
+      return false;
+    }
+    out = Event{ev.data.u64, (ev.events & EPOLLIN) != 0,
+                (ev.events & EPOLLOUT) != 0,
+                (ev.events & (EPOLLERR | EPOLLHUP)) != 0};
+    return true;
   }
 
   void wake() {
@@ -242,8 +210,6 @@ class Poller {
   void stop() {
     stopped_.store(true, std::memory_order_release);
     wake();
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_.notify_all();
   }
 
   [[nodiscard]] bool stopped() const {
@@ -262,70 +228,10 @@ class Poller {
     }
   }
 
-  /// Leader/followers over poll(): one thread at a time polls the armed
-  /// fds and takes the first ready one; the rest stay armed for the next
-  /// leader.
-  bool wait_poll(Event& out, int timeout_ms) {
-    const std::chrono::milliseconds timeout(timeout_ms);
-    std::unique_lock<std::mutex> lock(mu_);
-    while (polling_ || stopped()) {
-      if (stopped() ||
-          cv_.wait_for(lock, timeout) == std::cv_status::timeout) {
-        return false;
-      }
-    }
-    std::vector<pollfd> pfds{pollfd{wake_r_, POLLIN, 0}};
-    std::vector<std::uint64_t> tokens{kWakeToken};
-    for (const auto& [fd, reg] : regs_) {
-      if (reg.armed) {
-        pfds.push_back(pollfd{
-            fd, static_cast<short>(POLLIN | (reg.want_write ? POLLOUT : 0)),
-            0});
-        tokens.push_back(reg.token);
-      }
-    }
-    polling_ = true;
-    lock.unlock();
-    const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    lock.lock();
-    polling_ = false;
-    cv_.notify_one();
-    bool found = false;
-    for (std::size_t i = 1; n > 0 && !found && i < pfds.size(); ++i) {
-      const auto it = regs_.find(pfds[i].fd);
-      const short re = pfds[i].revents;
-      // A registration removed (and its fd perhaps reused) mid-poll
-      // shows up under a different token, or not at all: skip it.
-      if (re == 0 || it == regs_.end() || !it->second.armed ||
-          it->second.token != tokens[i]) {
-        continue;
-      }
-      it->second.armed = false;
-      out = Event{tokens[i], (re & POLLIN) != 0, (re & POLLOUT) != 0,
-                  (re & (POLLERR | POLLHUP | POLLNVAL)) != 0};
-      found = true;
-    }
-    if (n > 0 && pfds[0].revents != 0) {
-      drain_wake();
-    }
-    return found;
-  }
-
   int epfd_ = -1;
   int wake_r_ = -1;
   int wake_w_ = -1;
   std::atomic<bool> stopped_{false};
-
-  // poll() fallback only.
-  struct Reg {
-    std::uint64_t token = 0;
-    bool want_write = false;
-    bool armed = false;
-  };
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::unordered_map<int, Reg> regs_;
-  bool polling_ = false;  ///< a leader is inside poll()
 };
 
 std::uint64_t steady_ns(SteadyClock::time_point t) {

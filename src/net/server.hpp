@@ -1,11 +1,10 @@
 #pragma once
 
 // Fault-tolerant framed-TCP serving plane (DESIGN.md §11).  `workers`
-// identical serving threads share one event loop (epoll on Linux, poll()
-// fallback — set COOPNET_FORCE_POLL=1 to force it) over nonblocking
-// sockets, each connection armed for one event at a time.  The thread
-// that event wakes owns the connection: it reads, reassembles and admits
-// the frames, answers them in order through a net::Backend
+// identical serving threads share one epoll set over nonblocking
+// sockets, each connection armed for one event at a time (EPOLLONESHOT).
+// The thread that event wakes owns the connection: it reads, reassembles
+// and admits the frames, answers them in order through a net::Backend
 // (net/backend.hpp: the in-process collections by default, or the
 // cluster router), and flushes the responses before re-arming it.
 //

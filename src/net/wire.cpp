@@ -193,24 +193,6 @@ PathNames path_names(MsgType verb) {
   return {"path batch size", "path request", "path response"};
 }
 
-std::vector<std::uint8_t> encode_queries(
-    const std::string& collection,
-    const std::vector<serve::PathQuery>& queries) {
-  std::size_t size = str_size(collection.size()) + sizeof(std::uint32_t);
-  for (const serve::PathQuery& q : queries) {
-    size += kMinQueryBytes + q.path.size() * sizeof(std::uint32_t);
-  }
-  Writer w(size);
-  w.str(collection);
-  w.u32(static_cast<std::uint32_t>(queries.size()));
-  for (const serve::PathQuery& q : queries) {
-    w.i64(q.y);
-    w.u32(static_cast<std::uint32_t>(q.path.size()));
-    w.array(q.path);
-  }
-  return w.take();
-}
-
 /// Walk a PATH_BATCH or DYN_PATH_BATCH request (`verb`): the one
 /// refusal ladder of both verbs and of every decoder over them.  Once the
 /// query count is read, `reserve(k)` learns how many queries the bytes
@@ -401,8 +383,26 @@ coop::Expected<Frame> decode_frame(std::span<const std::uint8_t> bytes,
 // --------------------------------------------------------------------
 // Payload codecs.
 
+std::vector<std::uint8_t> encode_path_request(
+    const std::string& collection,
+    std::span<const serve::PathQuery> queries) {
+  std::size_t size = str_size(collection.size()) + sizeof(std::uint32_t);
+  for (const serve::PathQuery& q : queries) {
+    size += kMinQueryBytes + q.path.size() * sizeof(std::uint32_t);
+  }
+  Writer w(size);
+  w.str(collection);
+  w.u32(static_cast<std::uint32_t>(queries.size()));
+  for (const serve::PathQuery& q : queries) {
+    w.i64(q.y);
+    w.u32(static_cast<std::uint32_t>(q.path.size()));
+    w.array(q.path);
+  }
+  return w.take();
+}
+
 std::vector<std::uint8_t> encode(const PathBatchRequest& m) {
-  return encode_queries(m.collection, m.queries);
+  return encode_path_request(m.collection, m.queries);
 }
 
 coop::Expected<PathBatchRequest> decode_path_request(
@@ -724,7 +724,7 @@ coop::Expected<MutateResponse> decode_mutate_response(
 }
 
 std::vector<std::uint8_t> encode(const DynPathBatchRequest& m) {
-  return encode_queries(m.collection, m.queries);
+  return encode_path_request(m.collection, m.queries);
 }
 
 coop::Expected<DynPathBatchRequest> decode_dyn_path_request(

@@ -55,9 +55,9 @@ struct Frame {
 
 /// The checks decode_frame makes once a frame's size is known to match
 /// its length prefix `prefix` (magic, version, header CRC, length lie,
-/// payload CRC), for a reader that receives the header, the payload and
-/// the CRC trailer straight into its own storage (net::Client does, so
-/// a reply's payload is copied once, from the socket).
+/// payload CRC), for a reader that checks a frame where it was received
+/// (net::Client does, in its receive buffer, so a reply is decoded
+/// without copying its payload first).
 [[nodiscard]] coop::Status check_frame(std::uint32_t prefix,
                                        const FrameHeader& h,
                                        std::span<const std::uint8_t> payload,
@@ -194,6 +194,14 @@ struct FetchSnapshotResponse {
 [[nodiscard]] std::vector<std::uint8_t> encode(const CompactResponse& m);
 [[nodiscard]] std::vector<std::uint8_t> encode(const FetchSnapshotRequest& m);
 [[nodiscard]] std::vector<std::uint8_t> encode(const FetchSnapshotResponse& m);
+
+/// A PATH_BATCH or DYN_PATH_BATCH request (the two verbs share one
+/// layout) encoded straight from the caller's queries, in one
+/// allocation: byte-identical to encode(PathBatchRequest) and
+/// encode(DynPathBatchRequest) with the same queries.
+[[nodiscard]] std::vector<std::uint8_t> encode_path_request(
+    const std::string& collection,
+    std::span<const serve::PathQuery> queries);
 
 /// Decode a PATH_BATCH or DYN_PATH_BATCH request (`verb`) into `batch`
 /// and `collection`, reusing their buffers: the served decoder, which

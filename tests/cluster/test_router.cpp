@@ -12,8 +12,12 @@
 
 #include "cluster/router.hpp"
 
+#include <arpa/inet.h>
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -724,6 +728,52 @@ TEST_F(RouterTest, DeadShardShedsTypedOthersKeepServing) {
   }
   const cluster::RouterStats stats = router_->stats();
   EXPECT_GE(stats.sheds, 1u);
+}
+
+TEST_F(RouterTest, StalledShardShedsWithinTheClientDeadline) {
+  // An endpoint whose kernel completes the handshake but whose process
+  // never accepts, so a request to it is never answered.
+  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::bind(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(stalled, 16), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(stalled, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  std::uint32_t victim = kShards;
+  for (std::uint32_t s = 0; s < kShards && victim == kShards; ++s) {
+    if (leaf_of(s) != cat::kNullNode) {
+      victim = s;
+    }
+  }
+  ASSERT_LT(victim, kShards);
+  auto replicas = direct_replicas();
+  replicas[victim] = {{"127.0.0.1", ntohs(addr.sin_port)}};
+  Routed routed = route_over(std::move(replicas));  // io_timeout 2 s
+
+  net::Client client = connect(routed.server->port());
+  client.options().deadline_ns = 300'000'000;
+  serve::PathQuery q;
+  q.path = path_to(leaf_of(victim));
+  q.y = 42;
+  const std::vector<serve::PathQuery> batch{q};
+  const auto t0 = std::chrono::steady_clock::now();
+  auto resp = client.path_batch("main", batch);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_FALSE(resp.ok()) << "a stalled shard's batch was answered";
+  const StatusCode code = resp.status().code();
+  EXPECT_TRUE(code == StatusCode::kDeadlineExceeded ||
+              code == StatusCode::kUnavailable)
+      << resp.status().to_string();
+  // The leg's socket waits for the carved deadline, not the router's
+  // 2 s io_timeout.
+  EXPECT_LT(waited, std::chrono::milliseconds(1500));
+  routed.server.reset();
+  ::close(stalled);
 }
 
 TEST_F(RouterTest, UnknownCollectionAndVerbAreTyped) {

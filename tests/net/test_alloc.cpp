@@ -1,8 +1,9 @@
-// Allocation count of served path batches: this binary replaces the
-// global operator new with a counting one and checks that serving a
-// PATH_BATCH or DYN_PATH_BATCH frame through CollectionBackend::serve
-// costs the same number of allocations for 1, 16 and 64 queries — a
-// fixed cost per frame is fine, a cost per query is not.
+// Allocation count of path batches: this binary replaces the global
+// operator new with a counting one.  It checks that serving a PATH_BATCH
+// or DYN_PATH_BATCH frame through CollectionBackend::serve costs the
+// same number of allocations for 1, 16 and 64 queries — a fixed cost per
+// frame is fine, a cost per query is not — and that on the client side
+// only the decoded answers grow with the batch.
 
 #include <gtest/gtest.h>
 
@@ -14,15 +15,20 @@
 
 #include "catalog/tree.hpp"
 #include "fc/build.hpp"
+#include "net/client.hpp"
 #include "net/collections.hpp"
+#include "net/server.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+/// The allocations made by this thread alone.
+thread_local std::uint64_t t_allocs = 0;
 
 void* counted_alloc(std::size_t n, std::size_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocs;
   n = n == 0 ? 1 : n;
   if (align <= alignof(std::max_align_t)) {
     return std::malloc(n);
@@ -177,6 +183,62 @@ TEST_F(ServedPathAllocations, PathBatchCostsTheSameForEveryBatchSize) {
 
 TEST_F(ServedPathAllocations, DynPathBatchCostsTheSameForEveryBatchSize) {
   expect_fixed_cost_per_frame(net::MsgType::kDynPathBatch);
+}
+
+/// One Client::path_batch round trip against an in-process server,
+/// counted on the calling thread only (the server's threads are its own).
+class ClientPathAllocations : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::mt19937_64 rng(7);
+    tree_ = cat::make_balanced_binary(7, 300, cat::CatalogShape::kRandom, rng);
+    auto flat = serve::FlatCascade::compile_tree(tree_);
+    ASSERT_TRUE(flat.ok()) << flat.status().to_string();
+    net::ServerOptions opts;
+    opts.workers = 1;
+    opts.engine_threads = 1;
+    auto started = net::Server::start(opts);
+    ASSERT_TRUE(started.ok()) << started.status().to_string();
+    server_ = started.take();
+    ASSERT_TRUE(server_->collections()
+                    .load("main", snapshot::Snapshot::in_memory(flat.take()))
+                    .ok());
+    auto client = net::Client::connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(client.ok()) << client.status().to_string();
+    client_ = client.take();
+  }
+
+  /// The calling thread's allocations for one round trip of `n` random
+  /// root-to-leaf queries, from encoding the request to the decoded
+  /// answers.
+  std::uint64_t allocations(std::size_t n) {
+    const std::vector<serve::PathQuery> qs =
+        serve::random_path_batch(tree_, rng_, n);
+    const std::uint64_t before = t_allocs;
+    auto resp = client_.path_batch("main", qs);
+    const std::uint64_t used = t_allocs - before;
+    EXPECT_TRUE(resp.ok()) << resp.status().to_string();
+    if (resp.ok()) {
+      EXPECT_EQ(serve::count_path_mismatches(tree_, qs, resp->answers), 0u);
+    }
+    return used;
+  }
+
+  cat::Tree tree_;
+  std::mt19937_64 rng_{99};
+  std::unique_ptr<net::Server> server_;
+  net::Client client_;
+};
+
+TEST_F(ClientPathAllocations, OnlyTheDecodedAnswersGrowWithTheBatch) {
+  (void)allocations(64);  // warm-up: the receive buffer grows to 64 answers
+  const std::uint64_t sixteen = allocations(16);
+  const std::uint64_t sixty_four = allocations(64);
+  EXPECT_GT(sixteen, 0u);  // the counter is live
+  // Each decoded PathAnswer owns two vectors (aug_index, proper_index);
+  // building and sending the request and receiving the reply allocate
+  // nothing per query.
+  EXPECT_EQ(sixty_four - sixteen, 2u * (64 - 16));
 }
 
 }  // namespace

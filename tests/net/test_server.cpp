@@ -526,31 +526,6 @@ TEST_F(RemoteAdminServerTest, ExplicitOptInRestoresAdmin) {
   EXPECT_TRUE(server_->draining());
 }
 
-class PollFallbackServerTest : public ServerTest {
- protected:
-  void SetUp() override {
-    setenv("COOPNET_FORCE_POLL", "1", 1);
-    ServerTest::SetUp();
-  }
-  void TearDown() override {
-    ServerTest::TearDown();
-    unsetenv("COOPNET_FORCE_POLL");
-  }
-};
-
-TEST_F(PollFallbackServerTest, ServesWithPollBackend) {
-  net::Client client = connect();
-  const auto batch = make_batch(16, 15);
-  auto resp = client.path_batch("main", batch);
-  ASSERT_TRUE(resp.ok()) << resp.status().to_string();
-  for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-    for (std::size_t i = 0; i < batch[qi].path.size(); ++i) {
-      EXPECT_EQ(resp->answers[qi].proper_index[i],
-                tree_.catalog(batch[qi].path[i]).find(batch[qi].y));
-    }
-  }
-}
-
 // --- Dynamic collections over the wire (MUTATE / DYN_PATH_BATCH /
 // COMPACT): the end-to-end write path of DESIGN.md §13. ---
 
