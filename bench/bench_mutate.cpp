@@ -148,17 +148,24 @@ int run_mutate_bench(const Options& o) {
   const std::vector<serve::PathQuery> queries =
       serve::random_path_batch(tree, rng, num_queries);
 
+  const std::vector<serve::PathRef> refs = serve::path_refs(queries);
+  const auto part = [&](std::size_t at, std::size_t c) {
+    return std::span<const serve::PathRef>(refs).subspan(at, c);
+  };
+
   std::vector<Row> rows;
-  std::vector<serve::PathAnswer> base_out(1000);
-  std::vector<dyn::PathKeys> dyn_out(1000);
+  serve::PathAnswerSet base_out;
+  dyn::PathKeySet dyn_out;
   bool equal = true;
 
   rows.push_back(make_row(
       "flat_base", 1,
       measure(num_queries, 1000, min_sec,
               [&](std::size_t at, std::size_t c) {
-                serve::search_paths_grouped(flat, queries.data() + at, c,
-                                            base_out.data());
+                base_out.reset(part(at, c));
+                for (std::size_t gi = 0; gi < serve::path_groups(c); ++gi) {
+                  serve::serve_path_group(flat, part(at, c), gi, base_out);
+                }
               })));
 
   // Depth rows in increasing order, deepening the same overlay between
@@ -180,10 +187,8 @@ int run_mutate_bench(const Options& o) {
       // Differential gate at depth 0: the hint-indexed proper key must
       // match an independent binary search over the node's proper keys.
       const std::size_t check = std::min<std::size_t>(256, num_queries);
-      std::vector<dyn::PathKeys> got(check);
-      dyn::search_paths_dyn(
-          *st, std::span<const serve::PathQuery>(queries).first(check),
-          got.data());
+      dyn::PathKeySet got;
+      dyn::search_paths_dyn(*st, part(0, check), got);
       for (std::size_t qi = 0; qi < check && equal; ++qi) {
         for (std::size_t i = 0; i < queries[qi].path.size(); ++i) {
           const auto node =
@@ -191,7 +196,7 @@ int run_mutate_bench(const Options& o) {
           const auto keys = st->base->proper.node_keys(node);
           const auto it =
               std::lower_bound(keys.begin(), keys.end(), queries[qi].y);
-          if (it == keys.end() || got[qi].keys[i] != *it) {
+          if (it == keys.end() || got.keys(qi)[i] != *it) {
             equal = false;
           }
         }
@@ -203,11 +208,7 @@ int run_mutate_bench(const Options& o) {
         mode, 1,
         measure(num_queries, 1000, min_sec,
                 [&](std::size_t at, std::size_t c) {
-                  dyn::search_paths_dyn(
-                      *st,
-                      std::span<const serve::PathQuery>(queries.data() + at,
-                                                        c),
-                      dyn_out.data());
+                  dyn::search_paths_dyn(*st, part(at, c), dyn_out);
                 })));
   }
 
@@ -216,14 +217,12 @@ int run_mutate_bench(const Options& o) {
     // the independent per-key merge.
     const dyn::StatePtr st = cat->state();
     const std::size_t check = std::min<std::size_t>(256, num_queries);
-    std::vector<dyn::PathKeys> got(check);
-    dyn::search_paths_dyn(
-        *st, std::span<const serve::PathQuery>(queries).first(check),
-        got.data());
+    dyn::PathKeySet got;
+    dyn::search_paths_dyn(*st, part(0, check), got);
     for (std::size_t qi = 0; qi < check && equal; ++qi) {
       for (std::size_t i = 0; i < queries[qi].path.size(); ++i) {
         const auto node = static_cast<std::uint32_t>(queries[qi].path[i]);
-        if (got[qi].keys[i] != st->live_successor(node, queries[qi].y)) {
+        if (got.keys(qi)[i] != st->live_successor(node, queries[qi].y)) {
           equal = false;
         }
       }

@@ -79,6 +79,7 @@ int run(const Options& o, bool emit_json) {
 
   const std::vector<serve::PathQuery> queries =
       serve::random_path_batch(tree, rng, batch_queries);
+  const std::vector<serve::PathRef> refs = serve::path_refs(queries);
 
   serve::QueryEngine engine(4);
 
@@ -89,8 +90,8 @@ int run(const Options& o, bool emit_json) {
     serve::FrontendOptions fopts;
     fopts.max_inflight = 1;
     serve::Frontend frontend(registry, engine, fopts);
-    std::vector<serve::PathAnswer> answers;
-    if (!frontend.serve_paths(queries, answers).ok()) {
+    serve::PathAnswerSet answers;
+    if (!frontend.serve_paths(refs, answers).ok()) {
       equal = false;
     }
     const std::size_t check = std::min<std::size_t>(200, batch_queries);
@@ -110,12 +111,12 @@ int run(const Options& o, bool emit_json) {
     serve::FrontendOptions fopts;
     fopts.max_inflight = 64;
     serve::Frontend frontend(registry, engine, fopts);
-    std::vector<serve::PathAnswer> answers;
+    serve::PathAnswerSet answers;
     std::size_t served = 0;
     const auto t0 = Clock::now();
     double elapsed = 0;
     do {
-      if (frontend.serve_paths(queries, answers).ok()) {
+      if (frontend.serve_paths(refs, answers).ok()) {
         served += batch_queries;
       }
       elapsed = seconds_since(t0);
@@ -153,13 +154,13 @@ int run(const Options& o, bool emit_json) {
   for (std::size_t ci = 0; ci < n_clients; ++ci) {
     clients.emplace_back([&, ci] {
       ClientResult& r = results[ci];
-      std::vector<serve::PathAnswer> answers;
+      serve::PathAnswerSet answers;
       auto next_at = t_start + cadence * static_cast<int>(ci + 1);
       while (!stop.load(std::memory_order_acquire)) {
         std::this_thread::sleep_until(next_at);
         next_at += cadence;
         const auto t0 = Clock::now();
-        const auto st = frontend.serve_paths(queries, answers);
+        const auto st = frontend.serve_paths(refs, answers);
         ++r.offered;
         if (st.ok()) {
           ++r.admitted;

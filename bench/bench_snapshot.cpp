@@ -148,8 +148,8 @@ int run(const Options& o, bool emit_json) {
   serve::QueryEngine engine(4);
   std::size_t served = 0, mismatches = 0, batches = 0;
   const auto t_swap = std::chrono::steady_clock::now();
+  serve::PathAnswerSet out;
   while (!done.load()) {
-    std::vector<serve::PathAnswer> out;
     if (!snapshot::serve_path_queries(registry, engine, queries, out).ok()) {
       ++mismatches;
       continue;

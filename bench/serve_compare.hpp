@@ -229,17 +229,26 @@ inline int run_paths_compare(const Options& o) {
   // throughput number.
   bool equal = true;
   const std::size_t check = std::min<std::size_t>(500, num_queries);
-  std::vector<serve::PathAnswer> grouped(check), grouped_scalar(check);
-  serve::search_paths_grouped(flat, queries.data(), check, grouped.data());
+  // The lockstep kernel over queries [at, at + c), group by group, into
+  // `out` (reset to them).
+  const auto grouped_into = [&](serve::PathAnswerSet& out, std::size_t at,
+                                std::size_t c) {
+    const auto part = std::span<const serve::PathQuery>(queries).subspan(at, c);
+    out.reset(part);
+    for (std::size_t gi = 0; gi < serve::path_groups(c); ++gi) {
+      serve::serve_path_group(flat, part, gi, out);
+    }
+  };
+  serve::PathAnswerSet grouped, grouped_scalar;
+  grouped_into(grouped, 0, check);
   {
     ForcedDispatch scalar(true);
-    serve::search_paths_grouped(flat, queries.data(), check,
-                                grouped_scalar.data());
+    grouped_into(grouped_scalar, 0, check);
   }
   serve::PathAnswerSet flat_set;
   {
     serve::QueryEngine eng1(1);
-    (void)serve::serve_path_queries_flat(
+    (void)serve::serve_path_queries(
         flat, eng1, std::span<const serve::PathQuery>(queries).first(check),
         flat_set);
   }
@@ -252,10 +261,10 @@ inline int run_paths_compare(const Options& o) {
     for (std::size_t i = 0; i < queries[qi].path.size(); ++i) {
       if (got.proper_index[i] != oracle.proper_index[i] ||
           sim.proper_index[i] != oracle.proper_index[i] ||
-          grouped[qi].proper_index[i] != oracle.proper_index[i] ||
-          grouped[qi].aug_index[i] != oracle.aug_index[i] ||
-          grouped_scalar[qi].proper_index[i] != oracle.proper_index[i] ||
-          grouped_scalar[qi].aug_index[i] != oracle.aug_index[i] ||
+          grouped.proper(qi)[i] != oracle.proper_index[i] ||
+          grouped.aug(qi)[i] != oracle.aug_index[i] ||
+          grouped_scalar.proper(qi)[i] != oracle.proper_index[i] ||
+          grouped_scalar.aug(qi)[i] != oracle.aug_index[i] ||
           flat_set.proper(qi)[i] != oracle.proper_index[i] ||
           flat_set.aug(qi)[i] != oracle.aug_index[i]) {
         equal = false;
@@ -302,13 +311,12 @@ inline int run_paths_compare(const Options& o) {
     // The engine's single-thread kernel: lockstep groups overlap the
     // per-hop misses across 16 queries — the flat engine's throughput,
     // under the runtime-chosen simd dispatch.
-    std::vector<serve::PathAnswer> chunk_out(1000);
+    serve::PathAnswerSet chunk_out;
     rows.push_back(
         make_row("flat", 1,
          measure(num_queries, 1000, min_sec,
                      [&](std::size_t at, std::size_t c) {
-                       serve::search_paths_grouped(flat, queries.data() + at,
-                                                   c, chunk_out.data());
+                       grouped_into(chunk_out, at, c);
                      })));
     // The same kernel pinned to each dispatch: flat_scalar isolates the
     // memory-layout + pipelining win, flat_simd (only where avx2 exists)
@@ -320,8 +328,7 @@ inline int run_paths_compare(const Options& o) {
           make_row("flat_scalar", 1,
            measure(num_queries, 1000, min_sec,
                        [&](std::size_t at, std::size_t c) {
-                         serve::search_paths_grouped(flat, queries.data() + at,
-                                                     c, chunk_out.data());
+                         grouped_into(chunk_out, at, c);
                        })));
     }
     if (serve::simd::dispatch_is_avx2()) {
@@ -329,8 +336,7 @@ inline int run_paths_compare(const Options& o) {
           make_row("flat_simd", 1,
            measure(num_queries, 1000, min_sec,
                        [&](std::size_t at, std::size_t c) {
-                         serve::search_paths_grouped(flat, queries.data() + at,
-                                                     c, chunk_out.data());
+                         grouped_into(chunk_out, at, c);
                        })));
     }
   }
@@ -342,8 +348,8 @@ inline int run_paths_compare(const Options& o) {
         make_row("flat_batch", threads,
          measure(num_queries, num_queries, min_sec,
                      [&](std::size_t, std::size_t) {
-                       (void)serve::serve_path_queries_flat(flat, engine,
-                                                            queries, out);
+                       (void)serve::serve_path_queries(flat, engine,
+                                                       queries, out);
                      })));
   }
 

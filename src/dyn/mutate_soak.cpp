@@ -112,14 +112,14 @@ MutateSoakOutcome run_mutate_soak(const MutateSoakOptions& opts) {
   for (std::size_t r = 0; r < opts.readers; ++r) {
     readers.emplace_back([&, r] {
       std::mt19937_64 rng(opts.seed * 104729 + r);
+      PathKeySet ans;
       while (!stop.load(std::memory_order_acquire)) {
         const std::vector<serve::PathQuery> q =
             serve::random_path_batch(tree, rng, 1);
-        PathKeys ans;
         const StatePtr s = cat.state();
-        search_paths_dyn(*s, q, &ans);
+        search_paths_dyn(*s, serve::path_refs(q), ans);
         robust::bump(out.reads);
-        for (const Key k : ans.keys) {
+        for (const Key k : ans.keys(0)) {
           if (k < q[0].y) {
             robust::bump(out.wrong_answers);
           }

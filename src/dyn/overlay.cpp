@@ -333,13 +333,6 @@ void search_paths_dyn(const State& state,
   }
 }
 
-void copy_keys(const PathKeySet& set, std::vector<PathKeys>& out) {
-  out.resize(set.size());
-  for (std::size_t q = 0; q < set.size(); ++q) {
-    out[q].keys.assign(set.keys(q).begin(), set.keys(q).end());
-  }
-}
-
 coop::Expected<std::unique_ptr<DynamicCatalog>> DynamicCatalog::attach(
     snapshot::Registry& registry, Options opts) {
   snapshot::Registry::Pin pin = registry.pin();

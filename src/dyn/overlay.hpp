@@ -138,6 +138,11 @@ struct PathKeys {
   std::vector<Key> keys;
 };
 
+/// One answer of a PathKeySet, by view: the member of PathKeys.
+struct PathKeysRef {
+  std::span<const Key> keys;
+};
+
 /// Dynamic answers for a whole path batch, flat: one key buffer sliced
 /// per query by serve::PathSlices, plus the base kernel's scratch for one
 /// lockstep group.  Reusable like serve::PathAnswerSet: reset()
@@ -149,9 +154,24 @@ class PathKeySet {
     keys_.resize(slices_.reset(queries));
   }
 
+  /// Size the set one answer at a time, as serve::PathAnswerSet does:
+  /// clear(n), add(len) per answer, then carve().
+  void clear(std::size_t n) { slices_.clear(n); }
+  void add(std::size_t len) { slices_.push(len); }
+  void carve() { keys_.resize(slices_.total()); }
+
+  /// Append one answer with its keys.
+  void push_back(const PathKeys& answer) {
+    slices_.push(answer.keys.size());
+    keys_.insert(keys_.end(), answer.keys.begin(), answer.keys.end());
+  }
+
   [[nodiscard]] std::size_t size() const { return slices_.size(); }
   [[nodiscard]] std::span<const Key> keys(std::size_t q) const {
     return {keys_.data() + slices_.begin(q), slices_.len(q)};
+  }
+  [[nodiscard]] PathKeysRef operator[](std::size_t q) const {
+    return {keys(q)};
   }
   [[nodiscard]] Key* keys_data(std::size_t q) {
     return keys_.data() + slices_.begin(q);
@@ -182,9 +202,6 @@ void search_paths_dyn(const State& state,
 void search_paths_dyn(const State& state,
                       std::span<const serve::PathQuery> queries,
                       PathKeys* out);
-
-/// Copy a PathKeySet into one PathKeys per query.
-void copy_keys(const PathKeySet& set, std::vector<PathKeys>& out);
 
 struct DynamicCatalogOptions {
   /// Per-node run-list length that triggers an in-memory newest-wins

@@ -37,6 +37,7 @@ Client& Client::operator=(Client&& o) noexcept {
     next_request_id_ = o.next_request_id_;
     pending_type_ = o.pending_type_;
     pending_id_ = o.pending_id_;
+    sbuf_ = std::move(o.sbuf_);
     rbuf_ = std::move(o.rbuf_);
     rbegin_ = std::exchange(o.rbegin_, 0);
     rend_ = std::exchange(o.rend_, 0);
@@ -229,8 +230,7 @@ coop::Expected<Frame> Client::read_frame() {
   return f;
 }
 
-Status Client::send_request(MsgType type,
-                            std::span<const std::uint8_t> payload) {
+FrameHeader Client::next_header(MsgType type) {
   FrameHeader h;
   h.type = static_cast<std::uint16_t>(type);
   h.request_id = next_request_id_++;
@@ -238,7 +238,13 @@ Status Client::send_request(MsgType type,
   h.deadline_ns = opts_.deadline_ns;
   pending_type_ = type;
   pending_id_ = h.request_id;
-  return send_all(encode_frame(h, payload));
+  return h;
+}
+
+Status Client::send_request(MsgType type,
+                            std::span<const std::uint8_t> payload) {
+  encode_frame_into(next_header(type), payload, sbuf_);
+  return send_all(sbuf_);
 }
 
 Status Client::next_response(FrameHeader& h,
@@ -277,17 +283,21 @@ coop::Expected<Frame> Client::recv_response() {
   return f;
 }
 
-coop::Expected<std::span<const std::uint8_t>> Client::round_trip(
-    MsgType type, std::span<const std::uint8_t> payload) {
-  if (Status s = send_request(type, payload); !s.ok()) {
-    return s;
-  }
+coop::Expected<std::span<const std::uint8_t>> Client::reply_payload() {
   FrameHeader h;
   std::span<const std::uint8_t> reply;
   if (Status s = next_response(h, reply); !s.ok()) {
     return s;
   }
   return reply;
+}
+
+coop::Expected<std::span<const std::uint8_t>> Client::round_trip(
+    MsgType type, std::span<const std::uint8_t> payload) {
+  if (Status s = send_request(type, payload); !s.ok()) {
+    return s;
+  }
+  return reply_payload();
 }
 
 template <typename Resp>
@@ -302,11 +312,28 @@ coop::Expected<Resp> Client::call(
   return decode(*reply, opts_.limits);
 }
 
+template <typename Resp>
+coop::Expected<Resp> Client::path_call(
+    MsgType type, const std::string& collection,
+    std::span<const serve::PathQuery> queries,
+    coop::Expected<Resp> (*decode)(std::span<const std::uint8_t>,
+                                   const DecodeLimits&)) {
+  encode_path_request_frame(next_header(type), collection, queries, sbuf_);
+  if (Status s = send_all(sbuf_); !s.ok()) {
+    return s;
+  }
+  auto reply = reply_payload();
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  return decode(*reply, opts_.limits);
+}
+
 coop::Expected<PathBatchResponse> Client::path_batch(
     const std::string& collection,
     std::span<const serve::PathQuery> queries) {
-  return call(MsgType::kPathBatch, encode_path_request(collection, queries),
-              decode_path_response);
+  return path_call(MsgType::kPathBatch, collection, queries,
+                   decode_path_response);
 }
 
 coop::Expected<PointBatchResponse> Client::point_batch(
@@ -365,9 +392,8 @@ coop::Expected<MutateResponse> Client::mutate(
 coop::Expected<DynPathBatchResponse> Client::dyn_path_batch(
     const std::string& collection,
     std::span<const serve::PathQuery> queries) {
-  return call(MsgType::kDynPathBatch,
-              encode_path_request(collection, queries),
-              decode_dyn_path_response);
+  return path_call(MsgType::kDynPathBatch, collection, queries,
+                   decode_dyn_path_response);
 }
 
 coop::Expected<CompactResponse> Client::compact(

@@ -4,9 +4,14 @@
 // request in flight.  The socket blocks, with SO_RCVTIMEO/SO_SNDTIMEO
 // taken from io_timeout, so each send and each receive waits at most
 // io_timeout and a dead or stalled server surfaces as a typed Status
-// instead of a hang.  A reply is usually read with one recv into the
-// client's receive buffer, which grows to the largest frame seen and
-// keeps any bytes past a frame for the next read.  This is what coopload,
+// instead of a hang.  Every request is framed once into the client's
+// send buffer (a path batch straight from the caller's span) and written
+// with one send; a reply is usually read with one recv into the client's
+// receive buffer.  Both buffers grow to the largest frame seen, and the
+// receive buffer keeps any bytes past a frame for the next read.  A
+// PATH_BATCH or DYN_PATH_BATCH reply is decoded from that buffer into one
+// flat answer table, so a round trip allocates the same few blocks
+// whatever its batch size (DESIGN.md §11).  This is what coopload,
 // the CI smoke job, the wire soak's client fleet, the follower's fetch
 // and the router's shard legs speak; it also exposes the raw-byte and
 // abrupt-close primitives the chaos harness needs to inject corrupted
@@ -122,6 +127,8 @@ class Client {
 
  private:
   [[nodiscard]] coop::Status send_all(std::span<const std::uint8_t> bytes);
+  /// The header of the next request, which becomes the outstanding one.
+  [[nodiscard]] FrameHeader next_header(MsgType type);
   /// Set SO_RCVTIMEO/SO_SNDTIMEO when io_timeout changed since last set.
   void apply_io_timeout();
   /// Read until the receive buffer holds `need` bytes past rbegin_.
@@ -134,8 +141,10 @@ class Client {
   /// ERROR frame into its Status.
   [[nodiscard]] coop::Status next_response(
       FrameHeader& h, std::span<const std::uint8_t>& payload);
-  /// send_request then next_response: the reply payload, as a view into
-  /// the receive buffer.
+  /// next_response's payload, as a view into the receive buffer that
+  /// stays valid until the next read.
+  [[nodiscard]] coop::Expected<std::span<const std::uint8_t>> reply_payload();
+  /// send_request then reply_payload.
   [[nodiscard]] coop::Expected<std::span<const std::uint8_t>> round_trip(
       MsgType type, std::span<const std::uint8_t> payload);
   /// LOAD/SWAP/UNLOAD/DRAIN: the published version, where there is one.
@@ -148,6 +157,14 @@ class Client {
       MsgType type, std::span<const std::uint8_t> payload,
       coop::Expected<Resp> (*decode)(std::span<const std::uint8_t>,
                                      const DecodeLimits&));
+  /// call for PATH_BATCH or DYN_PATH_BATCH, with the request framed into
+  /// the send buffer straight from `queries`.
+  template <typename Resp>
+  [[nodiscard]] coop::Expected<Resp> path_call(
+      MsgType type, const std::string& collection,
+      std::span<const serve::PathQuery> queries,
+      coop::Expected<Resp> (*decode)(std::span<const std::uint8_t>,
+                                     const DecodeLimits&));
 
   int fd_ = -1;
   ClientOptions opts_;
@@ -157,6 +174,8 @@ class Client {
   /// The outstanding request recv_response answers.
   MsgType pending_type_ = MsgType::kError;
   std::uint64_t pending_id_ = 0;
+  /// The frame being sent, reused across requests.
+  std::vector<std::uint8_t> sbuf_;
   /// Received bytes not yet consumed are rbuf_[rbegin_, rend_).
   std::vector<std::uint8_t> rbuf_;
   std::size_t rbegin_ = 0;

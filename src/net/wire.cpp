@@ -17,14 +17,22 @@ static_assert(sizeof(dyn::Key) == sizeof(std::int64_t),
 /// Encoded size of a string or blob: its u32 length, then its bytes.
 std::size_t str_size(std::size_t n) { return sizeof(std::uint32_t) + n; }
 
-/// Little-endian byte builder.  Each encoder reserves the payload's exact
-/// size up front, so encoding allocates once; arrays go in with one copy
-/// each (the platform is little-endian, see serve/arena.hpp).
+/// Little-endian byte builder.  Each encoder computes the payload's exact
+/// size up front and the buffer is sized to it once, so encoding
+/// allocates once and every field and array goes in with one memcpy (the
+/// platform is little-endian, see serve/arena.hpp).  A write past that
+/// size grows the buffer; it never overruns it.
 class Writer {
  public:
-  explicit Writer(std::size_t size) { buf_.reserve(size); }
+  /// Write a new buffer of `size` bytes.
+  explicit Writer(std::size_t size) { buf_.resize(size); }
+  /// Append `size` bytes to `buf`; take() hands it back.
+  Writer(std::vector<std::uint8_t>&& buf, std::size_t size)
+      : buf_(std::move(buf)), at_(buf_.size()) {
+    buf_.resize(at_ + size);
+  }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
   void i64(std::int64_t v) { raw(&v, sizeof(v)); }
@@ -42,13 +50,24 @@ class Writer {
     raw(v.data(), v.size() * sizeof(*v.data()));
   }
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (n > buf_.size() - at_) {
+      buf_.resize(at_ + n);
+    }
+    if (n != 0) {  // an empty array's data() may be null
+      std::memcpy(buf_.data() + at_, p, n);
+      at_ += n;
+    }
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
+  [[nodiscard]] std::uint8_t* data() { return buf_.data(); }
+  [[nodiscard]] std::size_t size() const { return at_; }
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    buf_.resize(at_);
+    return std::move(buf_);
+  }
 
  private:
   std::vector<std::uint8_t> buf_;
+  std::size_t at_ = 0;  ///< bytes written
 };
 
 /// Bounds-checked little-endian reader over hostile payload bytes.
@@ -251,65 +270,141 @@ Status decode_queries(std::span<const std::uint8_t> payload,
       });
 }
 
-/// A PATH_BATCH response of `n` answers: answer q is aug(q) and
-/// proper(q), arrays of one length (its `len` field is aug(q)'s).
-template <typename Aug, typename Proper>
-std::vector<std::uint8_t> encode_path_answers(std::uint64_t served_version,
-                                              bool degraded, std::size_t n,
-                                              Aug aug, Proper proper) {
-  std::size_t size =
-      sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
-  for (std::size_t q = 0; q < n; ++q) {
-    size += kMinAnswerBytes +
-            (aug(q).size() + proper(q).size()) * sizeof(std::uint32_t);
-  }
-  Writer w(size);
-  w.u64(served_version);
-  w.u8(degraded ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(n));
-  for (std::size_t q = 0; q < n; ++q) {
-    w.u32(static_cast<std::uint32_t>(aug(q).size()));
-    w.array(aug(q));
-    w.array(proper(q));
-  }
-  return w.take();
+/// The header of a PATH_BATCH or DYN_PATH_BATCH response.
+struct ReplyHead {
+  std::uint64_t served_version = 0;
+  bool degraded = false;        ///< PATH_BATCH only
+  std::uint64_t write_seq = 0;  ///< DYN_PATH_BATCH only
+};
+
+/// The bytes before a response's first answer.
+std::size_t reply_head_size(MsgType verb) {
+  return sizeof(std::uint64_t) +
+         (verb == MsgType::kDynPathBatch ? sizeof(std::uint64_t)
+                                         : sizeof(std::uint8_t)) +
+         sizeof(std::uint32_t);
 }
 
-/// A DYN_PATH_BATCH response of `n` answers: answer q is keys(q).
-template <typename Keys>
-std::vector<std::uint8_t> encode_dyn_answers(std::uint64_t served_version,
-                                             std::uint64_t write_seq,
-                                             std::size_t n, Keys keys) {
-  std::size_t size = 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  for (std::size_t q = 0; q < n; ++q) {
-    size += kMinAnswerBytes + keys(q).size() * sizeof(dyn::Key);
+/// Walk a PATH_BATCH or DYN_PATH_BATCH response (`verb`): the one
+/// refusal ladder of the client decoders and of the router's
+/// index_path_reply.  Once the answer count is read, `reserve(k)` learns
+/// how many answers the bytes left could hold at most; then each answer's
+/// length goes to `add(len)`.  Either answer kind is `u32 len` and 8·len
+/// bytes: i64 keys, or u32 aug indices followed by u32 proper indices.
+template <typename Reserve, typename Add>
+Status walk_answers(std::span<const std::uint8_t> payload,
+                    const DecodeLimits& limits, MsgType verb, ReplyHead& head,
+                    Reserve reserve, Add add) {
+  const bool dyn = verb == MsgType::kDynPathBatch;
+  Reader r(payload, limits);
+  if (Status s = r.u64(head.served_version, "served version"); !s.ok()) {
+    return s;
   }
-  Writer w(size);
-  w.u64(served_version);
-  w.u64(write_seq);
-  w.u32(static_cast<std::uint32_t>(n));
-  for (std::size_t q = 0; q < n; ++q) {
-    w.u32(static_cast<std::uint32_t>(keys(q).size()));
-    w.array(keys(q));
+  if (dyn) {
+    if (Status s = r.u64(head.write_seq, "write seq"); !s.ok()) {
+      return s;
+    }
+  } else {
+    std::uint8_t degraded = 0;
+    if (Status s = r.u8(degraded, "degraded flag"); !s.ok()) {
+      return s;
+    }
+    head.degraded = degraded != 0;
   }
-  return w.take();
+  std::uint32_t n = 0;
+  if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
+    return s;
+  }
+  reserve(std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint32_t len = 0;
+    if (Status s = r.count(len, "answer path length", limits.max_path_len);
+        !s.ok()) {
+      return s;
+    }
+    const std::uint8_t* at = nullptr;
+    const std::size_t half = std::size_t{len} * sizeof(std::uint32_t);
+    if (dyn) {
+      if (Status s = r.bytes(2 * half, at, "answer key"); !s.ok()) {
+        return s;
+      }
+    } else {
+      if (Status s = r.bytes(half, at, "aug index"); !s.ok()) {
+        return s;
+      }
+      if (Status s = r.bytes(half, at, "proper index"); !s.ok()) {
+        return s;
+      }
+    }
+    add(len);
+  }
+  return r.done(path_names(verb).response);
+}
+
+/// Frame the payload that `write` appends, `payload_size` bytes, into
+/// `out` (cleared first): one allocation at most, none once `out` has
+/// held a frame this large.
+template <typename Write>
+void frame_into(FrameHeader h, std::size_t payload_size,
+                std::vector<std::uint8_t>& out, Write write) {
+  constexpr std::size_t kHead = sizeof(std::uint32_t) + sizeof(FrameHeader);
+  out.clear();
+  Writer w(std::move(out), kFrameOverhead + payload_size);
+  w.u32(0);  // the prefix and the header are filled in below
+  w.raw(&h, sizeof(h));
+  write(w);
+  const std::size_t len = w.size() - kHead;
+  h.payload_len = static_cast<std::uint32_t>(len);
+  h.header_crc = frame_header_crc(h);
+  const auto total = static_cast<std::uint32_t>(sizeof(FrameHeader) + len +
+                                                sizeof(std::uint32_t));
+  std::memcpy(w.data(), &total, sizeof(total));
+  std::memcpy(w.data() + sizeof(total), &h, sizeof(h));
+  w.u32(snapshot::crc32(w.data() + kHead, len));
+  out = w.take();
+}
+
+std::size_t path_request_size(const std::string& collection,
+                              std::span<const serve::PathQuery> queries) {
+  std::size_t size = str_size(collection.size()) + sizeof(std::uint32_t);
+  for (const serve::PathQuery& q : queries) {
+    size += kMinQueryBytes + q.path.size() * sizeof(std::uint32_t);
+  }
+  return size;
+}
+
+void write_path_request(Writer& w, const std::string& collection,
+                        std::span<const serve::PathQuery> queries) {
+  w.str(collection);
+  w.u32(static_cast<std::uint32_t>(queries.size()));
+  for (const serve::PathQuery& q : queries) {
+    w.i64(q.y);
+    w.u32(static_cast<std::uint32_t>(q.path.size()));
+    w.array(q.path);
+  }
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(FrameHeader h,
                                        std::span<const std::uint8_t> payload) {
-  h.payload_len = static_cast<std::uint32_t>(payload.size());
-  h.header_crc = frame_header_crc(h);
-  const auto total = static_cast<std::uint32_t>(sizeof(FrameHeader) +
-                                                payload.size() +
-                                                sizeof(std::uint32_t));
-  Writer w(sizeof(total) + total);
-  w.u32(total);
-  w.raw(&h, sizeof(h));
-  w.raw(payload.data(), payload.size());
-  w.u32(snapshot::crc32(payload.data(), payload.size()));
-  return w.take();
+  std::vector<std::uint8_t> out;
+  encode_frame_into(h, payload, out);
+  return out;
+}
+
+void encode_frame_into(FrameHeader h, std::span<const std::uint8_t> payload,
+                       std::vector<std::uint8_t>& out) {
+  frame_into(h, payload.size(), out,
+             [&](Writer& w) { w.raw(payload.data(), payload.size()); });
+}
+
+void encode_path_request_frame(FrameHeader h, const std::string& collection,
+                               std::span<const serve::PathQuery> queries,
+                               std::vector<std::uint8_t>& out) {
+  frame_into(h, path_request_size(collection, queries), out, [&](Writer& w) {
+    write_path_request(w, collection, queries);
+  });
 }
 
 Status check_frame(std::uint32_t prefix, const FrameHeader& h,
@@ -386,18 +481,8 @@ coop::Expected<Frame> decode_frame(std::span<const std::uint8_t> bytes,
 std::vector<std::uint8_t> encode_path_request(
     const std::string& collection,
     std::span<const serve::PathQuery> queries) {
-  std::size_t size = str_size(collection.size()) + sizeof(std::uint32_t);
-  for (const serve::PathQuery& q : queries) {
-    size += kMinQueryBytes + q.path.size() * sizeof(std::uint32_t);
-  }
-  Writer w(size);
-  w.str(collection);
-  w.u32(static_cast<std::uint32_t>(queries.size()));
-  for (const serve::PathQuery& q : queries) {
-    w.i64(q.y);
-    w.u32(static_cast<std::uint32_t>(q.path.size()));
-    w.array(q.path);
-  }
+  Writer w(path_request_size(collection, queries));
+  write_path_request(w, collection, queries);
   return w.take();
 }
 
@@ -417,49 +502,33 @@ coop::Expected<PathBatchRequest> decode_path_request(
 }
 
 std::vector<std::uint8_t> encode(const PathBatchResponse& m) {
-  return encode_path_answers(
-      m.served_version, m.degraded, m.answers.size(),
-      [&](std::size_t q) -> const std::vector<std::uint32_t>& {
-        return m.answers[q].aug_index;
-      },
-      [&](std::size_t q) -> const std::vector<std::uint32_t>& {
-        return m.answers[q].proper_index;
-      });
+  return encode_path_response(m.served_version, m.degraded, m.answers);
 }
 
 coop::Expected<PathBatchResponse> decode_path_response(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits) {
-  Reader r(payload, limits);
   PathBatchResponse m;
-  std::uint8_t degraded = 0;
-  if (Status s = r.u64(m.served_version, "served version"); !s.ok()) {
+  ReplyHead head;
+  if (Status s = walk_answers(
+          payload, limits, MsgType::kPathBatch, head,
+          [&](std::size_t k) { m.answers.clear(k); },
+          [&](std::uint32_t len) { m.answers.add(len); });
+      !s.ok()) {
     return s;
   }
-  if (Status s = r.u8(degraded, "degraded flag"); !s.ok()) {
-    return s;
-  }
-  m.degraded = degraded != 0;
-  std::uint32_t n = 0;
-  if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
-    return s;
-  }
-  m.answers.reserve(std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    serve::PathAnswer& a = m.answers.emplace_back();
-    std::uint32_t len = 0;
-    if (Status s = r.count(len, "answer path length", limits.max_path_len);
-        !s.ok()) {
-      return s;
+  m.served_version = head.served_version;
+  m.degraded = head.degraded;
+  m.answers.carve();
+  const std::uint8_t* at =
+      payload.data() + reply_head_size(MsgType::kPathBatch);
+  for (std::size_t q = 0; q < m.answers.size(); ++q) {
+    const std::size_t bytes = m.answers.aug(q).size() * sizeof(std::uint32_t);
+    at += sizeof(std::uint32_t);
+    if (bytes != 0) {  // an empty table's buffers are null
+      std::memcpy(m.answers.aug_data(q), at, bytes);
+      std::memcpy(m.answers.proper_data(q), at + bytes, bytes);
     }
-    if (Status s = r.array(a.aug_index, len, "aug index"); !s.ok()) {
-      return s;
-    }
-    if (Status s = r.array(a.proper_index, len, "proper index"); !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = r.done("path response"); !s.ok()) {
-    return s;
+    at += 2 * bytes;
   }
   return m;
 }
@@ -760,48 +829,49 @@ Status decode_path_batch(MsgType verb, std::span<const std::uint8_t> payload,
 std::vector<std::uint8_t> encode_path_response(
     std::uint64_t served_version, bool degraded,
     const serve::PathAnswerSet& answers) {
-  return encode_path_answers(
-      served_version, degraded, answers.size(),
-      [&](std::size_t q) { return answers.aug(q); },
-      [&](std::size_t q) { return answers.proper(q); });
+  std::size_t size = reply_head_size(MsgType::kPathBatch);
+  for (std::size_t q = 0; q < answers.size(); ++q) {
+    size += kMinAnswerBytes + 2 * answers.aug(q).size() * sizeof(std::uint32_t);
+  }
+  Writer w(size);
+  w.u64(served_version);
+  w.u8(degraded ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(answers.size()));
+  for (std::size_t q = 0; q < answers.size(); ++q) {
+    w.u32(static_cast<std::uint32_t>(answers.aug(q).size()));
+    w.array(answers.aug(q));
+    w.array(answers.proper(q));
+  }
+  return w.take();
 }
 
 std::vector<std::uint8_t> encode(const DynPathBatchResponse& m) {
-  return encode_dyn_answers(
-      m.served_version, m.write_seq, m.answers.size(),
-      [&](std::size_t q) -> const std::vector<dyn::Key>& {
-        return m.answers[q].keys;
-      });
+  return encode_dyn_path_response(m.served_version, m.write_seq, m.answers);
 }
 
 coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits) {
-  Reader r(payload, limits);
   DynPathBatchResponse m;
-  if (Status s = r.u64(m.served_version, "served version"); !s.ok()) {
+  ReplyHead head;
+  if (Status s = walk_answers(
+          payload, limits, MsgType::kDynPathBatch, head,
+          [&](std::size_t k) { m.answers.clear(k); },
+          [&](std::uint32_t len) { m.answers.add(len); });
+      !s.ok()) {
     return s;
   }
-  if (Status s = r.u64(m.write_seq, "write seq"); !s.ok()) {
-    return s;
-  }
-  std::uint32_t n = 0;
-  if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
-    return s;
-  }
-  m.answers.reserve(std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    dyn::PathKeys& a = m.answers.emplace_back();
-    std::uint32_t len = 0;
-    if (Status s = r.count(len, "answer path length", limits.max_path_len);
-        !s.ok()) {
-      return s;
+  m.served_version = head.served_version;
+  m.write_seq = head.write_seq;
+  m.answers.carve();
+  const std::uint8_t* at =
+      payload.data() + reply_head_size(MsgType::kDynPathBatch);
+  for (std::size_t q = 0; q < m.answers.size(); ++q) {
+    const std::size_t bytes = m.answers.keys(q).size() * sizeof(dyn::Key);
+    at += sizeof(std::uint32_t);
+    if (bytes != 0) {  // an empty key buffer's data() may be null
+      std::memcpy(m.answers.keys_data(q), at, bytes);
     }
-    if (Status s = r.array(a.keys, len, "answer key"); !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = r.done("dyn path response"); !s.ok()) {
-    return s;
+    at += bytes;
   }
   return m;
 }
@@ -809,8 +879,19 @@ coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
 std::vector<std::uint8_t> encode_dyn_path_response(
     std::uint64_t served_version, std::uint64_t write_seq,
     const dyn::PathKeySet& answers) {
-  return encode_dyn_answers(served_version, write_seq, answers.size(),
-                            [&](std::size_t q) { return answers.keys(q); });
+  std::size_t size = reply_head_size(MsgType::kDynPathBatch);
+  for (std::size_t q = 0; q < answers.size(); ++q) {
+    size += kMinAnswerBytes + answers.keys(q).size() * sizeof(dyn::Key);
+  }
+  Writer w(size);
+  w.u64(served_version);
+  w.u64(write_seq);
+  w.u32(static_cast<std::uint32_t>(answers.size()));
+  for (std::size_t q = 0; q < answers.size(); ++q) {
+    w.u32(static_cast<std::uint32_t>(answers.keys(q).size()));
+    w.array(answers.keys(q));
+  }
+  return w.take();
 }
 
 std::vector<std::uint8_t> encode(const CompactRequest& m) {
@@ -1002,57 +1083,23 @@ coop::Expected<ScatteredPaths> scatter_path_request(
 coop::Expected<PathReply> index_path_reply(MsgType verb,
                                            std::vector<std::uint8_t> payload,
                                            const DecodeLimits& limits) {
-  const bool dyn = verb == MsgType::kDynPathBatch;
-  Reader r(payload, limits);
   PathReply out;
-  if (Status s = r.u64(out.served_version, "served version"); !s.ok()) {
+  ReplyHead head;
+  std::size_t at = reply_head_size(verb);
+  if (Status s = walk_answers(
+          payload, limits, verb, head,
+          [&](std::size_t k) { out.offsets.reserve(k + 1); },
+          [&](std::uint32_t len) {
+            out.offsets.push_back(at);
+            at += kMinAnswerBytes + std::size_t{len} * 2 * sizeof(std::uint32_t);
+          });
+      !s.ok()) {
     return s;
   }
-  if (dyn) {
-    if (Status s = r.u64(out.write_seq, "write seq"); !s.ok()) {
-      return s;
-    }
-  } else {
-    std::uint8_t degraded = 0;
-    if (Status s = r.u8(degraded, "degraded flag"); !s.ok()) {
-      return s;
-    }
-    out.degraded = degraded != 0;
-  }
-  std::uint32_t n = 0;
-  if (Status s = r.count(n, "answer count", limits.max_queries); !s.ok()) {
-    return s;
-  }
-  out.offsets.reserve(
-      std::min<std::size_t>(n, r.remaining() / kMinAnswerBytes) + 1);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    out.offsets.push_back(r.pos());
-    std::uint32_t len = 0;
-    if (Status s = r.count(len, "answer path length", limits.max_path_len);
-        !s.ok()) {
-      return s;
-    }
-    // Either answer kind is 8·len bytes: i64 keys, or u32 aug indices
-    // followed by u32 proper indices.
-    const std::uint8_t* at = nullptr;
-    const std::size_t half = std::size_t{len} * sizeof(std::uint32_t);
-    if (dyn) {
-      if (Status s = r.bytes(2 * half, at, "answer key"); !s.ok()) {
-        return s;
-      }
-    } else {
-      if (Status s = r.bytes(half, at, "aug index"); !s.ok()) {
-        return s;
-      }
-      if (Status s = r.bytes(half, at, "proper index"); !s.ok()) {
-        return s;
-      }
-    }
-  }
-  out.offsets.push_back(r.pos());
-  if (Status s = r.done(path_names(verb).response); !s.ok()) {
-    return s;
-  }
+  out.offsets.push_back(at);
+  out.served_version = head.served_version;
+  out.degraded = head.degraded;
+  out.write_seq = head.write_seq;
   out.payload = std::move(payload);
   return out;
 }

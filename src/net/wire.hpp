@@ -6,7 +6,11 @@
 // limits, descriptive Status on the first violation — because these
 // bytes arrive straight off a socket.  Arrays (path node ids, answer
 // indices, dynamic answer keys) are checked once and copied with one
-// memcpy, and every encoder reserves its exact size up front.  Layout
+// memcpy, and every encoder sizes its buffer exactly, once.  A
+// PATH_BATCH or DYN_PATH_BATCH response decodes into one flat answer
+// table (serve::PathAnswerSet, dyn::PathKeySet) after one walk of the
+// reply, the walk the router's index_path_reply makes too, so a reply
+// costs the same few allocations whatever its batch size.  Layout
 // constants live in frame_format.hpp (self-contained, shared with
 // robust::corrupt_frame).
 
@@ -44,6 +48,12 @@ struct Frame {
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     FrameHeader h, std::span<const std::uint8_t> payload);
 
+/// encode_frame into `out`, reusing its buffer: a sender that frames
+/// every request into one buffer allocates only when a frame outgrows
+/// every earlier one.
+void encode_frame_into(FrameHeader h, std::span<const std::uint8_t> payload,
+                       std::vector<std::uint8_t>& out);
+
 /// Validate + split one complete frame (including the 4-byte length
 /// prefix).  Rejections, in checking order, each with its own message:
 /// too-small buffer, oversize frame, length-prefix/buffer disagreement
@@ -73,10 +83,13 @@ struct PathBatchRequest {
   std::vector<serve::PathQuery> queries;
 };
 
+/// answers[q] views answer q's aug_index and proper_index.  A decoded
+/// reply sizes its one arena chunk to the reply, not to a serving
+/// thread's 64 KiB.
 struct PathBatchResponse {
   std::uint64_t served_version = 0;
   bool degraded = false;
-  std::vector<serve::PathAnswer> answers;
+  serve::PathAnswerSet answers{0};
 };
 
 struct PointBatchRequest {
@@ -144,7 +157,7 @@ struct DynPathBatchRequest {
 struct DynPathBatchResponse {
   std::uint64_t served_version = 0;  ///< base generation that answered
   std::uint64_t write_seq = 0;       ///< overlay seq the answers include
-  std::vector<dyn::PathKeys> answers;
+  dyn::PathKeySet answers;           ///< answers[q].keys: answer q's keys
 };
 
 /// COMPACT: synchronously rebuild + publish one dynamic collection.
@@ -203,6 +216,12 @@ struct FetchSnapshotResponse {
     const std::string& collection,
     std::span<const serve::PathQuery> queries);
 
+/// encode_frame(h, encode_path_request(collection, queries)) into `out`,
+/// reusing its buffer, with the payload written in place.
+void encode_path_request_frame(FrameHeader h, const std::string& collection,
+                               std::span<const serve::PathQuery> queries,
+                               std::vector<std::uint8_t>& out);
+
 /// Decode a PATH_BATCH or DYN_PATH_BATCH request (`verb`) into `batch`
 /// and `collection`, reusing their buffers: the served decoder, which
 /// allocates only when a request outgrows every earlier one.  It refuses
@@ -215,18 +234,19 @@ struct FetchSnapshotResponse {
     serve::PathBatch& batch);
 
 /// A PATH_BATCH response encoded straight from flat answers, in one
-/// allocation: byte-identical to encode(PathBatchResponse) with the same
-/// answers.
+/// allocation; encode(PathBatchResponse) calls it.
 [[nodiscard]] std::vector<std::uint8_t> encode_path_response(
     std::uint64_t served_version, bool degraded,
     const serve::PathAnswerSet& answers);
 
-/// The DYN_PATH_BATCH twin: byte-identical to
-/// encode(DynPathBatchResponse).
+/// The DYN_PATH_BATCH twin; encode(DynPathBatchResponse) calls it.
 [[nodiscard]] std::vector<std::uint8_t> encode_dyn_path_response(
     std::uint64_t served_version, std::uint64_t write_seq,
     const dyn::PathKeySet& answers);
 
+/// decode_path_response / decode_dyn_path_response walk the reply once
+/// to check it and size the answer table (the walk and the refusals of
+/// index_path_reply), then copy each answer array with one memcpy.
 [[nodiscard]] coop::Expected<PathBatchRequest> decode_path_request(
     std::span<const std::uint8_t> payload, const DecodeLimits& limits = {});
 [[nodiscard]] coop::Expected<PathBatchResponse> decode_path_response(
@@ -315,7 +335,8 @@ struct ScatteredPaths {
     const PathRouter& router, const DecodeLimits& limits = {});
 
 /// A PATH_BATCH or DYN_PATH_BATCH response whose layout has been checked
-/// once: its header and the byte span of every answer.
+/// once, by the walk the client decoders make: its header and the byte
+/// span of every answer.
 struct PathReply {
   std::uint64_t served_version = 0;
   bool degraded = false;        ///< PATH_BATCH only

@@ -210,7 +210,8 @@ class Pool {
 /// reset() rewinds every chunk without returning memory to the OS, so a
 /// compile-to-arena pass (or a steady-state batch loop) stops paying
 /// malloc/free per temporary.  Chunks themselves go through raw_alloc and
-/// are therefore huge-page-backed when large.
+/// are therefore huge-page-backed when large.  With `chunk_bytes` 0 every
+/// chunk is exactly the size of the allocation that opened it.
 ///
 /// Allocations are NOT initialized after the first reset() (fresh chunks
 /// are zero only because raw_alloc zeroes).  Not thread-safe; intended
@@ -233,9 +234,20 @@ class BumpArena {
         at_(std::exchange(o.at_, 0)) {
     o.chunks_.clear();
   }
+  BumpArena& operator=(BumpArena&& o) noexcept {
+    if (this != &o) {
+      for (Chunk& c : chunks_) {
+        raw_free(c.alloc);
+      }
+      chunk_bytes_ = o.chunk_bytes_;
+      chunks_ = std::move(o.chunks_);
+      o.chunks_.clear();
+      at_ = std::exchange(o.at_, 0);
+    }
+    return *this;
+  }
   BumpArena(const BumpArena&) = delete;
   BumpArena& operator=(const BumpArena&) = delete;
-  BumpArena& operator=(BumpArena&&) = delete;
 
   /// `n` elements of T, start aligned to kCacheLine.  Pointers stay valid
   /// until reset() or destruction (chunks never move).

@@ -550,22 +550,6 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
   return coop::OkStatus();
 }
 
-coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
-                                       std::span<const PathQuery> queries,
-                                       std::vector<dyn::PathKeys>& out,
-                                       std::uint64_t* served_version,
-                                       std::uint64_t* write_seq,
-                                       const BatchOptions* batch_override) {
-  dyn::PathKeySet set;
-  if (Status s = serve_dyn_paths(cat, path_refs(queries), set, served_version,
-                                 write_seq, batch_override);
-      !s.ok()) {
-    return s;
-  }
-  dyn::copy_keys(set, out);
-  return coop::OkStatus();
-}
-
 namespace {
 
 /// The write-path admission preamble shared by apply_mutations and

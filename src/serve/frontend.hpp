@@ -167,13 +167,6 @@ class Frontend {
       std::uint64_t* write_seq = nullptr,
       const BatchOptions* batch_override = nullptr);
 
-  /// serve_dyn_paths over PathQuery, into one PathKeys per query.
-  [[nodiscard]] coop::Status serve_dyn_paths(
-      dyn::DynamicCatalog& cat, std::span<const PathQuery> queries,
-      std::vector<dyn::PathKeys>& out, std::uint64_t* served_version = nullptr,
-      std::uint64_t* write_seq = nullptr,
-      const BatchOptions* batch_override = nullptr);
-
   /// Apply a mutation batch through the same admission budget (writes
   /// and reads share the in-flight accounting, so a write storm sheds
   /// under overload exactly like a read storm).  On kOk, `ack_seq`

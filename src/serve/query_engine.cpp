@@ -534,30 +534,14 @@ void serve_path_group(const FlatCascade& f,
   serve_group(f, queries, gi, out);
 }
 
-BatchReport serve_path_queries_flat(const FlatCascade& f, QueryEngine& engine,
-                                    std::span<const PathQuery> queries,
-                                    PathAnswerSet& out,
-                                    const BatchOptions& opts) {
+BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
+                               std::span<const PathQuery> queries,
+                               PathAnswerSet& out,
+                               const BatchOptions& opts) {
   out.reset(queries);
   return engine.for_each(
       path_groups(queries.size()),
       [&](std::size_t gi) { serve_path_group(f, queries, gi, out); }, opts);
-}
-
-BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
-                               std::span<const PathQuery> queries,
-                               std::vector<PathAnswer>& out,
-                               const BatchOptions& opts) {
-  out.assign(queries.size(), PathAnswer{});
-  return engine.for_each(
-      path_groups(queries.size()),
-      [&](std::size_t gi) {
-        const std::size_t begin = gi * kPathGroup;
-        search_paths_grouped(f, queries.data() + begin,
-                             std::min(kPathGroup, queries.size() - begin),
-                             out.data() + begin);
-      },
-      opts);
 }
 
 std::vector<PathRef> path_refs(std::span<const PathQuery> queries) {
@@ -611,21 +595,21 @@ std::vector<PathQuery> random_path_batch(const cat::Tree& tree,
 
 std::uint64_t count_path_mismatches(const cat::Tree& tree,
                                     std::span<const PathQuery> queries,
-                                    std::span<const PathAnswer> answers) {
+                                    const PathAnswerSet& answers) {
   std::uint64_t wrong = 0;
   if (answers.size() > queries.size()) {
     wrong += answers.size() - queries.size();
   }
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     const PathQuery& q = queries[qi];
-    const std::vector<std::uint32_t>* got =
-        qi < answers.size() ? &answers[qi].proper_index : nullptr;
-    if (got != nullptr && got->size() > q.path.size()) {
+    const std::span<const std::uint32_t> got =
+        qi < answers.size() ? answers.proper(qi)
+                            : std::span<const std::uint32_t>{};
+    if (got.size() > q.path.size()) {
       ++wrong;
     }
     for (std::size_t i = 0; i < q.path.size(); ++i) {
-      if (got == nullptr || i >= got->size() ||
-          (*got)[i] != tree.catalog(q.path[i]).find(q.y)) {
+      if (i >= got.size() || got[i] != tree.catalog(q.path[i]).find(q.y)) {
         ++wrong;
       }
     }

@@ -228,14 +228,6 @@ class PathBatch {
 [[nodiscard]] std::vector<PathQuery> random_path_batch(
     const cat::Tree& tree, std::mt19937_64& rng, std::size_t n);
 
-/// The path oracle: how many (query, node) answers differ from the
-/// source catalog's find(y, v) — a missing answer counts as wrong, and so
-/// does every answer beyond the last query or node.  Zero means every answer is
-/// exactly the paper's find(y, v).
-[[nodiscard]] std::uint64_t count_path_mismatches(
-    const cat::Tree& tree, std::span<const PathQuery> queries,
-    std::span<const PathAnswer> answers);
-
 /// Queries per lockstep group in the path kernel: enough in-flight
 /// misses to cover DRAM latency, small enough that per-query state stays
 /// in registers / L1.
@@ -285,18 +277,32 @@ class PathSlices {
   /// Re-slice for `queries`; returns the total node count.
   template <typename Q>
   std::size_t reset(std::span<const Q> queries) {
-    off_.resize(queries.size() + 1);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      off_[i] = total;
-      total += path_len(queries[i]);
+    clear(queries.size());
+    for (const Q& q : queries) {
+      push(path_len(q));
     }
-    off_[queries.size()] = total;
-    return total;
+    return total();
+  }
+
+  /// No slices, with room for `n` before the buffer grows.
+  void clear(std::size_t n) {
+    off_.clear();
+    off_.reserve(n + 1);
+    off_.push_back(0);
+  }
+  /// Append a slice of `len` elements.
+  void push(std::size_t len) {
+    if (off_.empty()) {
+      off_.push_back(0);
+    }
+    off_.push_back(off_.back() + len);
   }
 
   [[nodiscard]] std::size_t size() const {
     return off_.empty() ? 0 : off_.size() - 1;
+  }
+  [[nodiscard]] std::size_t total() const {
+    return off_.empty() ? 0 : off_.back();
   }
   [[nodiscard]] std::size_t begin(std::size_t q) const { return off_[q]; }
   [[nodiscard]] std::size_t len(std::size_t q) const {
@@ -307,19 +313,52 @@ class PathSlices {
   std::vector<std::size_t> off_;
 };
 
+/// One answer of a PathAnswerSet, by view: the members of PathAnswer.
+struct PathAnswerRef {
+  std::span<const std::uint32_t> aug_index;
+  std::span<const std::uint32_t> proper_index;
+};
+
 /// Arena-backed answers for a whole path batch: two flat uint32 buffers
-/// (aug + proper) carved from a reusable BumpArena and sliced per query,
-/// so steady-state serving allocates nothing per batch — the malloc-free
-/// counterpart of std::vector<PathAnswer>.  Reusable: reset() rewinds the
-/// arena and re-slices for the next batch.
+/// (aug + proper) carved together from a reusable BumpArena and sliced
+/// per query, so steady-state serving allocates nothing per batch — the
+/// malloc-free counterpart of std::vector<PathAnswer>.  Reusable: reset()
+/// rewinds the arena and re-slices for the next batch.
 class PathAnswerSet {
  public:
+  /// Every serving thread keeps one set, so its chunks stay small: a
+  /// 64-query batch of 22-node paths takes 11 KiB, and a batch past the
+  /// chunk size gets a chunk of its own.  A set that holds one decoded
+  /// reply passes 0, which sizes its one chunk to that reply.
+  PathAnswerSet() = default;
+  explicit PathAnswerSet(std::size_t chunk_bytes) : arena_(chunk_bytes) {}
+
   /// Size the set for `queries` (invalidates previous contents).
   void reset(std::span<const PathRef> queries) {
-    carve(slices_.reset(queries));
+    slices_.reset(queries);
+    carve();
   }
   void reset(std::span<const PathQuery> queries) {
-    carve(slices_.reset(queries));
+    slices_.reset(queries);
+    carve();
+  }
+
+  /// Size the set one answer at a time, for a decoder that learns the
+  /// lengths as it reads: clear(n) with room for n answers, add(len) per
+  /// answer, then carve() before any answer is written.
+  void clear(std::size_t n) { slices_.clear(n); }
+  void add(std::size_t len) { slices_.push(len); }
+  void carve() {
+    // Both buffers in one allocation, proper on the cache line after aug.
+    const std::size_t total = slices_.total();
+    const std::size_t stride =
+        (total * sizeof(std::uint32_t) + kCacheLine - 1) / kCacheLine *
+        kCacheLine / sizeof(std::uint32_t);
+    arena_.reset();
+    // An empty batch takes nothing from the arena, so no pointer into
+    // the arena object itself (its zero-size sentinel) outlives a move.
+    aug_ = total == 0 ? nullptr : arena_.alloc<std::uint32_t>(2 * stride);
+    proper_ = aug_ + stride;
   }
 
   [[nodiscard]] std::size_t size() const { return slices_.size(); }
@@ -328,6 +367,9 @@ class PathAnswerSet {
   }
   [[nodiscard]] std::span<const std::uint32_t> proper(std::size_t q) const {
     return {proper_ + slices_.begin(q), slices_.len(q)};
+  }
+  [[nodiscard]] PathAnswerRef operator[](std::size_t q) const {
+    return {aug(q), proper(q)};
   }
 
   /// Writable slices for the batch kernel (query q's slots only).
@@ -339,20 +381,19 @@ class PathAnswerSet {
   }
 
  private:
-  void carve(std::size_t total) {
-    arena_.reset();
-    aug_ = arena_.alloc<std::uint32_t>(total);
-    proper_ = arena_.alloc<std::uint32_t>(total);
-  }
-
-  /// Every serving thread keeps one set, so chunks stay small: a
-  /// 64-query batch of 22-node paths takes 11 KiB, and a batch past the
-  /// chunk size gets a chunk of its own.
   BumpArena arena_{std::size_t{64} << 10};
   std::uint32_t* aug_ = nullptr;
   std::uint32_t* proper_ = nullptr;
   PathSlices slices_;
 };
+
+/// The path oracle: how many (query, node) answers differ from the
+/// source catalog's find(y, v) — a missing answer counts as wrong, and so
+/// does every answer beyond the last query or node.  Zero means every
+/// answer is exactly the paper's find(y, v).
+[[nodiscard]] std::uint64_t count_path_mismatches(
+    const cat::Tree& tree, std::span<const PathQuery> queries,
+    const PathAnswerSet& answers);
 
 /// Lockstep group `gi` of a path batch (queries [gi * kPathGroup, ...))
 /// into its slots of `out`, which must have been reset() for `queries`.
@@ -367,17 +408,20 @@ void serve_path_group(const FlatCascade& f,
 /// batch here), one serve_path_group per engine work item: answer q is
 /// written only by the worker that owns query q's group.  Allocates
 /// nothing once `out` has grown to the batch.
-BatchReport serve_path_queries_flat(const FlatCascade& f, QueryEngine& engine,
-                                    std::span<const PathQuery> queries,
-                                    PathAnswerSet& out,
-                                    const BatchOptions& opts = {});
-
-/// The same batch into one PathAnswer per query (`out` is resized to
-/// the batch), one search_paths_grouped per engine work item.
 BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
                                std::span<const PathQuery> queries,
-                               std::vector<PathAnswer>& out,
+                               PathAnswerSet& out,
                                const BatchOptions& opts = {});
+
+/// serve_path_queries under its earlier name, which perfbench/loadgen.cpp
+/// still calls.
+inline BatchReport serve_path_queries_flat(const FlatCascade& f,
+                                           QueryEngine& engine,
+                                           std::span<const PathQuery> queries,
+                                           PathAnswerSet& out,
+                                           const BatchOptions& opts = {}) {
+  return serve_path_queries(f, engine, queries, out, opts);
+}
 
 /// The views of `queries`, in order.
 [[nodiscard]] std::vector<PathRef> path_refs(

@@ -115,7 +115,7 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   for (std::size_t ci = 0; ci < n_clients; ++ci) {
     clients.emplace_back([&, ci] {
       std::mt19937_64 rng(opts.seed ^ (0xC11E57ull * (ci + 1)));
-      std::vector<PathAnswer> answers;
+      PathAnswerSet answers;
       while (!stop.load(std::memory_order_acquire)) {
         const std::vector<PathQuery> batch =
             random_path_batch(tree, rng, opts.batch_queries);
@@ -147,8 +147,9 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
         }
 
         BatchReport report;
-        const Status st = frontend.serve_paths(batch, answers, &report,
-                                               nullptr, override_opts, chaos);
+        const Status st =
+            frontend.serve_paths(path_refs(batch), answers, &report, nullptr,
+                                 override_opts, chaos);
         robust::bump(out.batches);
         if (st.ok()) {
           robust::bump(out.admitted);

@@ -340,7 +340,7 @@ std::size_t Registry::retired_count() const {
 Status serve_path_queries(const Registry& registry,
                           serve::QueryEngine& engine,
                           std::span<const serve::PathQuery> queries,
-                          std::vector<serve::PathAnswer>& out,
+                          serve::PathAnswerSet& out,
                           serve::BatchReport* report,
                           std::uint64_t* served_version,
                           const serve::BatchOptions& opts) {

@@ -191,7 +191,7 @@ class Registry {
 [[nodiscard]] coop::Status serve_path_queries(
     const Registry& registry, serve::QueryEngine& engine,
     std::span<const serve::PathQuery> queries,
-    std::vector<serve::PathAnswer>& out, serve::BatchReport* report = nullptr,
+    serve::PathAnswerSet& out, serve::BatchReport* report = nullptr,
     std::uint64_t* served_version = nullptr,
     const serve::BatchOptions& opts = {});
 

@@ -35,6 +35,7 @@
 #include "cluster/partition.hpp"
 #include "dyn/delta.hpp"
 #include "fc/build.hpp"
+#include "helpers.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "robust/corrupt.hpp"
@@ -43,6 +44,7 @@
 namespace {
 
 using coop::StatusCode;
+using test_helpers::vec;
 
 TEST(CarveDeadline, NoClientDeadlineMeansNone) {
   EXPECT_EQ(cluster::carve_shard_deadline_ns(0, 0, 1000), 0u);
@@ -318,30 +320,37 @@ void check_splice(net::MsgType verb, const Resp& a, const Resp& b,
         EXPECT_EQ(got->served_version, ref->served_version) << where;
         // Reference: un-permute decoded answers into a merged response.
         auto ref_b = decode(b_bytes, net::DecodeLimits{});
-        Resp merged = *ref;
-        merged.answers.clear();
         std::vector<net::QuerySlot> slots;
+        std::vector<std::vector<std::uint32_t>> aug, proper;
+        dyn::PathKeySet keys;
         const std::size_t n = ref->answers.size() + ref_b->answers.size();
         for (std::size_t i = 0, ia = 0, ib = 0; i < n; ++i) {
-          if ((i % 2 == 0 && ia < ref->answers.size()) ||
-              ib == ref_b->answers.size()) {
-            slots.push_back({0, static_cast<std::uint32_t>(ia)});
-            merged.answers.push_back(ref->answers[ia++]);
+          const bool from_a = (i % 2 == 0 && ia < ref->answers.size()) ||
+                              ib == ref_b->answers.size();
+          const std::uint32_t j =
+              static_cast<std::uint32_t>(from_a ? ia++ : ib++);
+          slots.push_back({from_a ? 0u : 1u, j});
+          const auto answer = (from_a ? *ref : *ref_b).answers[j];
+          if constexpr (std::is_same_v<Resp, net::PathBatchResponse>) {
+            aug.push_back(vec(answer.aug_index));
+            proper.push_back(vec(answer.proper_index));
           } else {
-            slots.push_back({1, static_cast<std::uint32_t>(ib)});
-            merged.answers.push_back(ref_b->answers[ib++]);
+            keys.push_back({vec(answer.keys)});
           }
         }
-        merged.served_version =
+        const std::uint64_t version =
             std::min(ref->served_version, ref_b->served_version);
+        std::vector<std::uint8_t> want;
         if constexpr (std::is_same_v<Resp, net::PathBatchResponse>) {
-          merged.degraded = ref->degraded || ref_b->degraded;
+          want = net::encode_path_response(
+              version, ref->degraded || ref_b->degraded,
+              test_helpers::answer_set(aug, proper));
         } else {
-          merged.write_seq = std::min(ref->write_seq, ref_b->write_seq);
+          want = net::encode_dyn_path_response(
+              version, std::min(ref->write_seq, ref_b->write_seq), keys);
         }
         const net::PathReply replies[] = {got.take(), *b_index};
-        ASSERT_EQ(net::splice_path_replies(verb, replies, slots),
-                  net::encode(merged))
+        ASSERT_EQ(net::splice_path_replies(verb, replies, slots), want)
             << where;
       });
 }
@@ -352,14 +361,14 @@ TEST_F(ByteRouting, PathReplySpliceMatchesReferenceUnderEveryFlip) {
     net::PathBatchResponse r;
     r.served_version = 3 + rng() % 4;
     r.degraded = rng() % 2 == 0;
+    std::vector<std::vector<std::uint32_t>> aug(n), proper(n);
     for (std::size_t i = 0; i < n; ++i) {
-      serve::PathAnswer a;
       for (std::size_t k = 0; k < 1 + i % 4; ++k) {
-        a.aug_index.push_back(static_cast<std::uint32_t>(rng() % 5000));
-        a.proper_index.push_back(static_cast<std::uint32_t>(rng() % 5000));
+        aug[i].push_back(static_cast<std::uint32_t>(rng() % 5000));
+        proper[i].push_back(static_cast<std::uint32_t>(rng() % 5000));
       }
-      r.answers.push_back(std::move(a));
     }
+    r.answers = test_helpers::answer_set(aug, proper);
     return r;
   };
   check_splice(net::MsgType::kPathBatch, answers(4), answers(3),
@@ -443,12 +452,17 @@ class MangledShard final : public net::Backend {
     std::vector<std::uint8_t> bytes = resp.take();
     switch (damage_) {
       case Damage::kDropAnswer: {
-        auto decoded = net::decode_path_response(bytes);
-        if (!decoded.ok()) {
-          return decoded.status();
+        auto index = net::index_path_reply(net::MsgType::kPathBatch, bytes);
+        if (!index.ok()) {
+          return index.status();
         }
-        decoded->answers.pop_back();
-        return net::encode(*decoded);
+        std::vector<net::QuerySlot> slots;
+        for (std::uint32_t i = 0; i + 1 < index->answers(); ++i) {
+          slots.push_back({0, i});
+        }
+        const net::PathReply replies[] = {index.take()};
+        return net::splice_path_replies(net::MsgType::kPathBatch, replies,
+                                        slots);
       }
       case Damage::kTruncate:
         bytes.pop_back();
@@ -658,9 +672,10 @@ TEST_F(RouterTest, MergedAnswersAreByteIdenticalToSingleProcess) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       // The merge is a pure un-permutation of positional answers, so
       // equality must be exact, not approximate.
-      ASSERT_EQ(a->answers[i].aug_index, b->answers[i].aug_index)
+      ASSERT_EQ(vec(a->answers[i].aug_index), vec(b->answers[i].aug_index))
           << "round " << round << " query " << i;
-      ASSERT_EQ(a->answers[i].proper_index, b->answers[i].proper_index)
+      ASSERT_EQ(vec(a->answers[i].proper_index),
+                vec(b->answers[i].proper_index))
           << "round " << round << " query " << i;
     }
     EXPECT_EQ(a->served_version, b->served_version);
@@ -1077,8 +1092,10 @@ TEST_F(RouterTest, DamagedShardReplyIsABreakerFailureAndATypedShed) {
     ASSERT_TRUE(want.ok()) << want.status().to_string();
     ASSERT_EQ(got->answers.size(), want->answers.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(got->answers[i].aug_index, want->answers[i].aug_index);
-      EXPECT_EQ(got->answers[i].proper_index, want->answers[i].proper_index);
+      EXPECT_EQ(vec(got->answers[i].aug_index),
+                vec(want->answers[i].aug_index));
+      EXPECT_EQ(vec(got->answers[i].proper_index),
+                vec(want->answers[i].proper_index));
     }
     stats = hedged.router->stats();
     EXPECT_EQ(stats.shard_failures, 1u);

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "catalog/tree.hpp"
+#include "serve/query_engine.hpp"
 
 namespace test_helpers {
 
@@ -57,6 +60,30 @@ inline cat::Key random_query(const cat::Tree& t, std::mt19937_64& rng,
     default:
       return key_range + cat::Key(rng() % 100);
   }
+}
+
+/// A PathAnswerSet whose answer q holds aug[q] and proper[q] (one
+/// length each), in one chunk sized to it, as a decoded reply's is.
+inline serve::PathAnswerSet answer_set(
+    const std::vector<std::vector<std::uint32_t>>& aug,
+    const std::vector<std::vector<std::uint32_t>>& proper) {
+  serve::PathAnswerSet set(0);
+  set.clear(aug.size());
+  for (const auto& a : aug) {
+    set.add(a.size());
+  }
+  set.carve();
+  for (std::size_t q = 0; q < aug.size(); ++q) {
+    std::copy(aug[q].begin(), aug[q].end(), set.aug_data(q));
+    std::copy(proper[q].begin(), proper[q].end(), set.proper_data(q));
+  }
+  return set;
+}
+
+/// A span's elements as a vector, for comparisons.
+template <typename T>
+std::vector<T> vec(std::span<const T> s) {
+  return {s.begin(), s.end()};
 }
 
 }  // namespace test_helpers

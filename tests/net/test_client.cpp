@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -61,15 +62,20 @@ class RawPeer {
     }
   }
 
-  /// Read one whole request frame and return its header.
-  net::FrameHeader read_request() {
+  /// Read one whole request frame, length prefix included.
+  std::vector<std::uint8_t> read_request_bytes() {
     std::vector<std::uint8_t> bytes(sizeof(std::uint32_t));
     read_exact(bytes.data(), bytes.size());
     std::uint32_t prefix = 0;
     std::memcpy(&prefix, bytes.data(), sizeof(prefix));
     bytes.resize(sizeof(prefix) + prefix);
     read_exact(bytes.data() + sizeof(prefix), prefix);
-    auto frame = net::decode_frame(bytes);
+    return bytes;
+  }
+
+  /// Read one whole request frame and return its header.
+  net::FrameHeader read_request() {
+    auto frame = net::decode_frame(read_request_bytes());
     EXPECT_TRUE(frame.ok()) << frame.status().to_string();
     return frame.ok() ? frame->header : net::FrameHeader{};
   }
@@ -166,6 +172,56 @@ TEST(ClientFraming, TwoRepliesInOneSendAreReadInOrder) {
   auto decoded = net::decode_health(a->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->collections[0].name, "first");
+}
+
+TEST(ClientFraming, PathRequestsOnTheWireAreEncodeFrameBytes) {
+  RawPeer peer;
+  net::Client client = connect_to(peer);
+  client.options().tenant = 5;
+  client.options().deadline_ns = 9'000'000;
+  peer.accept();
+  const std::vector<serve::PathQuery> big = {
+      {{0, 1, 3}, 17}, {{0, 2}, -4}, {{}, 8}};
+  const std::vector<serve::PathQuery> small = {{{0}, 2}};
+  // A large request, a smaller one of the other verb and the large one
+  // again, all framed into the client's one send buffer.
+  const std::vector<std::pair<net::MsgType, std::vector<serve::PathQuery>>>
+      sent = {{net::MsgType::kPathBatch, big},
+              {net::MsgType::kDynPathBatch, small},
+              {net::MsgType::kPathBatch, big}};
+  std::vector<std::vector<std::uint8_t>> wire;
+  std::thread replier([&] {
+    for (const auto& [verb, queries] : sent) {
+      wire.push_back(peer.read_request_bytes());
+      auto frame = net::decode_frame(wire.back());
+      ASSERT_TRUE(frame.ok()) << frame.status().to_string();
+      net::FrameHeader h = frame->header;
+      h.type = static_cast<std::uint16_t>(h.type | net::kResponseBit);
+      peer.send_bytes(net::encode_frame(
+          h, verb == net::MsgType::kPathBatch
+                 ? net::encode_path_response(1, false, {})
+                 : net::encode_dyn_path_response(1, 0, {})));
+    }
+  });
+  for (const auto& [verb, queries] : sent) {
+    const coop::Status s =
+        verb == net::MsgType::kPathBatch
+            ? client.path_batch("main", queries).status()
+            : client.dyn_path_batch("main", queries).status();
+    EXPECT_TRUE(s.ok()) << s.to_string();
+  }
+  replier.join();
+  ASSERT_EQ(wire.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    net::FrameHeader h;
+    h.type = static_cast<std::uint16_t>(sent[i].first);
+    h.request_id = i + 1;
+    h.tenant = 5;
+    h.deadline_ns = 9'000'000;
+    EXPECT_EQ(wire[i], net::encode_frame(h, net::encode_path_request(
+                                                "main", sent[i].second)))
+        << "request " << i;
+  }
 }
 
 TEST(ClientFraming, PeerClosingOrResettingMidFrameIsUnavailable) {

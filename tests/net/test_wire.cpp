@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <random>
 
 #include "dyn/delta.hpp"
+#include "helpers.hpp"
 #include "robust/corrupt.hpp"
 
 namespace {
@@ -14,6 +17,8 @@ using coop::StatusCode;
 using net::DecodeLimits;
 using net::FrameHeader;
 using net::MsgType;
+using test_helpers::answer_set;
+using test_helpers::vec;
 
 FrameHeader header_for(MsgType type) {
   FrameHeader h;
@@ -59,15 +64,15 @@ TEST(Wire, EveryPayloadTypeRoundTrips) {
     net::PathBatchResponse m;
     m.served_version = 9;
     m.degraded = true;
-    m.answers.resize(2);
-    m.answers[0].aug_index = {1, 2};
-    m.answers[0].proper_index = {3, 4};
+    m.answers = answer_set({{1, 2}, {}}, {{3, 4}, {}});
     auto d = net::decode_path_response(net::encode(m));
     ASSERT_TRUE(d.ok()) << d.status().to_string();
     EXPECT_EQ(d->served_version, 9u);
     EXPECT_TRUE(d->degraded);
     ASSERT_EQ(d->answers.size(), 2u);
-    EXPECT_EQ(d->answers[0].proper_index,
+    EXPECT_EQ(vec(d->answers[0].aug_index),
+              (std::vector<std::uint32_t>{1, 2}));
+    EXPECT_EQ(vec(d->answers[0].proper_index),
               (std::vector<std::uint32_t>{3, 4}));
     // An empty answer round-trips without copying from a null pointer.
     EXPECT_TRUE(d->answers[1].aug_index.empty());
@@ -260,17 +265,18 @@ TEST(Wire, DynPathPayloadsRoundTrip) {
   net::DynPathBatchResponse resp;
   resp.served_version = 4;
   resp.write_seq = 19;
-  resp.answers.resize(2);
-  resp.answers[0].keys = {7, cat::kInfinity, 100};
-  resp.answers[1].keys = {-5};
+  resp.answers.push_back({{7, cat::kInfinity, 100}});
+  resp.answers.push_back({{-5}});
+  resp.answers.push_back({});
   auto dr = net::decode_dyn_path_response(net::encode(resp));
   ASSERT_TRUE(dr.ok()) << dr.status().to_string();
   EXPECT_EQ(dr->served_version, 4u);
   EXPECT_EQ(dr->write_seq, 19u);
-  ASSERT_EQ(dr->answers.size(), 2u);
-  EXPECT_EQ(dr->answers[0].keys,
+  ASSERT_EQ(dr->answers.size(), 3u);
+  EXPECT_EQ(vec(dr->answers[0].keys),
             (std::vector<dyn::Key>{7, cat::kInfinity, 100}));
-  EXPECT_EQ(dr->answers[1].keys, (std::vector<dyn::Key>{-5}));
+  EXPECT_EQ(vec(dr->answers[1].keys), (std::vector<dyn::Key>{-5}));
+  EXPECT_TRUE(dr->answers[2].keys.empty());
 }
 
 TEST(Wire, CompactPayloadsRoundTrip) {
@@ -312,8 +318,7 @@ TEST(Wire, DynPayloadDecodersRejectTrailingGarbageAndLimits) {
   }
   {
     net::DynPathBatchResponse resp;
-    resp.answers.resize(1);
-    resp.answers[0].keys = {1, 2};
+    resp.answers.push_back({{1, 2}});
     auto bytes = net::encode(resp);
     bytes.push_back(0xFF);
     const auto d = net::decode_dyn_path_response(bytes);
@@ -376,6 +381,53 @@ TEST(WireFaults, BitFlipIsRejectedByPayloadCrc) {
     EXPECT_EQ(f.status().code(), StatusCode::kCorrupted) << "seed " << seed;
     EXPECT_NE(f.status().to_string().find("CRC"), std::string::npos)
         << f.status().to_string();
+  }
+}
+
+/// Every one-byte flip (masks 0x01, 0x80, 0xFF), every truncation and
+/// one trailing byte of `bytes`, then `bytes` themselves.
+template <typename Check>
+void for_each_mutation(const std::vector<std::uint8_t>& bytes, Check check) {
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::vector<std::uint8_t> m = bytes;
+      m[pos] = static_cast<std::uint8_t>(m[pos] ^ mask);
+      check(m, "flip " + std::to_string(mask) + " at byte " +
+                   std::to_string(pos));
+    }
+  }
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    check(std::vector<std::uint8_t>(
+              bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)),
+          "truncated to " + std::to_string(len));
+  }
+  std::vector<std::uint8_t> longer = bytes;
+  longer.push_back(0);
+  check(longer, "one trailing byte");
+}
+
+TEST(WireFaults, EveryByteOfAPathFrameAndItsReplyIsGuarded) {
+  auto reply = net::FrameHeader(header_for(MsgType::kPathBatch));
+  reply.type = static_cast<std::uint16_t>(reply.type | net::kResponseBit);
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      fresh_frame(),
+      net::encode_frame(reply, net::encode_path_response(
+                                   3, false, answer_set({{4, 5, 6}, {}},
+                                                        {{1, 2, 3}, {}})))};
+  for (const auto& frame : frames) {
+    ASSERT_TRUE(net::decode_frame(frame).ok());
+    std::size_t checked = 0;
+    for_each_mutation(frame, [&](const std::vector<std::uint8_t>& m,
+                                 const std::string& where) {
+      if (m == frame) {
+        return;
+      }
+      const auto f = net::decode_frame(m);
+      ASSERT_FALSE(f.ok()) << where;
+      EXPECT_EQ(f.status().code(), StatusCode::kCorrupted) << where;
+      ++checked;
+    });
+    EXPECT_EQ(checked, 4 * frame.size() + 1);
   }
 }
 
@@ -453,28 +505,6 @@ void expect_same_decode(MsgType verb, const std::vector<std::uint8_t>& payload,
   }
 }
 
-/// Every one-byte flip (masks 0x01, 0x80, 0xFF), every truncation and
-/// one trailing byte of `bytes`.
-template <typename Check>
-void for_each_mutation(const std::vector<std::uint8_t>& bytes, Check check) {
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
-      std::vector<std::uint8_t> m = bytes;
-      m[pos] = static_cast<std::uint8_t>(m[pos] ^ mask);
-      check(m, "flip " + std::to_string(mask) + " at byte " +
-                   std::to_string(pos));
-    }
-  }
-  for (std::size_t len = 0; len <= bytes.size(); ++len) {
-    check(std::vector<std::uint8_t>(
-              bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)),
-          "truncated to " + std::to_string(len));
-  }
-  std::vector<std::uint8_t> longer = bytes;
-  longer.push_back(0);
-  check(longer, "one trailing byte");
-}
-
 TEST(FlatDecode, PathRequestMatchesDecodePathRequestUnderEveryMutation) {
   const auto bytes =
       net::encode(net::PathBatchRequest{"main", mixed_queries()});
@@ -523,35 +553,194 @@ TEST(FlatDecode, LimitsRefuseWithTheSameStatus) {
   }
 }
 
-TEST(FlatDecode, FlatResponsesAreByteIdenticalToTheStructEncoders) {
-  const std::vector<serve::PathQuery> qs = mixed_queries();
-  const std::vector<serve::PathRef> refs = serve::path_refs(qs);
-  std::mt19937_64 rng(5);
-  serve::PathAnswerSet set;
+// --- The client decoders: decode_path_response and
+// decode_dyn_path_response refuse exactly the replies the router's
+// index_path_reply refuses, with the same Status, and otherwise decode
+// the answers the index points at. ---
+
+/// Seventeen answers of lengths 1 to 6, and one empty answer.
+std::vector<std::size_t> reply_lengths() {
+  std::vector<std::size_t> lens(18);
+  for (std::size_t q = 0; q < lens.size(); ++q) {
+    lens[q] = 1 + q % 6;
+  }
+  lens[5] = 0;
+  return lens;
+}
+
+std::vector<std::uint8_t> sample_reply(MsgType verb) {
+  std::mt19937_64 rng(3);
+  std::vector<std::vector<std::uint32_t>> aug, proper;
   dyn::PathKeySet keys;
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, qs.size()}) {
-    const std::span<const serve::PathRef> batch(refs.data(), n);
-    set.reset(batch);
-    keys.reset(batch);
-    net::PathBatchResponse resp{9, true, {}};
+  for (const std::size_t len : reply_lengths()) {
+    aug.emplace_back();
+    proper.emplace_back();
+    dyn::PathKeys k;
+    for (std::size_t i = 0; i < len; ++i) {
+      aug.back().push_back(static_cast<std::uint32_t>(rng()));
+      proper.back().push_back(static_cast<std::uint32_t>(rng()));
+      k.keys.push_back(static_cast<cat::Key>(rng()));
+    }
+    keys.push_back(k);
+  }
+  return verb == MsgType::kPathBatch
+             ? net::encode_path_response(12, true, answer_set(aug, proper))
+             : net::encode_dyn_path_response(12, 40, keys);
+}
+
+/// `n` elements of T at bytes[at].
+template <typename T>
+std::vector<T> read_array(const std::vector<std::uint8_t>& bytes,
+                          std::size_t at, std::size_t n) {
+  std::vector<T> out(n);
+  if (n != 0) {
+    std::memcpy(out.data(), bytes.data() + at, n * sizeof(T));
+  }
+  return out;
+}
+
+/// The flat decoder of `verb` on `payload`: its Status and, when it
+/// accepts, a check of every answer against the reply index `index`.
+template <typename Check>
+coop::Status decode_reply(MsgType verb, const std::vector<std::uint8_t>& payload,
+                          const DecodeLimits& limits, Check check) {
+  if (verb == MsgType::kPathBatch) {
+    auto got = net::decode_path_response(payload, limits);
+    if (got.ok()) {
+      check(*got);
+    }
+    return got.status();
+  }
+  auto got = net::decode_dyn_path_response(payload, limits);
+  if (got.ok()) {
+    check(*got);
+  }
+  return got.status();
+}
+
+/// Compare the flat decoder with index_path_reply on `payload`.
+void expect_same_reply(MsgType verb, const std::vector<std::uint8_t>& payload,
+                       const DecodeLimits& limits, const std::string& where) {
+  const auto index = net::index_path_reply(verb, payload, limits);
+  bool checked = false;
+  const coop::Status got = decode_reply(
+      verb, payload, limits, [&](const auto& resp) {
+        checked = true;
+        ASSERT_TRUE(index.ok()) << where << ": " << index.status().to_string();
+        EXPECT_EQ(resp.served_version, index->served_version) << where;
+        ASSERT_EQ(resp.answers.size(), index->answers()) << where;
+        for (std::size_t q = 0; q < resp.answers.size(); ++q) {
+          const std::size_t at = index->offsets[q] + sizeof(std::uint32_t);
+          const auto len =
+              read_array<std::uint32_t>(index->payload, at - 4, 1)[0];
+          if constexpr (std::is_same_v<std::decay_t<decltype(resp)>,
+                                       net::PathBatchResponse>) {
+            EXPECT_EQ(resp.degraded, index->degraded) << where;
+            EXPECT_EQ(vec(resp.answers[q].aug_index),
+                      read_array<std::uint32_t>(index->payload, at, len))
+                << where << " answer " << q;
+            EXPECT_EQ(vec(resp.answers[q].proper_index),
+                      read_array<std::uint32_t>(index->payload, at + 4 * len,
+                                                len))
+                << where << " answer " << q;
+          } else {
+            EXPECT_EQ(resp.write_seq, index->write_seq) << where;
+            EXPECT_EQ(vec(resp.answers[q].keys),
+                      read_array<dyn::Key>(index->payload, at, len))
+                << where << " answer " << q;
+          }
+        }
+      });
+  if (!checked) {
+    ASSERT_FALSE(index.ok()) << where << ": " << got.to_string();
+    EXPECT_EQ(got.to_string(), index.status().to_string()) << where;
+  }
+}
+
+void expect_every_mutation_decodes_alike(MsgType verb) {
+  const std::vector<std::uint8_t> bytes = sample_reply(verb);
+  const std::vector<std::size_t> lens = reply_lengths();
+  ASSERT_EQ(bytes.size(), (verb == MsgType::kPathBatch ? 13u : 20u) +
+                              4 * lens.size() +
+                              8 * std::accumulate(lens.begin(), lens.end(),
+                                                  std::size_t{0}));
+  for_each_mutation(bytes, [&](const std::vector<std::uint8_t>& m,
+                               const std::string& where) {
+    expect_same_reply(verb, m, DecodeLimits{}, where);
+  });
+  // A reply cut short or with a trailing byte is never an answer.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_EQ(decode_reply(verb, cut, {}, [](const auto&) {}).code(),
+              StatusCode::kCorrupted)
+        << "truncated to " << len;
+  }
+  std::vector<std::uint8_t> longer = bytes;
+  longer.push_back(0);
+  const coop::Status trailing =
+      decode_reply(verb, longer, {}, [](const auto&) {});
+  EXPECT_EQ(trailing.code(), StatusCode::kCorrupted);
+  EXPECT_NE(trailing.message().find("1 trailing bytes"), std::string::npos)
+      << trailing.to_string();
+}
+
+TEST(FlatReply, PathReplyMatchesIndexPathReplyUnderEveryMutation) {
+  expect_every_mutation_decodes_alike(MsgType::kPathBatch);
+}
+
+TEST(FlatReply, DynReplyMatchesIndexPathReplyUnderEveryMutation) {
+  expect_every_mutation_decodes_alike(MsgType::kDynPathBatch);
+}
+
+TEST(FlatReply, LimitsRefuseWithTheSameStatus) {
+  DecodeLimits few_answers;
+  few_answers.max_queries = reply_lengths().size() - 1;
+  DecodeLimits short_paths;
+  short_paths.max_path_len = 5;
+  for (const MsgType verb : {MsgType::kPathBatch, MsgType::kDynPathBatch}) {
+    const std::vector<std::uint8_t> bytes = sample_reply(verb);
+    for (const DecodeLimits& limits : {few_answers, short_paths}) {
+      expect_same_reply(verb, bytes, limits, "limits");
+      EXPECT_EQ(decode_reply(verb, bytes, limits, [](const auto&) {}).code(),
+                StatusCode::kCorrupted);
+    }
+  }
+}
+
+TEST(FlatReply, TheStructEncodersAreTheFlatEncoders) {
+  std::mt19937_64 rng(5);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+    std::vector<std::vector<std::uint32_t>> aug(n), proper(n);
     net::DynPathBatchResponse dyn_resp{9, 33, {}};
     for (std::size_t q = 0; q < n; ++q) {
-      serve::PathAnswer& a = resp.answers.emplace_back();
-      dyn::PathKeys& k = dyn_resp.answers.emplace_back();
-      for (std::uint32_t i = 0; i < refs[q].len; ++i) {
-        set.aug_data(q)[i] = static_cast<std::uint32_t>(rng());
-        set.proper_data(q)[i] = static_cast<std::uint32_t>(rng());
-        keys.keys_data(q)[i] = static_cast<cat::Key>(rng());
-        a.aug_index.push_back(set.aug_data(q)[i]);
-        a.proper_index.push_back(set.proper_data(q)[i]);
-        k.keys.push_back(keys.keys_data(q)[i]);
+      dyn::PathKeys k;
+      for (std::size_t i = 0; i < q; ++i) {
+        aug[q].push_back(static_cast<std::uint32_t>(rng()));
+        proper[q].push_back(static_cast<std::uint32_t>(rng()));
+        k.keys.push_back(static_cast<cat::Key>(rng()));
       }
+      dyn_resp.answers.push_back(k);
     }
-    EXPECT_EQ(net::encode_path_response(9, true, set), net::encode(resp))
+    const net::PathBatchResponse resp{9, true, answer_set(aug, proper)};
+    const auto bytes = net::encode(resp);
+    EXPECT_EQ(bytes, net::encode_path_response(9, true, resp.answers)) << n;
+    const auto dyn_bytes = net::encode(dyn_resp);
+    EXPECT_EQ(dyn_bytes, net::encode_dyn_path_response(9, 33, dyn_resp.answers))
         << n;
-    EXPECT_EQ(net::encode_dyn_path_response(9, 33, keys),
-              net::encode(dyn_resp))
-        << n;
+    // And the decoders give the answers back.
+    auto d = net::decode_path_response(bytes);
+    ASSERT_TRUE(d.ok()) << d.status().to_string();
+    ASSERT_EQ(d->answers.size(), n);
+    auto dd = net::decode_dyn_path_response(dyn_bytes);
+    ASSERT_TRUE(dd.ok()) << dd.status().to_string();
+    ASSERT_EQ(dd->answers.size(), n);
+    for (std::size_t q = 0; q < n; ++q) {
+      EXPECT_EQ(vec(d->answers[q].aug_index), aug[q]);
+      EXPECT_EQ(vec(d->answers[q].proper_index), proper[q]);
+      EXPECT_EQ(vec(dd->answers[q].keys),
+                vec(dyn_resp.answers[q].keys));
+    }
   }
 }
 

@@ -37,7 +37,6 @@ namespace {
 using serve::ChaosHooks;
 using serve::Frontend;
 using serve::FrontendOptions;
-using serve::PathAnswer;
 using serve::PathQuery;
 using serve::QueryEngine;
 
@@ -115,6 +114,7 @@ RunResult run_workload(std::uint64_t seed, bool faults = true) {
   FrontendOptions opts;
   opts.sleep_on_backoff = false;
   Frontend frontend(fx.registry, engine, opts);
+  const std::vector<serve::PathRef> refs = serve::path_refs(fx.queries);
   for (std::uint64_t b = 0; b < 40; ++b) {
     std::atomic<bool> thrown{false};
     ChaosHooks hooks;
@@ -127,10 +127,9 @@ RunResult run_workload(std::uint64_t seed, bool faults = true) {
       };
       chaos = &hooks;
     }
-    std::vector<PathAnswer> out;
-    const auto st =
-        frontend.serve_paths(fx.queries, out, nullptr, nullptr, nullptr,
-                             chaos);
+    serve::PathAnswerSet out;
+    const auto st = frontend.serve_paths(refs, out, nullptr, nullptr,
+                                         nullptr, chaos);
     EXPECT_TRUE(st.ok()) << st.to_string();
   }
 

@@ -9,6 +9,7 @@
 #include <random>
 
 #include "dyn/slice_journal.hpp"
+#include "helpers.hpp"
 #include "serve/query_engine.hpp"
 
 namespace {
@@ -118,26 +119,35 @@ TEST(SliceJournal, SuccessorCheckSeesLostWrongAndInFlightKeys) {
   EXPECT_EQ(j.check(3, k + 1, j.hi()), C::kOk);
 }
 
+/// A PathAnswerSet whose answer q has proper indices proper[q] (and the
+/// same aug indices, which the oracle does not read).
+serve::PathAnswerSet answer_set(
+    const std::vector<std::vector<std::uint32_t>>& proper) {
+  return test_helpers::answer_set(proper, proper);
+}
+
 TEST(PathOracle, CountsEveryWrongMissingOrExtraAnswer) {
   std::mt19937_64 rng(5);
   const cat::Tree tree =
       cat::make_balanced_binary(4, 300, cat::CatalogShape::kRandom, rng);
   const auto batch = serve::random_path_batch(tree, rng, 8);
-  std::vector<serve::PathAnswer> answers(batch.size());
+  std::vector<std::vector<std::uint32_t>> proper(batch.size());
   for (std::size_t qi = 0; qi < batch.size(); ++qi) {
     ASSERT_EQ(batch[qi].path.front(), tree.root());
     ASSERT_TRUE(tree.is_leaf(batch[qi].path.back()));
     for (const cat::NodeId v : batch[qi].path) {
-      answers[qi].proper_index.push_back(
+      proper[qi].push_back(
           static_cast<std::uint32_t>(tree.catalog(v).find(batch[qi].y)));
     }
   }
-  EXPECT_EQ(serve::count_path_mismatches(tree, batch, answers), 0u);
-  answers[0].proper_index[1] += 1;
-  answers[1].proper_index.pop_back();
-  answers[2].proper_index.push_back(0);
-  answers.emplace_back();
-  EXPECT_EQ(serve::count_path_mismatches(tree, batch, answers), 4u);
+  EXPECT_EQ(serve::count_path_mismatches(tree, batch, answer_set(proper)),
+            0u);
+  proper[0][1] += 1;
+  proper[1].pop_back();
+  proper[2].push_back(0);
+  proper.emplace_back();
+  EXPECT_EQ(serve::count_path_mismatches(tree, batch, answer_set(proper)),
+            4u);
   EXPECT_EQ(serve::root_path(tree, batch[3].path.back()), batch[3].path);
 }
 

@@ -1,8 +1,8 @@
 // The arena allocation layer under the serving pools: raw_alloc's
 // huge-page policy, Pool's owning/view/huge-backed states, the BumpArena
 // behind per-batch answer sets, and the arena-backed batch API
-// (PathAnswerSet + serve_path_queries_flat) pinned against the
-// vector-returning API and the catalog oracle across reuse.
+// (PathAnswerSet + serve_path_queries) pinned against the PathAnswer
+// kernel and the catalog oracle across reuse.
 
 #include <gtest/gtest.h>
 
@@ -128,36 +128,39 @@ TEST(PathAnswerSet, MatchesTheVectorApiAcrossReuse) {
   const serve::FlatCascade flat = flat_e.take();
 
   serve::QueryEngine engine(2);
-  serve::PathAnswerSet set;
-  // Three batches through ONE answer set: correctness must survive the
-  // arena rewind, including a batch bigger than the previous one.
-  for (const std::size_t batch : {std::size_t{33}, std::size_t{200},
-                                  std::size_t{64}}) {
-    std::vector<serve::PathQuery> queries(batch);
-    for (auto& q : queries) {
-      std::vector<cat::NodeId> path{tree.root()};
-      while (!tree.is_leaf(path.back())) {
-        const auto kids = tree.children(path.back());
-        path.push_back(kids[rng() % kids.size()]);
+  // A serving thread's set (64 KiB chunks) and a decoded reply's (chunks
+  // sized to the batch).
+  serve::PathAnswerSet serving;
+  serve::PathAnswerSet exact(0);
+  // Three batches through each set: correctness must survive the arena
+  // rewind, including a batch bigger than the previous one.
+  for (serve::PathAnswerSet* set : {&serving, &exact}) {
+    for (const std::size_t batch : {std::size_t{33}, std::size_t{200},
+                                    std::size_t{64}}) {
+      std::vector<serve::PathQuery> queries(batch);
+      for (auto& q : queries) {
+        std::vector<cat::NodeId> path{tree.root()};
+        while (!tree.is_leaf(path.back())) {
+          const auto kids = tree.children(path.back());
+          path.push_back(kids[rng() % kids.size()]);
+        }
+        q.path = std::move(path);
+        q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
       }
-      q.path = std::move(path);
-      q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
-    }
-    std::vector<serve::PathAnswer> want;
-    const auto rep_v = serve::serve_path_queries(flat, engine, queries, want);
-    EXPECT_FALSE(rep_v.degraded) << rep_v.reason;
-    EXPECT_EQ(serve::count_path_mismatches(tree, queries, want), 0u);
-    const auto rep_f =
-        serve::serve_path_queries_flat(flat, engine, queries, set);
-    EXPECT_FALSE(rep_f.degraded) << rep_f.reason;
-    ASSERT_EQ(set.size(), batch);
-    for (std::size_t q = 0; q < batch; ++q) {
-      ASSERT_EQ(set.aug(q).size(), want[q].aug_index.size());
-      for (std::size_t i = 0; i < want[q].aug_index.size(); ++i) {
-        ASSERT_EQ(set.aug(q)[i], want[q].aug_index[i])
-            << "batch " << batch << " q " << q << " hop " << i;
-        ASSERT_EQ(set.proper(q)[i], want[q].proper_index[i])
-            << "batch " << batch << " q " << q << " hop " << i;
+      std::vector<serve::PathAnswer> want(batch);
+      serve::search_paths_grouped(flat, queries.data(), batch, want.data());
+      const auto rep = serve::serve_path_queries(flat, engine, queries, *set);
+      EXPECT_FALSE(rep.degraded) << rep.reason;
+      EXPECT_EQ(serve::count_path_mismatches(tree, queries, *set), 0u);
+      ASSERT_EQ(set->size(), batch);
+      for (std::size_t q = 0; q < batch; ++q) {
+        ASSERT_EQ(set->aug(q).size(), want[q].aug_index.size());
+        for (std::size_t i = 0; i < want[q].aug_index.size(); ++i) {
+          ASSERT_EQ((*set)[q].aug_index[i], want[q].aug_index[i])
+              << "batch " << batch << " q " << q << " hop " << i;
+          ASSERT_EQ((*set)[q].proper_index[i], want[q].proper_index[i])
+              << "batch " << batch << " q " << q << " hop " << i;
+        }
       }
     }
   }

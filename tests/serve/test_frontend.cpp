@@ -25,7 +25,7 @@ using serve::Frontend;
 using serve::FrontendOptions;
 using serve::HealthState;
 using serve::OpenPolicy;
-using serve::PathAnswer;
+using serve::PathAnswerSet;
 using serve::PathQuery;
 using serve::QueryEngine;
 using snapshot::Registry;
@@ -35,6 +35,7 @@ struct Fixture {
   cat::Tree tree;
   Registry registry;
   std::vector<PathQuery> queries;
+  std::vector<serve::PathRef> refs;  ///< views of `queries`
   std::vector<std::vector<std::uint32_t>> expected;
 
   explicit Fixture(std::size_t num_queries, std::uint64_t seed = 11) {
@@ -55,9 +56,10 @@ struct Fixture {
             tree.catalog(v).find(queries[qi].y)));
       }
     }
+    refs = serve::path_refs(queries);
   }
 
-  void expect_correct(const std::vector<PathAnswer>& out) const {
+  void expect_correct(const PathAnswerSet& out) const {
     ASSERT_EQ(out.size(), queries.size());
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       ASSERT_EQ(out[qi].proper_index.size(), expected[qi].size());
@@ -83,11 +85,11 @@ TEST(Frontend, ServesCleanBatchesWithEmptyAttemptTrailTail) {
   QueryEngine engine(2);
   Frontend frontend(fx.registry, engine);
 
-  std::vector<PathAnswer> out;
+  PathAnswerSet out;
   BatchReport report;
   std::uint64_t version = 0;
   ASSERT_TRUE(
-      frontend.serve_paths(fx.queries, out, &report, &version).ok());
+      frontend.serve_paths(fx.refs, out, &report, &version).ok());
   fx.expect_correct(out);
   EXPECT_EQ(version, 1u);
   EXPECT_FALSE(report.degraded);
@@ -98,13 +100,33 @@ TEST(Frontend, ServesCleanBatchesWithEmptyAttemptTrailTail) {
   EXPECT_EQ(frontend.stats().admitted, 1u);
 }
 
-TEST(Frontend, EmptyBatchIsServedWithoutTouchingTheEngine) {
-  Fixture fx(0);
+// The PathQuery overload, which the benchmark's load generator times,
+// serves the same answers into one PathAnswer per query.
+TEST(Frontend, PathQueryOverloadMatchesTheFlatAnswers) {
+  Fixture fx(40);
   QueryEngine engine(2);
   Frontend frontend(fx.registry, engine);
-  std::vector<PathAnswer> out(3);  // stale content must be cleared
+  std::vector<serve::PathAnswer> per_query;
+  ASSERT_TRUE(frontend.serve_paths(fx.queries, per_query).ok());
+  PathAnswerSet out;
+  ASSERT_TRUE(frontend.serve_paths(fx.refs, out).ok());
+  fx.expect_correct(out);
+  ASSERT_EQ(per_query.size(), out.size());
+  for (std::size_t q = 0; q < out.size(); ++q) {
+    EXPECT_EQ(per_query[q].aug_index, test_helpers::vec(out.aug(q)));
+    EXPECT_EQ(per_query[q].proper_index, test_helpers::vec(out.proper(q)));
+  }
+}
+
+TEST(Frontend, EmptyBatchIsServedWithoutTouchingTheEngine) {
+  Fixture fx(3);
+  QueryEngine engine(2);
+  Frontend frontend(fx.registry, engine);
+  PathAnswerSet out;  // stale content must be cleared
+  ASSERT_TRUE(frontend.serve_paths(fx.refs, out).ok());
+  ASSERT_EQ(out.size(), 3u);
   ASSERT_TRUE(frontend.serve_paths({}, out).ok());
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.size(), 0u);
 }
 
 TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
@@ -131,10 +153,10 @@ TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
     cv.wait(lock, [&] { return release; });
   };
 
-  std::vector<PathAnswer> blocked_out;
+  PathAnswerSet blocked_out;
   std::thread holder([&] {
     ASSERT_TRUE(frontend
-                    .serve_paths(fx.queries, blocked_out, nullptr, nullptr,
+                    .serve_paths(fx.refs, blocked_out, nullptr, nullptr,
                                  nullptr, &hooks)
                     .ok());
   });
@@ -143,8 +165,8 @@ TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
     cv.wait(lock, [&] { return entered; });
   }
 
-  std::vector<PathAnswer> out;
-  const auto st = frontend.serve_paths(fx.queries, out);
+  PathAnswerSet out;
+  const auto st = frontend.serve_paths(fx.refs, out);
   EXPECT_EQ(st.code(), coop::StatusCode::kResourceExhausted);
 
   {
@@ -162,8 +184,8 @@ TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
   EXPECT_EQ(stats.breaker, BreakerState::kClosed);
 
   // The slot is free again.
-  std::vector<PathAnswer> after;
-  ASSERT_TRUE(frontend.serve_paths(fx.queries, after).ok());
+  PathAnswerSet after;
+  ASSERT_TRUE(frontend.serve_paths(fx.refs, after).ok());
   fx.expect_correct(after);
 }
 
@@ -183,10 +205,10 @@ TEST(Frontend, RetryRecoversFromTransientWorkerThrow) {
     }
   };
 
-  std::vector<PathAnswer> out;
+  PathAnswerSet out;
   BatchReport report;
   ASSERT_TRUE(frontend
-                  .serve_paths(fx.queries, out, &report, nullptr, nullptr,
+                  .serve_paths(fx.refs, out, &report, nullptr, nullptr,
                                &hooks)
                   .ok());
   fx.expect_correct(out);
@@ -222,10 +244,10 @@ TEST(Frontend, BreakerTripsAndRecoversThroughProbe) {
   // Two consecutive finally-degraded batches trip CLOSED -> OPEN.
   const BatchOptions squeezed = squeeze();
   for (int i = 0; i < 2; ++i) {
-    std::vector<PathAnswer> out;
+    PathAnswerSet out;
     BatchReport report;
     ASSERT_TRUE(frontend
-                    .serve_paths(fx.queries, out, &report, nullptr,
+                    .serve_paths(fx.refs, out, &report, nullptr,
                                  &squeezed, nullptr)
                     .ok());
     fx.expect_correct(out);  // degraded, not wrong
@@ -236,16 +258,16 @@ TEST(Frontend, BreakerTripsAndRecoversThroughProbe) {
   EXPECT_EQ(frontend.stats().breaker_trips, 1u);
 
   // While OPEN under kShed, admitted traffic is refused with UNAVAILABLE.
-  std::vector<PathAnswer> out;
-  EXPECT_EQ(frontend.serve_paths(fx.queries, out).code(),
+  PathAnswerSet out;
+  EXPECT_EQ(frontend.serve_paths(fx.refs, out).code(),
             coop::StatusCode::kUnavailable);
   EXPECT_GE(frontend.stats().shed_breaker, 1u);
 
   // After the open window, one probe rides the full engine and closes
   // the breaker again.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  std::vector<PathAnswer> probe_out;
-  ASSERT_TRUE(frontend.serve_paths(fx.queries, probe_out).ok());
+  PathAnswerSet probe_out;
+  ASSERT_TRUE(frontend.serve_paths(fx.refs, probe_out).ok());
   fx.expect_correct(probe_out);
   EXPECT_EQ(frontend.breaker_state(), BreakerState::kClosed);
   EXPECT_EQ(frontend.health(), HealthState::kHealthy);
@@ -266,19 +288,19 @@ TEST(Frontend, OpenPolicySequentialKeepsServingCorrectAnswers) {
   opts.open_policy = OpenPolicy::kSequential;
   Frontend frontend(fx.registry, engine, opts);
 
-  std::vector<PathAnswer> out;
+  PathAnswerSet out;
   const BatchOptions squeezed = squeeze();
   ASSERT_TRUE(frontend
-                  .serve_paths(fx.queries, out, nullptr, nullptr, &squeezed,
+                  .serve_paths(fx.refs, out, nullptr, nullptr, &squeezed,
                                nullptr)
                   .ok());
   EXPECT_EQ(frontend.breaker_state(), BreakerState::kOpen);
 
   // OPEN + kSequential: still admitted, still correct, marked as a
   // sequential batch, and the breaker holds its state.
-  std::vector<PathAnswer> seq_out;
+  PathAnswerSet seq_out;
   BatchReport report;
-  ASSERT_TRUE(frontend.serve_paths(fx.queries, seq_out, &report).ok());
+  ASSERT_TRUE(frontend.serve_paths(fx.refs, seq_out, &report).ok());
   fx.expect_correct(seq_out);
   EXPECT_FALSE(report.degraded);
   EXPECT_EQ(frontend.stats().sequential_batches, 1u);
@@ -326,10 +348,10 @@ TEST(Frontend, BackoffScheduleIsDeterministicPerSeed) {
         throw std::runtime_error("scripted fault");
       }
     };
-    std::vector<PathAnswer> out;
+    PathAnswerSet out;
     BatchReport report;
     EXPECT_TRUE(frontend
-                    .serve_paths(fx.queries, out, &report, nullptr, nullptr,
+                    .serve_paths(fx.refs, out, &report, nullptr, nullptr,
                                  &hooks)
                     .ok());
     fx.expect_correct(out);
@@ -357,8 +379,8 @@ TEST(Frontend, UnavailableWhenNothingIsPublished) {
   Frontend frontend(empty, engine);
   std::vector<PathQuery> queries(1);
   queries[0].y = 5;
-  std::vector<PathAnswer> out;
-  EXPECT_EQ(frontend.serve_paths(queries, out).code(),
+  PathAnswerSet out;
+  EXPECT_EQ(frontend.serve_paths(serve::path_refs(queries), out).code(),
             coop::StatusCode::kUnavailable);
 }
 

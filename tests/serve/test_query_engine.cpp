@@ -44,7 +44,7 @@ struct Fixture {
     }
   }
 
-  void expect_answers_match(const std::vector<PathAnswer>& out) const {
+  void expect_answers_match(const serve::PathAnswerSet& out) const {
     ASSERT_EQ(out.size(), queries.size());
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       const auto oracle = fc::search_explicit(*s, queries[qi].path,
@@ -92,7 +92,7 @@ TEST(QueryEngine, BatchMatchesOracleAcrossThreadCounts) {
   for (std::size_t threads : {1u, 2u, 4u}) {
     QueryEngine engine(threads);
     EXPECT_EQ(engine.threads(), threads);
-    std::vector<PathAnswer> out;
+    serve::PathAnswerSet out;
     const auto report =
         serve::serve_path_queries(fx.flat, engine, fx.queries, out);
     EXPECT_FALSE(report.degraded) << report.reason;
@@ -104,7 +104,7 @@ TEST(QueryEngine, ReusableAcrossBatches) {
   const Fixture fx(200);
   QueryEngine engine(2);
   for (int round = 0; round < 3; ++round) {
-    std::vector<PathAnswer> out;
+    serve::PathAnswerSet out;
     const auto report =
         serve::serve_path_queries(fx.flat, engine, fx.queries, out);
     EXPECT_FALSE(report.degraded);
@@ -141,15 +141,17 @@ TEST(QueryEngine, EmptyPathSpanClearsOutputWithoutDegrading) {
   // Regression: an empty batch must early-return before sharding (the
   // n == 0 fast path in for_each), clear any stale output, and never be
   // reported degraded — with or without a deadline armed.
-  const Fixture fx(0);
+  const Fixture fx(5);
   QueryEngine engine(2);
-  std::vector<PathAnswer> out(5);  // stale entries must not survive
+  serve::PathAnswerSet out;  // stale entries must not survive
+  (void)serve::serve_path_queries(fx.flat, engine, fx.queries, out);
+  ASSERT_EQ(out.size(), 5u);
   BatchOptions opts;
   opts.deadline = std::chrono::nanoseconds(1);
   const auto report =
       serve::serve_path_queries(fx.flat, engine, {}, out, opts);
   EXPECT_FALSE(report.degraded);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.size(), 0u);
 }
 
 TEST(QueryEngine, EmptyPointSpanClearsOutputWithoutDegrading) {
@@ -163,7 +165,7 @@ TEST(QueryEngine, EmptyPointSpanClearsOutputWithoutDegrading) {
   std::vector<std::size_t> out(5);
   const auto report = serve::serve_point_queries(*flat, engine, {}, out);
   EXPECT_FALSE(report.degraded);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.size(), 0u);
 }
 
 TEST(QueryEngine, DegradesOnTransientWorkerException) {
@@ -227,7 +229,7 @@ TEST(QueryEngine, DeadlineMidGroupedBatchDegradesToSequentialRerun) {
   BatchOptions opts;
   opts.shard_size = 1;  // many shards => every worker polls the deadline
   opts.deadline = std::chrono::nanoseconds(1);
-  std::vector<PathAnswer> out;
+  serve::PathAnswerSet out;
   const auto report =
       serve::serve_path_queries(fx.flat, engine, fx.queries, out, opts);
   EXPECT_TRUE(report.degraded);

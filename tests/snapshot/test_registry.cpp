@@ -15,7 +15,6 @@
 
 namespace {
 
-using serve::PathAnswer;
 using serve::PathQuery;
 using serve::QueryEngine;
 using snapshot::Registry;
@@ -62,7 +61,7 @@ struct Fixture {
   }
 
   [[nodiscard]] std::size_t count_mismatches(
-      const std::vector<PathAnswer>& out) const {
+      const serve::PathAnswerSet& out) const {
     std::size_t bad = 0;
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       if (out[qi].proper_index.size() != expected[qi].size()) {
@@ -85,7 +84,7 @@ TEST(Registry, EmptyRegistryHasNothingToServe) {
 
   const Fixture fx(10);
   QueryEngine engine(1);
-  std::vector<PathAnswer> out;
+  serve::PathAnswerSet out;
   const auto s =
       snapshot::serve_path_queries(registry, engine, fx.queries, out);
   EXPECT_EQ(s.code(), coop::StatusCode::kFailedPrecondition);
@@ -199,7 +198,7 @@ TEST(Registry, ServeHelpersRejectWrongKind) {
   QueryEngine engine(1);
 
   const Fixture fx(5);
-  std::vector<PathAnswer> path_out;
+  serve::PathAnswerSet path_out;
   EXPECT_EQ(snapshot::serve_path_queries(registry, engine, fx.queries,
                                          path_out)
                 .code(),
@@ -337,7 +336,7 @@ TEST(Registry, HotSwapUnderConcurrentLoad) {
       QueryEngine engine(2);
       std::uint64_t last_version = 0;
       while (!done.load(std::memory_order_relaxed)) {
-        std::vector<PathAnswer> out;
+        serve::PathAnswerSet out;
         serve::BatchReport report;
         std::uint64_t version = 0;
         const auto s = snapshot::serve_path_queries(

@@ -401,7 +401,7 @@ int run_rw(const Args& a) {
           robust::bump(out.wrong_answers);
         } else {
           for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-            const auto& keys = resp->answers[qi].keys;
+            const std::span<const cat::Key> keys = resp->answers[qi].keys;
             for (std::size_t i = 0; i < path.size(); ++i) {
               robust::bump(out.checks);
               const cat::Key served = i < keys.size() ? keys[i] : -1;
@@ -573,7 +573,7 @@ int run_crash_soak(const Args& a) {
         for (std::size_t i = 0; i < n; ++i) {
           const auto& [node, key] = checks[at + i].first;
           // The answer at `node`, the last node of its root path.
-          const auto& keys = resp->answers[i].keys;
+          const std::span<const cat::Key> keys = resp->answers[i].keys;
           const cat::Key served =
               keys.size() == batch[i].path.size() ? keys.back() : -1;
           const dyn::JournalCheck verdict = j.check(node, key, served);

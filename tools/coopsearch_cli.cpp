@@ -452,7 +452,7 @@ int cmd_serve_batch(int argc, char** argv) {
       serve::random_path_batch(*tree, rng, queries);
 
   serve::QueryEngine engine(threads);
-  std::vector<serve::PathAnswer> answers;
+  serve::PathAnswerSet answers;
   const auto t0 = std::chrono::steady_clock::now();
   const auto report = serve::serve_path_queries(*flat, engine, batch, answers);
   const double sec =
@@ -594,7 +594,7 @@ int cmd_snapshot_serve(int argc, char** argv) {
   }
 
   serve::QueryEngine engine(threads);
-  std::vector<serve::PathAnswer> answers;
+  serve::PathAnswerSet answers;
   serve::BatchReport report;
   std::uint64_t version = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -711,7 +711,7 @@ int cmd_stats(int argc, char** argv) {
     q.y = static_cast<cat::Key>(rng() % 1'000'000'000);
   }
   serve::QueryEngine engine(2);
-  std::vector<serve::PathAnswer> answers;
+  serve::PathAnswerSet answers;
   (void)serve::serve_path_queries(*flat, engine, batch, answers);
   std::fprintf(stderr,
                "stats: exercised the simulator and serving engine on a "
