@@ -252,7 +252,7 @@ coop::Expected<RoutingMap> load_routing_map(const std::string& path) {
                              "machine");
   }
   if (h.version < snapshot::kMinFormatVersion ||
-      h.version > snapshot::kFormatVersion) {
+      h.version > snapshot::kMaxFormatVersion) {
     return Status::corrupted("unsupported routing map format version " +
                              std::to_string(h.version));
   }

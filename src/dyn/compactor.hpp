@@ -7,7 +7,7 @@
 //   1. capture one immutable State S (watermark W = S.write_seq);
 //   2. reconstruct the catalog tree from S's flat arena topology with
 //      each node's merged live keys, rebuild fc::Structure, compile the
-//      flat arena, wrap it in a snapshot (spooled v2 file or in-memory);
+//      flat arena, wrap it in a snapshot (spooled file or in-memory);
 //   3. DynamicCatalog::install_compacted(snap, W) publishes, re-pins,
 //      and truncates runs wholly at or below W — atomically w.r.t.
 //      writers, so mutations applied during the rebuild survive as runs
@@ -35,7 +35,7 @@ namespace dyn {
 class Compactor {
  public:
   struct Options {
-    /// Where compacted snapshot-v2 files are written (".tmp" + rename,
+    /// Where compacted snapshot files are written (".tmp" + rename,
     /// same atomicity as snapshot::write).  Empty = in-memory snapshots
     /// (no spool; fine for tests and single-process serving).  Ignored
     /// when the catalog has a WAL attached: durable catalogs spool to

@@ -39,8 +39,6 @@ const char* to_string(CorruptionKind k) {
       return "snapshot-section-crc-mismatch";
     case CorruptionKind::kSnapshotSectionOffset:
       return "snapshot-section-offset-oob";
-    case CorruptionKind::kSnapshotSimdLayout:
-      return "snapshot-simd-layout-forged";
     case CorruptionKind::kWireTruncated: return "wire-truncated";
     case CorruptionKind::kWireLengthLie: return "wire-length-lie";
     case CorruptionKind::kWireBitFlip: return "wire-bit-flip";
@@ -277,7 +275,6 @@ Status corrupt(pointloc::SeparatorTree& st, CorruptionKind kind,
     case CorruptionKind::kSnapshotHeaderBitFlip:
     case CorruptionKind::kSnapshotSectionCrc:
     case CorruptionKind::kSnapshotSectionOffset:
-    case CorruptionKind::kSnapshotSimdLayout:
     case CorruptionKind::kWireTruncated:
     case CorruptionKind::kWireLengthLie:
     case CorruptionKind::kWireBitFlip:
@@ -430,49 +427,6 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
           header.file_size + (1 + seed % 7) * snapshot::kSectionAlign,
           snapshot::kSectionAlign);
       std::memcpy(rec_at, &rec, sizeof(rec));
-      header.table_crc =
-          snapshot::crc32(bytes.data() + table_off, table_bytes);
-      header.header_crc = snapshot::header_crc(header);
-      std::memcpy(bytes.data(), &header, sizeof(header));
-      break;
-    }
-    case CorruptionKind::kSnapshotSimdLayout: {
-      if (header.section_count == 0 ||
-          table_off + table_bytes > bytes.size()) {
-        return Status::failed_precondition(path + " has no section table");
-      }
-      // Rewrite one rank cell of the blocked multiway layout (kSimdPos),
-      // then re-forge the section CRC, the table CRC and the header CRC:
-      // the file is checksum-perfect and the fault is only catchable by
-      // snapshot::open recomputing the layout from the validated keys
-      // and comparing (load_simd_layout).  v1 files have no such section
-      // and cannot host the kind.
-      std::vector<snapshot::SectionRecord> table(header.section_count);
-      std::memcpy(table.data(), bytes.data() + table_off, table_bytes);
-      std::size_t victim = table.size();
-      for (std::size_t i = 0; i < table.size(); ++i) {
-        if (table[i].id ==
-                static_cast<std::uint32_t>(snapshot::SectionId::kSimdPos) &&
-            table[i].length >= sizeof(std::uint32_t) &&
-            table[i].offset + table[i].length <= bytes.size()) {
-          victim = i;
-        }
-      }
-      if (victim == table.size()) {
-        return Status::failed_precondition(
-            path + " has no multiway search layout section (v1 file?)");
-      }
-      snapshot::SectionRecord& rec = table[victim];
-      const std::size_t cells = rec.length / sizeof(std::uint32_t);
-      const std::size_t cell = pick(seed ^ 0x513d, cells);
-      std::uint32_t value;
-      unsigned char* cell_at =
-          bytes.data() + rec.offset + cell * sizeof(std::uint32_t);
-      std::memcpy(&value, cell_at, sizeof(value));
-      value ^= 1u;  // any change fails the exact recompute-and-compare
-      std::memcpy(cell_at, &value, sizeof(value));
-      rec.crc32 = snapshot::crc32(bytes.data() + rec.offset, rec.length);
-      std::memcpy(bytes.data() + table_off, table.data(), table_bytes);
       header.table_crc =
           snapshot::crc32(bytes.data() + table_off, table_bytes);
       header.header_crc = snapshot::header_crc(header);

@@ -46,13 +46,8 @@ enum class CorruptionKind : int {
   kWireLengthLie = 14,  ///< rewrite the length prefix to disagree with
                         ///  the header's payload_len
   kWireBitFlip = 15,    ///< flip one payload bit (CRC trailer catches it)
-  // snapshot files again (kept after the wire kinds for enum stability)
-  kSnapshotSimdLayout = 16,  ///< rewrite one cell of the v2 multiway
-                             ///  search layout, with section/table/header
-                             ///  CRCs all re-forged so only snapshot::
-                             ///  open's recompute-and-compare structural
-                             ///  validation can catch it; v1 files (no
-                             ///  layout sections) -> kFailedPrecondition
+  // 16 is retired: it forged the per-node search layout that snapshots
+  // no longer carry.
   // dyn delta-log runs in memory (corrupt_run; dyn::decode_run must
   // reject each with a descriptive Status)
   kDeltaTruncatedRun = 17,      ///< cut the encoded run short at a
@@ -90,7 +85,6 @@ inline constexpr CorruptionKind kAllSnapshotFaultKinds[] = {
     CorruptionKind::kSnapshotHeaderBitFlip,
     CorruptionKind::kSnapshotSectionCrc,
     CorruptionKind::kSnapshotSectionOffset,
-    CorruptionKind::kSnapshotSimdLayout,
 };
 
 /// The wire-level kinds (targets of corrupt_frame).

@@ -100,11 +100,10 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     total_child += kids.size();
   }
   constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
-  // The blocked multiway layout pads each node to a multiple of 8 slots,
-  // at most 7 extra per node — bound it with the same uint32 budget.
-  const std::size_t total_slots_max = total_keys + 7 * nn;
-  if (total_keys > kMax || total_bridge > kMax || total_child > kMax ||
-      nn > kMax || total_slots_max > kMax) {
+  // The root's blocked layout pads its keys to a multiple of 8 slots, at
+  // most 7 extra — keep that count inside uint32 too.
+  if (total_keys > kMax - 7 || total_bridge > kMax || total_child > kMax ||
+      nn > kMax) {
     return Status::invalid_argument(
         "structure too large for uint32 arena offsets");
   }
@@ -149,25 +148,17 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     child_off += static_cast<std::uint32_t>(kids.size());
   }
 
-  // Pass 3: derive the blocked multiway search layout from the packed
-  // keys (simd_find.hpp; this is what find() descends at serve time).
-  std::size_t total_slots = 0;
-  for (std::size_t vi = 0; vi < nn; ++vi) {
-    total_slots += simd::num_slots(f.nodes_[vi].key_count);
-  }
-  f.simd_keys_ = Pool<Key>(total_slots);
-  f.simd_pos_ = Pool<std::uint32_t>(total_slots);
-  f.simd_off_ = Pool<std::uint32_t>(nn);
-  std::uint32_t slot_off = 0;
-  for (std::size_t vi = 0; vi < nn; ++vi) {
-    const FlatNode& nd = f.nodes_[vi];
-    f.simd_off_[vi] = slot_off;
-    simd::build_layout(f.keys_.data() + nd.key_off, nd.key_count,
-                       f.simd_keys_.data() + slot_off,
-                       f.simd_pos_.data() + slot_off);
-    slot_off += simd::num_slots(nd.key_count);
-  }
+  f.build_root_layout();
   return f;
+}
+
+void FlatCascade::build_root_layout() {
+  const FlatNode& nd = nodes_[root()];
+  const std::uint32_t slots = simd::num_slots(nd.key_count);
+  simd_keys_ = Pool<Key>(slots);
+  simd_pos_ = Pool<std::uint32_t>(slots);
+  simd::build_layout(keys_.data() + nd.key_off, nd.key_count,
+                     simd_keys_.data(), simd_pos_.data());
 }
 
 coop::Status FlatCascade::validate_path(std::span<const NodeId> path) const {

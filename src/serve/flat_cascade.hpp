@@ -37,8 +37,12 @@ static_assert(sizeof(FlatNode) == 24);
 /// catalog's keys / proper / bridge columns packed into three contiguous
 /// SoA pools (one 64-byte-aligned allocation each, `uint32` offsets), the
 /// tree topology flattened to index arrays, so a whole cascaded-path query
-/// runs on five base pointers with no per-node vector hops.  Immutable
-/// after compile(); safe to share across query threads.
+/// runs on five base pointers with no per-node vector hops.  The root,
+/// where every path query's one from-scratch search happens, also gets a
+/// blocked multiway copy of its keys (find()); every other node is only
+/// ever reached by a bridge hop plus a walk-back of at most fanout_bound()
+/// entries, so it keeps just the sorted slice.  Immutable after
+/// compile(); safe to share across query threads.
 ///
 /// Answers are defined by the sequential oracles: for every valid path and
 /// key, search() returns exactly the aug/proper indices of
@@ -77,26 +81,34 @@ class FlatCascade {
     return child_[nodes_[v].child_off + slot];
   }
 
-  /// aug_find: index of the smallest augmented key >= y at node v.
-  /// Branchless multiway descent over the node's blocked layout — one
-  /// cache line (8 keys) ranked per step, AVX2 when the CPU has it
-  /// (simd_find.hpp / DESIGN.md §12).  Always in [0, key_count): the
-  /// +inf terminal guarantees a hit.
+  /// aug_find: index of the smallest augmented key >= y at node v.  At
+  /// the root — where every served path starts and the only node a path
+  /// query searches from scratch — a branchless multiway descent over the
+  /// root's blocked layout, one cache line (8 keys) ranked per step, AVX2
+  /// when the CPU has it (simd_find.hpp / DESIGN.md §12); find_binary
+  /// everywhere else.  Always in [0, key_count): the +inf terminal
+  /// guarantees a hit.
   [[nodiscard]] std::uint32_t find(std::uint32_t v, Key y) const {
-    const FlatNode& nd = nodes_[v];
-    const std::uint32_t off = simd_off_[v];
-    return simd::lower_bound(simd_keys_.data() + off, simd_pos_.data() + off,
-                             nd.key_count, y);
+    if (v == root()) {
+      return simd::lower_bound(simd_keys_.data(), simd_pos_.data(),
+                               nodes_[v].key_count, y);
+    }
+    return find_binary(v, y);
   }
 
-  /// The pre-SIMD branch-light binary search over the sorted key slice.
-  /// Kept as the differential reference for find(): both are exercised
-  /// against each other in tests and the bench equal-answers gate.
+  /// Branch-light binary search over the node's sorted key slice: find()
+  /// below the root, and the differential reference for the root's
+  /// multiway descent (tests, the scrubber, the bench equal-answers gate).
   [[nodiscard]] std::uint32_t find_binary(std::uint32_t v, Key y) const {
     const FlatNode& nd = nodes_[v];
-    const Key* base = keys_.data() + nd.key_off;
-    const Key* k = base;
-    std::uint32_t n = nd.key_count;
+    return find_sorted(keys_.data() + nd.key_off, nd.key_count, y);
+  }
+
+  /// Rank of the first of the n ascending keys at k that is >= y (n > 0
+  /// and k[n-1] >= y, as every flat catalog's +inf terminal ensures).
+  [[nodiscard]] static std::uint32_t find_sorted(const Key* k,
+                                                 std::uint32_t n, Key y) {
+    const Key* base = k;
     while (n > 1) {
       const std::uint32_t half = n / 2;
       base += (base[half] < y) ? half : 0;
@@ -164,7 +176,7 @@ class FlatCascade {
     return pos;
   }
 
-  /// Explicit-path query: one binary search at path[0], one bridge hop per
+  /// Explicit-path query: one find() at path[0], one bridge hop per
   /// subsequent node.  Writes find results for all path nodes into
   /// out_aug/out_proper (each path.size() long; either may be null).  The
   /// path must be a valid parent-to-child chain starting at the root —
@@ -245,15 +257,14 @@ class FlatCascade {
     const std::uint32_t* proper = nullptr;
     const std::uint32_t* bridge = nullptr;
     const std::uint32_t* child = nullptr;
-    const Key* simd_keys = nullptr;
+    const Key* simd_keys = nullptr;  ///< the root's blocked layout
     const std::uint32_t* simd_pos = nullptr;
-    const std::uint32_t* simd_off = nullptr;
     std::uint32_t fanout = 0;
   };
   [[nodiscard]] KernelView kernel_view() const {
-    return KernelView{nodes_.data(),     keys_.data(),     proper_.data(),
-                      bridge_.data(),    child_.data(),    simd_keys_.data(),
-                      simd_pos_.data(),  simd_off_.data(), b_};
+    return KernelView{nodes_.data(),  keys_.data(),  proper_.data(),
+                      bridge_.data(), child_.data(), simd_keys_.data(),
+                      simd_pos_.data(), b_};
   }
 
   /// Untrusted-path validation: in-range node ids, starts at the root,
@@ -266,7 +277,7 @@ class FlatCascade {
     return keys_.allocated_bytes() + proper_.allocated_bytes() +
            bridge_.allocated_bytes() + child_.allocated_bytes() +
            nodes_.allocated_bytes() + simd_keys_.allocated_bytes() +
-           simd_pos_.allocated_bytes() + simd_off_.allocated_bytes();
+           simd_pos_.allocated_bytes();
   }
   [[nodiscard]] std::size_t total_entries() const { return keys_.size(); }
 
@@ -276,18 +287,20 @@ class FlatCascade {
   /// that touches the representation (robust::StructureAccess idiom).
   friend struct snapshot::ArenaAccess;
 
+  /// Derive simd_keys_/simd_pos_ from the root's packed keys (compile()
+  /// and snapshot::open both end here).
+  void build_root_layout();
+
   Pool<FlatNode> nodes_;
   Pool<Key> keys_;            ///< all augmented keys, node-major
   Pool<std::uint32_t> proper_;///< aug index -> original-catalog index
   Pool<std::uint32_t> bridge_;///< bridge rows, node-major then slot-major
   Pool<std::uint32_t> child_; ///< flattened child lists
-  // Blocked multiway search layout (simd_find.hpp): per node, key_count
-  // padded to a multiple of 8 slots of (key, rank); simd_off_[v] is the
-  // node's first slot.  Derived from keys_ at compile()/open() time and
-  // carried in v2 snapshots so mmap loads stay zero-copy.
+  // The root's blocked multiway search layout (simd_find.hpp): its
+  // key_count padded to a multiple of 8 slots of (key, rank).  Always
+  // derived from keys_ in process memory; snapshots do not carry it.
   Pool<Key> simd_keys_;
   Pool<std::uint32_t> simd_pos_;
-  Pool<std::uint32_t> simd_off_;  ///< one entry per node
   std::uint32_t b_ = 0;       ///< fan-out bound (walk-back cap)
 };
 

@@ -2,7 +2,8 @@
 
 /// Branchless multiway catalog search (DESIGN.md §12).
 ///
-/// Every flat catalog carries, next to its sorted key slice, a *blocked
+/// The flat cascade's root catalog — the one node a path query searches
+/// from scratch — carries, next to its sorted key slice, a *blocked
 /// multiway layout*: the keys of one node re-arranged into an implicit
 /// (B+1)-ary search tree with B = 8 keys per block, so one block is
 /// exactly one cache line of int64 keys and one AVX2 rank step (two
@@ -98,26 +99,6 @@ inline void build_layout(const Key* keys, std::uint32_t n, Key* slot_keys,
     }
   };
   detail::in_order(0, num_blocks(n), emit);
-}
-
-/// Verify that slot_keys/slot_pos are exactly what build_layout would
-/// produce from keys[0..n) — the structural check snapshot::open runs
-/// over mapped v2 layout sections before trusting them.
-[[nodiscard]] inline bool check_layout(const Key* keys, std::uint32_t n,
-                                       const Key* slot_keys,
-                                       const std::uint32_t* slot_pos) {
-  std::uint32_t t = 0;
-  bool ok = true;
-  auto emit = [&](std::size_t slot) {
-    if (t < n) {
-      ok = ok && slot_keys[slot] == keys[t] && slot_pos[slot] == t;
-      ++t;
-    } else {
-      ok = ok && slot_keys[slot] == cat::kInfinity && slot_pos[slot] == n;
-    }
-  };
-  detail::in_order(0, num_blocks(n), emit);
-  return ok && t == n;
 }
 
 /// Test/bench hook: force the scalar kernel even when AVX2 is available,

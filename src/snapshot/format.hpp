@@ -27,18 +27,21 @@ namespace snapshot {
 inline constexpr std::array<char, 8> kMagic = {'C', 'O', 'O', 'P',
                                                'S', 'N', 'A', 'P'};
 
-/// Bump on any incompatible layout change; snapshot::open rejects files
-/// outside [kMinFormatVersion, kFormatVersion] (no best-effort parsing of
-/// unknown *newer* layouts).
+/// Writers stamp kFormatVersion; snapshot::open reads every version in
+/// [kMinFormatVersion, kMaxFormatVersion] and rejects anything newer (no
+/// best-effort parsing of unknown layouts).  Bump on any incompatible
+/// layout change.
 ///
-/// v2 (PR 7) adds the blocked multiway search layout: sections
-/// kSimdKeys/kSimdPos/kSimdOff and ArenaMeta::num_simd_slots (meta grows
-/// 56 -> 64 bytes, strictly appended).  v1 files stay loadable: open()
-/// reads the 56-byte meta prefix and *rebuilds* the layout pools from the
-/// validated key sections (transparent re-layout, never UB) — see
-/// DESIGN.md §12.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v2 files (written by older builds) also carry a blocked multiway copy
+/// of every node's keys — sections kSimdKeys/kSimdPos/kSimdOff — and a
+/// 64-byte meta whose extra field counts its slots.  Only the root's copy
+/// is ever searched, so writers went back to the v1 section set, and
+/// open() derives the root's layout from the validated keys for every
+/// version: a v2 file's layout sections are CRC-checked and never read
+/// (DESIGN.md §12).
+inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::uint32_t kMinFormatVersion = 1;
+inline constexpr std::uint32_t kMaxFormatVersion = 2;
 
 /// Written natively by an LE writer; reads as 0x04030201 on a big-endian
 /// reader, turning a cross-endian file into a descriptive Status instead
@@ -76,7 +79,8 @@ enum class SectionId : std::uint32_t {
   kHiX = 11,
   kHiY = 12,
   kMaxSep = 13,   ///< int32 running-max pool
-  // Blocked multiway search layout (v2+; serve/simd_find.hpp):
+  // Per-node blocked multiway layout, v2 files only (CRC-checked, never
+  // read; serve/simd_find.hpp):
   kSimdKeys = 14,  ///< int64 layout slots, node-major, 8-slot blocks
   kSimdPos = 15,   ///< uint32 rank per slot (n for padding slots)
   kSimdOff = 16,   ///< uint32 per-node first-slot offset
@@ -126,14 +130,12 @@ struct ArenaMeta {
   std::uint32_t pad = 0;
   std::uint64_t num_entries = 0;  ///< pointloc edge-geometry pool elements
   std::uint64_t num_regions = 0;  ///< pointloc region count
-  // v2 fields are strictly appended: a v1 reader record is this struct's
-  // 56-byte prefix (kArenaMetaSizeV1), zero-filled by open() for v1 files.
-  std::uint64_t num_simd_slots = 0;  ///< simd_keys_/simd_pos_ elements
 };
-static_assert(sizeof(ArenaMeta) == 64);
+static_assert(sizeof(ArenaMeta) == 56);
 
-/// Size of the kMeta payload in v1 files (the v2 prefix).
-inline constexpr std::uint32_t kArenaMetaSizeV1 = 56;
+/// Size of the kMeta payload in v2 files: an ArenaMeta followed by the
+/// (unused) layout slot count.
+inline constexpr std::uint32_t kArenaMetaSizeV2 = 64;
 
 /// Payload of SectionId::kRoutingMeta (SnapshotKind::kRoutingMap files).
 /// The reader cross-checks these counts against every routing section's
@@ -170,7 +172,7 @@ __attribute__((target("sse4.2"))) inline std::uint32_t crc32c_hw(
 }
 #endif
 
-/// CRC-32C (Castagnoli, reflected poly 0x82F63B38) — chosen over IEEE
+/// CRC-32C (Castagnoli, reflected poly 0x82F63B78) — chosen over IEEE
 /// CRC-32 because x86 has a dedicated instruction for it, which is what
 /// keeps snapshot::open's whole-file verification out of the startup
 /// budget (DESIGN.md §8).  Table-driven fallback elsewhere.
@@ -189,7 +191,7 @@ __attribute__((target("sse4.2"))) inline std::uint32_t crc32c_hw(
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0x82F63B38u ^ (c >> 1)) : (c >> 1);
+        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
       }
       t[i] = c;
     }

@@ -37,24 +37,11 @@ struct ArenaAccess {
   static const serve::Pool<std::uint32_t>& child(const FC& f) {
     return f.child_;
   }
-  static const serve::Pool<cat::Key>& simd_keys(const FC& f) {
-    return f.simd_keys_;
-  }
-  static const serve::Pool<std::uint32_t>& simd_pos(const FC& f) {
-    return f.simd_pos_;
-  }
-  static const serve::Pool<std::uint32_t>& simd_off(const FC& f) {
-    return f.simd_off_;
-  }
-
   static FC assemble_cascade(serve::Pool<serve::FlatNode> nodes,
                              serve::Pool<cat::Key> keys,
                              serve::Pool<std::uint32_t> proper,
                              serve::Pool<std::uint32_t> bridge,
                              serve::Pool<std::uint32_t> child,
-                             serve::Pool<cat::Key> simd_keys,
-                             serve::Pool<std::uint32_t> simd_pos,
-                             serve::Pool<std::uint32_t> simd_off,
                              std::uint32_t fanout_bound) {
     FC f;
     f.nodes_ = std::move(nodes);
@@ -62,10 +49,8 @@ struct ArenaAccess {
     f.proper_ = std::move(proper);
     f.bridge_ = std::move(bridge);
     f.child_ = std::move(child);
-    f.simd_keys_ = std::move(simd_keys);
-    f.simd_pos_ = std::move(simd_pos);
-    f.simd_off_ = std::move(simd_off);
     f.b_ = fanout_bound;
+    f.build_root_layout();
     return f;
   }
 
@@ -196,13 +181,6 @@ void append_cascade_sections(const serve::FlatCascade& f,
                  A::bridge(f).size() * 4});
   out.push_back({SectionId::kChild, 4, A::child(f).data(),
                  A::child(f).size() * 4});
-  out.push_back({SectionId::kSimdKeys, sizeof(cat::Key),
-                 A::simd_keys(f).data(),
-                 A::simd_keys(f).size() * sizeof(cat::Key)});
-  out.push_back({SectionId::kSimdPos, 4, A::simd_pos(f).data(),
-                 A::simd_pos(f).size() * 4});
-  out.push_back({SectionId::kSimdOff, 4, A::simd_off(f).data(),
-                 A::simd_off(f).size() * 4});
 }
 
 ArenaMeta cascade_meta(const serve::FlatCascade& f) {
@@ -213,7 +191,6 @@ ArenaMeta cascade_meta(const serve::FlatCascade& f) {
   m.num_bridge = A::bridge(f).size();
   m.num_child = A::child(f).size();
   m.fanout_bound = f.fanout_bound();
-  m.num_simd_slots = A::simd_keys(f).size();
   return m;
 }
 
@@ -242,11 +219,11 @@ Status parse_and_verify(const MappedFile& map, Parsed& out) {
     return Status::failed_precondition(
         "snapshot was written on a different-endian platform");
   }
-  if (h.version < kMinFormatVersion || h.version > kFormatVersion) {
+  if (h.version < kMinFormatVersion || h.version > kMaxFormatVersion) {
     return Status::failed_precondition(
         "unsupported snapshot format version " + std::to_string(h.version) +
         " (this build reads versions " + std::to_string(kMinFormatVersion) +
-        " through " + std::to_string(kFormatVersion) + ")");
+        " through " + std::to_string(kMaxFormatVersion) + ")");
   }
   if (header_crc(h) != h.header_crc) {
     return Status::corrupted("header CRC mismatch — snapshot damaged");
@@ -450,98 +427,6 @@ serve::Pool<T> view_of(const void* data, std::uint64_t count) {
   return serve::Pool<T>::view(static_cast<const T*>(data), count);
 }
 
-/// The cascade's blocked multiway search layout, either as views into a
-/// verified v2 mapping or rebuilt into owning pools from a v1 file.
-struct SimdPools {
-  serve::Pool<cat::Key> keys;
-  serve::Pool<std::uint32_t> pos;
-  serve::Pool<std::uint32_t> off;
-};
-
-/// Locate + structurally verify the v2 layout sections, or (v1 files)
-/// transparently re-derive the layout from the already-validated key
-/// sections.  Runs after validate_mapped_cascade, so node offsets/counts
-/// and key ordering are proven; here we prove the layout slots are
-/// *exactly* what serve::simd::build_layout emits for those keys — a
-/// forged-CRC file can therefore never steer find() to an out-of-slice
-/// rank or a wrong answer.
-Status load_simd_layout(const Parsed& p, const ArenaMeta& meta,
-                        const serve::FlatNode* nodes, const cat::Key* keys,
-                        SimdPools& out) {
-  std::uint64_t want_slots = 0;
-  for (std::uint64_t vi = 0; vi < meta.num_nodes; ++vi) {
-    want_slots += serve::simd::num_slots(nodes[vi].key_count);
-  }
-  if (want_slots > std::numeric_limits<std::uint32_t>::max()) {
-    return Status::corrupted("simd layout slot total overflows uint32");
-  }
-
-  if (p.header.version < 2) {
-    // v1 file: no layout sections on disk.  Rebuild the layout into
-    // owning pools from the mapped keys (the rest of the arena stays
-    // zero-copy); the result is byte-identical to what a v2 writer would
-    // have stored.
-    out.keys = serve::Pool<cat::Key>(want_slots);
-    out.pos = serve::Pool<std::uint32_t>(want_slots);
-    out.off = serve::Pool<std::uint32_t>(meta.num_nodes);
-    std::uint32_t slot_off = 0;
-    for (std::uint64_t vi = 0; vi < meta.num_nodes; ++vi) {
-      const serve::FlatNode& nd = nodes[vi];
-      out.off[vi] = slot_off;
-      serve::simd::build_layout(keys + nd.key_off, nd.key_count,
-                                out.keys.data() + slot_off,
-                                out.pos.data() + slot_off);
-      slot_off += serve::simd::num_slots(nd.key_count);
-    }
-    return coop::OkStatus();
-  }
-
-  if (meta.num_simd_slots != want_slots) {
-    return Status::corrupted(
-        "meta claims " + std::to_string(meta.num_simd_slots) +
-        " simd layout slots, node table needs " + std::to_string(want_slots));
-  }
-  const void *sk_raw = nullptr, *sp_raw = nullptr, *so_raw = nullptr;
-  if (Status s = get_section(p, SectionId::kSimdKeys, sizeof(cat::Key),
-                             meta.num_simd_slots, sk_raw);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = get_section(p, SectionId::kSimdPos, 4, meta.num_simd_slots,
-                             sp_raw);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = get_section(p, SectionId::kSimdOff, 4, meta.num_nodes,
-                             so_raw);
-      !s.ok()) {
-    return s;
-  }
-  const auto* simd_keys = static_cast<const cat::Key*>(sk_raw);
-  const auto* simd_pos = static_cast<const std::uint32_t*>(sp_raw);
-  const auto* simd_off = static_cast<const std::uint32_t*>(so_raw);
-  std::uint64_t slot_off = 0;
-  for (std::uint64_t vi = 0; vi < meta.num_nodes; ++vi) {
-    const serve::FlatNode& nd = nodes[vi];
-    if (simd_off[vi] != slot_off) {
-      return Status::corrupted(
-          "simd layout offsets break sequential packing at node " +
-          std::to_string(vi));
-    }
-    if (!serve::simd::check_layout(keys + nd.key_off, nd.key_count,
-                                   simd_keys + slot_off,
-                                   simd_pos + slot_off)) {
-      return Status::corrupted("simd layout does not match keys at node " +
-                               std::to_string(vi));
-    }
-    slot_off += serve::simd::num_slots(nd.key_count);
-  }
-  out.keys = view_of<cat::Key>(sk_raw, meta.num_simd_slots);
-  out.pos = view_of<std::uint32_t>(sp_raw, meta.num_simd_slots);
-  out.off = view_of<std::uint32_t>(so_raw, meta.num_nodes);
-  return coop::OkStatus();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -703,20 +588,22 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
     return Status::error(s.code(), path + ": " + s.message());
   };
 
-  // v1 files carry the 56-byte meta prefix; the appended v2 fields stay
-  // zero-initialized and are derived below (transparent re-layout).
+  // A v2 meta is an ArenaMeta plus the slot count of its (unread) layout
+  // sections.
   const std::uint32_t meta_size =
-      p.header.version < 2 ? kArenaMetaSizeV1 : sizeof(ArenaMeta);
+      p.header.version < 2 ? sizeof(ArenaMeta) : kArenaMetaSizeV2;
   const void* meta_raw = nullptr;
   if (Status s = get_section(p, SectionId::kMeta, meta_size, 1, meta_raw);
       !s.ok()) {
     return fail(s);
   }
   ArenaMeta meta{};
-  std::memcpy(&meta, meta_raw, meta_size);
+  std::memcpy(&meta, meta_raw, sizeof(ArenaMeta));
+  // num_keys leaves room for the root layout's at most 7 padding slots,
+  // as compile() does.
   if (meta.num_nodes == 0 ||
       meta.num_nodes > std::numeric_limits<std::uint32_t>::max() ||
-      meta.num_keys > std::numeric_limits<std::uint32_t>::max() ||
+      meta.num_keys > std::numeric_limits<std::uint32_t>::max() - 7 ||
       meta.num_bridge > std::numeric_limits<std::uint32_t>::max() ||
       meta.num_child > std::numeric_limits<std::uint32_t>::max() ||
       meta.num_entries > std::numeric_limits<std::uint32_t>::max()) {
@@ -766,17 +653,12 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
         !s.ok()) {
       return fail(s);
     }
-    SimdPools simd;
-    if (Status s = load_simd_layout(p, meta, nodes, keys, simd); !s.ok()) {
-      return fail(s);
-    }
     snap.cascade = ArenaAccess::assemble_cascade(
         view_of<serve::FlatNode>(nodes_raw, meta.num_nodes),
         view_of<cat::Key>(keys_raw, meta.num_keys),
         view_of<std::uint32_t>(proper_raw, meta.num_keys),
         view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
         view_of<std::uint32_t>(child_raw, meta.num_child),
-        std::move(simd.keys), std::move(simd.pos), std::move(simd.off),
         meta.fanout_bound);
     snap.mapping = std::move(map);
     return snap;
@@ -853,10 +735,6 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
       !s.ok()) {
     return fail(s);
   }
-  SimdPools simd;
-  if (Status s = load_simd_layout(p, meta, nodes, keys, simd); !s.ok()) {
-    return fail(s);
-  }
 
   snap.pointloc.emplace(ArenaAccess::assemble_pointloc(
       ArenaAccess::assemble_cascade(
@@ -865,7 +743,6 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
           view_of<std::uint32_t>(proper_raw, meta.num_keys),
           view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
           view_of<std::uint32_t>(child_raw, meta.num_child),
-          std::move(simd.keys), std::move(simd.pos), std::move(simd.off),
           meta.fanout_bound),
       view_of<std::uint32_t>(eo_raw, meta.num_nodes),
       view_of<std::int32_t>(sep_raw, meta.num_nodes),

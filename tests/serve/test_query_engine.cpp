@@ -87,6 +87,35 @@ TEST(QueryEngine, GroupedKernelMatchesOracleOnRaggedPaths) {
   }
 }
 
+TEST(QueryEngine, GroupedKernelAnswersChainsStartingBelowTheRoot) {
+  // Only the root has a blocked layout; the in-process API still accepts
+  // chains that start anywhere, and those heads take a binary search.
+  // Mixed into the same groups as root paths, every answer must match.
+  std::mt19937_64 rng(78);
+  const Fixture fx(0);
+  std::vector<PathQuery> queries(100);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    queries[qi].path = qi % 3 == 0
+                           ? test_helpers::random_root_leaf_path(fx.tree, rng)
+                           : test_helpers::random_chain(fx.tree, rng);
+    queries[qi].y = test_helpers::random_query(fx.tree, rng);
+  }
+  std::vector<PathAnswer> out(queries.size());
+  serve::search_paths_grouped(fx.flat, queries.data(), queries.size(),
+                              out.data());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const PathQuery& q = queries[qi];
+    const auto one = fx.flat.search(q.path, q.y);
+    ASSERT_EQ(out[qi].proper_index.size(), q.path.size());
+    for (std::size_t i = 0; i < q.path.size(); ++i) {
+      ASSERT_EQ(out[qi].proper_index[i],
+                test_helpers::brute_find(fx.tree, q.path[i], q.y))
+          << "query " << qi << " node " << i;
+      ASSERT_EQ(out[qi].aug_index[i], one.aug_index[i]);
+    }
+  }
+}
+
 TEST(QueryEngine, BatchMatchesOracleAcrossThreadCounts) {
   const Fixture fx(500);
   for (std::size_t threads : {1u, 2u, 4u}) {

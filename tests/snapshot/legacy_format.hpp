@@ -1,0 +1,199 @@
+#pragma once
+
+// Byte-level crafting of the older snapshot formats, for the tests that
+// prove those files keep loading.  Today's writer emits the v1 section
+// set; a v2 file additionally carries a blocked multiway copy of every
+// node's keys (sections kSimdKeys/kSimdPos/kSimdOff) and a 64-byte meta
+// whose appended field counts its slots.  upgrade_to_v2 rebuilds exactly
+// such a file from a current one, downgrade_to_v1 turns a v2 file back
+// into the v1 format, both re-forging every CRC.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "serve/flat_cascade.hpp"
+#include "serve/simd_find.hpp"
+#include "snapshot/format.hpp"
+
+namespace legacy_format {
+
+using snapshot::SectionId;
+using snapshot::SectionRecord;
+
+inline std::vector<unsigned char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+inline void spit(const std::string& path,
+                 const std::vector<unsigned char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+inline snapshot::FileHeader header_of(const std::vector<unsigned char>& b) {
+  snapshot::FileHeader h;
+  std::memcpy(&h, b.data(), sizeof(h));
+  return h;
+}
+
+inline std::vector<SectionRecord> table_of(
+    const std::vector<unsigned char>& b) {
+  const snapshot::FileHeader h = header_of(b);
+  std::vector<SectionRecord> table(h.section_count);
+  std::memcpy(table.data(), b.data() + sizeof(h),
+              table.size() * sizeof(SectionRecord));
+  return table;
+}
+
+/// One section's id, element size and payload.
+struct Section {
+  SectionId id;
+  std::uint32_t elem_size;
+  std::vector<unsigned char> payload;
+};
+
+/// Lay `sections` out the way snapshot::write does — header, table,
+/// 64-byte-aligned payloads — and stamp every CRC.
+inline std::vector<unsigned char> lay_out(snapshot::FileHeader h,
+                                          const std::vector<Section>& sections) {
+  std::vector<SectionRecord> table(sections.size());
+  std::uint64_t off = snapshot::align_up(
+      sizeof(h) + sections.size() * sizeof(SectionRecord),
+      snapshot::kSectionAlign);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const Section& s = sections[i];
+    table[i].id = static_cast<std::uint32_t>(s.id);
+    table[i].elem_size = s.elem_size;
+    table[i].offset = off;
+    table[i].length = s.payload.size();
+    table[i].crc32 = snapshot::crc32(s.payload.data(), s.payload.size());
+    off = snapshot::align_up(off + s.payload.size(), snapshot::kSectionAlign);
+  }
+  std::vector<unsigned char> bytes(table.back().offset +
+                                   table.back().length);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    std::copy(sections[i].payload.begin(), sections[i].payload.end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(table[i].offset));
+  }
+  const std::size_t table_bytes = table.size() * sizeof(SectionRecord);
+  std::memcpy(bytes.data() + sizeof(h), table.data(), table_bytes);
+  h.section_count = static_cast<std::uint32_t>(table.size());
+  h.file_size = bytes.size();
+  h.table_crc = snapshot::crc32(table.data(), table_bytes);
+  h.header_crc = snapshot::header_crc(h);
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  return bytes;
+}
+
+template <typename T>
+std::vector<unsigned char> as_bytes(const std::vector<T>& v) {
+  std::vector<unsigned char> out(v.size() * sizeof(T));
+  std::memcpy(out.data(), v.data(), out.size());
+  return out;
+}
+
+/// Rewrite a current (v1-format) snapshot at `path` as a v2 writer laid it
+/// out: every node's blocked layout built with serve::simd::build_layout,
+/// packed node-major into kSimdKeys/kSimdPos with per-node first slots in
+/// kSimdOff, placed right after kChild; the meta grown to 64 bytes with
+/// the slot total appended; version 2; every CRC re-forged.
+inline void upgrade_to_v2(const std::string& path) {
+  const std::vector<unsigned char> bytes = slurp(path);
+  ASSERT_GE(bytes.size(), sizeof(snapshot::FileHeader));
+  snapshot::FileHeader header = header_of(bytes);
+  ASSERT_EQ(header.version, 1u);
+
+  std::vector<Section> sections;
+  std::vector<serve::FlatNode> nodes;
+  std::vector<cat::Key> keys;
+  for (const SectionRecord& rec : table_of(bytes)) {
+    const unsigned char* at = bytes.data() + rec.offset;
+    sections.push_back({static_cast<SectionId>(rec.id), rec.elem_size,
+                        {at, at + rec.length}});
+    if (rec.id == static_cast<std::uint32_t>(SectionId::kNodes)) {
+      nodes.resize(rec.length / sizeof(serve::FlatNode));
+      std::memcpy(nodes.data(), at, rec.length);
+    } else if (rec.id == static_cast<std::uint32_t>(SectionId::kKeys)) {
+      keys.resize(rec.length / sizeof(cat::Key));
+      std::memcpy(keys.data(), at, rec.length);
+    }
+  }
+  ASSERT_FALSE(nodes.empty());
+
+  std::vector<cat::Key> slot_keys;
+  std::vector<std::uint32_t> slot_pos;
+  std::vector<std::uint32_t> slot_off;
+  for (const serve::FlatNode& nd : nodes) {
+    const std::uint32_t at = static_cast<std::uint32_t>(slot_keys.size());
+    slot_off.push_back(at);
+    slot_keys.resize(at + serve::simd::num_slots(nd.key_count));
+    slot_pos.resize(slot_keys.size());
+    ASSERT_LE(std::size_t{nd.key_off} + nd.key_count, keys.size());
+    serve::simd::build_layout(keys.data() + nd.key_off, nd.key_count,
+                              slot_keys.data() + at, slot_pos.data() + at);
+  }
+
+  std::vector<Section> out;
+  for (Section& s : sections) {
+    const SectionId id = s.id;
+    if (id == SectionId::kMeta) {
+      ASSERT_EQ(s.payload.size(), sizeof(snapshot::ArenaMeta));
+      const std::uint64_t num_slots = slot_keys.size();
+      const auto* p = reinterpret_cast<const unsigned char*>(&num_slots);
+      s.payload.insert(s.payload.end(), p, p + sizeof(num_slots));
+      s.elem_size = snapshot::kArenaMetaSizeV2;
+    }
+    out.push_back(std::move(s));
+    if (id == SectionId::kChild) {
+      out.push_back({SectionId::kSimdKeys, sizeof(cat::Key),
+                     as_bytes(slot_keys)});
+      out.push_back({SectionId::kSimdPos, 4, as_bytes(slot_pos)});
+      out.push_back({SectionId::kSimdOff, 4, as_bytes(slot_off)});
+    }
+  }
+  header.version = 2;
+  spit(path, lay_out(header, out));
+}
+
+/// Rewrite a v2 snapshot at `path` as the v1 format: drop the three
+/// layout sections, shrink the kMeta payload back to the 56-byte
+/// ArenaMeta, stamp version 1 and re-forge every CRC.
+inline void downgrade_to_v1(const std::string& path) {
+  const std::vector<unsigned char> bytes = slurp(path);
+  ASSERT_GE(bytes.size(), sizeof(snapshot::FileHeader));
+  snapshot::FileHeader header = header_of(bytes);
+  ASSERT_EQ(header.version, 2u);
+
+  std::vector<Section> kept;
+  std::size_t dropped = 0;
+  for (const SectionRecord& rec : table_of(bytes)) {
+    const auto id = static_cast<SectionId>(rec.id);
+    if (id == SectionId::kSimdKeys || id == SectionId::kSimdPos ||
+        id == SectionId::kSimdOff) {
+      ++dropped;
+      continue;
+    }
+    const unsigned char* at = bytes.data() + rec.offset;
+    Section s{id, rec.elem_size, {at, at + rec.length}};
+    if (id == SectionId::kMeta) {
+      ASSERT_EQ(rec.length, snapshot::kArenaMetaSizeV2);
+      s.payload.resize(sizeof(snapshot::ArenaMeta));
+      s.elem_size = sizeof(snapshot::ArenaMeta);
+    }
+    kept.push_back(std::move(s));
+  }
+  ASSERT_EQ(dropped, 3u);
+  header.version = 1;
+  spit(path, lay_out(header, kept));
+}
+
+}  // namespace legacy_format

@@ -1,26 +1,30 @@
-// Format v2 (the blocked multiway search layout sections) round-trips,
-// and v1 files — crafted here byte-for-byte from a v2 file by dropping
-// the layout sections, shrinking the meta payload to its 56-byte v1
-// prefix, and re-forging every CRC — still load, with the layout rebuilt
-// transparently from the validated key sections.
+// Snapshot format versions.  Today's writer emits the v1 section set: no
+// search layout on disk, the root's blocked layout derived at open().
+// v2 files — crafted here byte-for-byte by legacy_format::upgrade_to_v2,
+// which appends the per-node layout sections older writers stored — and
+// v1 files both keep loading and answer exactly like a fresh file.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "fc/build.hpp"
-#include "robust/corrupt.hpp"
+#include "geom/generators.hpp"
+#include "legacy_format.hpp"
+#include "pointloc/separator_tree.hpp"
+#include "serve/flat_pointloc.hpp"
 #include "serve/simd_find.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
 
+using legacy_format::downgrade_to_v1;
+using legacy_format::slurp;
+using legacy_format::upgrade_to_v2;
 using snapshot::SectionId;
 using snapshot::SectionRecord;
 
@@ -38,136 +42,150 @@ serve::FlatCascade build_cascade(std::uint64_t seed) {
   return flat.take();
 }
 
-std::vector<unsigned char> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
+serve::FlatPointLocator build_pointloc(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto sub = geom::make_random_monotone(200, 8, rng);
+  auto st = pointloc::SeparatorTree::build_checked(sub);
+  EXPECT_TRUE(st.ok());
+  auto flat = serve::FlatPointLocator::compile(*st);
+  EXPECT_TRUE(flat.ok());
+  return flat.take();
 }
 
-void spit(const std::string& path, const std::vector<unsigned char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-/// Rewrite a v2 cascade snapshot as the v1 format: drop the three layout
-/// sections (they are the last payloads, so the file truncates cleanly),
-/// shrink the kMeta record to the 56-byte v1 prefix, stamp version 1,
-/// and re-forge the meta/table/header CRCs.  The result is exactly what
-/// a v1 writer produced.
-void downgrade_to_v1(const std::string& path) {
-  std::vector<unsigned char> bytes = slurp(path);
-  ASSERT_GE(bytes.size(), sizeof(snapshot::FileHeader));
-  snapshot::FileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  ASSERT_EQ(header.version, 2u);
-
-  std::vector<SectionRecord> table(header.section_count);
-  std::memcpy(table.data(), bytes.data() + sizeof(header),
-              table.size() * sizeof(SectionRecord));
-  std::vector<SectionRecord> kept;
-  std::uint64_t end = sizeof(header);
-  for (SectionRecord rec : table) {
-    const auto id = static_cast<SectionId>(rec.id);
-    if (id == SectionId::kSimdKeys || id == SectionId::kSimdPos ||
-        id == SectionId::kSimdOff) {
-      continue;
-    }
-    if (id == SectionId::kMeta) {
-      ASSERT_EQ(rec.length, sizeof(snapshot::ArenaMeta));
-      rec.elem_size = snapshot::kArenaMetaSizeV1;
-      rec.length = snapshot::kArenaMetaSizeV1;
-      rec.crc32 = snapshot::crc32(bytes.data() + rec.offset, rec.length);
-    }
-    end = std::max(end, rec.offset + rec.length);
-    kept.push_back(rec);
+/// The root-to-v path (every served path starts at the root).
+std::vector<cat::NodeId> path_to(const serve::FlatCascade& f,
+                                 std::uint32_t v) {
+  std::vector<cat::NodeId> path;
+  for (std::int32_t w = static_cast<std::int32_t>(v); w >= 0;
+       w = f.node(static_cast<std::uint32_t>(w)).parent) {
+    path.insert(path.begin(), w);
   }
-  ASSERT_EQ(kept.size(), table.size() - 3);
-
-  bytes.resize(end);
-  header.version = 1;
-  header.section_count = static_cast<std::uint32_t>(kept.size());
-  header.file_size = bytes.size();
-  const std::size_t table_bytes = kept.size() * sizeof(SectionRecord);
-  std::memcpy(bytes.data() + sizeof(header), kept.data(), table_bytes);
-  header.table_crc = snapshot::crc32(bytes.data() + sizeof(header),
-                                     table_bytes);
-  header.header_crc = snapshot::header_crc(header);
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  spit(path, bytes);
+  return path;
 }
 
+/// find, find_binary and the root-to-v path query at every node v answer
+/// exactly as `reference` does.
 void expect_serves_identically(const serve::FlatCascade& opened,
                                const serve::FlatCascade& reference,
                                std::uint64_t seed) {
   ASSERT_EQ(opened.num_nodes(), reference.num_nodes());
   std::mt19937_64 rng(seed);
   for (std::uint32_t v = 0; v < opened.num_nodes(); ++v) {
+    const std::vector<cat::NodeId> path = path_to(reference, v);
     for (int i = 0; i < 20; ++i) {
       const auto y = static_cast<cat::Key>(rng() % 2'000'000'000);
       const std::uint32_t want = reference.find_binary(v, y);
+      EXPECT_EQ(reference.find(v, y), want) << "node " << v << " y=" << y;
       EXPECT_EQ(opened.find(v, y), want) << "node " << v << " y=" << y;
       EXPECT_EQ(opened.find_binary(v, y), want) << "node " << v << " y=" << y;
+      const auto got = opened.search(path, y);
+      const auto ref = reference.search(path, y);
+      EXPECT_EQ(got.aug_index, ref.aug_index) << "node " << v << " y=" << y;
+      EXPECT_EQ(got.proper_index, ref.proper_index)
+          << "node " << v << " y=" << y;
     }
   }
 }
 
-TEST(SnapshotFormatV2, RoundTripCarriesTheMultiwayLayout) {
-  const std::string path = tmp_path("v2_roundtrip.snap");
-  const serve::FlatCascade flat = build_cascade(31);
-  ASSERT_TRUE(snapshot::write(flat, path).ok());
+std::vector<std::uint32_t> section_ids(const std::string& path) {
+  std::vector<std::uint32_t> ids;
+  for (const SectionRecord& rec : legacy_format::table_of(slurp(path))) {
+    ids.push_back(rec.id);
+  }
+  return ids;
+}
 
-  // The file advertises v2 and carries the three layout sections.
-  std::vector<unsigned char> bytes = slurp(path);
-  snapshot::FileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  EXPECT_EQ(header.version, snapshot::kFormatVersion);
-  std::vector<SectionRecord> table(header.section_count);
-  std::memcpy(table.data(), bytes.data() + sizeof(header),
-              table.size() * sizeof(SectionRecord));
-  int simd_sections = 0;
-  for (const SectionRecord& rec : table) {
-    const auto id = static_cast<SectionId>(rec.id);
-    if (id == SectionId::kSimdKeys || id == SectionId::kSimdPos ||
-        id == SectionId::kSimdOff) {
-      ++simd_sections;
-      EXPECT_GT(rec.length, 0u);
+bool has_layout_section(const std::vector<std::uint32_t>& ids) {
+  for (const std::uint32_t id : ids) {
+    if (id == static_cast<std::uint32_t>(SectionId::kSimdKeys) ||
+        id == static_cast<std::uint32_t>(SectionId::kSimdPos) ||
+        id == static_cast<std::uint32_t>(SectionId::kSimdOff)) {
+      return true;
     }
   }
-  EXPECT_EQ(simd_sections, 3);
+  return false;
+}
 
-  auto snap = snapshot::open(path);
-  ASSERT_TRUE(snap.ok()) << snap.status().to_string();
-  expect_serves_identically(snap->cascade, flat, 77);
+TEST(SnapshotFormatV2, NewFilesCarryNoSearchLayout) {
+  const std::string path = tmp_path("no_layout.snap");
+  const serve::FlatCascade flat = build_cascade(30);
+  ASSERT_TRUE(snapshot::write(flat, path).ok());
+  EXPECT_EQ(legacy_format::header_of(slurp(path)).version,
+            snapshot::kFormatVersion);
+  EXPECT_FALSE(has_layout_section(section_ids(path)));
+
+  ASSERT_TRUE(snapshot::write(build_pointloc(30), path).ok());
+  EXPECT_FALSE(has_layout_section(section_ids(path)));
   std::remove(path.c_str());
+}
+
+TEST(SnapshotFormatV2, ArenaHoldsTheRootLayoutOnly) {
+  const serve::FlatCascade flat = build_cascade(29);
+  const auto lines = [](std::size_t bytes) {
+    return (bytes + serve::kCacheLine - 1) / serve::kCacheLine *
+           serve::kCacheLine;
+  };
+  std::size_t bridge = 0, child = 0;
+  for (std::uint32_t v = 0; v < flat.num_nodes(); ++v) {
+    bridge += std::size_t{flat.node(v).key_count} * flat.node(v).num_children;
+    child += flat.node(v).num_children;
+  }
+  const std::size_t keys = flat.total_entries();
+  const std::size_t slots =
+      serve::simd::num_slots(flat.node(flat.root()).key_count);
+  // The pools, each rounded to its cache line; the root layout is 12
+  // bytes a slot (an int64 key and a uint32 rank).
+  EXPECT_EQ(flat.arena_bytes(),
+            lines(flat.num_nodes() * sizeof(serve::FlatNode)) +
+                lines(keys * sizeof(cat::Key)) + lines(keys * 4) +
+                lines(bridge * 4) + lines(child * 4) +
+                lines(slots * sizeof(cat::Key)) + lines(slots * 4));
+}
+
+TEST(SnapshotFormatV2, V2FilesServeLikeNewFiles) {
+  const std::string fresh_path = tmp_path("v2_compat_fresh.snap");
+  const std::string path = tmp_path("v2_compat.snap");
+  const serve::FlatCascade flat = build_cascade(31);
+  ASSERT_TRUE(snapshot::write(flat, fresh_path).ok());
+  auto fresh = snapshot::open(fresh_path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+
+  ASSERT_TRUE(snapshot::write(flat, path).ok());
+  upgrade_to_v2(path);
+  EXPECT_EQ(legacy_format::header_of(slurp(path)).version, 2u);
+  EXPECT_TRUE(has_layout_section(section_ids(path)));
+  auto old = snapshot::open(path);
+  ASSERT_TRUE(old.ok()) << old.status().to_string();
+  ASSERT_EQ(old->kind, snapshot::SnapshotKind::kCascade);
+  expect_serves_identically(old->cascade, fresh->cascade, 77);
+  expect_serves_identically(old->cascade, flat, 77);
+
+  // The point-locator flavour carries the same sections.
+  const serve::FlatPointLocator loc = build_pointloc(31);
+  ASSERT_TRUE(snapshot::write(loc, path).ok());
+  upgrade_to_v2(path);
+  auto old_loc = snapshot::open(path);
+  ASSERT_TRUE(old_loc.ok()) << old_loc.status().to_string();
+  ASSERT_EQ(old_loc->kind, snapshot::SnapshotKind::kPointLocator);
+  expect_serves_identically(old_loc->pointloc->cascade(), loc.cascade(), 78);
+  std::remove(path.c_str());
+  std::remove(fresh_path.c_str());
 }
 
 TEST(SnapshotFormatV2, V1FilesLoadViaTransparentRelayout) {
   const std::string path = tmp_path("v1_compat.snap");
   const serve::FlatCascade flat = build_cascade(32);
   ASSERT_TRUE(snapshot::write(flat, path).ok());
+  const std::vector<unsigned char> written = slurp(path);
+  upgrade_to_v2(path);
   downgrade_to_v1(path);
+  // A v1 file is exactly what today's writer emits.
+  EXPECT_EQ(slurp(path), written);
 
   auto snap = snapshot::open(path);
   ASSERT_TRUE(snap.ok()) << snap.status().to_string();
   ASSERT_EQ(snap->kind, snapshot::SnapshotKind::kCascade);
-  // find() works — the layout was rebuilt from the mapped keys, not
-  // mapped — and answers match the v2-compiled reference exactly.
   expect_serves_identically(snap->cascade, flat, 78);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotFormatV2, V1FilesCannotHostTheSimdLayoutFault) {
-  const std::string path = tmp_path("v1_nofault.snap");
-  const serve::FlatCascade flat = build_cascade(33);
-  ASSERT_TRUE(snapshot::write(flat, path).ok());
-  downgrade_to_v1(path);
-  const auto s = robust::corrupt_file(
-      path, robust::CorruptionKind::kSnapshotSimdLayout, 1);
-  EXPECT_EQ(s.code(), coop::StatusCode::kFailedPrecondition)
-      << s.to_string();
-  // And the attempt left the file untouched.
-  EXPECT_TRUE(snapshot::open(path).ok());
   std::remove(path.c_str());
 }
 
@@ -176,12 +194,11 @@ TEST(SnapshotFormatV2, FutureVersionsAreRejected) {
   const serve::FlatCascade flat = build_cascade(34);
   ASSERT_TRUE(snapshot::write(flat, path).ok());
   std::vector<unsigned char> bytes = slurp(path);
-  snapshot::FileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  header.version = snapshot::kFormatVersion + 1;
+  snapshot::FileHeader header = legacy_format::header_of(bytes);
+  header.version = snapshot::kMaxFormatVersion + 1;
   header.header_crc = snapshot::header_crc(header);
   std::memcpy(bytes.data(), &header, sizeof(header));
-  spit(path, bytes);
+  legacy_format::spit(path, bytes);
   auto snap = snapshot::open(path);
   ASSERT_FALSE(snap.ok());
   EXPECT_EQ(snap.status().code(), coop::StatusCode::kFailedPrecondition);
