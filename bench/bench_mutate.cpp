@@ -80,7 +80,6 @@ void write_mutate_json_to(std::FILE* f, const Options& o, std::size_t n,
   std::fprintf(f, "{\n  \"bench\": \"serve_mutate\",\n  \"smoke\": %s,\n",
                o.smoke ? "true" : "false");
   std::fprintf(f, "  \"n\": %zu,\n  \"queries\": %zu,\n", n, num_queries);
-  std::fprintf(f, "  \"simd\": \"%s\",\n", serve::simd::dispatch_name());
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,

@@ -35,7 +35,6 @@
 #include "pointloc/coop_pointloc.hpp"
 #include "serve/flat_pointloc.hpp"
 #include "serve/query_engine.hpp"
-#include "serve/simd_find.hpp"
 
 namespace serve_bench {
 
@@ -140,7 +139,6 @@ inline void write_json_to(std::FILE* f, const Options& o,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"smoke\": %s,\n", bench_name,
                o.smoke ? "true" : "false");
   std::fprintf(f, "  \"n\": %zu,\n  \"queries\": %zu,\n", n, num_queries);
-  std::fprintf(f, "  \"simd\": \"%s\",\n", serve::simd::dispatch_name());
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
@@ -184,16 +182,6 @@ inline void print_rows(const std::vector<Row>& rows) {
   }
 }
 
-/// Guard a single RAII scope with a forced simd dispatch, restoring the
-/// runtime choice on exit — the bench rows below measure both kernels on
-/// the same process without re-execing.
-struct ForcedDispatch {
-  explicit ForcedDispatch(bool scalar) {
-    serve::simd::set_force_scalar(scalar);
-  }
-  ~ForcedDispatch() { serve::simd::set_force_scalar(false); }
-};
-
 /// bench_retrieval --json: explicit-path search throughput, simulator vs
 /// flat arena.  n = 2^20 catalog entries (acceptance size) unless --smoke.
 inline int run_paths_compare(const Options& o) {
@@ -224,9 +212,8 @@ inline int run_paths_compare(const Options& o) {
       serve::random_path_batch(tree, rng, num_queries);
 
   // Differential gate first: every serving-mode answer is defined by the
-  // sequential oracle — including the grouped kernel under BOTH simd
-  // dispatches, so a dispatch-dependent wrong answer can never post a
-  // throughput number.
+  // sequential oracle — including the grouped kernel, so a wrong answer
+  // can never post a throughput number.
   bool equal = true;
   const std::size_t check = std::min<std::size_t>(500, num_queries);
   // The lockstep kernel over queries [at, at + c), group by group, into
@@ -239,12 +226,8 @@ inline int run_paths_compare(const Options& o) {
       serve::serve_path_group(flat, part, gi, out);
     }
   };
-  serve::PathAnswerSet grouped, grouped_scalar;
+  serve::PathAnswerSet grouped;
   grouped_into(grouped, 0, check);
-  {
-    ForcedDispatch scalar(true);
-    grouped_into(grouped_scalar, 0, check);
-  }
   serve::PathAnswerSet flat_set;
   {
     serve::QueryEngine eng1(1);
@@ -263,8 +246,6 @@ inline int run_paths_compare(const Options& o) {
           sim.proper_index[i] != oracle.proper_index[i] ||
           grouped.proper(qi)[i] != oracle.proper_index[i] ||
           grouped.aug(qi)[i] != oracle.aug_index[i] ||
-          grouped_scalar.proper(qi)[i] != oracle.proper_index[i] ||
-          grouped_scalar.aug(qi)[i] != oracle.aug_index[i] ||
           flat_set.proper(qi)[i] != oracle.proper_index[i] ||
           flat_set.aug(qi)[i] != oracle.aug_index[i]) {
         equal = false;
@@ -309,8 +290,7 @@ inline int run_paths_compare(const Options& o) {
   }
   {
     // The engine's single-thread kernel: lockstep groups overlap the
-    // per-hop misses across 16 queries — the flat engine's throughput,
-    // under the runtime-chosen simd dispatch.
+    // per-hop misses across 16 queries — the flat engine's throughput.
     serve::PathAnswerSet chunk_out;
     rows.push_back(
         make_row("flat", 1,
@@ -318,27 +298,6 @@ inline int run_paths_compare(const Options& o) {
                      [&](std::size_t at, std::size_t c) {
                        grouped_into(chunk_out, at, c);
                      })));
-    // The same kernel pinned to each dispatch: flat_scalar isolates the
-    // memory-layout + pipelining win, flat_simd (only where avx2 exists)
-    // adds the vector rank step — the delta between them is the pure
-    // SIMD contribution.
-    {
-      ForcedDispatch scalar(true);
-      rows.push_back(
-          make_row("flat_scalar", 1,
-           measure(num_queries, 1000, min_sec,
-                       [&](std::size_t at, std::size_t c) {
-                         grouped_into(chunk_out, at, c);
-                       })));
-    }
-    if (serve::simd::dispatch_is_avx2()) {
-      rows.push_back(
-          make_row("flat_simd", 1,
-           measure(num_queries, 1000, min_sec,
-                       [&](std::size_t at, std::size_t c) {
-                         grouped_into(chunk_out, at, c);
-                       })));
-    }
   }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
@@ -403,12 +362,6 @@ inline int run_pointloc_compare(const Options& o) {
         sub.locate_brute(queries[qi]) != expect) {
       equal = false;
     }
-    // Same point under the scalar kernel: locate() descends find(), so
-    // this pins both dispatches to the brute-force geometry oracle.
-    ForcedDispatch scalar(true);
-    if (loc.locate(queries[qi]) != expect) {
-      equal = false;
-    }
   }
 
   std::vector<Row> rows;
@@ -436,17 +389,6 @@ inline int run_pointloc_compare(const Options& o) {
                                   (void)loc.locate(queries[qi]);
                                 }
                               })));
-  {
-    ForcedDispatch scalar(true);
-    rows.push_back(make_row("flat_scalar", 1,
-                    measure(num_queries, 1000, min_sec,
-                                [&](std::size_t at, std::size_t c) {
-                                  for (std::size_t qi = at; qi < at + c;
-                                       ++qi) {
-                                    (void)loc.locate(queries[qi]);
-                                  }
-                                })));
-  }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     serve::QueryEngine engine(threads);

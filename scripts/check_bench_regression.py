@@ -20,11 +20,9 @@ gate (so adding a bench mode does not break CI until its baseline lands).
 
 --require-row BENCH:MODE[@THREADS] (repeatable) makes the gate fail unless
 the named row appears in one of the fresh JSONs — the teeth behind rows
-whose very *presence* is the guarantee, e.g. serve_paths:flat_simd@1 on an
-avx2 CI runner: a dispatch-ladder regression that silently dropped the
-vector kernel would otherwise just vanish from the report as a benign
-"MISSING".  Do not require flat_simd on the -DCOOPSEARCH_DISABLE_SIMD=ON
-leg, where its absence is the expected outcome.
+whose very *presence* is the guarantee, e.g. serve_paths:flat@1: a bench
+that silently stopped measuring the flat kernel would otherwise just
+vanish from the report as a benign "MISSING".
 
 Refreshing baselines
 --------------------
@@ -188,7 +186,7 @@ def self_test():
             print("self-test FAILED: satisfied --require-row was flagged",
                   file=sys.stderr)
             return 1
-        args.require_row = ["selftest:flat_simd@1"]
+        args.require_row = ["selftest:flat_single@1"]
         if run_gate(args) == 0:
             print("self-test FAILED: absent required row was not flagged",
                   file=sys.stderr)

@@ -21,7 +21,7 @@
 //     the ack seq, so any state() captured after an ack merges the
 //     acknowledged runs.
 //   * depth-0 fast path: a node with no runs answers with one
-//     ProperIndex lookup seeded by the untouched SIMD base kernel; the
+//     ProperIndex lookup seeded by the untouched flat base kernel; the
 //     merge machinery costs nothing until the first write.
 //   * writes cost O(touched): run lists live in a chunked copy-on-write
 //     node table (blocks of kChunkNodes node ids).  An apply copies the

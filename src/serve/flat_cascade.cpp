@@ -100,9 +100,7 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     total_child += kids.size();
   }
   constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
-  // The root's blocked layout pads its keys to a multiple of 8 slots, at
-  // most 7 extra — keep that count inside uint32 too.
-  if (total_keys > kMax - 7 || total_bridge > kMax || total_child > kMax ||
+  if (total_keys > kMax || total_bridge > kMax || total_child > kMax ||
       nn > kMax) {
     return Status::invalid_argument(
         "structure too large for uint32 arena offsets");
@@ -148,17 +146,7 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     child_off += static_cast<std::uint32_t>(kids.size());
   }
 
-  f.build_root_layout();
   return f;
-}
-
-void FlatCascade::build_root_layout() {
-  const FlatNode& nd = nodes_[root()];
-  const std::uint32_t slots = simd::num_slots(nd.key_count);
-  simd_keys_ = Pool<Key>(slots);
-  simd_pos_ = Pool<std::uint32_t>(slots);
-  simd::build_layout(keys_.data() + nd.key_off, nd.key_count,
-                     simd_keys_.data(), simd_pos_.data());
 }
 
 coop::Status FlatCascade::validate_path(std::span<const NodeId> path) const {

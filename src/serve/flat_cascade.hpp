@@ -7,7 +7,6 @@
 #include "fc/build.hpp"
 #include "robust/status.hpp"
 #include "serve/arena.hpp"
-#include "serve/simd_find.hpp"
 
 namespace snapshot {
 struct ArenaAccess;  // snapshot (de)serializer backdoor, see snapshot.hpp
@@ -37,11 +36,10 @@ static_assert(sizeof(FlatNode) == 24);
 /// catalog's keys / proper / bridge columns packed into three contiguous
 /// SoA pools (one 64-byte-aligned allocation each, `uint32` offsets), the
 /// tree topology flattened to index arrays, so a whole cascaded-path query
-/// runs on five base pointers with no per-node vector hops.  The root,
-/// where every path query's one from-scratch search happens, also gets a
-/// blocked multiway copy of its keys (find()); every other node is only
-/// ever reached by a bridge hop plus a walk-back of at most fanout_bound()
-/// entries, so it keeps just the sorted slice.  Immutable after
+/// runs on five base pointers with no per-node vector hops.  A path
+/// query binary-searches its first catalog (the root) and reaches every
+/// later one by a bridge hop plus a walk-back of at most fanout_bound()
+/// entries, so each node keeps just its sorted slice.  Immutable after
 /// compile(); safe to share across query threads.
 ///
 /// Answers are defined by the sequential oracles: for every valid path and
@@ -81,25 +79,11 @@ class FlatCascade {
     return child_[nodes_[v].child_off + slot];
   }
 
-  /// aug_find: index of the smallest augmented key >= y at node v.  At
-  /// the root — where every served path starts and the only node a path
-  /// query searches from scratch — a branchless multiway descent over the
-  /// root's blocked layout, one cache line (8 keys) ranked per step, AVX2
-  /// when the CPU has it (simd_find.hpp / DESIGN.md §12); find_binary
-  /// everywhere else.  Always in [0, key_count): the +inf terminal
-  /// guarantees a hit.
+  /// aug_find: index of the smallest augmented key >= y at node v, by a
+  /// branch-free binary search of the node's sorted key slice — the
+  /// paper's Step 1 search at p = 1 (DESIGN.md §12).  Always in
+  /// [0, key_count): the +inf terminal guarantees a hit.
   [[nodiscard]] std::uint32_t find(std::uint32_t v, Key y) const {
-    if (v == root()) {
-      return simd::lower_bound(simd_keys_.data(), simd_pos_.data(),
-                               nodes_[v].key_count, y);
-    }
-    return find_binary(v, y);
-  }
-
-  /// Branch-light binary search over the node's sorted key slice: find()
-  /// below the root, and the differential reference for the root's
-  /// multiway descent (tests, the scrubber, the bench equal-answers gate).
-  [[nodiscard]] std::uint32_t find_binary(std::uint32_t v, Key y) const {
     const FlatNode& nd = nodes_[v];
     return find_sorted(keys_.data() + nd.key_off, nd.key_count, y);
   }
@@ -257,14 +241,11 @@ class FlatCascade {
     const std::uint32_t* proper = nullptr;
     const std::uint32_t* bridge = nullptr;
     const std::uint32_t* child = nullptr;
-    const Key* simd_keys = nullptr;  ///< the root's blocked layout
-    const std::uint32_t* simd_pos = nullptr;
     std::uint32_t fanout = 0;
   };
   [[nodiscard]] KernelView kernel_view() const {
     return KernelView{nodes_.data(),  keys_.data(),  proper_.data(),
-                      bridge_.data(), child_.data(), simd_keys_.data(),
-                      simd_pos_.data(), b_};
+                      bridge_.data(), child_.data(), b_};
   }
 
   /// Untrusted-path validation: in-range node ids, starts at the root,
@@ -272,12 +253,12 @@ class FlatCascade {
   /// search_path even with asserts compiled out.
   [[nodiscard]] coop::Status validate_path(std::span<const NodeId> path) const;
 
-  /// Arena footprint in bytes (all pools; space accounting for benches).
+  /// Arena footprint in bytes (the five pools; space accounting for
+  /// benches).
   [[nodiscard]] std::size_t arena_bytes() const {
     return keys_.allocated_bytes() + proper_.allocated_bytes() +
            bridge_.allocated_bytes() + child_.allocated_bytes() +
-           nodes_.allocated_bytes() + simd_keys_.allocated_bytes() +
-           simd_pos_.allocated_bytes();
+           nodes_.allocated_bytes();
   }
   [[nodiscard]] std::size_t total_entries() const { return keys_.size(); }
 
@@ -287,20 +268,11 @@ class FlatCascade {
   /// that touches the representation (robust::StructureAccess idiom).
   friend struct snapshot::ArenaAccess;
 
-  /// Derive simd_keys_/simd_pos_ from the root's packed keys (compile()
-  /// and snapshot::open both end here).
-  void build_root_layout();
-
   Pool<FlatNode> nodes_;
   Pool<Key> keys_;            ///< all augmented keys, node-major
   Pool<std::uint32_t> proper_;///< aug index -> original-catalog index
   Pool<std::uint32_t> bridge_;///< bridge rows, node-major then slot-major
   Pool<std::uint32_t> child_; ///< flattened child lists
-  // The root's blocked multiway search layout (simd_find.hpp): its
-  // key_count padded to a multiple of 8 slots of (key, rank).  Always
-  // derived from keys_ in process memory; snapshots do not carry it.
-  Pool<Key> simd_keys_;
-  Pool<std::uint32_t> simd_pos_;
   std::uint32_t b_ = 0;       ///< fan-out bound (walk-back cap)
 };
 

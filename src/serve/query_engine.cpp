@@ -360,11 +360,10 @@ namespace {
 /// search_paths_grouped_into.  All per-query loop state lives in local
 /// arrays (registers/L1) and every pool access goes through the
 /// KernelView base pointers — no member-function or vector-size reload
-/// per phase.  Round 0 runs all g root descents through the
-/// software-pipelined simd::lower_bound_grouped; each bridge hop then
-/// runs in phases with the next phase's lines prefetched across the
-/// whole group, so per-hop cache misses overlap across queries instead
-/// of serializing along one query's dependency chain.
+/// per phase.  Round 0 binary-searches each query's head catalog; each
+/// bridge hop then runs in phases with the next phase's lines prefetched
+/// across the whole group, so per-hop cache misses overlap across
+/// queries instead of serializing along one query's dependency chain.
 void run_path_group(const FlatCascade::KernelView& kv, const PathRef* queries,
                     std::size_t g, std::uint32_t* const* out_aug,
                     std::uint32_t* const* out_prop) {
@@ -376,8 +375,6 @@ void run_path_group(const FlatCascade::KernelView& kv, const PathRef* queries,
   std::uint32_t idx[kPathGroup];
   std::uint32_t pos[kPathGroup];
   const std::uint32_t* cell[kPathGroup];
-  simd::GroupedQuery gq[kPathGroup];
-  std::uint32_t head[kPathGroup];
 
   std::size_t maxlen = 0;
   for (std::size_t q = 0; q < g; ++q) {
@@ -386,28 +383,12 @@ void run_path_group(const FlatCascade::KernelView& kv, const PathRef* queries,
     y[q] = queries[q].y;
     maxlen = std::max(maxlen, len[q]);
   }
-  // Round 0: lockstep multiway descents of the root's blocked layout.
-  // Served paths all start at the root (validate_path); any other head
-  // can only come from the unvalidated in-process API and gets a plain
-  // binary search, so the kernel stays total.
-  for (std::size_t q = 0; q < g; ++q) {
-    gq[q] = simd::GroupedQuery{};  // n == 0: skipped by the kernel
-    if (len[q] == 0) {
-      continue;
-    }
-    cur[q] = &kv.nodes[path[q][0]];
-    if (cur[q] == kv.nodes) {
-      gq[q] = simd::GroupedQuery{kv.simd_keys, kv.simd_pos,
-                                 cur[q]->key_count, y[q]};
-    }
-  }
-  simd::lower_bound_grouped(gq, head, g);
+  // Round 0: one binary search of each query's head catalog.
   for (std::size_t q = 0; q < g; ++q) {
     if (len[q] > 0) {
-      idx[q] = cur[q] == kv.nodes
-                   ? head[q]
-                   : FlatCascade::find_sorted(kv.keys + cur[q]->key_off,
-                                              cur[q]->key_count, y[q]);
+      cur[q] = &kv.nodes[path[q][0]];
+      idx[q] = FlatCascade::find_sorted(kv.keys + cur[q]->key_off,
+                                        cur[q]->key_count, y[q]);
       out_aug[q][0] = idx[q];
       out_prop[q][0] = kv.proper[cur[q]->key_off + idx[q]];
     }

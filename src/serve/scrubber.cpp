@@ -144,23 +144,9 @@ Status Scrubber::run_pass() {
     for (std::size_t q = 0; q < opts_.samples && bad.ok(); ++q) {
       const cat::Key y = static_cast<cat::Key>(
           rng.next() % static_cast<std::uint64_t>(opts_.sample_key_range));
-      // The root's blocked layout lives in process memory, outside the
-      // CRC'd mapping; find_binary() reads the mapped key pool it was
-      // derived from.  A disagreement means one of the two rotted —
-      // caught even when the oracle happens to agree with the answer.
       std::uint32_t v = f.root();
-      std::uint32_t idx = f.find(v, y);
-      const std::uint32_t binary = f.find_binary(v, y);
-      if (idx != binary) {
-        bad = Status::corrupted(
-            "scrub of generation " + std::to_string(version) +
-            ": differential mismatch between search layouts at the root "
-            "for y=" + std::to_string(y) + " (multiway " +
-            std::to_string(idx) + ", binary " + std::to_string(binary) + ")");
-        break;
-      }
       for (;;) {
-        const std::uint32_t got = f.to_proper(v, idx);
+        const std::uint32_t got = f.to_proper(v, f.find(v, y));
         const std::uint32_t want = oracle_(v, y);
         if (got != want) {
           bad = Status::corrupted(
@@ -176,7 +162,6 @@ Status Scrubber::run_pass() {
         }
         v = f.child(v, static_cast<std::uint32_t>(
                            rng.next() % f.node(v).num_children));
-        idx = f.find(v, y);
       }
     }
   }

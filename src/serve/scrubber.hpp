@@ -9,8 +9,7 @@
 //   1. re-verifies every section CRC-32C of the current snapshot's
 //      mapping (snapshot::verify), and
 //   2. differentially samples random root-to-leaf queries against a
-//      caller-supplied oracle (the source tree's own binary search), and
-//      the root's in-process multiway layout against its mapped keys,
+//      caller-supplied oracle (the source tree's own binary search),
 //
 // and on any mismatch *quarantines* the generation and atomically rolls
 // the Registry back to the last-known-good one (rebuild-and-swap, never

@@ -34,11 +34,10 @@ inline constexpr std::array<char, 8> kMagic = {'C', 'O', 'O', 'P',
 ///
 /// v2 files (written by older builds) also carry a blocked multiway copy
 /// of every node's keys — sections kSimdKeys/kSimdPos/kSimdOff — and a
-/// 64-byte meta whose extra field counts its slots.  Only the root's copy
-/// is ever searched, so writers went back to the v1 section set, and
-/// open() derives the root's layout from the validated keys for every
-/// version: a v2 file's layout sections are CRC-checked and never read
-/// (DESIGN.md §12).
+/// 64-byte meta whose extra field counts its slots.  Every catalog is now
+/// binary-searched over its sorted keys, so writers went back to the v1
+/// section set and a v2 file's layout sections are CRC-checked and never
+/// read (DESIGN.md §12).
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::uint32_t kMinFormatVersion = 1;
 inline constexpr std::uint32_t kMaxFormatVersion = 2;
@@ -79,8 +78,8 @@ enum class SectionId : std::uint32_t {
   kHiX = 11,
   kHiY = 12,
   kMaxSep = 13,   ///< int32 running-max pool
-  // Per-node blocked multiway layout, v2 files only (CRC-checked, never
-  // read; serve/simd_find.hpp):
+  // Per-node blocked multiway key layout, v2 files only (CRC-checked,
+  // never read; DESIGN.md §12):
   kSimdKeys = 14,  ///< int64 layout slots, node-major, 8-slot blocks
   kSimdPos = 15,   ///< uint32 rank per slot (n for padding slots)
   kSimdOff = 16,   ///< uint32 per-node first-slot offset
@@ -148,12 +147,40 @@ struct RoutingMeta {
 };
 static_assert(sizeof(RoutingMeta) == 64);
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(COOPSEARCH_DISABLE_SIMD)
-/// Hardware CRC-32C kernel (SSE4.2 crc32 instruction, 8 bytes per issue).
-/// Compiled with a per-function target so the translation unit needs no
-/// global -msse4.2; callers must runtime-check cpu support first.
-__attribute__((target("sse4.2"))) inline std::uint32_t crc32c_hw(
+// CRC-32C (Castagnoli, reflected poly 0x82F63B78) — chosen over IEEE
+// CRC-32 because x86 has a dedicated instruction for it, which is what
+// keeps snapshot::open's whole-file verification out of the startup
+// budget (DESIGN.md §8).  Two kernels compute it; each advances the
+// running register `crc` over p[0..n), which crc32() inverts on the way
+// in and out.
+
+/// Table kernel, one byte a step: the only kernel off x86-64 and on a
+/// CPU without SSE4.2.
+[[nodiscard]] inline std::uint32_t crc32c_table(
+    std::uint32_t crc, const unsigned char* p, std::size_t n) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define COOPSEARCH_CRC32C_SSE42 1
+/// SSE4.2 kernel (the crc32 instruction, 8 bytes per issue).  Compiled
+/// with a per-function target so the translation unit needs no global
+/// -msse4.2; call it only when crc32c_has_sse42().
+__attribute__((target("sse4.2"))) inline std::uint32_t crc32c_sse42(
     std::uint32_t crc, const unsigned char* p, std::size_t n) {
   std::uint64_t c = crc;
   while (n >= 8) {
@@ -172,35 +199,26 @@ __attribute__((target("sse4.2"))) inline std::uint32_t crc32c_hw(
 }
 #endif
 
-/// CRC-32C (Castagnoli, reflected poly 0x82F63B78) — chosen over IEEE
-/// CRC-32 because x86 has a dedicated instruction for it, which is what
-/// keeps snapshot::open's whole-file verification out of the startup
-/// budget (DESIGN.md §8).  Table-driven fallback elsewhere.
+/// True when crc32() runs crc32c_sse42: an x86-64 build on a CPU with
+/// SSE4.2.
+[[nodiscard]] inline bool crc32c_has_sse42() {
+#if defined(COOPSEARCH_CRC32C_SSE42)
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+/// CRC-32C of data[0..n), continuing from `seed` (a previous result).
 [[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t n,
                                          std::uint32_t seed = 0) {
-  std::uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(COOPSEARCH_DISABLE_SIMD)
-  if (__builtin_cpu_supports("sse4.2")) {
-    return ~crc32c_hw(crc, p, n);
+#if defined(COOPSEARCH_CRC32C_SSE42)
+  if (crc32c_has_sse42()) {
+    return ~crc32c_sse42(~seed, p, n);
   }
 #endif
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
+  return ~crc32c_table(~seed, p, n);
 }
 
 /// CRC of a FileHeader with its header_crc field zeroed.

@@ -50,7 +50,6 @@ struct ArenaAccess {
     f.bridge_ = std::move(bridge);
     f.child_ = std::move(child);
     f.b_ = fanout_bound;
-    f.build_root_layout();
     return f;
   }
 
@@ -599,11 +598,9 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
   }
   ArenaMeta meta{};
   std::memcpy(&meta, meta_raw, sizeof(ArenaMeta));
-  // num_keys leaves room for the root layout's at most 7 padding slots,
-  // as compile() does.
   if (meta.num_nodes == 0 ||
       meta.num_nodes > std::numeric_limits<std::uint32_t>::max() ||
-      meta.num_keys > std::numeric_limits<std::uint32_t>::max() - 7 ||
+      meta.num_keys > std::numeric_limits<std::uint32_t>::max() ||
       meta.num_bridge > std::numeric_limits<std::uint32_t>::max() ||
       meta.num_child > std::numeric_limits<std::uint32_t>::max() ||
       meta.num_entries > std::numeric_limits<std::uint32_t>::max()) {

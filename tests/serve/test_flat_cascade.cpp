@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "core/batch.hpp"
 #include "fc/search.hpp"
@@ -12,6 +15,7 @@
 namespace {
 
 using cat::CatalogShape;
+using cat::Key;
 using serve::FlatCascade;
 
 /// Flat answers are *defined* by the sequential oracle: assert index-for-
@@ -149,6 +153,81 @@ TEST(FlatCascade, DegenerateShapes) {
     std::mt19937_64 rng(13);
     expect_matches_oracle(t, s, *f, rng, 50);
   }
+}
+
+/// find_sorted (every catalog's search, the root's included) against
+/// std::lower_bound over one slice of ascending keys plus the +inf
+/// terminal that every flat catalog ends in (find_sorted's precondition).
+/// Probes: every key and its neighbours, the Key extremes, random values.
+void expect_find_sorted_exact(std::vector<Key> keys, std::mt19937_64& rng) {
+  keys.push_back(cat::kInfinity);
+  std::vector<Key> ys = {std::numeric_limits<Key>::min(),
+                         std::numeric_limits<Key>::min() + 1,
+                         -1,
+                         0,
+                         1,
+                         std::numeric_limits<Key>::max() - 1,
+                         std::numeric_limits<Key>::max(),
+                         cat::kInfinity};
+  for (const Key k : keys) {
+    ys.push_back(k);
+    if (k > std::numeric_limits<Key>::min()) {
+      ys.push_back(k - 1);
+    }
+    if (k < std::numeric_limits<Key>::max()) {
+      ys.push_back(k + 1);
+    }
+  }
+  for (int i = 0; i < 32; ++i) {
+    ys.push_back(static_cast<Key>(rng()));
+  }
+  const auto n = static_cast<std::uint32_t>(keys.size());
+  for (const Key y : ys) {
+    const auto want = static_cast<std::uint32_t>(
+        std::lower_bound(keys.begin(), keys.end(), y) - keys.begin());
+    EXPECT_EQ(FlatCascade::find_sorted(keys.data(), n, y), want)
+        << "n=" << n << " y=" << y;
+  }
+}
+
+TEST(FlatCascade, FindSortedMatchesStdLowerBound) {
+  std::mt19937_64 rng(101);
+  // Strictly increasing keys; sizes straddle powers of two, where the
+  // halving search changes shape.
+  for (const std::uint32_t n :
+       {1u, 2u, 3u, 7u, 8u, 9u, 10u, 15u, 16u, 17u, 63u, 64u, 65u, 71u, 72u,
+        73u, 80u, 100u, 128u, 200u, 729u}) {
+    std::vector<Key> keys(n);
+    Key at = static_cast<Key>(rng() % 1000);
+    for (auto& k : keys) {
+      k = at;
+      at += 1 + static_cast<Key>(rng() % 50);
+    }
+    expect_find_sorted_exact(std::move(keys), rng);
+  }
+  // Duplicates: a run of equal keys answers its first index.
+  for (const std::uint32_t n : {2u, 8u, 9u, 17u, 64u, 65u, 100u}) {
+    std::vector<Key> keys(n);
+    Key at = 0;
+    for (auto& k : keys) {
+      k = at;
+      if (rng() % 3 != 0) {
+        at += 1 + static_cast<Key>(rng() % 4);
+      }
+    }
+    expect_find_sorted_exact(std::move(keys), rng);
+  }
+  // All keys equal.
+  for (const std::uint32_t n : {1u, 7u, 8u, 9u, 64u, 100u}) {
+    expect_find_sorted_exact(std::vector<Key>(n, 42), rng);
+  }
+  // Size 1: the terminal alone.
+  expect_find_sorted_exact({}, rng);
+  // Keys at the extremes of Key, below the terminal.
+  using Lim = std::numeric_limits<Key>;
+  expect_find_sorted_exact({Lim::min()}, rng);
+  expect_find_sorted_exact({Lim::min(), Lim::min() + 1, -1, 0, 1}, rng);
+  expect_find_sorted_exact({Lim::min(), 0, Lim::max() - 1}, rng);
 }
 
 TEST(FlatCascade, RejectsCorruptedStructures) {

@@ -88,9 +88,10 @@ TEST(QueryEngine, GroupedKernelMatchesOracleOnRaggedPaths) {
 }
 
 TEST(QueryEngine, GroupedKernelAnswersChainsStartingBelowTheRoot) {
-  // Only the root has a blocked layout; the in-process API still accepts
-  // chains that start anywhere, and those heads take a binary search.
-  // Mixed into the same groups as root paths, every answer must match.
+  // Served paths start at the root, but the in-process API accepts
+  // chains that start anywhere: round 0 searches whichever head a query
+  // has.  Mixed into the same groups as root paths, every answer must
+  // match.
   std::mt19937_64 rng(78);
   const Fixture fx(0);
   std::vector<PathQuery> queries(100);

@@ -6,7 +6,8 @@
 // node's keys (sections kSimdKeys/kSimdPos/kSimdOff) and a 64-byte meta
 // whose appended field counts its slots.  upgrade_to_v2 rebuilds exactly
 // such a file from a current one, downgrade_to_v1 turns a v2 file back
-// into the v1 format, both re-forging every CRC.
+// into the v1 format, both re-forging every CRC.  v2 files on disk carry
+// real layouts, so the in-order fill that produced them is kept here.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "serve/flat_cascade.hpp"
-#include "serve/simd_find.hpp"
 #include "snapshot/format.hpp"
 
 namespace legacy_format {
@@ -101,8 +101,41 @@ std::vector<unsigned char> as_bytes(const std::vector<T>& v) {
   return out;
 }
 
+/// Keys per layout block (one cache line of int64) and the fan-out of the
+/// implicit tree the blocks form.
+inline constexpr std::uint32_t kBlock = 8;
+inline constexpr std::uint32_t kFan = kBlock + 1;
+
+/// Visit the slots of the implicit 9-ary tree over blocks [0, nblocks)
+/// in ascending key order: block k's children are blocks 9k+j+1.
+template <typename Emit>
+void in_order(std::uint32_t k, std::uint32_t nblocks, Emit& emit) {
+  if (k >= nblocks) {
+    return;
+  }
+  for (std::uint32_t j = 0; j < kBlock; ++j) {
+    in_order(k * kFan + j + 1, nblocks, emit);
+    emit(std::size_t{k} * kBlock + j);
+  }
+  in_order(k * kFan + kBlock + 1, nblocks, emit);
+}
+
+/// Fill slot_keys/slot_pos (n rounded up to a multiple of kBlock each)
+/// with the blocked layout of the ascending keys[0..n) a v2 writer
+/// stored: each slot holds a key and its rank; padding slots hold
+/// (+inf, n).
+inline void build_layout(const cat::Key* keys, std::uint32_t n,
+                         cat::Key* slot_keys, std::uint32_t* slot_pos) {
+  std::uint32_t t = 0;
+  auto emit = [&](std::size_t slot) {
+    slot_keys[slot] = t < n ? keys[t] : cat::kInfinity;
+    slot_pos[slot] = t < n ? t++ : n;
+  };
+  in_order(0, (n + kBlock - 1) / kBlock, emit);
+}
+
 /// Rewrite a current (v1-format) snapshot at `path` as a v2 writer laid it
-/// out: every node's blocked layout built with serve::simd::build_layout,
+/// out: every node's blocked layout built with build_layout,
 /// packed node-major into kSimdKeys/kSimdPos with per-node first slots in
 /// kSimdOff, placed right after kChild; the meta grown to 64 bytes with
 /// the slot total appended; version 2; every CRC re-forged.
@@ -135,11 +168,11 @@ inline void upgrade_to_v2(const std::string& path) {
   for (const serve::FlatNode& nd : nodes) {
     const std::uint32_t at = static_cast<std::uint32_t>(slot_keys.size());
     slot_off.push_back(at);
-    slot_keys.resize(at + serve::simd::num_slots(nd.key_count));
+    slot_keys.resize(at + (nd.key_count + kBlock - 1) / kBlock * kBlock);
     slot_pos.resize(slot_keys.size());
     ASSERT_LE(std::size_t{nd.key_off} + nd.key_count, keys.size());
-    serve::simd::build_layout(keys.data() + nd.key_off, nd.key_count,
-                              slot_keys.data() + at, slot_pos.data() + at);
+    build_layout(keys.data() + nd.key_off, nd.key_count,
+                 slot_keys.data() + at, slot_pos.data() + at);
   }
 
   std::vector<Section> out;

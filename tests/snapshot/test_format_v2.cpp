@@ -1,5 +1,5 @@
 // Snapshot format versions.  Today's writer emits the v1 section set: no
-// search layout on disk, the root's blocked layout derived at open().
+// search layout on disk; every catalog is searched by binary search.
 // v2 files — crafted here byte-for-byte by legacy_format::upgrade_to_v2,
 // which appends the per-node layout sections older writers stored — and
 // v1 files both keep loading and answer exactly like a fresh file.
@@ -16,7 +16,6 @@
 #include "legacy_format.hpp"
 #include "pointloc/separator_tree.hpp"
 #include "serve/flat_pointloc.hpp"
-#include "serve/simd_find.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -63,8 +62,8 @@ std::vector<cat::NodeId> path_to(const serve::FlatCascade& f,
   return path;
 }
 
-/// find, find_binary and the root-to-v path query at every node v answer
-/// exactly as `reference` does.
+/// find and the root-to-v path query at every node v answer exactly as
+/// `reference` does.
 void expect_serves_identically(const serve::FlatCascade& opened,
                                const serve::FlatCascade& reference,
                                std::uint64_t seed) {
@@ -74,10 +73,8 @@ void expect_serves_identically(const serve::FlatCascade& opened,
     const std::vector<cat::NodeId> path = path_to(reference, v);
     for (int i = 0; i < 20; ++i) {
       const auto y = static_cast<cat::Key>(rng() % 2'000'000'000);
-      const std::uint32_t want = reference.find_binary(v, y);
-      EXPECT_EQ(reference.find(v, y), want) << "node " << v << " y=" << y;
-      EXPECT_EQ(opened.find(v, y), want) << "node " << v << " y=" << y;
-      EXPECT_EQ(opened.find_binary(v, y), want) << "node " << v << " y=" << y;
+      EXPECT_EQ(opened.find(v, y), reference.find(v, y))
+          << "node " << v << " y=" << y;
       const auto got = opened.search(path, y);
       const auto ref = reference.search(path, y);
       EXPECT_EQ(got.aug_index, ref.aug_index) << "node " << v << " y=" << y;
@@ -119,7 +116,7 @@ TEST(SnapshotFormatV2, NewFilesCarryNoSearchLayout) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotFormatV2, ArenaHoldsTheRootLayoutOnly) {
+TEST(SnapshotFormatV2, ArenaIsTheFivePools) {
   const serve::FlatCascade flat = build_cascade(29);
   const auto lines = [](std::size_t bytes) {
     return (bytes + serve::kCacheLine - 1) / serve::kCacheLine *
@@ -131,15 +128,12 @@ TEST(SnapshotFormatV2, ArenaHoldsTheRootLayoutOnly) {
     child += flat.node(v).num_children;
   }
   const std::size_t keys = flat.total_entries();
-  const std::size_t slots =
-      serve::simd::num_slots(flat.node(flat.root()).key_count);
-  // The pools, each rounded to its cache line; the root layout is 12
-  // bytes a slot (an int64 key and a uint32 rank).
+  // The node, key, proper, bridge and child pools, each rounded to its
+  // cache line; no search layout beside them.
   EXPECT_EQ(flat.arena_bytes(),
             lines(flat.num_nodes() * sizeof(serve::FlatNode)) +
                 lines(keys * sizeof(cat::Key)) + lines(keys * 4) +
-                lines(bridge * 4) + lines(child * 4) +
-                lines(slots * sizeof(cat::Key)) + lines(slots * 4));
+                lines(bridge * 4) + lines(child * 4));
 }
 
 TEST(SnapshotFormatV2, V2FilesServeLikeNewFiles) {

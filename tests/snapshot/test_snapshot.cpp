@@ -224,9 +224,9 @@ TEST(Snapshot, InMemoryWrapsCompiledStructures) {
   }
 }
 
-/// Every answer a loaded snapshot gives on a fixed probe set: find and
-/// find_binary at every node for each probe key, and for a point locator
-/// locate() on each probe point as well.
+/// Every answer a loaded snapshot gives on a fixed probe set: find at
+/// every node for each probe key, and for a point locator locate() on
+/// each probe point as well.
 std::vector<std::uint64_t> probe_answers(const snapshot::Snapshot& snap,
                                          const std::vector<cat::Key>& keys,
                                          const std::vector<geom::Point>& pts) {
@@ -237,7 +237,6 @@ std::vector<std::uint64_t> probe_answers(const snapshot::Snapshot& snap,
   for (std::uint32_t v = 0; v < c.num_nodes(); ++v) {
     for (const cat::Key y : keys) {
       out.push_back(c.find(v, y));
-      out.push_back(c.find_binary(v, y));
     }
   }
   if (snap.kind == snapshot::SnapshotKind::kPointLocator) {
@@ -321,10 +320,63 @@ TEST(Snapshot, EveryByteFlipIsRejectedOrHarmless) {
   std::remove(path.c_str());
 }
 
-// Pins the CRC-32C polynomial whichever kernel (SSE4.2 or table) a build
-// runs: the standard check value of "123456789".
+// Pins the CRC-32C polynomial of each kernel: the standard check value of
+// "123456789".  The table kernel is checked in every build, whichever
+// kernel crc32() dispatches to; the SSE4.2 kernel where the CPU has it.
 TEST(Snapshot, Crc32cKnownAnswer) {
+  const auto* check = reinterpret_cast<const unsigned char*>("123456789");
+  EXPECT_EQ(~snapshot::crc32c_table(~0u, check, 9), 0xE3069283u);
+#if defined(COOPSEARCH_CRC32C_SSE42)
+  if (snapshot::crc32c_has_sse42()) {
+    EXPECT_EQ(~snapshot::crc32c_sse42(~0u, check, 9), 0xE3069283u);
+  }
+#endif
   EXPECT_EQ(snapshot::crc32("123456789", 9), 0xE3069283u);
+}
+
+/// Bit-at-a-time CRC-32C register update: the reference both kernels
+/// must reproduce.
+std::uint32_t crc32c_bitwise(std::uint32_t crc, const unsigned char* p,
+                             std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (0x82F63B78u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc;
+}
+
+// Both kernels against the bitwise reference and each other, over every
+// length 0..257 (the SSE4.2 kernel's 8-byte body and its byte tail), each
+// start offset 0..7 (unaligned loads) and several chained seeds.
+TEST(Snapshot, Crc32cKernelsAgree) {
+  std::mt19937_64 rng(2024);
+  std::vector<unsigned char> buf(257 + 8);
+  for (int round = 0; round < 3; ++round) {
+    for (auto& b : buf) {
+      b = static_cast<unsigned char>(rng());
+    }
+    for (const std::uint32_t seed :
+         {0u, 0xFFFFFFFFu, 0xE3069283u, static_cast<std::uint32_t>(rng())}) {
+      for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t n = 0; n <= 257; ++n) {
+          const unsigned char* p = buf.data() + off;
+          const std::uint32_t want = crc32c_bitwise(~seed, p, n);
+          ASSERT_EQ(snapshot::crc32c_table(~seed, p, n), want)
+              << "table, n=" << n << " off=" << off << " seed=" << seed;
+#if defined(COOPSEARCH_CRC32C_SSE42)
+          if (snapshot::crc32c_has_sse42()) {
+            ASSERT_EQ(snapshot::crc32c_sse42(~seed, p, n), want)
+                << "sse4.2, n=" << n << " off=" << off << " seed=" << seed;
+          }
+#endif
+          ASSERT_EQ(snapshot::crc32(p, n, seed), ~want)
+              << "dispatched, n=" << n << " off=" << off << " seed=" << seed;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
