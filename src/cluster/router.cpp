@@ -99,8 +99,7 @@ struct Router::Impl final : net::PathRouter {
   std::mutex pool_mu;
   std::vector<std::unique_ptr<ConnSet>> idle_conns;
 
-  mutable std::mutex stats_mu;
-  RouterStats stats;
+  obs::StatCounters<RouterStats> stats;
 
   /// Count one event in stats() and, when given, in its obs counter.
   void bump(std::uint64_t RouterStats::* field,
@@ -108,8 +107,7 @@ struct Router::Impl final : net::PathRouter {
     if (metric != nullptr) {
       (RouterMetrics::get().*metric).inc();
     }
-    std::lock_guard<std::mutex> lock(stats_mu);
-    ++(stats.*field);
+    stats.bump(field);
   }
 
   // ---- persistent backend connections ------------------------------
@@ -299,9 +297,8 @@ struct Router::Impl final : net::PathRouter {
   /// Route one PATH_BATCH / DYN_PATH_BATCH at the byte level: split the
   /// request by the shard owning each path's last node, fan the
   /// sub-requests out, and splice the shards' answers back into the
-  /// client's order.
-  coop::Expected<std::vector<std::uint8_t>> route_batch(
-      const net::Request& req) {
+  /// client's order, appended to `out`.
+  Status route_batch(const net::Request& req, std::vector<std::uint8_t>& out) {
     auto scattered =
         net::scatter_path_request(req.type(), req.payload, *this, req.limits);
     if (!scattered.ok()) {
@@ -329,7 +326,8 @@ struct Router::Impl final : net::PathRouter {
       replies[i] = std::move(legs[i].reply);
     }
     bump(&RouterStats::batches_routed, &RouterMetrics::batches);
-    return net::splice_path_replies(req.type(), replies, scattered->slots);
+    net::splice_path_replies(req.type(), replies, scattered->slots, out);
+    return coop::OkStatus();
   }
 };
 
@@ -370,12 +368,11 @@ coop::Expected<std::shared_ptr<Router>> Router::create(RouterOptions opts) {
 
 Router::~Router() = default;
 
-coop::Expected<std::vector<std::uint8_t>> Router::serve(
-    const net::Request& req) {
+Status Router::serve(const net::Request& req, std::vector<std::uint8_t>& out) {
   switch (req.type()) {
     case MsgType::kPathBatch:
     case MsgType::kDynPathBatch:
-      return impl_->route_batch(req);
+      return impl_->route_batch(req, out);
     default:
       return Status::invalid_argument(
           std::string("the router serves PATH_BATCH/DYN_PATH_BATCH/HEALTH/"
@@ -403,9 +400,6 @@ std::vector<net::CollectionHealth> Router::health() {
   return rows;
 }
 
-RouterStats Router::stats() const {
-  std::lock_guard<std::mutex> lock(impl_->stats_mu);
-  return impl_->stats;
-}
+RouterStats Router::stats() const { return impl_->stats.load(); }
 
 }  // namespace cluster

@@ -97,8 +97,8 @@ class Router final : public net::Backend {
 
   /// PATH_BATCH and DYN_PATH_BATCH are routed; every other verb is a
   /// typed kInvalidArgument.
-  [[nodiscard]] coop::Expected<std::vector<std::uint8_t>> serve(
-      const net::Request& req) override;
+  [[nodiscard]] coop::Status serve(const net::Request& req,
+                                   std::vector<std::uint8_t>& out) override;
   /// One row per shard, "shardK": healthy when every replica's breaker
   /// is CLOSED, degraded when some are not, lame duck when none is.
   [[nodiscard]] std::vector<net::CollectionHealth> health() override;

@@ -262,14 +262,15 @@ std::vector<Key> State::live_keys(std::uint32_t node) const {
 
 namespace {
 
-/// One lockstep group of search_paths_dyn: the untouched grouped base
-/// kernel answers every (query, node) with a base proper index, written
-/// into `scratch` — on the no-delta path this is the whole cost apart
-/// from one ProperIndex load per hop — then query q's live keys go to
-/// out[q].
-void search_group_dyn(const State& state, const serve::PathRef* qs,
-                      std::size_t g, std::vector<std::uint32_t>& scratch,
-                      Key* const* out) {
+/// One engine unit of search_paths_dyn: the base kernel answers every
+/// (query, node) with a base proper index, written into `scratch` — on
+/// the no-delta path this is the whole cost apart from one ProperIndex
+/// load per hop — then query q's live keys go to out[q].  Nothing is
+/// written to `out` for a refused unit.
+serve::PathFault search_group_dyn(const State& state, const serve::PathRef* qs,
+                                  std::size_t g,
+                                  std::vector<std::uint32_t>& scratch,
+                                  Key* const* out) {
   std::size_t total = 0;
   for (std::size_t q = 0; q < g; ++q) {
     total += qs[q].len;
@@ -283,7 +284,11 @@ void search_group_dyn(const State& state, const serve::PathRef* qs,
     hints[q] = scratch.data() + total + off;
     off += qs[q].len;
   }
-  serve::search_paths_grouped_into(state.base->flat(), qs, g, aug, hints);
+  if (const serve::PathFault fault = serve::search_paths_grouped_into(
+          state.base->flat(), qs, g, aug, hints);
+      fault) {
+    return fault;
+  }
   // Per hop, two loads decide whether the node has runs; only nodes that
   // do pay the merge.
   const ProperIndex& proper = state.base->proper;
@@ -298,13 +303,14 @@ void search_group_dyn(const State& state, const serve::PathRef* qs,
                          : LiveMerge(bk, hints[q][step], rl, pq.y).next();
     }
   }
+  return {};
 }
 
 }  // namespace
 
-void search_paths_dyn(const State& state,
-                      std::span<const serve::PathRef> queries,
-                      PathKeySet& out) {
+serve::PathFault search_paths_dyn(const State& state,
+                                  std::span<const serve::PathRef> queries,
+                                  PathKeySet& out) {
   out.reset(queries);
   for (std::size_t at = 0; at < queries.size(); at += serve::kPathGroup) {
     const std::size_t g = std::min(serve::kPathGroup, queries.size() - at);
@@ -312,13 +318,19 @@ void search_paths_dyn(const State& state,
     for (std::size_t q = 0; q < g; ++q) {
       keys[q] = out.keys_data(at + q);
     }
-    search_group_dyn(state, queries.data() + at, g, out.scratch_, keys);
+    serve::PathFault fault =
+        search_group_dyn(state, queries.data() + at, g, out.scratch_, keys);
+    if (fault) {
+      fault.query += at;
+      return fault;
+    }
   }
+  return {};
 }
 
-void search_paths_dyn(const State& state,
-                      std::span<const serve::PathQuery> queries,
-                      PathKeys* out) {
+serve::PathFault search_paths_dyn(const State& state,
+                                  std::span<const serve::PathQuery> queries,
+                                  PathKeys* out) {
   std::vector<std::uint32_t> scratch;
   for (std::size_t at = 0; at < queries.size(); at += serve::kPathGroup) {
     const std::size_t g = std::min(serve::kPathGroup, queries.size() - at);
@@ -329,8 +341,13 @@ void search_paths_dyn(const State& state,
       out[at + q].keys.resize(refs[q].len);
       keys[q] = out[at + q].keys.data();
     }
-    search_group_dyn(state, refs, g, scratch, keys);
+    serve::PathFault fault = search_group_dyn(state, refs, g, scratch, keys);
+    if (fault) {
+      fault.query += at;
+      return fault;
+    }
   }
+  return {};
 }
 
 coop::Expected<std::unique_ptr<DynamicCatalog>> DynamicCatalog::attach(

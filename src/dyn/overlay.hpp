@@ -145,7 +145,7 @@ struct PathKeysRef {
 
 /// Dynamic answers for a whole path batch, flat: one key buffer sliced
 /// per query by serve::PathSlices, plus the base kernel's scratch for one
-/// lockstep group.  Reusable like serve::PathAnswerSet: reset()
+/// engine unit.  Reusable like serve::PathAnswerSet: reset()
 /// allocates only when the batch outgrows every earlier one.
 class PathKeySet {
  public:
@@ -178,30 +178,32 @@ class PathKeySet {
   }
 
  private:
-  friend void search_paths_dyn(const State& state,
-                               std::span<const serve::PathRef> queries,
-                               PathKeySet& out);
+  friend serve::PathFault search_paths_dyn(
+      const State& state, std::span<const serve::PathRef> queries,
+      PathKeySet& out);
 
   std::vector<Key> keys_;
   serve::PathSlices slices_;
-  std::vector<std::uint32_t> scratch_;  ///< base kernel's answers, one group
+  std::vector<std::uint32_t> scratch_;  ///< base kernel's answers, one unit
 };
 
 /// Serve a batch of explicit-path queries against one captured State into
-/// `out` (reset to the batch here): runs the untouched grouped base
-/// kernel one lockstep group at a time, then a branch-light merge
-/// post-pass only on (query, node) pairs whose node actually has runs.
-/// Paths must already be validated against the base cascade.
-/// Single-threaded building block — engine sharding and the serving
-/// discipline live in serve::Frontend::serve_dyn_paths.
-void search_paths_dyn(const State& state,
-                      std::span<const serve::PathRef> queries,
-                      PathKeySet& out);
+/// `out` (reset to the batch here): runs the base path kernel
+/// (serve::search_paths_grouped_into) one engine unit of kPathGroup
+/// queries at a time, then a branch-light merge post-pass only on
+/// (query, node) pairs whose node actually has runs.  Paths are checked
+/// against the base cascade as the kernel walks them: the result is the
+/// first refused query's fault (see serve::PathFault), and the answers
+/// of a refused batch are unspecified.  Single-threaded building block —
+/// the serving discipline lives in serve::Frontend::serve_dyn_paths.
+serve::PathFault search_paths_dyn(const State& state,
+                                  std::span<const serve::PathRef> queries,
+                                  PathKeySet& out);
 
 /// search_paths_dyn over PathQuery: out[q].keys is resized and filled.
-void search_paths_dyn(const State& state,
-                      std::span<const serve::PathQuery> queries,
-                      PathKeys* out);
+serve::PathFault search_paths_dyn(const State& state,
+                                  std::span<const serve::PathQuery> queries,
+                                  PathKeys* out);
 
 struct DynamicCatalogOptions {
   /// Per-node run-list length that triggers an in-memory newest-wins

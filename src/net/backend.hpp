@@ -47,12 +47,16 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Answer one request: the response payload, which the server frames
-  /// under the request's type, or a Status it sends as a typed ERROR.
-  /// Verbs the backend does not serve are kInvalidArgument.  Called
-  /// concurrently from every serving thread.
-  [[nodiscard]] virtual coop::Expected<std::vector<std::uint8_t>> serve(
-      const Request& req) = 0;
+  /// Answer one request: append the response payload to `out`, which
+  /// the server then frames in place under the request's type, or return
+  /// a Status it sends as a typed ERROR instead (discarding whatever was
+  /// appended).  `out` arrives holding the bytes before the payload (the
+  /// frame's reserved prefix and header, after any earlier responses);
+  /// they are the server's, so append only.  Verbs the backend does not
+  /// serve are kInvalidArgument.  Called concurrently from every serving
+  /// thread.
+  [[nodiscard]] virtual coop::Status serve(const Request& req,
+                                           std::vector<std::uint8_t>& out) = 0;
 
   /// The per-collection rows of a HEALTH response.
   [[nodiscard]] virtual std::vector<CollectionHealth> health() = 0;

@@ -131,6 +131,13 @@ Status unknown_collection(const std::string& name) {
   return Status::invalid_argument("unknown collection '" + name + "'");
 }
 
+/// Append an encoded payload to the response being framed.
+Status put(std::vector<std::uint8_t>& out,
+           const std::vector<std::uint8_t>& payload) {
+  out.insert(out.end(), payload.begin(), payload.end());
+  return coop::OkStatus();
+}
+
 }  // namespace
 
 CollectionBackend::CollectionBackend(std::size_t engine_threads,
@@ -139,25 +146,25 @@ CollectionBackend::CollectionBackend(std::size_t engine_threads,
       batch_(frontend.batch),
       collections_(engine_, std::move(frontend)) {}
 
-coop::Expected<std::vector<std::uint8_t>> CollectionBackend::serve(
-    const Request& req) {
+Status CollectionBackend::serve(const Request& req,
+                               std::vector<std::uint8_t>& out) {
   switch (req.type()) {
     case MsgType::kPathBatch:
-      return serve_paths(req);
+      return serve_paths(req, out);
     case MsgType::kPointBatch:
-      return serve_points(req);
+      return serve_points(req, out);
     case MsgType::kDynPathBatch:
-      return serve_dyn_paths(req);
+      return serve_dyn_paths(req, out);
     case MsgType::kMutate:
-      return serve_mutate(req);
+      return serve_mutate(req, out);
     case MsgType::kCompact:
-      return serve_compact(req);
+      return serve_compact(req, out);
     case MsgType::kFetchSnapshot:
-      return serve_fetch_snapshot(req);
+      return serve_fetch_snapshot(req, out);
     case MsgType::kLoad:
     case MsgType::kSwap:
     case MsgType::kUnload:
-      return serve_admin(req);
+      return serve_admin(req, out);
     default:
       return Status::invalid_argument("unknown message type " +
                                       std::to_string(req.header.type));
@@ -189,14 +196,15 @@ bool CollectionBackend::batch_options(const Request& req,
 namespace {
 
 /// One serving thread's PATH_BATCH / DYN_PATH_BATCH state, reused across
-/// its requests: the decoded batch and its flat answers.  The buffers
-/// keep their capacity, so a request costs a fixed number of allocations
-/// however many queries it carries.
+/// its requests: the decoded batch, its flat answers and the batch
+/// report.  The buffers keep their capacity, so a request allocates
+/// nothing once they have grown to the largest batch.
 struct PathScratch {
   std::string collection;
   serve::PathBatch batch;
   serve::PathAnswerSet answers;
   dyn::PathKeySet keys;
+  serve::BatchReport report;
 };
 
 PathScratch& path_scratch() {
@@ -206,7 +214,8 @@ PathScratch& path_scratch() {
 
 }  // namespace
 
-CollectionBackend::Reply CollectionBackend::serve_paths(const Request& req) {
+Status CollectionBackend::serve_paths(const Request& req,
+                                      std::vector<std::uint8_t>& out) {
   PathScratch& s = path_scratch();
   if (Status st = decode_path_batch(MsgType::kPathBatch, req.payload,
                                     req.limits, s.collection, s.batch);
@@ -217,11 +226,9 @@ CollectionBackend::Reply CollectionBackend::serve_paths(const Request& req) {
   if (c == nullptr) {
     return unknown_collection(s.collection);
   }
-  // Validate every untrusted path against the current snapshot before
-  // the assert-free grouped kernel sees it.  The pin is held across the
-  // serve call so the validated generation cannot be reclaimed mid-batch
-  // (the serving contract requires SWAP generations to keep the node-id
-  // space — see DESIGN.md §11).
+  // The kernel checks every untrusted path as it walks it, against the
+  // generation each attempt pins; these checks only name the collection
+  // in the refusal of one that cannot serve paths at all.
   const snapshot::Registry::Pin pin = c->registry.pin();
   if (!pin.has_snapshot()) {
     return Status::failed_precondition("collection '" + s.collection +
@@ -232,28 +239,23 @@ CollectionBackend::Reply CollectionBackend::serve_paths(const Request& req) {
         "collection '" + s.collection +
         "' serves point location, not path search");
   }
-  for (const serve::PathRef& q : s.batch.queries()) {
-    if (Status st = pin.snapshot().cascade.validate_path({q.path, q.len});
-        !st.ok()) {
-      return st;
-    }
-  }
   serve::BatchOptions bo;
   if (!batch_options(req, bo)) {
     return expired(req, "before dispatch");
   }
-  serve::BatchReport report;
   std::uint64_t version = 0;
   if (Status st = c->frontend.serve_paths(s.batch.queries(), s.answers,
-                                          &report, &version,
+                                          &s.report, &version,
                                           req.deadline ? &bo : nullptr);
       !st.ok()) {
     return st;
   }
-  return encode_path_response(version, report.degraded, s.answers);
+  encode_path_response(version, s.report.degraded, s.answers, out);
+  return coop::OkStatus();
 }
 
-CollectionBackend::Reply CollectionBackend::serve_points(const Request& req) {
+Status CollectionBackend::serve_points(const Request& req,
+                                       std::vector<std::uint8_t>& out) {
   auto decoded = decode_point_request(req.payload, req.limits);
   if (!decoded.ok()) {
     return decoded.status();
@@ -277,7 +279,7 @@ CollectionBackend::Reply CollectionBackend::serve_points(const Request& req) {
   }
   resp.regions.assign(regions.begin(), regions.end());
   resp.degraded = report.degraded;
-  return encode(resp);
+  return put(out, encode(resp));
 }
 
 namespace {
@@ -300,7 +302,8 @@ coop::Expected<std::shared_ptr<Collection>> find_dynamic(
 
 }  // namespace
 
-CollectionBackend::Reply CollectionBackend::serve_mutate(const Request& req) {
+Status CollectionBackend::serve_mutate(const Request& req,
+                                       std::vector<std::uint8_t>& out) {
   auto decoded = decode_mutate_request(req.payload, req.limits);
   if (!decoded.ok()) {
     return decoded.status();
@@ -328,11 +331,11 @@ CollectionBackend::Reply CollectionBackend::serve_mutate(const Request& req) {
       !s.ok()) {
     return s;
   }
-  return encode(resp);
+  return put(out, encode(resp));
 }
 
-CollectionBackend::Reply CollectionBackend::serve_dyn_paths(
-    const Request& req) {
+Status CollectionBackend::serve_dyn_paths(const Request& req,
+                                          std::vector<std::uint8_t>& out) {
   PathScratch& s = path_scratch();
   if (Status st = decode_path_batch(MsgType::kDynPathBatch, req.payload,
                                     req.limits, s.collection, s.batch);
@@ -355,11 +358,12 @@ CollectionBackend::Reply CollectionBackend::serve_dyn_paths(
       !st.ok()) {
     return st;
   }
-  return encode_dyn_path_response(version, write_seq, s.keys);
+  encode_dyn_path_response(version, write_seq, s.keys, out);
+  return coop::OkStatus();
 }
 
-CollectionBackend::Reply CollectionBackend::serve_compact(
-    const Request& req) {
+Status CollectionBackend::serve_compact(const Request& req,
+                                        std::vector<std::uint8_t>& out) {
   auto decoded = decode_compact_request(req.payload, req.limits);
   if (!decoded.ok()) {
     return decoded.status();
@@ -375,7 +379,7 @@ CollectionBackend::Reply CollectionBackend::serve_compact(
   CompactResponse resp;
   resp.version = version.value();
   resp.watermark = (*c)->dyn_catalog->stats().watermark;
-  return encode(resp);
+  return put(out, encode(resp));
 }
 
 /// FETCH_SNAPSHOT: one chunk of the collection's published snapshot,
@@ -385,8 +389,8 @@ CollectionBackend::Reply CollectionBackend::serve_compact(
 /// while the chunk is copied, so a concurrent SWAP cannot unmap the
 /// generation mid-read; a version-pinned request against a superseded
 /// generation gets kFailedPrecondition and the follower restarts.
-CollectionBackend::Reply CollectionBackend::serve_fetch_snapshot(
-    const Request& req) {
+Status CollectionBackend::serve_fetch_snapshot(const Request& req,
+                                               std::vector<std::uint8_t>& out) {
   auto decoded = decode_fetch_request(req.payload, req.limits);
   if (!decoded.ok()) {
     return decoded.status();
@@ -433,10 +437,11 @@ CollectionBackend::Reply CollectionBackend::serve_fetch_snapshot(
   resp.offset = f.offset;
   const std::uint8_t* base = snap.mapping.data() + f.offset;
   resp.data.assign(base, base + want);
-  return encode(resp);
+  return put(out, encode(resp));
 }
 
-CollectionBackend::Reply CollectionBackend::serve_admin(const Request& req) {
+Status CollectionBackend::serve_admin(const Request& req,
+                                      std::vector<std::uint8_t>& out) {
   auto decoded = decode_admin_request(req.payload, req.limits);
   if (!decoded.ok()) {
     return decoded.status();
@@ -446,7 +451,7 @@ CollectionBackend::Reply CollectionBackend::serve_admin(const Request& req) {
     if (Status s = collections_.unload(decoded->collection); !s.ok()) {
       return s;
     }
-    return encode(resp);
+    return put(out, encode(resp));
   }
   auto snap = snapshot::open(decoded->snapshot_path);
   if (!snap.ok()) {
@@ -460,7 +465,7 @@ CollectionBackend::Reply CollectionBackend::serve_admin(const Request& req) {
   if (!s.ok()) {
     return s;
   }
-  return encode(resp);
+  return put(out, encode(resp));
 }
 
 }  // namespace net

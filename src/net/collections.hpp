@@ -111,22 +111,26 @@ class CollectionBackend final : public Backend {
   CollectionBackend(std::size_t engine_threads,
                     serve::FrontendOptions frontend);
 
-  [[nodiscard]] coop::Expected<std::vector<std::uint8_t>> serve(
-      const Request& req) override;
+  [[nodiscard]] coop::Status serve(const Request& req,
+                                   std::vector<std::uint8_t>& out) override;
   [[nodiscard]] std::vector<CollectionHealth> health() override;
 
   [[nodiscard]] CollectionMap& collections() { return collections_; }
 
  private:
-  using Reply = coop::Expected<std::vector<std::uint8_t>>;
-
-  Reply serve_paths(const Request& req);
-  Reply serve_points(const Request& req);
-  Reply serve_dyn_paths(const Request& req);
-  Reply serve_mutate(const Request& req);
-  Reply serve_compact(const Request& req);
-  Reply serve_fetch_snapshot(const Request& req);
-  Reply serve_admin(const Request& req);
+  // Each verb appends its response payload to `out`, as serve() does.
+  coop::Status serve_paths(const Request& req, std::vector<std::uint8_t>& out);
+  coop::Status serve_points(const Request& req,
+                            std::vector<std::uint8_t>& out);
+  coop::Status serve_dyn_paths(const Request& req,
+                               std::vector<std::uint8_t>& out);
+  coop::Status serve_mutate(const Request& req,
+                            std::vector<std::uint8_t>& out);
+  coop::Status serve_compact(const Request& req,
+                             std::vector<std::uint8_t>& out);
+  coop::Status serve_fetch_snapshot(const Request& req,
+                                    std::vector<std::uint8_t>& out);
+  coop::Status serve_admin(const Request& req, std::vector<std::uint8_t>& out);
 
   /// The engine knobs for one batch: the frontend's defaults, with the
   /// request's remaining budget as the watchdog deadline.  False when

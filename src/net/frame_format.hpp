@@ -89,10 +89,14 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 40);
 
+/// Bytes of a frame before its payload: length prefix + header.
+inline constexpr std::size_t kFrameHead =
+    sizeof(std::uint32_t) + sizeof(FrameHeader);
+
 /// Bytes of a frame that are not payload: length prefix + header + CRC
 /// trailer.
 inline constexpr std::size_t kFrameOverhead =
-    sizeof(std::uint32_t) + sizeof(FrameHeader) + sizeof(std::uint32_t);
+    kFrameHead + sizeof(std::uint32_t);
 
 /// CRC of a FrameHeader with its header_crc field zeroed (CRC-32C, the
 /// same runtime-dispatched kernel the snapshot format uses).

@@ -12,11 +12,11 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -259,14 +259,20 @@ struct Server::Impl {
   struct Conn {
     int fd = -1;
     std::uint64_t id = 0;
+    /// Received bytes; requests are checked and served where they lie.
     std::vector<std::uint8_t> inbuf;
-    std::deque<std::vector<std::uint8_t>> outq;
+    /// Responses framed in place, sent from out_off on.  Cleared (its
+    /// capacity kept) once everything in it is sent.
+    std::vector<std::uint8_t> outbuf;
     std::size_t out_off = 0;
+    std::uint64_t out_frames = 0;  ///< frames in outbuf, counted when sent
     SteadyClock::time_point last_activity{};
     SteadyClock::time_point stall_since{};
     bool busy = false;  ///< owned by a serving thread
     bool dead = false;  ///< peer gone or socket error: destroyed on release
     bool close_after_flush = false;
+
+    [[nodiscard]] bool sending() const { return !outbuf.empty(); }
   };
   /// conns_mu guards the three below.  Connections are addressed by a
   /// monotonic id, not by fd: an event that raced a close must never
@@ -277,52 +283,71 @@ struct Server::Impl {
   int listen_fd = -1;
   std::atomic<std::uint64_t> next_reap_ns{0};  ///< steady ns of next reap
 
-  /// A frame cut from a connection's stream, stamped with its arrival;
-  /// `response` holds its read-time refusal, or is empty until served.
+  /// A checked frame of a connection's read buffer: where it lies, its
+  /// header, its arrival, and its read-time refusal (OK until served).
   struct Cut {
-    Frame frame;
+    FrameHeader header;
+    std::span<const std::uint8_t> payload;  ///< in the read buffer
     SteadyClock::time_point arrival{};
-    std::vector<std::uint8_t> response;
+    Status refusal;
   };
 
   std::mutex drain_mu;
   std::condition_variable drain_cv;
   bool drained = false;
 
-  mutable std::mutex stats_mu;
-  ServerStats stats;
+  obs::StatCounters<ServerStats> stats;
 
-  /// Count one event in stats() and, when given, in its obs counter.
+  /// Count `n` events in stats() and, when given, in its obs counter.
   void bump(std::uint64_t ServerStats::* field,
-            obs::Counter NetMetrics::* metric = nullptr) {
+            obs::Counter NetMetrics::* metric = nullptr, std::uint64_t n = 1) {
     if (metric != nullptr) {
-      (NetMetrics::get().*metric).inc();
+      (NetMetrics::get().*metric).add(n);
     }
-    std::lock_guard<std::mutex> lock(stats_mu);
-    ++(stats.*field);
+    stats.bump(field, n);
   }
 
   // ---- response plumbing -------------------------------------------
+  //
+  // A response is framed in place at the end of the connection's output
+  // buffer: its prefix and header are reserved, the payload is written
+  // after them, and seal() stamps both and appends the CRC trailer.
 
-  static std::vector<std::uint8_t> make_response(
-      const FrameHeader& req, MsgType type,
-      std::span<const std::uint8_t> payload) {
+  /// Reserve the prefix and header of a response starting at `start`.
+  static void begin(std::vector<std::uint8_t>& out, std::size_t start) {
+    out.resize(start + kFrameHead);
+  }
+
+  /// Frame the payload written after begin(out, start) as the response
+  /// of type `type` to `req`.
+  static void seal(std::vector<std::uint8_t>& out, std::size_t start,
+                   const FrameHeader& req, MsgType type) {
     FrameHeader h;
     h.type = static_cast<std::uint16_t>(static_cast<std::uint16_t>(type) |
                                         kResponseBit);
     h.request_id = req.request_id;
     h.tenant = req.tenant;
-    return encode_frame(h, payload);
+    seal_frame(h, out, start);
   }
 
-  std::vector<std::uint8_t> error_frame(const FrameHeader& req,
-                                        const Status& s) {
+  /// The response of type `type` to `req` carrying `payload`, at `start`.
+  static void put_response(std::vector<std::uint8_t>& out, std::size_t start,
+                           const FrameHeader& req, MsgType type,
+                           std::span<const std::uint8_t> payload) {
+    begin(out, start);
+    out.insert(out.end(), payload.begin(), payload.end());
+    seal(out, start, req, type);
+  }
+
+  /// A typed ERROR response to `req` at `start`, replacing anything
+  /// written there.
+  void error_frame(std::vector<std::uint8_t>& out, std::size_t start,
+                   const FrameHeader& req, const Status& s) {
     bump(&ServerStats::errors_sent, &NetMetrics::errors_sent);
     if (s.code() == coop::StatusCode::kDeadlineExceeded) {
       bump(&ServerStats::deadline_expired, &NetMetrics::deadline_expired);
     }
-    const std::vector<std::uint8_t> payload = encode(to_wire_error(s));
-    return make_response(req, MsgType::kError, payload);
+    put_response(out, start, req, MsgType::kError, encode(to_wire_error(s)));
   }
 
   // ---- serving -----------------------------------------------------
@@ -330,21 +355,23 @@ struct Server::Impl {
   /// One of the `opts.workers` identical serving threads.
   void serve_loop() {
     Poller::Event ev;
+    std::vector<Cut> cuts;  // reused across wakeups
     while (!poller.stopped()) {
       if (poller.wait(ev, kTickMs)) {
         if (ev.token == kListenerToken) {
           accept_ready();
         } else {
-          serve_conn(ev);
+          serve_conn(ev, cuts);
         }
       }
       tick();
     }
   }
 
-  /// Own the reported connection: read everything available, cut and
-  /// admit its frames, answer them in order, flush, then hand it back.
-  void serve_conn(const Poller::Event& ev) {
+  /// Own the reported connection: read everything available, check and
+  /// admit its frames, answer them in order from the read buffer, flush,
+  /// then hand it back.
+  void serve_conn(const Poller::Event& ev, std::vector<Cut>& cuts) {
     Conn* conn = nullptr;
     {
       std::lock_guard<std::mutex> lock(conns_mu);
@@ -360,20 +387,42 @@ struct Server::Impl {
     } else if (ev.readable) {
       read_ready(*conn);
     }
-    for (Cut& cut : cut_frames(*conn)) {
+    const std::size_t consumed = cut_frames(*conn, cuts);
+    for (const Cut& cut : cuts) {
       if (conn->dead) {
         break;  // nobody left to answer
       }
-      if (cut.response.empty()) {
-        const SteadyClock::time_point t0 = SteadyClock::now();
-        cut.response = process(cut);
-        NetMetrics::get().request_ns.record(
-            steady_ns(SteadyClock::now()) - steady_ns(t0));
-      }
-      queue_response(*conn, std::move(cut.response));
+      respond(*conn, cut);
+    }
+    if (conn->close_after_flush) {
+      conn->inbuf.clear();  // stream condemned
+    } else {
+      conn->inbuf.erase(
+          conn->inbuf.begin(),
+          conn->inbuf.begin() + static_cast<std::ptrdiff_t>(consumed));
     }
     flush(*conn);
     release(*conn);
+  }
+
+  /// Append the response to `cut` to the connection's output buffer and
+  /// opportunistically flush it (most responses fit the socket buffer).
+  void respond(Conn& conn, const Cut& cut) {
+    std::vector<std::uint8_t>& out = conn.outbuf;
+    const std::size_t start = out.size();
+    if (start == 0) {
+      conn.stall_since = SteadyClock::now();
+    }
+    if (!cut.refusal.ok()) {
+      error_frame(out, start, cut.header, cut.refusal);
+    } else {
+      const SteadyClock::time_point t0 = SteadyClock::now();
+      process(cut, out);
+      NetMetrics::get().request_ns.record(steady_ns(SteadyClock::now()) -
+                                          steady_ns(t0));
+    }
+    ++conn.out_frames;
+    flush(conn);
   }
 
   /// Give up ownership: destroy a dead or finished connection, or re-arm
@@ -381,10 +430,10 @@ struct Server::Impl {
   void release(Conn& conn) {
     std::lock_guard<std::mutex> lock(conns_mu);
     conn.busy = false;
-    if (conn.dead || (conn.close_after_flush && conn.outq.empty())) {
+    if (conn.dead || (conn.close_after_flush && !conn.sending())) {
       destroy_locked(conn.id);
     } else {
-      poller.arm(conn.fd, conn.id, !conn.outq.empty());
+      poller.arm(conn.fd, conn.id, conn.sending());
     }
   }
 
@@ -394,7 +443,7 @@ struct Server::Impl {
   /// would overflow (UB).  Anything above an hour is effectively
   /// unbounded, so saturate there.
   static std::optional<SteadyClock::time_point> deadline_of(const Cut& cut) {
-    const std::uint64_t ns = cut.frame.header.deadline_ns;
+    const std::uint64_t ns = cut.header.deadline_ns;
     if (ns == 0) {
       return std::nullopt;
     }
@@ -403,32 +452,36 @@ struct Server::Impl {
                              std::min(ns, kMaxDeadlineNs)));
   }
 
-  /// Answer one frame: the server's own verbs here, everything else
-  /// through the backend, bracketed by the deadline checks — an expired
-  /// request gets a typed kDeadlineExceeded, never a late answer.
-  std::vector<std::uint8_t> process(const Cut& cut) {
-    const FrameHeader& h = cut.frame.header;
+  /// Answer one frame, appending its response to `out`: the server's
+  /// own verbs here, everything else through the backend, bracketed by
+  /// the deadline checks — an expired request gets a typed
+  /// kDeadlineExceeded, never a late answer.
+  void process(const Cut& cut, std::vector<std::uint8_t>& out) {
+    const std::size_t start = out.size();
+    const FrameHeader& h = cut.header;
     const auto type = static_cast<MsgType>(h.type);
     switch (type) {
       case MsgType::kHealth: {
         HealthResponse resp;
         resp.draining = self->draining() ? 1 : 0;
         resp.collections = self->backend_->health();
-        return make_response(h, type, encode(resp));
+        put_response(out, start, h, type, encode(resp));
+        return;
       }
       case MsgType::kMetrics: {
         const std::string text =
             obs::to_prometheus(obs::Registry::global().scrape());
-        return make_response(
-            h, type,
-            std::span<const std::uint8_t>(
-                reinterpret_cast<const std::uint8_t*>(text.data()),
-                text.size()));
+        put_response(out, start, h, type,
+                     std::span<const std::uint8_t>(
+                         reinterpret_cast<const std::uint8_t*>(text.data()),
+                         text.size()));
+        return;
       }
       case MsgType::kError:
-        return error_frame(h, Status::invalid_argument(
-                                  "ERROR is a response type, not a "
-                                  "request"));
+        error_frame(out, start, h,
+                    Status::invalid_argument("ERROR is a response type, not "
+                                             "a request"));
+        return;
       default:
         break;
     }
@@ -436,37 +489,43 @@ struct Server::Impl {
       // Writes and compactions share the admin trust boundary: the wire
       // carries no authentication, and every one of these verbs loads
       // server-side paths or mutates served state.
-      return error_frame(
-          h, Status::permission_denied(
-                 "admin frames are disabled on non-loopback binds; "
-                 "restart with enable_remote_admin to accept "
-                 "LOAD/SWAP/UNLOAD/DRAIN/MUTATE/COMPACT from remote "
-                 "peers"));
+      error_frame(out, start, h,
+                  Status::permission_denied(
+                      "admin frames are disabled on non-loopback binds; "
+                      "restart with enable_remote_admin to accept "
+                      "LOAD/SWAP/UNLOAD/DRAIN/MUTATE/COMPACT from remote "
+                      "peers"));
+      return;
     }
     if (type == MsgType::kDrain) {
-      if (auto req = decode_admin_request(cut.frame.payload, opts.limits);
+      if (auto req = decode_admin_request(cut.payload, opts.limits);
           !req.ok()) {
-        return error_frame(h, req.status());
+        error_frame(out, start, h, req.status());
+        return;
       }
       self->begin_drain();
-      return make_response(h, type, encode(AdminResponse{}));
+      put_response(out, start, h, type, encode(AdminResponse{}));
+      return;
     }
-    const Request req{h, cut.frame.payload, opts.limits, deadline_of(cut)};
+    const Request req{h, cut.payload, opts.limits, deadline_of(cut)};
     const bool batch = is_batch(type);
     if (req.deadline && (batch || type == MsgType::kMutate) &&
         SteadyClock::now() >= *req.deadline) {
-      return error_frame(h, expired(req, "before dispatch"));
+      error_frame(out, start, h, expired(req, "before dispatch"));
+      return;
     }
-    auto reply = self->backend_->serve(req);
-    if (!reply.ok()) {
-      return error_frame(h, reply.status());
+    begin(out, start);
+    if (Status st = self->backend_->serve(req, out); !st.ok()) {
+      error_frame(out, start, h, st);
+      return;
     }
     if (batch && req.deadline && SteadyClock::now() >= *req.deadline) {
-      return error_frame(
-          h, expired(req, "during serving (late answer suppressed)"));
+      error_frame(out, start, h,
+                  expired(req, "during serving (late answer suppressed)"));
+      return;
     }
     count_served(type);
-    return make_response(h, type, *reply);
+    seal(out, start, h, type);
   }
 
   void count_served(MsgType type) {
@@ -490,23 +549,13 @@ struct Server::Impl {
     }
   }
 
-  /// Queue a response and opportunistically flush it (most responses fit
-  /// the socket buffer).
-  void queue_response(Conn& conn, std::vector<std::uint8_t> bytes) {
-    if (conn.outq.empty()) {
-      conn.stall_since = SteadyClock::now();
-    }
-    conn.outq.push_back(std::move(bytes));
-    flush(conn);
-  }
-
-  /// Push queued bytes until the socket is full; a send error marks the
-  /// connection dead.
+  /// Send buffered bytes until the socket is full; a send error marks
+  /// the connection dead.
   void flush(Conn& conn) {
-    while (!conn.outq.empty()) {
-      const std::vector<std::uint8_t>& front = conn.outq.front();
-      const ssize_t n = ::send(conn.fd, front.data() + conn.out_off,
-                               front.size() - conn.out_off, MSG_NOSIGNAL);
+    while (conn.sending()) {
+      const ssize_t n =
+          ::send(conn.fd, conn.outbuf.data() + conn.out_off,
+                 conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno != EAGAIN && errno != EWOULDBLOCK) {
           conn.dead = true;
@@ -520,10 +569,11 @@ struct Server::Impl {
       // Any byte progress resets the stall clock: a slow-but-draining
       // reader of one large response must not be reaped as stalled.
       conn.stall_since = SteadyClock::now();
-      if (conn.out_off == front.size()) {
-        conn.outq.pop_front();
+      if (conn.out_off == conn.outbuf.size()) {
+        conn.outbuf.clear();
         conn.out_off = 0;
-        bump(&ServerStats::frames_out, &NetMetrics::frames_out);
+        bump(&ServerStats::frames_out, &NetMetrics::frames_out,
+             std::exchange(conn.out_frames, 0));
       }
     }
   }
@@ -588,66 +638,70 @@ struct Server::Impl {
     conn.dead = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
   }
 
-  /// Cut every complete frame out of the reassembly buffer, stamping its
-  /// arrival and running the read-time checks: drain and quota refusals
-  /// are answered here, so admission and the deadline clock run at read
-  /// time even for a pipelined burst served after it.  One malformed
-  /// frame forfeits the stream.
-  std::vector<Cut> cut_frames(Conn& conn) {
-    std::vector<Cut> cuts;
+  /// Check every complete frame in the reassembly buffer where it lies
+  /// into `cuts`, stamping its arrival and running the read-time checks:
+  /// drain and quota refusals are decided here, so admission and the
+  /// deadline clock run at read time even for a pipelined burst served
+  /// after it.  One malformed frame forfeits the stream.  Returns the
+  /// bytes the cuts cover; they stay in the buffer until served.
+  std::size_t cut_frames(Conn& conn, std::vector<Cut>& cuts) {
+    cuts.clear();
+    const std::size_t cap =
+        std::min<std::size_t>(opts.limits.max_frame_bytes, kAbsoluteMaxFrame);
+    const std::vector<std::uint8_t>& in = conn.inbuf;
     std::size_t off = 0;
     while (!conn.dead && !conn.close_after_flush &&
-           conn.inbuf.size() - off >= sizeof(std::uint32_t)) {
+           in.size() - off >= sizeof(std::uint32_t)) {
       std::uint32_t prefix = 0;
-      std::memcpy(&prefix, conn.inbuf.data() + off, sizeof(prefix));
+      std::memcpy(&prefix, in.data() + off, sizeof(prefix));
       const std::size_t total = sizeof(prefix) + std::size_t{prefix};
       if (std::size_t{prefix} <
               sizeof(FrameHeader) + sizeof(std::uint32_t) ||
-          total > opts.limits.max_frame_bytes) {
+          total > cap) {
         cuts.push_back(reject_malformed(
             conn,
             Status::corrupted(
                 "frame length prefix " + std::to_string(prefix) +
                 " outside [" +
                 std::to_string(sizeof(FrameHeader) + sizeof(std::uint32_t)) +
-                ", " + std::to_string(opts.limits.max_frame_bytes) + ")")));
+                ", " + std::to_string(cap) + ")")));
         break;
       }
-      if (conn.inbuf.size() - off < total) {
+      if (in.size() - off < total) {
         break;  // wait for the rest
       }
-      auto frame = decode_frame(
-          std::span<const std::uint8_t>(conn.inbuf.data() + off, total),
-          opts.limits);
+      Cut cut;
+      const std::uint8_t* frame = in.data() + off;
+      std::memcpy(&cut.header, frame + sizeof(prefix), sizeof(cut.header));
+      cut.payload = {frame + kFrameHead, total - kFrameOverhead};
+      std::uint32_t trailer = 0;
+      std::memcpy(&trailer, frame + total - sizeof(trailer), sizeof(trailer));
       off += total;
-      if (!frame.ok()) {
-        cuts.push_back(reject_malformed(conn, frame.status()));
+      if (Status st = check_frame(prefix, cut.header, cut.payload, trailer);
+          !st.ok()) {
+        cuts.push_back(reject_malformed(conn, st));
         break;
       }
       bump(&ServerStats::frames_in, &NetMetrics::frames_in);
-      cuts.push_back(admit(std::move(frame.value())));
+      admit(cut);
+      cuts.push_back(std::move(cut));
     }
-    if (conn.close_after_flush) {
-      conn.inbuf.clear();  // stream condemned
-    } else {
-      conn.inbuf.erase(conn.inbuf.begin(),
-                       conn.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
-    }
-    return cuts;
+    return off;
   }
 
   Cut reject_malformed(Conn& conn, const Status& s) {
     bump(&ServerStats::malformed, &NetMetrics::malformed);
     conn.close_after_flush = true;
-    FrameHeader anon;  // the offending header is untrusted: respond id 0
-    return Cut{Frame{}, {}, error_frame(anon, s)};
+    Cut cut;  // the offending header is untrusted: respond id 0
+    cut.refusal = s;
+    return cut;
   }
 
-  /// Stamp a decoded frame's arrival, and refuse it (drain/quota) with a
+  /// Stamp a checked frame's arrival, and refuse it (drain/quota) with a
   /// typed error or leave it to be served.
-  Cut admit(Frame frame) {
-    Cut cut{std::move(frame), SteadyClock::now(), {}};
-    const FrameHeader& h = cut.frame.header;
+  void admit(Cut& cut) {
+    cut.arrival = SteadyClock::now();
+    const FrameHeader& h = cut.header;
     const auto type = static_cast<MsgType>(h.type);
     // MUTATE is admin-gated like LOAD/SWAP but also quota-charged like a
     // batch: a hot writer drains the same per-tenant bucket its reads
@@ -656,17 +710,15 @@ struct Server::Impl {
     if (self->draining() &&
         (charged || (is_admin(type) && type != MsgType::kDrain))) {
       bump(&ServerStats::draining_refused, &NetMetrics::draining_refused);
-      cut.response = error_frame(
-          h, Status::unavailable(
-                 "server is draining; no new batches accepted"));
+      cut.refusal =
+          Status::unavailable("server is draining; no new batches accepted");
     } else if (charged) {
       if (Status s = self->quotas_->admit(h.tenant, steady_ns(cut.arrival));
           !s.ok()) {
         bump(&ServerStats::quota_shed, &NetMetrics::quota_shed);
-        cut.response = error_frame(h, s);
+        cut.refusal = std::move(s);
       }
     }
-    return cut;
   }
 
   // ---- housekeeping ------------------------------------------------
@@ -705,10 +757,10 @@ struct Server::Impl {
       if (conn.busy) {
         continue;
       }
-      if (conn.outq.empty() && now - conn.last_activity > opts.idle_timeout) {
+      if (!conn.sending() && now - conn.last_activity > opts.idle_timeout) {
         bump(&ServerStats::idle_closed, &NetMetrics::idle_closed);
         doomed.push_back(id);
-      } else if (!conn.outq.empty() &&
+      } else if (conn.sending() &&
                  now - conn.stall_since > opts.write_stall_timeout) {
         bump(&ServerStats::stall_closed, &NetMetrics::stall_closed);
         doomed.push_back(id);
@@ -724,7 +776,7 @@ struct Server::Impl {
     {
       std::lock_guard<std::mutex> lock(conns_mu);
       for (const auto& [id, conn] : conns) {
-        if (conn.busy || !conn.outq.empty()) {
+        if (conn.busy || conn.sending()) {
           return;
         }
       }
@@ -856,8 +908,7 @@ ServerStats Server::stats() const {
   if (impl_ == nullptr) {
     return {};
   }
-  std::lock_guard<std::mutex> lock(impl_->stats_mu);
-  return impl_->stats;
+  return impl_->stats.load();
 }
 
 }  // namespace net

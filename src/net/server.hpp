@@ -10,7 +10,7 @@
 //
 // Hygiene discipline — a hostile or broken peer can never take the
 // process down, only its own connection:
-//   malformed     any frame decode_frame rejects gets a typed ERROR
+//   malformed     any frame check_frame rejects gets a typed ERROR
 //                 response, then the connection is closed after the
 //                 flush (one bad frame forfeits the stream: framing is
 //                 unrecoverable once bytes are untrusted).

@@ -347,21 +347,13 @@ Status walk_answers(std::span<const std::uint8_t> payload,
 template <typename Write>
 void frame_into(FrameHeader h, std::size_t payload_size,
                 std::vector<std::uint8_t>& out, Write write) {
-  constexpr std::size_t kHead = sizeof(std::uint32_t) + sizeof(FrameHeader);
   out.clear();
   Writer w(std::move(out), kFrameOverhead + payload_size);
-  w.u32(0);  // the prefix and the header are filled in below
+  w.u32(0);  // the prefix and the header are stamped by seal_frame
   w.raw(&h, sizeof(h));
   write(w);
-  const std::size_t len = w.size() - kHead;
-  h.payload_len = static_cast<std::uint32_t>(len);
-  h.header_crc = frame_header_crc(h);
-  const auto total = static_cast<std::uint32_t>(sizeof(FrameHeader) + len +
-                                                sizeof(std::uint32_t));
-  std::memcpy(w.data(), &total, sizeof(total));
-  std::memcpy(w.data() + sizeof(total), &h, sizeof(h));
-  w.u32(snapshot::crc32(w.data() + kHead, len));
   out = w.take();
+  seal_frame(h, out);
 }
 
 std::size_t path_request_size(const std::string& collection,
@@ -397,6 +389,20 @@ void encode_frame_into(FrameHeader h, std::span<const std::uint8_t> payload,
                        std::vector<std::uint8_t>& out) {
   frame_into(h, payload.size(), out,
              [&](Writer& w) { w.raw(payload.data(), payload.size()); });
+}
+
+void seal_frame(FrameHeader h, std::vector<std::uint8_t>& out,
+                std::size_t at) {
+  const std::size_t len = out.size() - at - kFrameHead;
+  h.payload_len = static_cast<std::uint32_t>(len);
+  h.header_crc = frame_header_crc(h);
+  const auto total = static_cast<std::uint32_t>(sizeof(FrameHeader) + len +
+                                                sizeof(std::uint32_t));
+  const std::uint32_t crc = snapshot::crc32(out.data() + at + kFrameHead, len);
+  std::memcpy(out.data() + at, &total, sizeof(total));
+  std::memcpy(out.data() + at + sizeof(total), &h, sizeof(h));
+  const auto* trailer = reinterpret_cast<const std::uint8_t*>(&crc);
+  out.insert(out.end(), trailer, trailer + sizeof(crc));
 }
 
 void encode_path_request_frame(FrameHeader h, const std::string& collection,
@@ -503,6 +509,14 @@ coop::Expected<PathBatchRequest> decode_path_request(
 
 std::vector<std::uint8_t> encode(const PathBatchResponse& m) {
   return encode_path_response(m.served_version, m.degraded, m.answers);
+}
+
+std::vector<std::uint8_t> encode_path_response(
+    std::uint64_t served_version, bool degraded,
+    const serve::PathAnswerSet& answers) {
+  std::vector<std::uint8_t> out;
+  encode_path_response(served_version, degraded, answers, out);
+  return out;
 }
 
 coop::Expected<PathBatchResponse> decode_path_response(
@@ -826,14 +840,14 @@ Status decode_path_batch(MsgType verb, std::span<const std::uint8_t> payload,
   return coop::OkStatus();
 }
 
-std::vector<std::uint8_t> encode_path_response(
-    std::uint64_t served_version, bool degraded,
-    const serve::PathAnswerSet& answers) {
+void encode_path_response(std::uint64_t served_version, bool degraded,
+                          const serve::PathAnswerSet& answers,
+                          std::vector<std::uint8_t>& out) {
   std::size_t size = reply_head_size(MsgType::kPathBatch);
   for (std::size_t q = 0; q < answers.size(); ++q) {
     size += kMinAnswerBytes + 2 * answers.aug(q).size() * sizeof(std::uint32_t);
   }
-  Writer w(size);
+  Writer w(std::move(out), size);
   w.u64(served_version);
   w.u8(degraded ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(answers.size()));
@@ -842,11 +856,19 @@ std::vector<std::uint8_t> encode_path_response(
     w.array(answers.aug(q));
     w.array(answers.proper(q));
   }
-  return w.take();
+  out = w.take();
 }
 
 std::vector<std::uint8_t> encode(const DynPathBatchResponse& m) {
   return encode_dyn_path_response(m.served_version, m.write_seq, m.answers);
+}
+
+std::vector<std::uint8_t> encode_dyn_path_response(
+    std::uint64_t served_version, std::uint64_t write_seq,
+    const dyn::PathKeySet& answers) {
+  std::vector<std::uint8_t> out;
+  encode_dyn_path_response(served_version, write_seq, answers, out);
+  return out;
 }
 
 coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
@@ -876,14 +898,15 @@ coop::Expected<DynPathBatchResponse> decode_dyn_path_response(
   return m;
 }
 
-std::vector<std::uint8_t> encode_dyn_path_response(
-    std::uint64_t served_version, std::uint64_t write_seq,
-    const dyn::PathKeySet& answers) {
+void encode_dyn_path_response(std::uint64_t served_version,
+                              std::uint64_t write_seq,
+                              const dyn::PathKeySet& answers,
+                              std::vector<std::uint8_t>& out) {
   std::size_t size = reply_head_size(MsgType::kDynPathBatch);
   for (std::size_t q = 0; q < answers.size(); ++q) {
     size += kMinAnswerBytes + answers.keys(q).size() * sizeof(dyn::Key);
   }
-  Writer w(size);
+  Writer w(std::move(out), size);
   w.u64(served_version);
   w.u64(write_seq);
   w.u32(static_cast<std::uint32_t>(answers.size()));
@@ -891,7 +914,7 @@ std::vector<std::uint8_t> encode_dyn_path_response(
     w.u32(static_cast<std::uint32_t>(answers.keys(q).size()));
     w.array(answers.keys(q));
   }
-  return w.take();
+  out = w.take();
 }
 
 std::vector<std::uint8_t> encode(const CompactRequest& m) {
@@ -1104,9 +1127,9 @@ coop::Expected<PathReply> index_path_reply(MsgType verb,
   return out;
 }
 
-std::vector<std::uint8_t> splice_path_replies(
-    MsgType verb, std::span<const PathReply> replies,
-    std::span<const QuerySlot> slots) {
+void splice_path_replies(MsgType verb, std::span<const PathReply> replies,
+                         std::span<const QuerySlot> slots,
+                         std::vector<std::uint8_t>& out) {
   const bool dyn = verb == MsgType::kDynPathBatch;
   std::uint64_t version = ~std::uint64_t{0};
   std::uint64_t write_seq = ~std::uint64_t{0};
@@ -1120,7 +1143,7 @@ std::vector<std::uint8_t> splice_path_replies(
     degraded = degraded || reply.degraded;
     size += reply.offsets.back() - reply.offsets.front();
   }
-  Writer w(size);
+  Writer w(std::move(out), size);
   w.u64(version);
   if (dyn) {
     w.u64(write_seq);
@@ -1133,7 +1156,7 @@ std::vector<std::uint8_t> splice_path_replies(
     const std::size_t begin = reply.offsets[slot.index];
     w.raw(reply.payload.data() + begin, reply.offsets[slot.index + 1] - begin);
   }
-  return w.take();
+  out = w.take();
 }
 
 ErrorResponse to_wire_error(const coop::Status& s) {

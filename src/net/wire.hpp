@@ -54,6 +54,15 @@ struct Frame {
 void encode_frame_into(FrameHeader h, std::span<const std::uint8_t> payload,
                        std::vector<std::uint8_t>& out);
 
+/// Frame in place the payload already written into `out`: from byte
+/// `at` on, `out` holds kFrameHead reserved bytes and then the payload.
+/// The length prefix and `h` (payload_len and header_crc filled in here)
+/// are stamped over the reserved bytes and the payload CRC trailer is
+/// appended — a sender that encodes its payload into its send buffer
+/// frames it without copying it.
+void seal_frame(FrameHeader h, std::vector<std::uint8_t>& out,
+                std::size_t at = 0);
+
 /// Validate + split one complete frame (including the 4-byte length
 /// prefix).  Rejections, in checking order, each with its own message:
 /// too-small buffer, oversize frame, length-prefix/buffer disagreement
@@ -233,13 +242,23 @@ void encode_path_request_frame(FrameHeader h, const std::string& collection,
     const DecodeLimits& limits, std::string& collection,
     serve::PathBatch& batch);
 
-/// A PATH_BATCH response encoded straight from flat answers, in one
-/// allocation; encode(PathBatchResponse) calls it.
+/// A PATH_BATCH response encoded straight from flat answers, appended
+/// to `out` (a server writes it into the frame it sends) with at most
+/// one reallocation; encode(PathBatchResponse) calls it.
+void encode_path_response(std::uint64_t served_version, bool degraded,
+                          const serve::PathAnswerSet& answers,
+                          std::vector<std::uint8_t>& out);
+
+/// The DYN_PATH_BATCH twin; encode(DynPathBatchResponse) calls it.
+void encode_dyn_path_response(std::uint64_t served_version,
+                              std::uint64_t write_seq,
+                              const dyn::PathKeySet& answers,
+                              std::vector<std::uint8_t>& out);
+
+/// Both responses in a buffer of their own.
 [[nodiscard]] std::vector<std::uint8_t> encode_path_response(
     std::uint64_t served_version, bool degraded,
     const serve::PathAnswerSet& answers);
-
-/// The DYN_PATH_BATCH twin; encode(DynPathBatchResponse) calls it.
 [[nodiscard]] std::vector<std::uint8_t> encode_dyn_path_response(
     std::uint64_t served_version, std::uint64_t write_seq,
     const dyn::PathKeySet& answers);
@@ -352,12 +371,13 @@ struct PathReply {
     MsgType verb, std::vector<std::uint8_t> payload,
     const DecodeLimits& limits = {});
 
-/// The client's response: the oldest `served_version` (and `write_seq`)
-/// of any reply, `degraded` if any reply was, and the answers in client
-/// order.  Every slot must name an answer that its reply holds.
-[[nodiscard]] std::vector<std::uint8_t> splice_path_replies(
-    MsgType verb, std::span<const PathReply> replies,
-    std::span<const QuerySlot> slots);
+/// The client's response, appended to `out`: the oldest
+/// `served_version` (and `write_seq`) of any reply, `degraded` if any
+/// reply was, and the answers in client order.  Every slot must name an
+/// answer that its reply holds.
+void splice_path_replies(MsgType verb, std::span<const PathReply> replies,
+                         std::span<const QuerySlot> slots,
+                         std::vector<std::uint8_t>& out);
 
 /// Map a non-OK Status to its wire error payload and back.  Unknown
 /// codes coming off the wire collapse to kInternal (never UB, never OK).

@@ -149,22 +149,40 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
   return f;
 }
 
-coop::Status FlatCascade::validate_path(std::span<const NodeId> path) const {
-  if (path.empty()) {
-    return Status::invalid_argument("empty query path");
-  }
-  if (path.front() != static_cast<NodeId>(root())) {
-    return Status::invalid_argument("query path does not start at the root");
-  }
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (path[i] < 0 || static_cast<std::size_t>(path[i]) >= num_nodes()) {
-      return Status::invalid_argument("query path node " + std::to_string(i) +
+coop::Status PathFault::status() const {
+  switch (kind) {
+    case Kind::kNone:
+      break;
+    case Kind::kEmpty:
+      return Status::invalid_argument("empty query path");
+    case Kind::kNotRoot:
+      return Status::invalid_argument("query path does not start at the root");
+    case Kind::kOutOfRange:
+      return Status::invalid_argument("query path node " + std::to_string(pos) +
                                       " out of range");
-    }
-    if (i > 0 && nodes_[path[i]].parent != path[i - 1]) {
+    case Kind::kBrokenChain:
       return Status::invalid_argument(
           "query path breaks parent/child chain at position " +
-          std::to_string(i));
+          std::to_string(pos));
+  }
+  return coop::OkStatus();
+}
+
+coop::Status FlatCascade::validate_path(std::span<const NodeId> path) const {
+  using Kind = PathFault::Kind;
+  if (path.empty()) {
+    return PathFault{Kind::kEmpty}.status();
+  }
+  if (path.front() != static_cast<NodeId>(root())) {
+    return PathFault{Kind::kNotRoot}.status();
+  }
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const auto pos = static_cast<std::uint32_t>(i);
+    if (path[i] < 0 || static_cast<std::size_t>(path[i]) >= num_nodes()) {
+      return PathFault{Kind::kOutOfRange, pos}.status();
+    }
+    if (i > 0 && nodes_[path[i]].parent != path[i - 1]) {
+      return PathFault{Kind::kBrokenChain, pos}.status();
     }
   }
   return coop::OkStatus();

@@ -32,6 +32,27 @@ struct FlatNode {
 };
 static_assert(sizeof(FlatNode) == 24);
 
+/// Why a query path is not a root-first parent-to-child chain of the
+/// cascade, and where: the first failure FlatCascade::validate_path
+/// finds, and what the batch kernel reports for the first bad query of a
+/// batch.  status() is the refusal both give.
+struct PathFault {
+  enum class Kind : std::uint8_t {
+    kNone = 0,     ///< the path is valid
+    kEmpty,        ///< no nodes
+    kNotRoot,      ///< path[0] is not the root
+    kOutOfRange,   ///< path[pos] is not a node id
+    kBrokenChain,  ///< path[pos] is not a child of path[pos - 1]
+  };
+  Kind kind = Kind::kNone;
+  std::uint32_t pos = 0;  ///< position in the path
+  std::size_t query = 0;  ///< query in its batch (batch kernels only)
+
+  explicit operator bool() const { return kind != Kind::kNone; }
+  /// The typed refusal: kInvalidArgument with validate_path's message.
+  [[nodiscard]] coop::Status status() const;
+};
+
 /// The serving-layer compilation of an fc::Structure: every augmented
 /// catalog's keys / proper / bridge columns packed into three contiguous
 /// SoA pools (one 64-byte-aligned allocation each, `uint32` offsets), the
@@ -127,44 +148,12 @@ class FlatCascade {
     return proper_[nodes_[v].key_off + i];
   }
 
-  // follow_bridge, split into phases for lockstep batch kernels
-  // (search_paths_grouped): the phases of a whole query group run
-  // back-to-back, so each phase's cache misses overlap across the group
-  // instead of serializing along one query's dependency chain.
-
-  /// Address of the bridge cell follow_bridge(v, i, slot, .) loads first —
-  /// exposed so a batch kernel can prefetch it one phase ahead.
-  [[nodiscard]] const std::uint32_t* bridge_cell(std::uint32_t v,
-                                                 std::uint32_t i,
-                                                 std::uint32_t slot) const {
-    const FlatNode& nd = nodes_[v];
-    return bridge_.data() + nd.bridge_off +
-           static_cast<std::size_t>(slot) * nd.key_count + i;
-  }
-  /// Key / proper addresses at node w around a bridge landing position
-  /// (prefetch aids; the walk-back moves at most fanout_bound() entries).
-  [[nodiscard]] const Key* key_ptr(std::uint32_t w, std::uint32_t pos) const {
-    return keys_.data() + nodes_[w].key_off + pos;
-  }
-  [[nodiscard]] const std::uint32_t* proper_ptr(std::uint32_t w,
-                                                std::uint32_t pos) const {
-    return proper_.data() + nodes_[w].key_off + pos;
-  }
-  /// Walk-back half of follow_bridge: refine landing `pos` to find(w, y).
-  [[nodiscard]] std::uint32_t walk_back(std::uint32_t w, std::uint32_t pos,
-                                        Key y) const {
-    const Key* wk = keys_.data() + nodes_[w].key_off;
-    while (pos > 0 && wk[pos - 1] >= y) {
-      --pos;
-    }
-    return pos;
-  }
-
   /// Explicit-path query: one find() at path[0], one bridge hop per
   /// subsequent node.  Writes find results for all path nodes into
   /// out_aug/out_proper (each path.size() long; either may be null).  The
   /// path must be a valid parent-to-child chain starting at the root —
-  /// callers serving untrusted paths go through validate_path() first.
+  /// untrusted paths go through the batch kernel (search_paths_grouped_into),
+  /// which checks each node where it loads it.
   void search_path(std::span<const NodeId> path, Key y, std::uint32_t* out_aug,
                    std::uint32_t* out_proper) const {
     std::uint32_t v = static_cast<std::uint32_t>(path[0]);
@@ -230,11 +219,11 @@ class FlatCascade {
     }
   }
 
-  /// Raw const pointers into the pools for the lockstep batch kernels in
-  /// query_engine.cpp: the grouped kernel keeps its whole per-group state
-  /// in registers/L1 and indexes these bases directly instead of paying a
-  /// member-function round trip per phase per query.  Read-only; valid as
-  /// long as the cascade lives (pools never reallocate).
+  /// Raw const pointers into the pools for the window kernel in
+  /// query_engine.cpp: it keeps every in-flight query's state in a small
+  /// array and indexes these bases directly instead of paying a
+  /// member-function round trip per step.  Read-only; valid as long as
+  /// the cascade lives (pools never reallocate).
   struct KernelView {
     const FlatNode* nodes = nullptr;
     const Key* keys = nullptr;
@@ -242,15 +231,19 @@ class FlatCascade {
     const std::uint32_t* bridge = nullptr;
     const std::uint32_t* child = nullptr;
     std::uint32_t fanout = 0;
+    std::uint32_t num_nodes = 0;
   };
   [[nodiscard]] KernelView kernel_view() const {
     return KernelView{nodes_.data(),  keys_.data(),  proper_.data(),
-                      bridge_.data(), child_.data(), b_};
+                      bridge_.data(), child_.data(), b_,
+                      static_cast<std::uint32_t>(nodes_.size())};
   }
 
   /// Untrusted-path validation: in-range node ids, starts at the root,
   /// consecutive nodes are parent/child.  OK paths are safe for
-  /// search_path even with asserts compiled out.
+  /// search_path even with asserts compiled out.  The batch kernel makes
+  /// the same checks as it walks and refuses with the same Status; this
+  /// per-path form is the tests' reference for it.
   [[nodiscard]] coop::Status validate_path(std::span<const NodeId> path) const;
 
   /// Arena footprint in bytes (the five pools; space accounting for

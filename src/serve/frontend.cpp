@@ -1,6 +1,7 @@
 #include "serve/frontend.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -134,11 +135,7 @@ Frontend::Frontend(snapshot::Registry& registry, QueryEngine& engine,
       breaker_(opts_.breaker_threshold, opts_.breaker_open_for) {}
 
 FrontendStats Frontend::stats() const {
-  FrontendStats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s = stats_;
-  }
+  FrontendStats s = counts_.load();
   s.breaker = breaker_.state();
   s.consecutive_degraded = breaker_.consecutive_failures();
   s.health = health();
@@ -160,8 +157,7 @@ HealthState Frontend::health() const {
 BreakerState Frontend::breaker_state() const { return breaker_.state(); }
 
 void Frontend::bump(std::uint64_t FrontendStats::* field) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++(stats_.*field);
+  counts_.bump(field);
 }
 
 Frontend::Mode Frontend::breaker_admit(std::uint64_t seq) {
@@ -279,7 +275,13 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
       mode == Mode::kSequentialOnly ? 1 : opts_.max_retries + 1;
 
   BatchReport final_report;
+  // The trail reuses the caller's report's buffer, so a caller that
+  // keeps its report allocates nothing for it per batch.
   std::vector<BatchAttempt> trail;
+  if (report != nullptr) {
+    trail = std::move(report->attempts);
+    trail.clear();
+  }
   for (std::uint32_t a = 0; a < max_attempts; ++a) {
     std::chrono::nanoseconds back{0};
     if (a > 0) {
@@ -316,7 +318,17 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
     }
     QueryEngine& eng =
         mode == Mode::kSequentialOnly ? seq_engine_ : engine_;
-    BatchReport r = attempt(eng, pin.snapshot(), opts, seq);
+    coop::Expected<BatchReport> ran = attempt(eng, pin.snapshot(), opts, seq);
+    if (!ran.ok()) {
+      // The batch's own input is refused: the engine ran it to the end,
+      // so a probe still closes the breaker, but the refusal is neither
+      // retried nor counted as a failure.
+      if (mode == Mode::kProbe) {
+        breaker_on_result(mode, /*degraded=*/false, seq);
+      }
+      return ran.status();
+    }
+    BatchReport r = ran.take();
     if (r.degraded && traced) {
       ring.emit(seq, obs::SpanKind::kDegraded, a);
     }
@@ -359,38 +371,71 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
 
 namespace {
 
-/// One attempt at a path batch of `n` queries: `run_group(gi)` for every
-/// lockstep group on the engine, behind the chaos hook.
-template <typename RunGroup>
-BatchReport run_path_groups(QueryEngine& eng, std::size_t n,
-                            const BatchOptions& opts, std::uint64_t seq,
-                            const ChaosHooks* chaos,
-                            const RunGroup& run_group) {
-  const std::size_t groups = path_groups(n);
-  const std::function<void(std::size_t)> fn = [&](std::size_t gi) {
-    if (chaos != nullptr && chaos->on_item) {
-      chaos->on_item(seq, gi);
+/// The lowest refused query of a batch whose engine units may run on
+/// several threads.  The lock is taken only when a unit reports a fault.
+class FaultRecord {
+ public:
+  void note(const PathFault& f) {
+    if (!f) {
+      return;
     }
-    run_group(gi);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!first_ || f.query < first_.query) {
+      first_ = f;
+    }
+  }
+  [[nodiscard]] const PathFault& first() const { return first_; }
+
+ private:
+  std::mutex mu_;
+  PathFault first_;
+};
+
+/// One attempt at a path batch of `n` queries: `run_group(gi)` for every
+/// engine unit on the engine, behind the chaos hook; a refused path
+/// refuses the batch with validate_path's Status.
+template <typename RunGroup>
+coop::Expected<BatchReport> run_path_groups(QueryEngine& eng, std::size_t n,
+                                            const BatchOptions& opts,
+                                            std::uint64_t seq,
+                                            const ChaosHooks* chaos,
+                                            const RunGroup& run_group) {
+  struct Job {
+    const ChaosHooks* chaos;
+    std::uint64_t seq;
+    const RunGroup* run_group;
+    FaultRecord faults;
+  } job{chaos, seq, &run_group, {}};
+  // One captured pointer fits std::function's small buffer: no
+  // allocation per batch.
+  const std::function<void(std::size_t)> fn = [&job](std::size_t gi) {
+    if (job.chaos != nullptr && job.chaos->on_item) {
+      job.chaos->on_item(job.seq, gi);
+    }
+    job.faults.note((*job.run_group)(gi));
   };
+  const std::size_t groups = path_groups(n);
+  BatchReport report;
   try {
-    return eng.for_each(groups, fn, opts);
+    report = eng.for_each(groups, fn, opts);
   } catch (const std::exception& e) {
     // The injected exception escaped the engine's worker try/catch —
     // it fired on the inline path (one-thread engine or the engine's
     // own sequential rerun).  The kernel itself never throws, so a
     // clean rerun completes the batch.
     for (std::size_t gi = 0; gi < groups; ++gi) {
-      run_group(gi);
+      job.faults.note(run_group(gi));
     }
-    BatchReport r;
-    r.degraded = true;
-    r.reason = std::string("inline exception: ") + e.what();
-    r.cause = DegradeCause::kException;
-    r.shards = 1;
-    r.threads_used = 1;
-    return r;
+    report.degraded = true;
+    report.reason = std::string("inline exception: ") + e.what();
+    report.cause = DegradeCause::kException;
+    report.shards = 1;
+    report.threads_used = 1;
   }
+  if (job.faults.first()) {
+    return job.faults.first().status();
+  }
+  return report;
 }
 
 }  // namespace
@@ -400,16 +445,21 @@ Status Frontend::serve_paths(std::span<const PathRef> queries,
                              std::uint64_t* served_version,
                              const BatchOptions* batch_override,
                              const ChaosHooks* chaos) {
-  const AttemptFn attempt = [&queries, &out, chaos](
-                                QueryEngine& eng,
-                                const snapshot::Snapshot& snap,
-                                const BatchOptions& opts,
-                                std::uint64_t seq) -> BatchReport {
+  struct Batch {
+    std::span<const PathRef> queries;
+    PathAnswerSet* out;
+    const ChaosHooks* chaos;
+  } batch{queries, &out, chaos};
+  const AttemptFn attempt =
+      [&batch](QueryEngine& eng, const snapshot::Snapshot& snap,
+               const BatchOptions& opts,
+               std::uint64_t seq) -> coop::Expected<BatchReport> {
     const FlatCascade& f = snap.cascade;
-    out.reset(queries);
-    return run_path_groups(eng, queries.size(), opts, seq, chaos,
+    batch.out->reset(batch.queries);
+    return run_path_groups(eng, batch.queries.size(), opts, seq, batch.chaos,
                            [&](std::size_t gi) {
-                             serve_path_group(f, queries, gi, out);
+                             return serve_path_group(f, batch.queries, gi,
+                                                     *batch.out);
                            });
   };
   return run_admitted(snapshot::SnapshotKind::kCascade, batch_override, report,
@@ -422,19 +472,28 @@ Status Frontend::serve_paths(std::span<const PathQuery> queries,
                              std::uint64_t* served_version,
                              const BatchOptions* batch_override,
                              const ChaosHooks* chaos) {
-  const AttemptFn attempt = [&queries, &out, chaos](
-                                QueryEngine& eng,
-                                const snapshot::Snapshot& snap,
-                                const BatchOptions& opts,
-                                std::uint64_t seq) -> BatchReport {
+  struct Batch {
+    std::span<const PathQuery> queries;
+    std::vector<PathAnswer>* out;
+    const ChaosHooks* chaos;
+  } batch{queries, &out, chaos};
+  const AttemptFn attempt =
+      [&batch](QueryEngine& eng, const snapshot::Snapshot& snap,
+               const BatchOptions& opts,
+               std::uint64_t seq) -> coop::Expected<BatchReport> {
     const FlatCascade& f = snap.cascade;
-    out.assign(queries.size(), PathAnswer{});
+    const std::span<const PathQuery> qs = batch.queries;
+    batch.out->assign(qs.size(), PathAnswer{});
     return run_path_groups(
-        eng, queries.size(), opts, seq, chaos, [&](std::size_t gi) {
+        eng, qs.size(), opts, seq, batch.chaos, [&](std::size_t gi) {
           const std::size_t begin = gi * kPathGroup;
-          search_paths_grouped(f, queries.data() + begin,
-                               std::min(kPathGroup, queries.size() - begin),
-                               out.data() + begin);
+          PathFault fault = search_paths_grouped(
+              f, qs.data() + begin, std::min(kPathGroup, qs.size() - begin),
+              batch.out->data() + begin);
+          if (fault) {
+            fault.query += begin;
+          }
+          return fault;
         });
   };
   return run_admitted(snapshot::SnapshotKind::kCascade, batch_override, report,
@@ -451,7 +510,8 @@ Status Frontend::serve_points(std::span<const geom::Point> points,
                                 QueryEngine& eng,
                                 const snapshot::Snapshot& snap,
                                 const BatchOptions& opts,
-                                std::uint64_t seq) -> BatchReport {
+                                std::uint64_t seq)
+      -> coop::Expected<BatchReport> {
     const FlatPointLocator& loc = *snap.pointloc;
     out.assign(points.size(), 0);
     const auto run_one = [&](std::size_t i) { out[i] = loc.locate(points[i]); };
@@ -521,12 +581,6 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
   if (state == nullptr || state->base == nullptr) {
     return Status::unavailable("dynamic catalog has no serving state");
   }
-  const FlatCascade& flat = state->base->flat();
-  for (const PathRef& q : queries) {
-    if (Status st = flat.validate_path({q.path, q.len}); !st.ok()) {
-      return st;
-    }
-  }
   const BatchOptions& bopts =
       batch_override != nullptr ? *batch_override : opts_.batch;
   if (bopts.deadline.count() > 0 &&
@@ -534,7 +588,10 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
     return Status::deadline_exceeded("dyn batch deadline expired before the "
                                      "merge pass started");
   }
-  dyn::search_paths_dyn(*state, queries, out);
+  if (const PathFault fault = dyn::search_paths_dyn(*state, queries, out);
+      fault) {
+    return fault.status();
+  }
   if (served_version != nullptr) {
     *served_version = state->base->version;
   }
@@ -550,28 +607,20 @@ coop::Status Frontend::serve_dyn_paths(dyn::DynamicCatalog& cat,
   return coop::OkStatus();
 }
 
-namespace {
-
 /// The write-path admission preamble shared by apply_mutations and
 /// apply_runs, then the overlay call under the in-flight guard.
 template <typename Fn>
-Status apply_admitted(std::atomic<std::size_t>& inflight,
-                      std::size_t max_inflight, std::mutex& mu,
-                      FrontendStats& stats, std::uint64_t* ack_seq,
-                      const Fn& fn) {
+Status Frontend::apply_admitted(std::uint64_t* ack_seq, const Fn& fn) {
   FrontendMetrics& fm = frontend_metrics();
   fm.submitted.inc();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    ++stats.submitted;
-  }
-  if (inflight.fetch_add(1, std::memory_order_acq_rel) >= max_inflight) {
-    inflight.fetch_sub(1, std::memory_order_acq_rel);
+  bump(&FrontendStats::submitted);
+  if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
+      opts_.max_inflight) {
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
     fm.shed.inc();
-    std::lock_guard<std::mutex> lock(mu);
-    ++stats.shed;
+    bump(&FrontendStats::shed);
     return Status::resource_exhausted(
-        "admission budget exhausted (" + std::to_string(max_inflight) +
+        "admission budget exhausted (" + std::to_string(opts_.max_inflight) +
         " batches in flight); mutation batch shed");
   }
   struct InflightGuard {
@@ -581,13 +630,10 @@ Status apply_admitted(std::atomic<std::size_t>& inflight,
       n.fetch_sub(1, std::memory_order_acq_rel);
       g.add(-1);
     }
-  } guard{inflight, fm.inflight};
+  } guard{inflight_, fm.inflight};
   fm.inflight.add(1);
   fm.admitted.inc();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    ++stats.admitted;
-  }
+  bump(&FrontendStats::admitted);
   coop::Expected<std::uint64_t> ack = fn();
   if (!ack.ok()) {
     return ack.status();
@@ -596,24 +642,20 @@ Status apply_admitted(std::atomic<std::size_t>& inflight,
     *ack_seq = *ack;
   }
   fm.completed.inc();
-  std::lock_guard<std::mutex> lock(mu);
-  ++stats.completed;
+  bump(&FrontendStats::completed);
   return coop::OkStatus();
 }
-
-}  // namespace
 
 coop::Status Frontend::apply_mutations(dyn::DynamicCatalog& cat,
                                        std::span<const dyn::Mutation> muts,
                                        std::uint64_t* ack_seq) {
-  return apply_admitted(inflight_, opts_.max_inflight, mu_, stats_, ack_seq,
-                        [&] { return cat.apply(muts); });
+  return apply_admitted(ack_seq, [&] { return cat.apply(muts); });
 }
 
 coop::Status Frontend::apply_runs(dyn::DynamicCatalog& cat,
                                   std::vector<dyn::Run> runs,
                                   std::uint64_t* ack_seq) {
-  return apply_admitted(inflight_, opts_.max_inflight, mu_, stats_, ack_seq,
+  return apply_admitted(ack_seq,
                         [&] { return cat.apply_runs(std::move(runs)); });
 }
 

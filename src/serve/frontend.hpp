@@ -28,11 +28,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "dyn/overlay.hpp"
+#include "obs/metrics.hpp"
 #include "robust/circuit_breaker.hpp"
 #include "robust/status.hpp"
 #include "serve/query_engine.hpp"
@@ -129,8 +129,11 @@ class Frontend {
   /// batch) and `report` (if given) the final engine report plus the
   /// full attempt trail; `served_version` receives the registry version
   /// of the *final* attempt.  Shed batches return kResourceExhausted
-  /// (admission) or kUnavailable (breaker) without touching `out`.  With
-  /// a reused `out` this allocates nothing per query.
+  /// (admission) or kUnavailable (breaker) without touching `out`.  An
+  /// invalid path refuses the batch with FlatCascade::validate_path's
+  /// Status for the first such query; the refusal is not retried and
+  /// does not count against the breaker.  With a reused `out` this
+  /// allocates nothing per query.
   [[nodiscard]] coop::Status serve_paths(
       std::span<const PathRef> queries, PathAnswerSet& out,
       BatchReport* report = nullptr, std::uint64_t* served_version = nullptr,
@@ -155,8 +158,9 @@ class Frontend {
   /// *keys* from the overlay (dyn/overlay.hpp), served against one
   /// immutable dyn::State captured for the whole batch — the overlay's
   /// own consistency unit (a raw registry pin would miss the run lists).
-  /// Same admission budget as the static paths; paths are validated
-  /// against the captured base before the kernel runs.  `served_version`
+  /// Same admission budget as the static paths; the kernel checks every
+  /// path against the captured base as it walks it and refuses the batch
+  /// with FlatCascade::validate_path's Status.  `served_version`
   /// (optional) receives the base generation, `write_seq` the overlay
   /// sequence the answers include.  The batch deadline (if set) is
   /// enforced as an up-front check between validation and the merge —
@@ -192,8 +196,9 @@ class Frontend {
   enum class Mode { kParallel, kSequentialOnly, kProbe, kShed };
 
   /// Runs one attempt against a pinned snapshot; must fill `out`
-  /// completely (it handles its own inline-exception rerun).
-  using AttemptFn = std::function<BatchReport(
+  /// completely (it handles its own inline-exception rerun), or refuse
+  /// the batch's input with a Status, which ends the batch.
+  using AttemptFn = std::function<coop::Expected<BatchReport>(
       QueryEngine& engine, const snapshot::Snapshot& snap,
       const BatchOptions& opts, std::uint64_t batch_seq)>;
 
@@ -205,6 +210,9 @@ class Frontend {
   Mode breaker_admit(std::uint64_t seq);
   void breaker_on_result(Mode mode, bool degraded, std::uint64_t seq);
   void bump(std::uint64_t FrontendStats::* field);
+  template <typename Fn>
+  [[nodiscard]] coop::Status apply_admitted(std::uint64_t* ack_seq,
+                                            const Fn& fn);
   /// Publish breaker/health gauges and the transition trace event after a
   /// state change.
   void note_breaker(std::uint64_t seq);
@@ -219,8 +227,9 @@ class Frontend {
 
   robust::CircuitBreaker breaker_;
 
-  mutable std::mutex mu_;  ///< stats
-  FrontendStats stats_;
+  /// The counts of stats(); its breaker and health fields are read from
+  /// the breaker.
+  obs::StatCounters<FrontendStats> counts_;
 };
 
 }  // namespace serve

@@ -47,10 +47,9 @@ EngineMetrics& engine_metrics() {
   return m;
 }
 
-/// Group-kernel occupancy: queries / (groups * kPathGroup) measures how
-/// full the lockstep groups run.  Two relaxed adds per kernel call (one
-/// call serves up to a whole shard), so the kernel's hot loops stay
-/// untouched.
+/// Path-kernel occupancy: queries / (groups * kPathGroup) measures how
+/// full the engine units run.  Two relaxed adds per kernel call, so the
+/// kernel's hot loop stays untouched.
 struct GroupKernelMetrics {
   obs::Counter groups;
   obs::Counter queries;
@@ -60,9 +59,9 @@ GroupKernelMetrics& group_kernel_metrics() {
   auto& r = obs::Registry::global();
   static GroupKernelMetrics m{
       r.counter("serve_group_kernel_groups_total",
-                "Lockstep groups executed by search_paths_grouped"),
+                "Engine units (kPathGroup queries) run by the path kernel"),
       r.counter("serve_group_kernel_queries_total",
-                "Queries served by search_paths_grouped"),
+                "Queries served by the path kernel"),
   };
   return m;
 }
@@ -356,125 +355,188 @@ void QueryEngine::worker_loop() {
 
 namespace {
 
-/// One lockstep group (g <= kPathGroup queries): the inner kernel of
-/// search_paths_grouped_into.  All per-query loop state lives in local
-/// arrays (registers/L1) and every pool access goes through the
-/// KernelView base pointers — no member-function or vector-size reload
-/// per phase.  Round 0 binary-searches each query's head catalog; each
-/// bridge hop then runs in phases with the next phase's lines prefetched
-/// across the whole group, so per-hop cache misses overlap across
-/// queries instead of serializing along one query's dependency chain.
-void run_path_group(const FlatCascade::KernelView& kv, const PathRef* queries,
-                    std::size_t g, std::uint32_t* const* out_aug,
-                    std::uint32_t* const* out_prop) {
-  const NodeId* path[kPathGroup];
-  std::size_t len[kPathGroup];
-  Key y[kPathGroup];
-  const FlatNode* cur[kPathGroup];
-  const FlatNode* nxt[kPathGroup];
-  std::uint32_t idx[kPathGroup];
-  std::uint32_t pos[kPathGroup];
-  const std::uint32_t* cell[kPathGroup];
+/// One in-flight query of the window kernel: where it is on its path and
+/// what its next step reads.
+struct Slot {
+  enum Stage : std::uint8_t {
+    kFree,  ///< no query
+    kCell,  ///< the next hop's bridge cell is prefetched
+    kWalk,  ///< the landing key and proper lines are prefetched
+  };
+  const NodeId* path = nullptr;
+  std::uint32_t len = 0;
+  std::uint32_t step = 0;  ///< the path position the next hop lands on
+  Key y = 0;
+  std::size_t q = 0;                    ///< query index
+  const FlatNode* from = nullptr;       ///< node at step - 1
+  const FlatNode* to = nullptr;         ///< node at step
+  const std::uint32_t* cell = nullptr;  ///< bridge cell of the hop from -> to
+  std::uint32_t idx = 0;                ///< answer at step - 1
+  std::uint32_t pos = 0;                ///< bridge landing at step
+  Stage stage = kFree;
+};
 
-  std::size_t maxlen = 0;
-  for (std::size_t q = 0; q < g; ++q) {
-    path[q] = queries[q].path;
-    len[q] = queries[q].len;
-    y[q] = queries[q].y;
-    maxlen = std::max(maxlen, len[q]);
+/// Keep the fault of the lowest query: the one a path-by-path check in
+/// batch order would have refused first.
+void note(PathFault& first, PathFault::Kind kind, std::uint32_t pos,
+          std::size_t q) {
+  if (!first || q < first.query) {
+    first = PathFault{kind, pos, q};
   }
-  // Round 0: one binary search of each query's head catalog.
-  for (std::size_t q = 0; q < g; ++q) {
-    if (len[q] > 0) {
-      cur[q] = &kv.nodes[path[q][0]];
-      idx[q] = FlatCascade::find_sorted(kv.keys + cur[q]->key_off,
-                                        cur[q]->key_count, y[q]);
-      out_aug[q][0] = idx[q];
-      out_prop[q][0] = kv.proper[cur[q]->key_off + idx[q]];
-    }
+}
+
+/// Aim `s` at its next hop: check path[step] where it is loaded (a node
+/// id, and a child of path[step - 1]), then prefetch the bridge cell of
+/// the hop.  False when the path is finished or refused.
+inline bool aim(const FlatCascade::KernelView& kv, Slot& s, PathFault& fault) {
+  if (s.step == s.len) {
+    return false;
   }
-  // One bridge hop per round for every query still on its path.
-  for (std::size_t step = 1; step < maxlen; ++step) {
-    // Phase 0: next nodes' metadata.
-    for (std::size_t q = 0; q < g; ++q) {
-      if (step < len[q]) {
-        __builtin_prefetch(&kv.nodes[path[q][step]]);
+  const NodeId v = s.path[s.step];
+  if (v < 0 || static_cast<std::uint32_t>(v) >= kv.num_nodes) {
+    note(fault, PathFault::Kind::kOutOfRange, s.step, s.q);
+    return false;
+  }
+  const FlatNode* to = kv.nodes + v;
+  if (to->parent != s.path[s.step - 1]) {
+    note(fault, PathFault::Kind::kBrokenChain, s.step, s.q);
+    return false;
+  }
+  s.to = to;
+  s.cell = kv.bridge + s.from->bridge_off +
+           std::size_t{to->slot} * s.from->key_count + s.idx;
+  __builtin_prefetch(s.cell);
+  s.stage = Slot::kCell;
+  return true;
+}
+
+/// The window kernel (DESIGN.md §12): up to kPathWindow queries in
+/// flight, each a small state machine that issues one dependent load per
+/// visit and prefetches the next, visited round robin, so one query's
+/// miss is covered by the other queries' work.  A slot whose query
+/// finishes takes the next query at once.  Every node is checked where
+/// it is loaded; the lowest refused query is returned.
+PathFault run_window(const FlatCascade::KernelView& kv, const PathRef* queries,
+                     std::size_t n, std::uint32_t* const* out_aug,
+                     std::uint32_t* const* out_prop) {
+  PathFault fault;
+  Slot slots[kPathWindow];
+  const std::size_t w = std::min(n, kPathWindow);
+  std::size_t next = 0;
+  // Start queries in `s` until one has a hop to make: check its head,
+  // binary-search the root (the paper's Step 1 at p = 1) and aim.
+  const auto fill = [&](Slot& s) {
+    while (next < n) {
+      const std::size_t q = next++;
+      const PathRef& r = queries[q];
+      if (r.len == 0) {
+        note(fault, PathFault::Kind::kEmpty, 0, q);
+        continue;
+      }
+      if (r.path[0] != 0) {  // the root is node 0
+        note(fault, PathFault::Kind::kNotRoot, 0, q);
+        continue;
+      }
+      const FlatNode* root = kv.nodes;
+      const std::uint32_t i =
+          FlatCascade::find_sorted(kv.keys + root->key_off, root->key_count,
+                                   r.y);
+      out_aug[q][0] = i;
+      out_prop[q][0] = kv.proper[root->key_off + i];
+      s.path = r.path;
+      s.len = r.len;
+      s.step = 1;
+      s.y = r.y;
+      s.q = q;
+      s.from = root;
+      s.idx = i;
+      if (aim(kv, s, fault)) {
+        return true;
       }
     }
-    // Phase 1: bridge cells.
-    for (std::size_t q = 0; q < g; ++q) {
-      if (step < len[q]) {
-        nxt[q] = &kv.nodes[path[q][step]];
-        cell[q] = kv.bridge + cur[q]->bridge_off +
-                  std::size_t{nxt[q]->slot} * cur[q]->key_count + idx[q];
-        __builtin_prefetch(cell[q]);
-      }
-    }
-    // Phase 2: landing positions + the key/proper lines the walk-back
-    // will touch (it moves at most kv.fanout entries left).
-    for (std::size_t q = 0; q < g; ++q) {
-      if (step < len[q]) {
-        pos[q] = *cell[q];
-        const std::uint32_t back = pos[q] > kv.fanout ? pos[q] - kv.fanout : 0;
-        __builtin_prefetch(kv.keys + nxt[q]->key_off + back);
-        __builtin_prefetch(kv.proper + nxt[q]->key_off + back);
-      }
-    }
-    // Phase 3: walk-backs + answers.
-    for (std::size_t q = 0; q < g; ++q) {
-      if (step < len[q]) {
-        const Key* wk = kv.keys + nxt[q]->key_off;
-        std::uint32_t p = pos[q];
-        while (p > 0 && wk[p - 1] >= y[q]) {
+    s.stage = Slot::kFree;
+    return false;
+  };
+  std::size_t live = 0;
+  for (std::size_t k = 0; k < w; ++k) {
+    live += fill(slots[k]) ? 1 : 0;
+  }
+  while (live > 0) {
+    for (std::size_t k = 0; k < w; ++k) {
+      Slot& s = slots[k];
+      if (s.stage == Slot::kCell) {
+        // Landing position; the walk-back moves at most kv.fanout
+        // entries left of it.
+        s.pos = *s.cell;
+        const std::uint32_t back = s.pos > kv.fanout ? s.pos - kv.fanout : 0;
+        // Both ends of that range: they straddle a line about half the
+        // time.
+        const Key* keys = kv.keys + s.to->key_off;
+        const std::uint32_t* proper = kv.proper + s.to->key_off;
+        __builtin_prefetch(keys + back);
+        __builtin_prefetch(keys + s.pos);
+        __builtin_prefetch(proper + back);
+        __builtin_prefetch(proper + s.pos);
+        s.stage = Slot::kWalk;
+      } else if (s.stage == Slot::kWalk) {
+        const Key* wk = kv.keys + s.to->key_off;
+        std::uint32_t p = s.pos;
+        while (p > 0 && wk[p - 1] >= s.y) {
           --p;
         }
-        idx[q] = p;
-        cur[q] = nxt[q];
-        out_aug[q][step] = p;
-        out_prop[q][step] = kv.proper[nxt[q]->key_off + p];
+        out_aug[s.q][s.step] = p;
+        out_prop[s.q][s.step] = kv.proper[s.to->key_off + p];
+        s.from = s.to;
+        s.idx = p;
+        ++s.step;
+        if (!aim(kv, s, fault) && !fill(s)) {
+          --live;
+        }
       }
     }
   }
+  return fault;
 }
 
 }  // namespace
 
-void search_paths_grouped_into(const FlatCascade& f, const PathRef* queries,
-                               std::size_t count,
-                               std::uint32_t* const* out_aug,
-                               std::uint32_t* const* out_proper) {
+PathFault search_paths_grouped_into(const FlatCascade& f,
+                                    const PathRef* queries, std::size_t count,
+                                    std::uint32_t* const* out_aug,
+                                    std::uint32_t* const* out_proper) {
   if (count > 0) {
     GroupKernelMetrics& gm = group_kernel_metrics();
     gm.groups.add(path_groups(count));
     gm.queries.add(count);
   }
-  const FlatCascade::KernelView kv = f.kernel_view();
-  while (count > 0) {
-    const std::size_t g = std::min(count, kPathGroup);
-    run_path_group(kv, queries, g, out_aug, out_proper);
-    queries += g;
-    out_aug += g;
-    out_proper += g;
-    count -= g;
-  }
+  return run_window(f.kernel_view(), queries, count, out_aug, out_proper);
 }
 
-void search_paths_grouped_into(const FlatCascade& f, const PathQuery* queries,
-                               std::size_t count,
-                               std::uint32_t* const* out_aug,
-                               std::uint32_t* const* out_proper) {
+PathFault search_paths_grouped_into(const FlatCascade& f,
+                                    const PathQuery* queries,
+                                    std::size_t count,
+                                    std::uint32_t* const* out_aug,
+                                    std::uint32_t* const* out_proper) {
+  PathFault fault;
   for (std::size_t at = 0; at < count; at += kPathGroup) {
     const std::size_t g = std::min(count - at, kPathGroup);
     PathRef refs[kPathGroup];
     for (std::size_t q = 0; q < g; ++q) {
       refs[q] = path_ref(queries[at + q]);
     }
-    search_paths_grouped_into(f, refs, g, out_aug + at, out_proper + at);
+    PathFault part = search_paths_grouped_into(f, refs, g, out_aug + at,
+                                               out_proper + at);
+    if (part && !fault) {
+      part.query += at;
+      fault = part;
+    }
   }
+  return fault;
 }
 
-void search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
-                          std::size_t count, PathAnswer* out) {
+PathFault search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
+                               std::size_t count, PathAnswer* out) {
+  PathFault fault;
   for (std::size_t at = 0; at < count; at += kPathGroup) {
     const std::size_t g = std::min(count - at, kPathGroup);
     std::uint32_t* ap[kPathGroup];
@@ -486,15 +548,20 @@ void search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
       ap[q] = out[at + q].aug_index.data();
       pp[q] = out[at + q].proper_index.data();
     }
-    search_paths_grouped_into(f, queries + at, g, ap, pp);
+    PathFault part = search_paths_grouped_into(f, queries + at, g, ap, pp);
+    if (part && !fault) {
+      part.query += at;
+      fault = part;
+    }
   }
+  return fault;
 }
 
 namespace {
 
 template <typename Q>
-void serve_group(const FlatCascade& f, std::span<const Q> queries,
-                 std::size_t gi, PathAnswerSet& out) {
+PathFault serve_group(const FlatCascade& f, std::span<const Q> queries,
+                      std::size_t gi, PathAnswerSet& out) {
   const std::size_t begin = gi * kPathGroup;
   const std::size_t g = std::min(kPathGroup, queries.size() - begin);
   std::uint32_t* ap[kPathGroup];
@@ -503,20 +570,26 @@ void serve_group(const FlatCascade& f, std::span<const Q> queries,
     ap[q] = out.aug_data(begin + q);
     pp[q] = out.proper_data(begin + q);
   }
-  search_paths_grouped_into(f, queries.data() + begin, g, ap, pp);
+  PathFault fault =
+      search_paths_grouped_into(f, queries.data() + begin, g, ap, pp);
+  if (fault) {
+    fault.query += begin;
+  }
+  return fault;
 }
 
 }  // namespace
 
-void serve_path_group(const FlatCascade& f, std::span<const PathRef> queries,
-                      std::size_t gi, PathAnswerSet& out) {
-  serve_group(f, queries, gi, out);
+PathFault serve_path_group(const FlatCascade& f,
+                           std::span<const PathRef> queries, std::size_t gi,
+                           PathAnswerSet& out) {
+  return serve_group(f, queries, gi, out);
 }
 
-void serve_path_group(const FlatCascade& f,
-                      std::span<const PathQuery> queries, std::size_t gi,
-                      PathAnswerSet& out) {
-  serve_group(f, queries, gi, out);
+PathFault serve_path_group(const FlatCascade& f,
+                           std::span<const PathQuery> queries, std::size_t gi,
+                           PathAnswerSet& out) {
+  return serve_group(f, queries, gi, out);
 }
 
 BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
@@ -526,7 +599,8 @@ BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
   out.reset(queries);
   return engine.for_each(
       path_groups(queries.size()),
-      [&](std::size_t gi) { serve_path_group(f, queries, gi, out); }, opts);
+      [&](std::size_t gi) { (void)serve_path_group(f, queries, gi, out); },
+      opts);
 }
 
 std::vector<PathRef> path_refs(std::span<const PathQuery> queries) {

@@ -228,39 +228,52 @@ class PathBatch {
 [[nodiscard]] std::vector<PathQuery> random_path_batch(
     const cat::Tree& tree, std::mt19937_64& rng, std::size_t n);
 
-/// Queries per lockstep group in the path kernel: enough in-flight
-/// misses to cover DRAM latency, small enough that per-query state stays
-/// in registers / L1.
-inline constexpr std::size_t kPathGroup = 16;
+/// Queries per engine unit of a path batch: the work item a QueryEngine
+/// worker claims and the batch one window kernel call runs over.  64
+/// keeps the window full across a scan_b64 frame (E27).
+inline constexpr std::size_t kPathGroup = 64;
 
-/// Lockstep groups in a batch of `n` path queries.
+/// Queries the path kernel keeps in flight: enough outstanding misses to
+/// cover DRAM latency, few enough that every slot's state stays in L1.
+/// On the 2^22 tree 16, 24 and 32 read alike and 12 is slower (E27).
+inline constexpr std::size_t kPathWindow = 16;
+
+/// Engine units in a batch of `n` path queries.
 [[nodiscard]] inline std::size_t path_groups(std::size_t n) {
   return (n + kPathGroup - 1) / kPathGroup;
 }
 
-/// The path kernel, single-threaded: serve `count` explicit-path queries,
-/// advancing a group of up to kPathGroup queries one bridge hop per round.
-/// Each round runs in phases (node metadata -> bridge cells -> landing key
-/// blocks -> walk-backs) with the next phase's loads prefetched across
-/// the whole group, so the per-hop cache miss of every grouped query
-/// overlaps instead of serializing along one query's dependency chain.
+/// The path kernel, single-threaded: serve `count` explicit-path queries
+/// through a rolling window of min(count, kPathWindow) in-flight queries.
+/// Each slot runs one query as a state machine (binary search of the
+/// root, then per hop: read the bridge cell -> prefetch the landing key
+/// and proper lines -> walk back and aim the next hop), visited round
+/// robin, and takes the next query as soon as its own finishes.
 /// out_aug[q] / out_proper[q] each point at queries[q].len writable
 /// slots.  Answers are identical to per-query FlatCascade::search_path.
-void search_paths_grouped_into(const FlatCascade& f, const PathRef* queries,
-                               std::size_t count,
-                               std::uint32_t* const* out_aug,
-                               std::uint32_t* const* out_proper);
+///
+/// Paths are untrusted: every node is checked where the kernel loads it
+/// (a non-empty path, the root first, an id in range before the load,
+/// and the parent of each node equal to the previous one).  The result
+/// is the fault of the lowest refused query — whose status() is exactly
+/// FlatCascade::validate_path's refusal of that path — or an empty
+/// PathFault.  The answers of a refused batch are unspecified.
+PathFault search_paths_grouped_into(const FlatCascade& f,
+                                    const PathRef* queries, std::size_t count,
+                                    std::uint32_t* const* out_aug,
+                                    std::uint32_t* const* out_proper);
 
 /// The same kernel over PathQuery: out_aug[q] / out_proper[q] each point
 /// at queries[q].path.size() writable slots.
-void search_paths_grouped_into(const FlatCascade& f, const PathQuery* queries,
-                               std::size_t count,
-                               std::uint32_t* const* out_aug,
-                               std::uint32_t* const* out_proper);
+PathFault search_paths_grouped_into(const FlatCascade& f,
+                                    const PathQuery* queries,
+                                    std::size_t count,
+                                    std::uint32_t* const* out_aug,
+                                    std::uint32_t* const* out_proper);
 
 /// The same kernel into one PathAnswer per query (resized here).
-void search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
-                          std::size_t count, PathAnswer* out);
+PathFault search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
+                               std::size_t count, PathAnswer* out);
 
 /// Nodes on one query's path.
 [[nodiscard]] inline std::size_t path_len(const PathRef& q) { return q.len; }
@@ -395,19 +408,24 @@ class PathAnswerSet {
     const cat::Tree& tree, std::span<const PathQuery> queries,
     const PathAnswerSet& answers);
 
-/// Lockstep group `gi` of a path batch (queries [gi * kPathGroup, ...))
-/// into its slots of `out`, which must have been reset() for `queries`.
-/// The unit of work an engine worker claims.
-void serve_path_group(const FlatCascade& f, std::span<const PathRef> queries,
-                      std::size_t gi, PathAnswerSet& out);
-void serve_path_group(const FlatCascade& f,
-                      std::span<const PathQuery> queries, std::size_t gi,
-                      PathAnswerSet& out);
+/// Engine unit `gi` of a path batch (queries [gi * kPathGroup, ...))
+/// into its slots of `out`, which must have been reset() for `queries`:
+/// the unit of work an engine worker claims.  Returns the unit's lowest
+/// refused query (its index in the whole batch), as
+/// search_paths_grouped_into does.
+PathFault serve_path_group(const FlatCascade& f,
+                           std::span<const PathRef> queries, std::size_t gi,
+                           PathAnswerSet& out);
+PathFault serve_path_group(const FlatCascade& f,
+                           std::span<const PathQuery> queries, std::size_t gi,
+                           PathAnswerSet& out);
 
 /// Serve a batch of explicit-path queries into `out` (reset to the
 /// batch here), one serve_path_group per engine work item: answer q is
-/// written only by the worker that owns query q's group.  Allocates
-/// nothing once `out` has grown to the batch.
+/// written only by the worker that owns query q's unit.  Allocates
+/// nothing once `out` has grown to the batch.  For trusted paths: an
+/// invalid path is not read out of bounds, but it is not reported either
+/// (serve::Frontend refuses it).
 BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
                                std::span<const PathQuery> queries,
                                PathAnswerSet& out,

@@ -571,6 +571,16 @@ coop::Status write(const serve::FlatPointLocator& f, const std::string& path) {
   return write_file(SnapshotKind::kPointLocator, sections, path);
 }
 
+coop::Status rewrite(const std::string& in, const std::string& out) {
+  // The mapping of `in` stays valid while `out` is renamed over it.
+  auto snap = open(in);
+  if (!snap.ok()) {
+    return snap.status();
+  }
+  return snap->kind == SnapshotKind::kCascade ? write(snap->cascade, out)
+                                              : write(*snap->pointloc, out);
+}
+
 coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
   auto mapped = MappedFile::map(path, mode == OpenMode::kWritableCopy);
   if (!mapped.ok()) {

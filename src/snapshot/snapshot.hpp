@@ -94,6 +94,13 @@ struct Snapshot {
 [[nodiscard]] coop::Status write(const serve::FlatPointLocator& f,
                                  const std::string& path);
 
+/// Open `in` with full verification and write what it serves to `out` in
+/// the current format, atomically as write() does (`in` may equal
+/// `out`): a file from an older writer, e.g. a v2 file with its unread
+/// layout sections, comes out as today's writer would have written it.
+[[nodiscard]] coop::Status rewrite(const std::string& in,
+                                   const std::string& out);
+
 /// fsync the directory containing `path`, making a just-renamed (or
 /// just-created/unlinked) entry durable.  The tmp+rename dance alone
 /// survives a writer crash but not power loss without this; the dyn WAL

@@ -350,8 +350,9 @@ void check_splice(net::MsgType verb, const Resp& a, const Resp& b,
               version, std::min(ref->write_seq, ref_b->write_seq), keys);
         }
         const net::PathReply replies[] = {got.take(), *b_index};
-        ASSERT_EQ(net::splice_path_replies(verb, replies, slots), want)
-            << where;
+        std::vector<std::uint8_t> spliced;
+        net::splice_path_replies(verb, replies, slots, spliced);
+        ASSERT_EQ(spliced, want) << where;
       });
 }
 
@@ -400,8 +401,8 @@ class GatedShard final : public net::Backend {
  public:
   net::CollectionMap& collections() { return inner_.collections(); }
 
-  coop::Expected<std::vector<std::uint8_t>> serve(
-      const net::Request& req) override {
+  coop::Status serve(const net::Request& req,
+                     std::vector<std::uint8_t>& out) override {
     {
       std::unique_lock<std::mutex> lock(mu_);
       ++held_;
@@ -409,7 +410,7 @@ class GatedShard final : public net::Backend {
       cv_.wait(lock, [&] { return open_; });
       --held_;
     }
-    return inner_.serve(req);
+    return inner_.serve(req, out);
   }
   std::vector<net::CollectionHealth> health() override {
     return inner_.health();
@@ -443,16 +444,18 @@ class MangledShard final : public net::Backend {
   MangledShard(std::shared_ptr<net::Backend> inner, Damage damage)
       : inner_(std::move(inner)), damage_(damage) {}
 
-  coop::Expected<std::vector<std::uint8_t>> serve(
-      const net::Request& req) override {
-    auto resp = inner_->serve(req);
-    if (!resp.ok()) {
-      return resp;
+  coop::Status serve(const net::Request& req,
+                     std::vector<std::uint8_t>& out) override {
+    const std::size_t start = out.size();
+    if (coop::Status s = inner_->serve(req, out); !s.ok()) {
+      return s;
     }
-    std::vector<std::uint8_t> bytes = resp.take();
     switch (damage_) {
       case Damage::kDropAnswer: {
-        auto index = net::index_path_reply(net::MsgType::kPathBatch, bytes);
+        auto index = net::index_path_reply(
+            net::MsgType::kPathBatch,
+            std::vector<std::uint8_t>(
+                out.begin() + static_cast<std::ptrdiff_t>(start), out.end()));
         if (!index.ok()) {
           return index.status();
         }
@@ -461,17 +464,19 @@ class MangledShard final : public net::Backend {
           slots.push_back({0, i});
         }
         const net::PathReply replies[] = {index.take()};
-        return net::splice_path_replies(net::MsgType::kPathBatch, replies,
-                                        slots);
+        out.resize(start);
+        net::splice_path_replies(net::MsgType::kPathBatch, replies, slots,
+                                 out);
+        break;
       }
       case Damage::kTruncate:
-        bytes.pop_back();
+        out.pop_back();
         break;
       case Damage::kTrailingByte:
-        bytes.push_back(0);
+        out.push_back(0);
         break;
     }
-    return bytes;
+    return coop::OkStatus();
   }
   std::vector<net::CollectionHealth> health() override {
     return inner_->health();

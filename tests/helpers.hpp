@@ -39,6 +39,33 @@ inline std::vector<cat::NodeId> random_chain(const cat::Tree& t,
   return path;
 }
 
+/// Every way the kernel's path checks can fail on `path`, a valid
+/// root-first path of `t`: the empty path; at position 0 a non-root head
+/// (a child of the root, an id past the last node, a negative id); and at
+/// every later position an id past the last node, a negative id, and two
+/// in-range nodes that are not children of the previous node (that node
+/// itself, and the root).
+inline std::vector<std::vector<cat::NodeId>> broken_paths(
+    const cat::Tree& t, const std::vector<cat::NodeId>& path) {
+  const auto n = static_cast<cat::NodeId>(t.num_nodes());
+  std::vector<std::vector<cat::NodeId>> out{{}};
+  for (std::size_t p = 0; p < path.size(); ++p) {
+    std::vector<cat::NodeId> bad_ids{n, -1, 2147483647};
+    if (p == 0) {
+      bad_ids.push_back(t.children(t.root())[0]);
+    } else {
+      bad_ids.push_back(path[p - 1]);
+      bad_ids.push_back(t.root());
+    }
+    for (const cat::NodeId id : bad_ids) {
+      std::vector<cat::NodeId> broken = path;
+      broken[p] = id;
+      out.push_back(std::move(broken));
+    }
+  }
+  return out;
+}
+
 /// Query keys worth probing: exact keys, off-by-one neighbours, extremes.
 inline cat::Key random_query(const cat::Tree& t, std::mt19937_64& rng,
                              cat::Key key_range = 1'000'000'000) {

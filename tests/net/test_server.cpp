@@ -17,6 +17,7 @@
 
 #include "catalog/tree.hpp"
 #include "fc/build.hpp"
+#include "helpers.hpp"
 #include "net/client.hpp"
 #include "dyn/delta.hpp"
 #include "robust/corrupt.hpp"
@@ -136,13 +137,14 @@ TEST_F(ServerTest, UnknownCollectionIsATypedError) {
   EXPECT_TRUE(client.path_batch("main", make_batch(2, 2)).ok());
 }
 
-TEST_F(ServerTest, InvalidPathIsRejectedBeforeTheKernel) {
+TEST_F(ServerTest, InvalidPathIsATypedRefusal) {
   net::Client client = connect();
   auto batch = make_batch(2, 3);
   batch[1].path = {0, 999'999};  // node id far out of range
   auto resp = client.path_batch("main", batch);
   ASSERT_FALSE(resp.ok());
-  EXPECT_FALSE(resp.status().ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(resp.status().message(), "query path node 1 out of range");
   // And the server is still healthy afterwards.
   EXPECT_TRUE(client.path_batch("main", make_batch(2, 4)).ok());
 }
@@ -350,8 +352,8 @@ class GatedBackend final : public net::Backend {
 
   net::CollectionMap& collections() { return inner_.collections(); }
 
-  coop::Expected<std::vector<std::uint8_t>> serve(
-      const net::Request& req) override {
+  coop::Status serve(const net::Request& req,
+                     std::vector<std::uint8_t>& out) override {
     if (req.header.tenant == kGatedTenant) {
       std::unique_lock<std::mutex> lock(mu_);
       ++held_;
@@ -359,7 +361,7 @@ class GatedBackend final : public net::Backend {
       cv_.wait(lock, [&] { return open_; });
       --held_;
     }
-    return inner_.serve(req);
+    return inner_.serve(req, out);
   }
   std::vector<net::CollectionHealth> health() override {
     return inner_.health();
@@ -634,6 +636,51 @@ TEST_F(DynServerTest, DepthZeroDynReadsMatchTheStaticOracle) {
   ASSERT_TRUE(resp.ok()) << resp.status().to_string();
   EXPECT_EQ(resp->write_seq, 0u);
   check_answers(batch, *resp);
+}
+
+TEST_F(DynServerTest, EveryBrokenPathIsRefusedLikeValidatePath) {
+  // The kernel checks each node as it loads it; over the wire both path
+  // verbs must refuse exactly as FlatCascade::validate_path does, for a
+  // broken first query and a broken last one of a 70-query batch (two
+  // engine units).
+  auto flat = serve::FlatCascade::compile_tree(tree_);
+  ASSERT_TRUE(flat.ok()) << flat.status().to_string();
+  net::Client client = connect();
+  auto batch = make_batch(70, 31);
+  std::size_t refusals = 0;
+  for (const std::size_t k : {std::size_t{0}, batch.size() - 1}) {
+    const std::vector<cat::NodeId> good = batch[k].path;
+    for (const auto& broken : test_helpers::broken_paths(tree_, good)) {
+      const Status want = flat->validate_path(broken);
+      ASSERT_FALSE(want.ok());
+      batch[k].path = broken;
+      auto resp = client.path_batch("main", batch);
+      ASSERT_FALSE(resp.ok());
+      EXPECT_EQ(resp.status().code(), want.code());
+      EXPECT_EQ(resp.status().message(), want.message());
+      auto dyn_resp = client.dyn_path_batch("main", batch);
+      ASSERT_FALSE(dyn_resp.ok());
+      EXPECT_EQ(dyn_resp.status().code(), want.code());
+      EXPECT_EQ(dyn_resp.status().message(), want.message());
+      refusals += 2;
+    }
+    batch[k].path = good;
+  }
+  EXPECT_EQ(refusals, 2 * 2 * (1 + 4 + 5 * (batch[0].path.size() - 1)));
+  // Refusals are neither retried nor counted against the breaker, and
+  // the collection still serves.
+  const serve::FrontendStats stats =
+      server_->collections().find("main")->frontend.stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.degraded_batches, 0u);
+  EXPECT_EQ(stats.consecutive_degraded, 0u);
+  EXPECT_EQ(stats.breaker, serve::BreakerState::kClosed);
+  auto resp = client.path_batch("main", batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+  expect_oracle(batch, *resp);
+  auto dyn_resp = client.dyn_path_batch("main", batch);
+  ASSERT_TRUE(dyn_resp.ok()) << dyn_resp.status().to_string();
+  check_answers(batch, *dyn_resp);
 }
 
 TEST_F(DynServerTest, MutateAcksThenReadsItsOwnWrites) {

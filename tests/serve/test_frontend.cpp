@@ -130,7 +130,7 @@ TEST(Frontend, EmptyBatchIsServedWithoutTouchingTheEngine) {
 }
 
 TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
-  Fixture fx(64);
+  Fixture fx(256);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_inflight = 1;
@@ -190,7 +190,7 @@ TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
 }
 
 TEST(Frontend, RetryRecoversFromTransientWorkerThrow) {
-  Fixture fx(64);
+  Fixture fx(256);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_retries = 2;
@@ -232,7 +232,7 @@ TEST(Frontend, RetryRecoversFromTransientWorkerThrow) {
 }
 
 TEST(Frontend, BreakerTripsAndRecoversThroughProbe) {
-  Fixture fx(64);
+  Fixture fx(256);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_retries = 0;
@@ -277,7 +277,7 @@ TEST(Frontend, BreakerTripsAndRecoversThroughProbe) {
 }
 
 TEST(Frontend, OpenPolicySequentialKeepsServingCorrectAnswers) {
-  Fixture fx(64);
+  Fixture fx(256);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_retries = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <random>
@@ -60,8 +61,8 @@ struct Fixture {
 };
 
 TEST(QueryEngine, GroupedKernelMatchesOracleOnRaggedPaths) {
-  // The lockstep kernel must handle groups whose paths end at different
-  // rounds: full root-leaf paths, truncated paths ending mid-tree, and
+  // The window kernel must handle slots whose paths end at different
+  // steps: full root-leaf paths, truncated paths ending mid-tree, and
   // length-1 paths (root only), interleaved in one batch.
   std::mt19937_64 rng(77);
   const Fixture fx(0);
@@ -87,34 +88,143 @@ TEST(QueryEngine, GroupedKernelMatchesOracleOnRaggedPaths) {
   }
 }
 
-TEST(QueryEngine, GroupedKernelAnswersChainsStartingBelowTheRoot) {
-  // Served paths start at the root, but the in-process API accepts
-  // chains that start anywhere: round 0 searches whichever head a query
-  // has.  Mixed into the same groups as root paths, every answer must
-  // match.
+/// A batch of `n` queries whose paths mix every length from the root
+/// alone to a full root-leaf path, with repeated queries and paths that
+/// are prefixes of an earlier one.
+std::vector<PathQuery> mixed_batch(const cat::Tree& tree, std::size_t n,
+                                   std::mt19937_64& rng) {
+  std::vector<PathQuery> queries(n);
+  for (std::size_t qi = 0; qi < n; ++qi) {
+    PathQuery& q = queries[qi];
+    if (qi > 0 && rng() % 5 == 0) {
+      q = queries[rng() % qi];  // a repeat
+      if (rng() % 2 == 0) {
+        q.path.resize(1 + rng() % q.path.size());  // ... or its prefix
+        q.y = test_helpers::random_query(tree, rng);
+      }
+      continue;
+    }
+    q.path = test_helpers::random_root_leaf_path(tree, rng);
+    q.path.resize(1 + qi % q.path.size());
+    q.y = test_helpers::random_query(tree, rng);
+  }
+  return queries;
+}
+
+TEST(QueryEngine, WindowKernelMatchesPerQuerySearchAtEveryBatchSize) {
+  // Below, at and past the window (16) and the engine unit (64): slots
+  // refill mid-batch, run partly empty, and finish at different steps.
+  std::mt19937_64 rng(79);
+  const Fixture fx(0);
+  for (const std::size_t n : {0, 1, 2, 15, 16, 17, 63, 64, 65, 200}) {
+    const std::vector<PathQuery> queries = mixed_batch(fx.tree, n, rng);
+    const std::vector<serve::PathRef> refs = serve::path_refs(queries);
+    serve::PathAnswerSet out;
+    out.reset(std::span<const serve::PathRef>(refs));
+    std::vector<std::uint32_t*> ap(n), pp(n);
+    for (std::size_t q = 0; q < n; ++q) {
+      ap[q] = out.aug_data(q);
+      pp[q] = out.proper_data(q);
+    }
+    EXPECT_FALSE(serve::search_paths_grouped_into(fx.flat, refs.data(), n,
+                                                  ap.data(), pp.data()));
+    for (std::size_t qi = 0; qi < n; ++qi) {
+      const PathQuery& q = queries[qi];
+      const auto one = fx.flat.search(q.path, q.y);
+      ASSERT_EQ(out.aug(qi).size(), q.path.size());
+      for (std::size_t i = 0; i < q.path.size(); ++i) {
+        ASSERT_EQ(out.aug(qi)[i], one.aug_index[i])
+            << "n=" << n << " query " << qi << " node " << i;
+        ASSERT_EQ(out.proper(qi)[i], one.proper_index[i])
+            << "n=" << n << " query " << qi << " node " << i;
+      }
+    }
+    // The engine's units split the same batch, on one thread and on
+    // several.
+    for (const std::size_t threads : {1, 3}) {
+      QueryEngine engine(threads);
+      serve::PathAnswerSet served;
+      (void)serve::serve_path_queries(fx.flat, engine, queries, served);
+      for (std::size_t qi = 0; qi < n; ++qi) {
+        ASSERT_TRUE(std::ranges::equal(served.proper(qi), out.proper(qi)))
+            << "n=" << n << " threads=" << threads << " query " << qi;
+        ASSERT_TRUE(std::ranges::equal(served.aug(qi), out.aug(qi)));
+      }
+    }
+  }
+}
+
+TEST(QueryEngine, WindowKernelRefusesEveryBrokenPathLikeValidatePath) {
+  // One broken query among valid ones, at the start, inside, at the end
+  // of the first engine unit and in the second: the kernel reports that
+  // query, with exactly validate_path's Status for its path.
+  std::mt19937_64 rng(80);
+  const Fixture fx(0);
+  std::vector<PathQuery> queries(70);
+  for (PathQuery& q : queries) {
+    q.path = test_helpers::random_root_leaf_path(fx.tree, rng);
+    q.y = test_helpers::random_query(fx.tree, rng);
+  }
+  std::vector<PathAnswer> out(queries.size());
+  std::size_t cases = 0, want_cases = 0;
+  for (const std::size_t k : {0, 5, 63, 64, 69}) {
+    const std::vector<cat::NodeId> good = queries[k].path;
+    want_cases += 1 + 4 + 5 * (good.size() - 1);
+    for (const auto& broken : test_helpers::broken_paths(fx.tree, good)) {
+      const coop::Status want = fx.flat.validate_path(broken);
+      ASSERT_FALSE(want.ok());
+      queries[k].path = broken;
+      const serve::PathFault fault = serve::search_paths_grouped(
+          fx.flat, queries.data(), queries.size(), out.data());
+      ASSERT_TRUE(fault) << want.to_string();
+      EXPECT_EQ(fault.query, k);
+      EXPECT_EQ(fault.status().code(), want.code());
+      EXPECT_EQ(fault.status().message(), want.message());
+      // A later broken query does not hide this one.
+      if (k + 1 < queries.size()) {
+        const std::vector<cat::NodeId> later = queries[k + 1].path;
+        queries[k + 1].path = {};
+        const serve::PathFault first = serve::search_paths_grouped(
+            fx.flat, queries.data(), queries.size(), out.data());
+        EXPECT_EQ(first.query, k);
+        EXPECT_EQ(first.status().message(), want.message());
+        queries[k + 1].path = later;
+      }
+      ++cases;
+    }
+    queries[k].path = good;
+  }
+  EXPECT_EQ(cases, want_cases);
+  EXPECT_FALSE(serve::search_paths_grouped(fx.flat, queries.data(),
+                                           queries.size(), out.data()));
+}
+
+TEST(QueryEngine, WindowKernelRefusesChainsStartingBelowTheRoot) {
+  // The in-process API once answered chains from any head; the kernel
+  // now checks the head like validate_path does.  The first chain that
+  // does not start at the root is the batch's refusal.
   std::mt19937_64 rng(78);
   const Fixture fx(0);
   std::vector<PathQuery> queries(100);
+  std::size_t first_bad = queries.size();
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     queries[qi].path = qi % 3 == 0
                            ? test_helpers::random_root_leaf_path(fx.tree, rng)
                            : test_helpers::random_chain(fx.tree, rng);
     queries[qi].y = test_helpers::random_query(fx.tree, rng);
-  }
-  std::vector<PathAnswer> out(queries.size());
-  serve::search_paths_grouped(fx.flat, queries.data(), queries.size(),
-                              out.data());
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const PathQuery& q = queries[qi];
-    const auto one = fx.flat.search(q.path, q.y);
-    ASSERT_EQ(out[qi].proper_index.size(), q.path.size());
-    for (std::size_t i = 0; i < q.path.size(); ++i) {
-      ASSERT_EQ(out[qi].proper_index[i],
-                test_helpers::brute_find(fx.tree, q.path[i], q.y))
-          << "query " << qi << " node " << i;
-      ASSERT_EQ(out[qi].aug_index[i], one.aug_index[i]);
+    if (first_bad == queries.size() &&
+        !fx.flat.validate_path(queries[qi].path).ok()) {
+      first_bad = qi;
     }
   }
+  ASSERT_LT(first_bad, queries.size());
+  std::vector<PathAnswer> out(queries.size());
+  const serve::PathFault fault = serve::search_paths_grouped(
+      fx.flat, queries.data(), queries.size(), out.data());
+  EXPECT_EQ(fault.query, first_bad);
+  EXPECT_EQ(fault.kind, serve::PathFault::Kind::kNotRoot);
+  EXPECT_EQ(fault.status().message(),
+            fx.flat.validate_path(queries[first_bad].path).message());
 }
 
 TEST(QueryEngine, BatchMatchesOracleAcrossThreadCounts) {

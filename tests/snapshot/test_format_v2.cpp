@@ -183,6 +183,51 @@ TEST(SnapshotFormatV2, V1FilesLoadViaTransparentRelayout) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotFormatV2, RewriteTurnsV2FilesIntoTodaysFormat) {
+  // In place (IN == OUT) and to a second file, for both kinds: the v2
+  // file comes out stamped v1 with no layout section, byte-identical to
+  // what today's writer emits, and serves identical answers.
+  const std::string path = tmp_path("rewrite_v2.snap");
+  const std::string out = tmp_path("rewrite_v2_out.snap");
+  const serve::FlatCascade flat = build_cascade(35);
+  ASSERT_TRUE(snapshot::write(flat, path).ok());
+  const std::vector<unsigned char> written = slurp(path);
+  for (const std::string& target : {path, out}) {
+    SCOPED_TRACE(target);
+    ASSERT_TRUE(snapshot::write(flat, path).ok());
+    upgrade_to_v2(path);
+    ASSERT_EQ(legacy_format::header_of(slurp(path)).version, 2u);
+    ASSERT_TRUE(snapshot::rewrite(path, target).ok());
+    EXPECT_EQ(legacy_format::header_of(slurp(target)).version, 1u);
+    EXPECT_FALSE(has_layout_section(section_ids(target)));
+    EXPECT_EQ(slurp(target), written);
+    auto snap = snapshot::open(target);
+    ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+    ASSERT_EQ(snap->kind, snapshot::SnapshotKind::kCascade);
+    expect_serves_identically(snap->cascade, flat, 79);
+  }
+
+  const serve::FlatPointLocator loc = build_pointloc(35);
+  ASSERT_TRUE(snapshot::write(loc, path).ok());
+  upgrade_to_v2(path);
+  ASSERT_TRUE(snapshot::rewrite(path, path).ok());
+  EXPECT_EQ(legacy_format::header_of(slurp(path)).version, 1u);
+  EXPECT_FALSE(has_layout_section(section_ids(path)));
+  auto snap = snapshot::open(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+  ASSERT_EQ(snap->kind, snapshot::SnapshotKind::kPointLocator);
+  expect_serves_identically(snap->pointloc->cascade(), loc.cascade(), 80);
+
+  // A damaged input is refused and writes nothing.
+  std::vector<unsigned char> bytes = slurp(path);
+  bytes[bytes.size() / 2] ^= 0xFF;
+  legacy_format::spit(path, bytes);
+  std::remove(out.c_str());
+  EXPECT_FALSE(snapshot::rewrite(path, out).ok());
+  EXPECT_FALSE(snapshot::open(out).ok());
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotFormatV2, FutureVersionsAreRejected) {
   const std::string path = tmp_path("v3_future.snap");
   const serve::FlatCascade flat = build_cascade(34);

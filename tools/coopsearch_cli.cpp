@@ -14,6 +14,7 @@
 //   coopsearch_cli snapshot load  <file.snap>
 //   coopsearch_cli snapshot serve <file.snap> <threads> <queries> <seed>
 //                                 [--check-tree <tree.txt>]
+//   coopsearch_cli snapshot rewrite <in.snap> <out.snap>
 //   coopsearch_cli cluster-partition <tree.txt> <outdir> <num_shards>
 //   coopsearch_cli stats     [--prometheus] [--trace]
 //   coopsearch_cli selftest
@@ -646,9 +647,26 @@ int cmd_snapshot_serve(int argc, char** argv) {
   return 0;
 }
 
+// snapshot rewrite: open IN with full verification and write it to OUT
+// in the current format (atomically; IN may equal OUT).  Files from older
+// writers — v2 files with per-node layout sections nothing reads, which
+// every open and scrub would still prefault and CRC-check — come out as
+// today's writer emits them.
+int cmd_snapshot_rewrite(int argc, char** argv) {
+  if (argc < 2) {
+    return usage("snapshot rewrite <in.snap> <out.snap>");
+  }
+  if (const auto st = snapshot::rewrite(argv[0], argv[1]); !st.ok()) {
+    return fail(st);
+  }
+  std::printf("snapshot rewritten: %s -> %s (format v%u)\n", argv[0],
+              argv[1], static_cast<unsigned>(snapshot::kFormatVersion));
+  return 0;
+}
+
 int cmd_snapshot(int argc, char** argv) {
   if (argc < 1) {
-    return usage("snapshot save|load|serve [args]");
+    return usage("snapshot save|load|serve|rewrite [args]");
   }
   if (std::strcmp(argv[0], "save") == 0) {
     return cmd_snapshot_save(argc - 1, argv + 1);
@@ -659,7 +677,10 @@ int cmd_snapshot(int argc, char** argv) {
   if (std::strcmp(argv[0], "serve") == 0) {
     return cmd_snapshot_serve(argc - 1, argv + 1);
   }
-  return usage("snapshot save|load|serve [args]");
+  if (std::strcmp(argv[0], "rewrite") == 0) {
+    return cmd_snapshot_rewrite(argc - 1, argv + 1);
+  }
+  return usage("snapshot save|load|serve|rewrite [args]");
 }
 
 // stats: run a small deterministic workload through the PRAM simulator
