@@ -162,9 +162,8 @@ int run_mutate_bench(const Options& o) {
       measure(num_queries, 1000, min_sec,
               [&](std::size_t at, std::size_t c) {
                 base_out.reset(part(at, c));
-                for (std::size_t gi = 0; gi < serve::path_groups(c); ++gi) {
-                  serve::serve_path_group(flat, part(at, c), gi, base_out);
-                }
+                serve::serve_path_units(flat, part(at, c), 0,
+                                        serve::path_groups(c), base_out);
               })));
 
   // Depth rows in increasing order, deepening the same overlay between

@@ -216,15 +216,13 @@ inline int run_paths_compare(const Options& o) {
   // can never post a throughput number.
   bool equal = true;
   const std::size_t check = std::min<std::size_t>(500, num_queries);
-  // The lockstep kernel over queries [at, at + c), group by group, into
-  // `out` (reset to them).
+  // The window kernel over queries [at, at + c), into `out` (reset to
+  // them).
   const auto grouped_into = [&](serve::PathAnswerSet& out, std::size_t at,
                                 std::size_t c) {
     const auto part = std::span<const serve::PathQuery>(queries).subspan(at, c);
     out.reset(part);
-    for (std::size_t gi = 0; gi < serve::path_groups(c); ++gi) {
-      serve::serve_path_group(flat, part, gi, out);
-    }
+    serve::serve_path_units(flat, part, 0, serve::path_groups(c), out);
   };
   serve::PathAnswerSet grouped;
   grouped_into(grouped, 0, check);

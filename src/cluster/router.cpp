@@ -99,7 +99,8 @@ struct Router::Impl final : net::PathRouter {
   std::mutex pool_mu;
   std::vector<std::unique_ptr<ConnSet>> idle_conns;
 
-  obs::StatCounters<RouterStats> stats;
+  mutable std::mutex stats_mu;
+  RouterStats stats;
 
   /// Count one event in stats() and, when given, in its obs counter.
   void bump(std::uint64_t RouterStats::* field,
@@ -107,7 +108,8 @@ struct Router::Impl final : net::PathRouter {
     if (metric != nullptr) {
       (RouterMetrics::get().*metric).inc();
     }
-    stats.bump(field);
+    std::lock_guard<std::mutex> lock(stats_mu);
+    ++(stats.*field);
   }
 
   // ---- persistent backend connections ------------------------------
@@ -400,6 +402,9 @@ std::vector<net::CollectionHealth> Router::health() {
   return rows;
 }
 
-RouterStats Router::stats() const { return impl_->stats.load(); }
+RouterStats Router::stats() const {
+  std::lock_guard<std::mutex> lock(impl_->stats_mu);
+  return impl_->stats;
+}
 
 }  // namespace cluster

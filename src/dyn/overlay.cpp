@@ -276,8 +276,8 @@ serve::PathFault search_group_dyn(const State& state, const serve::PathRef* qs,
     total += qs[q].len;
   }
   scratch.resize(2 * total);
-  std::uint32_t* aug[serve::kPathGroup];
-  std::uint32_t* hints[serve::kPathGroup];
+  std::uint32_t* aug[serve::kPathRun];
+  std::uint32_t* hints[serve::kPathRun];
   std::size_t off = 0;
   for (std::size_t q = 0; q < g; ++q) {
     aug[q] = scratch.data() + off;
@@ -312,9 +312,9 @@ serve::PathFault search_paths_dyn(const State& state,
                                   std::span<const serve::PathRef> queries,
                                   PathKeySet& out) {
   out.reset(queries);
-  for (std::size_t at = 0; at < queries.size(); at += serve::kPathGroup) {
-    const std::size_t g = std::min(serve::kPathGroup, queries.size() - at);
-    Key* keys[serve::kPathGroup];
+  for (std::size_t at = 0; at < queries.size(); at += serve::kPathRun) {
+    const std::size_t g = std::min(serve::kPathRun, queries.size() - at);
+    Key* keys[serve::kPathRun];
     for (std::size_t q = 0; q < g; ++q) {
       keys[q] = out.keys_data(at + q);
     }
@@ -332,10 +332,10 @@ serve::PathFault search_paths_dyn(const State& state,
                                   std::span<const serve::PathQuery> queries,
                                   PathKeys* out) {
   std::vector<std::uint32_t> scratch;
-  for (std::size_t at = 0; at < queries.size(); at += serve::kPathGroup) {
-    const std::size_t g = std::min(serve::kPathGroup, queries.size() - at);
-    serve::PathRef refs[serve::kPathGroup];
-    Key* keys[serve::kPathGroup];
+  for (std::size_t at = 0; at < queries.size(); at += serve::kPathRun) {
+    const std::size_t g = std::min(serve::kPathRun, queries.size() - at);
+    serve::PathRef refs[serve::kPathRun];
+    Key* keys[serve::kPathRun];
     for (std::size_t q = 0; q < g; ++q) {
       refs[q] = serve::path_ref(queries[at + q]);
       out[at + q].keys.resize(refs[q].len);

@@ -184,13 +184,13 @@ class PathKeySet {
 
   std::vector<Key> keys_;
   serve::PathSlices slices_;
-  std::vector<std::uint32_t> scratch_;  ///< base kernel's answers, one unit
+  std::vector<std::uint32_t> scratch_;  ///< base kernel's answers, one window
 };
 
 /// Serve a batch of explicit-path queries against one captured State into
 /// `out` (reset to the batch here): runs the base path kernel
-/// (serve::search_paths_grouped_into) one engine unit of kPathGroup
-/// queries at a time, then a branch-light merge post-pass only on
+/// (serve::search_paths_grouped_into) as windows of up to kPathRun
+/// queries, then a branch-light merge post-pass only on
 /// (query, node) pairs whose node actually has runs.  Paths are checked
 /// against the base cascade as the kernel walks them: the result is the
 /// first refused query's fault (see serve::PathFault), and the answers

@@ -261,11 +261,13 @@ struct Server::Impl {
     std::uint64_t id = 0;
     /// Received bytes; requests are checked and served where they lie.
     std::vector<std::uint8_t> inbuf;
-    /// Responses framed in place, sent from out_off on.  Cleared (its
-    /// capacity kept) once everything in it is sent.
+    /// Responses framed in place, sent from out_off on.  Frames before
+    /// out_done are wholly sent; flush() gives them back once they fill
+    /// half the buffer, so it holds at most about twice the unsent bytes.
+    /// Cleared (its capacity kept) once everything in it is sent.
     std::vector<std::uint8_t> outbuf;
     std::size_t out_off = 0;
-    std::uint64_t out_frames = 0;  ///< frames in outbuf, counted when sent
+    std::size_t out_done = 0;
     SteadyClock::time_point last_activity{};
     SteadyClock::time_point stall_since{};
     bool busy = false;  ///< owned by a serving thread
@@ -296,15 +298,17 @@ struct Server::Impl {
   std::condition_variable drain_cv;
   bool drained = false;
 
-  obs::StatCounters<ServerStats> stats;
+  mutable std::mutex stats_mu;
+  ServerStats stats;
 
-  /// Count `n` events in stats() and, when given, in its obs counter.
+  /// Count one event in stats() and, when given, in its obs counter.
   void bump(std::uint64_t ServerStats::* field,
-            obs::Counter NetMetrics::* metric = nullptr, std::uint64_t n = 1) {
+            obs::Counter NetMetrics::* metric = nullptr) {
     if (metric != nullptr) {
-      (NetMetrics::get().*metric).add(n);
+      (NetMetrics::get().*metric).inc();
     }
-    stats.bump(field, n);
+    std::lock_guard<std::mutex> lock(stats_mu);
+    ++(stats.*field);
   }
 
   // ---- response plumbing -------------------------------------------
@@ -421,7 +425,6 @@ struct Server::Impl {
       NetMetrics::get().request_ns.record(steady_ns(SteadyClock::now()) -
                                           steady_ns(t0));
     }
-    ++conn.out_frames;
     flush(conn);
   }
 
@@ -549,10 +552,38 @@ struct Server::Impl {
     }
   }
 
-  /// Send buffered bytes until the socket is full; a send error marks
-  /// the connection dead.
+  /// Send buffered bytes until the socket is full, counting each frame
+  /// once it is wholly sent; a send error marks the connection dead.
   void flush(Conn& conn) {
-    while (conn.sending()) {
+    send_some(conn);
+    std::vector<std::uint8_t>& out = conn.outbuf;
+    while (out.size() - conn.out_done >= sizeof(std::uint32_t)) {
+      std::uint32_t prefix = 0;
+      std::memcpy(&prefix, out.data() + conn.out_done, sizeof(prefix));
+      const std::size_t end = conn.out_done + sizeof(prefix) + prefix;
+      if (end > conn.out_off) {
+        break;
+      }
+      conn.out_done = end;
+      bump(&ServerStats::frames_out, &NetMetrics::frames_out);
+    }
+    if (conn.out_off == out.size()) {
+      out.clear();
+      conn.out_off = 0;
+      conn.out_done = 0;
+    } else if (conn.out_done * 2 >= out.size()) {
+      // A peer that keeps a backlog never lets the buffer empty: give
+      // the sent frames back, which costs at most the bytes sent since
+      // the last time.
+      out.erase(out.begin(),
+                out.begin() + static_cast<std::ptrdiff_t>(conn.out_done));
+      conn.out_off -= conn.out_done;
+      conn.out_done = 0;
+    }
+  }
+
+  void send_some(Conn& conn) {
+    while (conn.out_off < conn.outbuf.size()) {
       const ssize_t n =
           ::send(conn.fd, conn.outbuf.data() + conn.out_off,
                  conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
@@ -569,12 +600,6 @@ struct Server::Impl {
       // Any byte progress resets the stall clock: a slow-but-draining
       // reader of one large response must not be reaped as stalled.
       conn.stall_since = SteadyClock::now();
-      if (conn.out_off == conn.outbuf.size()) {
-        conn.outbuf.clear();
-        conn.out_off = 0;
-        bump(&ServerStats::frames_out, &NetMetrics::frames_out,
-             std::exchange(conn.out_frames, 0));
-      }
     }
   }
 
@@ -908,7 +933,8 @@ ServerStats Server::stats() const {
   if (impl_ == nullptr) {
     return {};
   }
-  return impl_->stats.load();
+  std::lock_guard<std::mutex> lock(impl_->stats_mu);
+  return impl_->stats;
 }
 
 }  // namespace net

@@ -24,15 +24,12 @@
 // flat namespace keeps the scrape path allocation-light and the export
 // formats (obs/export.hpp) trivial.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace obs {
@@ -105,44 +102,6 @@ class Counter {
   friend class Registry;
   explicit Counter(detail::CounterData* d) : d_(d) {}
   detail::CounterData* d_ = nullptr;
-};
-
-/// A component's own stats struct (`Stats`, every field a std::uint64_t
-/// count, or a field the caller fills in after load()) counted with one
-/// relaxed atomic add per event and read back whole.  No lock: a load()
-/// concurrent with bumps sees each field at some recent value.
-template <typename Stats>
-class StatCounters {
-  static_assert(std::is_trivially_copyable_v<Stats> &&
-                sizeof(Stats) % sizeof(std::uint64_t) == 0);
-
- public:
-  void bump(std::uint64_t Stats::* field, std::uint64_t n = 1) {
-    slots_[index(field)].fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] Stats load() const {
-    Stats s{};
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const std::uint64_t v = slots_[i].load(std::memory_order_relaxed);
-      if (v != 0) {
-        std::memcpy(reinterpret_cast<char*>(&s) + i * sizeof(v), &v,
-                    sizeof(v));
-      }
-    }
-    return s;
-  }
-
- private:
-  static std::size_t index(std::uint64_t Stats::* field) {
-    static const Stats probe{};
-    return static_cast<std::size_t>(
-               reinterpret_cast<const char*>(&(probe.*field)) -
-               reinterpret_cast<const char*>(&probe)) /
-           sizeof(std::uint64_t);
-  }
-
-  std::array<std::atomic<std::uint64_t>, sizeof(Stats) / sizeof(std::uint64_t)>
-      slots_{};
 };
 
 /// Signed gauge handle (set / add / monotonic-max).

@@ -24,6 +24,7 @@ struct FrontendMetrics {
   obs::Counter shed;
   obs::Counter shed_breaker;
   obs::Counter completed;
+  obs::Counter refused;
   obs::Counter degraded;
   obs::Counter degraded_deadline;
   obs::Counter retries;
@@ -48,6 +49,8 @@ FrontendMetrics& frontend_metrics() {
       r.counter("serve_frontend_shed_breaker_total",
                 "Batches shed by the OPEN breaker"),
       r.counter("serve_frontend_completed_total", "Batches completed"),
+      r.counter("serve_frontend_refused_total",
+                "Admitted batches refused for an invalid query"),
       r.counter("serve_frontend_degraded_total",
                 "Batches whose final attempt degraded"),
       r.counter("serve_frontend_degraded_deadline_total",
@@ -135,7 +138,11 @@ Frontend::Frontend(snapshot::Registry& registry, QueryEngine& engine,
       breaker_(opts_.breaker_threshold, opts_.breaker_open_for) {}
 
 FrontendStats Frontend::stats() const {
-  FrontendStats s = counts_.load();
+  FrontendStats s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s = stats_;
+  }
   s.breaker = breaker_.state();
   s.consecutive_degraded = breaker_.consecutive_failures();
   s.health = health();
@@ -157,7 +164,8 @@ HealthState Frontend::health() const {
 BreakerState Frontend::breaker_state() const { return breaker_.state(); }
 
 void Frontend::bump(std::uint64_t FrontendStats::* field) {
-  counts_.bump(field);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(stats_.*field);
 }
 
 Frontend::Mode Frontend::breaker_admit(std::uint64_t seq) {
@@ -276,12 +284,20 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
 
   BatchReport final_report;
   // The trail reuses the caller's report's buffer, so a caller that
-  // keeps its report allocates nothing for it per batch.
+  // keeps its report allocates nothing for it per batch.  A batch that
+  // ends without an answer hands the buffer back, empty.
   std::vector<BatchAttempt> trail;
   if (report != nullptr) {
-    trail = std::move(report->attempts);
+    trail.swap(report->attempts);
     trail.clear();
   }
+  const auto refuse = [&](Status st) {
+    if (report != nullptr) {
+      trail.clear();
+      report->attempts.swap(trail);
+    }
+    return st;
+  };
   for (std::uint32_t a = 0; a < max_attempts; ++a) {
     std::chrono::nanoseconds back{0};
     if (a > 0) {
@@ -305,7 +321,8 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
       if (mode == Mode::kProbe) {
         breaker_on_result(mode, /*degraded=*/true, seq);
       }
-      return Status::unavailable("no snapshot published in the registry");
+      return refuse(
+          Status::unavailable("no snapshot published in the registry"));
     }
     if (pin.snapshot().kind != need ||
         (need == snapshot::SnapshotKind::kPointLocator &&
@@ -313,22 +330,25 @@ Status Frontend::run_admitted(snapshot::SnapshotKind need,
       if (mode == Mode::kProbe) {
         breaker_on_result(mode, /*degraded=*/true, seq);
       }
-      return Status::failed_precondition(
-          "current snapshot kind does not match the batch type");
+      return refuse(Status::failed_precondition(
+          "current snapshot kind does not match the batch type"));
     }
     QueryEngine& eng =
         mode == Mode::kSequentialOnly ? seq_engine_ : engine_;
-    coop::Expected<BatchReport> ran = attempt(eng, pin.snapshot(), opts, seq);
-    if (!ran.ok()) {
-      // The batch's own input is refused: the engine ran it to the end,
-      // so a probe still closes the breaker, but the refusal is neither
-      // retried nor counted as a failure.
-      if (mode == Mode::kProbe) {
-        breaker_on_result(mode, /*degraded=*/false, seq);
+    AttemptOutcome ran = attempt(eng, pin.snapshot(), opts, seq);
+    if (!ran.refusal.ok()) {
+      // The batch's own input is refused, so a retry would refuse it
+      // again.  The refusal itself is no failure: only a degraded engine
+      // run counts against the breaker, and a probe reports its run
+      // either way.
+      if (mode == Mode::kProbe || ran.report.degraded) {
+        breaker_on_result(mode, ran.report.degraded, seq);
       }
-      return ran.status();
+      fm.refused.inc();
+      bump(&FrontendStats::refused);
+      return refuse(std::move(ran.refusal));
     }
-    BatchReport r = ran.take();
+    BatchReport r = std::move(ran.report);
     if (r.degraded && traced) {
       ring.emit(seq, obs::SpanKind::kDegraded, a);
     }
@@ -391,51 +411,50 @@ class FaultRecord {
   PathFault first_;
 };
 
-/// One attempt at a path batch of `n` queries: `run_group(gi)` for every
-/// engine unit on the engine, behind the chaos hook; a refused path
-/// refuses the batch with validate_path's Status.
-template <typename RunGroup>
-coop::Expected<BatchReport> run_path_groups(QueryEngine& eng, std::size_t n,
-                                            const BatchOptions& opts,
-                                            std::uint64_t seq,
-                                            const ChaosHooks* chaos,
-                                            const RunGroup& run_group) {
+/// One attempt at a path batch of `n` queries: `run_units(first, last)`
+/// over the engine units of the batch on the engine, behind the chaos
+/// hook; a refused path refuses the batch with validate_path's Status.
+template <typename RunUnits>
+AttemptOutcome run_path_groups(QueryEngine& eng, std::size_t n,
+                               const BatchOptions& opts, std::uint64_t seq,
+                               const ChaosHooks* chaos,
+                               const RunUnits& run_units) {
   struct Job {
     const ChaosHooks* chaos;
     std::uint64_t seq;
-    const RunGroup* run_group;
+    const RunUnits* run_units;
     FaultRecord faults;
-  } job{chaos, seq, &run_group, {}};
+  } job{chaos, seq, &run_units, {}};
   // One captured pointer fits std::function's small buffer: no
   // allocation per batch.
-  const std::function<void(std::size_t)> fn = [&job](std::size_t gi) {
+  const QueryEngine::RangeFn fn = [&job](std::size_t first, std::size_t last) {
     if (job.chaos != nullptr && job.chaos->on_item) {
-      job.chaos->on_item(job.seq, gi);
+      for (std::size_t gi = first; gi < last; ++gi) {
+        job.chaos->on_item(job.seq, gi);
+      }
     }
-    job.faults.note((*job.run_group)(gi));
+    job.faults.note((*job.run_units)(first, last));
   };
   const std::size_t groups = path_groups(n);
-  BatchReport report;
+  AttemptOutcome ran;
   try {
-    report = eng.for_each(groups, fn, opts);
+    ran.report = eng.for_each_range(groups, fn, opts);
   } catch (const std::exception& e) {
     // The injected exception escaped the engine's worker try/catch —
     // it fired on the inline path (one-thread engine or the engine's
     // own sequential rerun).  The kernel itself never throws, so a
     // clean rerun completes the batch.
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      job.faults.note(run_group(gi));
-    }
-    report.degraded = true;
-    report.reason = std::string("inline exception: ") + e.what();
-    report.cause = DegradeCause::kException;
-    report.shards = 1;
-    report.threads_used = 1;
+    job.faults.note(run_units(0, groups));
+    ran.report.degraded = true;
+    ran.report.reason = std::string("inline exception: ") + e.what();
+    ran.report.cause = DegradeCause::kException;
+    ran.report.shards = 1;
+    ran.report.threads_used = 1;
   }
   if (job.faults.first()) {
-    return job.faults.first().status();
+    ran.refusal = job.faults.first().status();
   }
-  return report;
+  return ran;
 }
 
 }  // namespace
@@ -450,17 +469,17 @@ Status Frontend::serve_paths(std::span<const PathRef> queries,
     PathAnswerSet* out;
     const ChaosHooks* chaos;
   } batch{queries, &out, chaos};
-  const AttemptFn attempt =
-      [&batch](QueryEngine& eng, const snapshot::Snapshot& snap,
-               const BatchOptions& opts,
-               std::uint64_t seq) -> coop::Expected<BatchReport> {
+  const AttemptFn attempt = [&batch](QueryEngine& eng,
+                                     const snapshot::Snapshot& snap,
+                                     const BatchOptions& opts,
+                                     std::uint64_t seq) -> AttemptOutcome {
     const FlatCascade& f = snap.cascade;
     batch.out->reset(batch.queries);
-    return run_path_groups(eng, batch.queries.size(), opts, seq, batch.chaos,
-                           [&](std::size_t gi) {
-                             return serve_path_group(f, batch.queries, gi,
-                                                     *batch.out);
-                           });
+    return run_path_groups(
+        eng, batch.queries.size(), opts, seq, batch.chaos,
+        [&](std::size_t first, std::size_t last) {
+          return serve_path_units(f, batch.queries, first, last, *batch.out);
+        });
   };
   return run_admitted(snapshot::SnapshotKind::kCascade, batch_override, report,
                       served_version, attempt);
@@ -477,18 +496,20 @@ Status Frontend::serve_paths(std::span<const PathQuery> queries,
     std::vector<PathAnswer>* out;
     const ChaosHooks* chaos;
   } batch{queries, &out, chaos};
-  const AttemptFn attempt =
-      [&batch](QueryEngine& eng, const snapshot::Snapshot& snap,
-               const BatchOptions& opts,
-               std::uint64_t seq) -> coop::Expected<BatchReport> {
+  const AttemptFn attempt = [&batch](QueryEngine& eng,
+                                     const snapshot::Snapshot& snap,
+                                     const BatchOptions& opts,
+                                     std::uint64_t seq) -> AttemptOutcome {
     const FlatCascade& f = snap.cascade;
     const std::span<const PathQuery> qs = batch.queries;
     batch.out->assign(qs.size(), PathAnswer{});
     return run_path_groups(
-        eng, qs.size(), opts, seq, batch.chaos, [&](std::size_t gi) {
-          const std::size_t begin = gi * kPathGroup;
+        eng, qs.size(), opts, seq, batch.chaos,
+        [&](std::size_t first, std::size_t last) {
+          const std::size_t begin = first * kPathGroup;
           PathFault fault = search_paths_grouped(
-              f, qs.data() + begin, std::min(kPathGroup, qs.size() - begin),
+              f, qs.data() + begin,
+              std::min(last * kPathGroup, qs.size()) - begin,
               batch.out->data() + begin);
           if (fault) {
             fault.query += begin;
@@ -510,8 +531,7 @@ Status Frontend::serve_points(std::span<const geom::Point> points,
                                 QueryEngine& eng,
                                 const snapshot::Snapshot& snap,
                                 const BatchOptions& opts,
-                                std::uint64_t seq)
-      -> coop::Expected<BatchReport> {
+                                std::uint64_t seq) -> AttemptOutcome {
     const FlatPointLocator& loc = *snap.pointloc;
     out.assign(points.size(), 0);
     const auto run_one = [&](std::size_t i) { out[i] = loc.locate(points[i]); };
@@ -522,7 +542,7 @@ Status Frontend::serve_points(std::span<const geom::Point> points,
       run_one(i);
     };
     try {
-      return eng.for_each(points.size(), fn, opts);
+      return {eng.for_each(points.size(), fn, opts), {}};
     } catch (const std::exception& e) {
       for (std::size_t i = 0; i < points.size(); ++i) {
         run_one(i);
@@ -533,7 +553,7 @@ Status Frontend::serve_points(std::span<const geom::Point> points,
       r.cause = DegradeCause::kException;
       r.shards = 1;
       r.threads_used = 1;
-      return r;
+      return {std::move(r), {}};
     }
   };
   return run_admitted(snapshot::SnapshotKind::kPointLocator, batch_override,

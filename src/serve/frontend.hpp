@@ -28,11 +28,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "dyn/overlay.hpp"
-#include "obs/metrics.hpp"
 #include "robust/circuit_breaker.hpp"
 #include "robust/status.hpp"
 #include "serve/query_engine.hpp"
@@ -88,6 +88,7 @@ struct FrontendStats {
   std::uint64_t shed = 0;                ///< kResourceExhausted (admission)
   std::uint64_t shed_breaker = 0;        ///< kUnavailable (breaker OPEN)
   std::uint64_t completed = 0;
+  std::uint64_t refused = 0;             ///< admitted, then its input refused
   std::uint64_t degraded_batches = 0;    ///< final attempt degraded
   std::uint64_t degraded_deadline = 0;   ///< ... by deadline expiry (subset)
   std::uint64_t retries = 0;             ///< attempts beyond the first
@@ -114,6 +115,14 @@ struct ChaosHooks {
                                                    std::uint64_t batch_seq,
                                                    std::uint32_t attempt);
 
+/// One attempt at a batch: the engine's report, and the batch's refusal
+/// of its own input (OK when every query was served).  A refused attempt
+/// still reports whether its engine run degraded.
+struct AttemptOutcome {
+  BatchReport report;
+  coop::Status refusal;
+};
+
 class Frontend {
  public:
   /// The registry and engine must outlive the frontend.  A one-thread
@@ -131,9 +140,9 @@ class Frontend {
   /// of the *final* attempt.  Shed batches return kResourceExhausted
   /// (admission) or kUnavailable (breaker) without touching `out`.  An
   /// invalid path refuses the batch with FlatCascade::validate_path's
-  /// Status for the first such query; the refusal is not retried and
-  /// does not count against the breaker.  With a reused `out` this
-  /// allocates nothing per query.
+  /// Status for the first such query; the refusal is not retried, and
+  /// it counts against the breaker only when its engine run degraded.
+  /// With a reused `out` this allocates nothing per query.
   [[nodiscard]] coop::Status serve_paths(
       std::span<const PathRef> queries, PathAnswerSet& out,
       BatchReport* report = nullptr, std::uint64_t* served_version = nullptr,
@@ -197,8 +206,8 @@ class Frontend {
 
   /// Runs one attempt against a pinned snapshot; must fill `out`
   /// completely (it handles its own inline-exception rerun), or refuse
-  /// the batch's input with a Status, which ends the batch.
-  using AttemptFn = std::function<coop::Expected<BatchReport>(
+  /// the batch's input, which ends the batch.
+  using AttemptFn = std::function<AttemptOutcome(
       QueryEngine& engine, const snapshot::Snapshot& snap,
       const BatchOptions& opts, std::uint64_t batch_seq)>;
 
@@ -227,9 +236,8 @@ class Frontend {
 
   robust::CircuitBreaker breaker_;
 
-  /// The counts of stats(); its breaker and health fields are read from
-  /// the breaker.
-  obs::StatCounters<FrontendStats> counts_;
+  mutable std::mutex mu_;  ///< stats
+  FrontendStats stats_;
 };
 
 }  // namespace serve

@@ -152,6 +152,18 @@ QueryEngine::~QueryEngine() {
 BatchReport QueryEngine::for_each(std::size_t n,
                                   const std::function<void(std::size_t)>& fn,
                                   const BatchOptions& opts) {
+  return for_each_range(
+      n,
+      [&fn](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          fn(i);
+        }
+      },
+      opts);
+}
+
+BatchReport QueryEngine::for_each_range(std::size_t n, const RangeFn& fn,
+                                        const BatchOptions& opts) {
   BatchReport report;
   if (n == 0) {
     report.threads_used = 1;
@@ -179,9 +191,7 @@ BatchReport QueryEngine::for_each(std::size_t n,
     // shard.  The deadline is not polled here — an inline run IS the
     // sequential fallback.
     em.batches_inline.inc();
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
+    fn(0, n);
     report.shards = 1;
     report.threads_used = 1;
     finish();
@@ -205,9 +215,7 @@ BatchReport QueryEngine::for_each(std::size_t n,
   } else {
     em.degraded_exception.inc();
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    fn(i);
-  }
+  fn(0, n);
   report.degraded = true;
   report.reason = fail_reason;
   report.cause =
@@ -219,8 +227,7 @@ BatchReport QueryEngine::for_each(std::size_t n,
 }
 
 bool QueryEngine::run_parallel(
-    std::size_t n, std::size_t shard_size,
-    const std::function<void(std::size_t)>& fn,
+    std::size_t n, std::size_t shard_size, const RangeFn& fn,
     std::chrono::steady_clock::time_point deadline_at, bool deadline_armed,
     std::string& fail_reason) {
   // One batch owns the pool at a time, submission through drain.
@@ -280,7 +287,7 @@ bool QueryEngine::run_parallel(
 void QueryEngine::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* fn = nullptr;
+    const RangeFn* fn = nullptr;
     std::size_t n = 0, shard_size = 1, num_shards = 0;
     std::chrono::steady_clock::time_point deadline_at;
     bool deadline_armed = false;
@@ -327,9 +334,7 @@ void QueryEngine::worker_loop() {
       const std::size_t begin = shard * shard_size;
       const std::size_t end = std::min(n, begin + shard_size);
       try {
-        for (std::size_t i = begin; i < end; ++i) {
-          (*fn)(i);
-        }
+        (*fn)(begin, end);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(mutex_);
@@ -518,9 +523,9 @@ PathFault search_paths_grouped_into(const FlatCascade& f,
                                     std::uint32_t* const* out_aug,
                                     std::uint32_t* const* out_proper) {
   PathFault fault;
-  for (std::size_t at = 0; at < count; at += kPathGroup) {
-    const std::size_t g = std::min(count - at, kPathGroup);
-    PathRef refs[kPathGroup];
+  for (std::size_t at = 0; at < count; at += kPathRun) {
+    const std::size_t g = std::min(count - at, kPathRun);
+    PathRef refs[kPathRun];
     for (std::size_t q = 0; q < g; ++q) {
       refs[q] = path_ref(queries[at + q]);
     }
@@ -537,10 +542,10 @@ PathFault search_paths_grouped_into(const FlatCascade& f,
 PathFault search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
                                std::size_t count, PathAnswer* out) {
   PathFault fault;
-  for (std::size_t at = 0; at < count; at += kPathGroup) {
-    const std::size_t g = std::min(count - at, kPathGroup);
-    std::uint32_t* ap[kPathGroup];
-    std::uint32_t* pp[kPathGroup];
+  for (std::size_t at = 0; at < count; at += kPathRun) {
+    const std::size_t g = std::min(count - at, kPathRun);
+    std::uint32_t* ap[kPathRun];
+    std::uint32_t* pp[kPathRun];
     for (std::size_t q = 0; q < g; ++q) {
       const std::size_t len = queries[at + q].path.size();
       out[at + q].aug_index.resize(len);
@@ -560,36 +565,43 @@ PathFault search_paths_grouped(const FlatCascade& f, const PathQuery* queries,
 namespace {
 
 template <typename Q>
-PathFault serve_group(const FlatCascade& f, std::span<const Q> queries,
-                      std::size_t gi, PathAnswerSet& out) {
-  const std::size_t begin = gi * kPathGroup;
-  const std::size_t g = std::min(kPathGroup, queries.size() - begin);
-  std::uint32_t* ap[kPathGroup];
-  std::uint32_t* pp[kPathGroup];
-  for (std::size_t q = 0; q < g; ++q) {
-    ap[q] = out.aug_data(begin + q);
-    pp[q] = out.proper_data(begin + q);
+PathFault serve_units(const FlatCascade& f, std::span<const Q> queries,
+                      std::size_t first, std::size_t last,
+                      PathAnswerSet& out) {
+  const std::size_t end = std::min(queries.size(), last * kPathGroup);
+  for (std::size_t at = first * kPathGroup; at < end; at += kPathRun) {
+    const std::size_t g = std::min(kPathRun, end - at);
+    std::uint32_t* ap[kPathRun];
+    std::uint32_t* pp[kPathRun];
+    for (std::size_t q = 0; q < g; ++q) {
+      ap[q] = out.aug_data(at + q);
+      pp[q] = out.proper_data(at + q);
+    }
+    // A window refuses its lowest query, so the first refusing window
+    // holds the lowest refused query of the range.
+    PathFault fault =
+        search_paths_grouped_into(f, queries.data() + at, g, ap, pp);
+    if (fault) {
+      fault.query += at;
+      return fault;
+    }
   }
-  PathFault fault =
-      search_paths_grouped_into(f, queries.data() + begin, g, ap, pp);
-  if (fault) {
-    fault.query += begin;
-  }
-  return fault;
+  return {};
 }
 
 }  // namespace
 
-PathFault serve_path_group(const FlatCascade& f,
-                           std::span<const PathRef> queries, std::size_t gi,
-                           PathAnswerSet& out) {
-  return serve_group(f, queries, gi, out);
+PathFault serve_path_units(const FlatCascade& f,
+                           std::span<const PathRef> queries, std::size_t first,
+                           std::size_t last, PathAnswerSet& out) {
+  return serve_units(f, queries, first, last, out);
 }
 
-PathFault serve_path_group(const FlatCascade& f,
-                           std::span<const PathQuery> queries, std::size_t gi,
+PathFault serve_path_units(const FlatCascade& f,
+                           std::span<const PathQuery> queries,
+                           std::size_t first, std::size_t last,
                            PathAnswerSet& out) {
-  return serve_group(f, queries, gi, out);
+  return serve_units(f, queries, first, last, out);
 }
 
 BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
@@ -597,9 +609,11 @@ BatchReport serve_path_queries(const FlatCascade& f, QueryEngine& engine,
                                PathAnswerSet& out,
                                const BatchOptions& opts) {
   out.reset(queries);
-  return engine.for_each(
+  return engine.for_each_range(
       path_groups(queries.size()),
-      [&](std::size_t gi) { (void)serve_path_group(f, queries, gi, out); },
+      [&](std::size_t first, std::size_t last) {
+        (void)serve_path_units(f, queries, first, last, out);
+      },
       opts);
 }
 

@@ -104,10 +104,19 @@ class QueryEngine {
                        const std::function<void(std::size_t)>& fn,
                        const BatchOptions& opts = {});
 
+  /// The work of an index range: `fn(begin, end)` handles [begin, end).
+  using RangeFn = std::function<void(std::size_t, std::size_t)>;
+
+  /// The same batch handed out by range: `fn` is called on disjoint
+  /// ranges that cover [0, n) — the whole batch at once when it runs
+  /// inline or in the sequential rerun, one claimed shard at a time on
+  /// the pool — so a caller can work across consecutive indices.
+  BatchReport for_each_range(std::size_t n, const RangeFn& fn,
+                             const BatchOptions& opts = {});
+
  private:
   void worker_loop();
-  bool run_parallel(std::size_t n, std::size_t shard_size,
-                    const std::function<void(std::size_t)>& fn,
+  bool run_parallel(std::size_t n, std::size_t shard_size, const RangeFn& fn,
                     std::chrono::steady_clock::time_point deadline_at,
                     bool deadline_armed, std::string& fail_reason);
 
@@ -141,7 +150,7 @@ class QueryEngine {
   alignas(kCacheLine) std::atomic<std::size_t> remaining_{0};
 
   // Current batch (published under mutex_ before generation_ is bumped).
-  alignas(kCacheLine) const std::function<void(std::size_t)>* fn_ = nullptr;
+  alignas(kCacheLine) const RangeFn* fn_ = nullptr;
   std::size_t batch_n_ = 0;
   std::size_t shard_size_ = 1;
   std::size_t num_shards_ = 0;
@@ -229,9 +238,14 @@ class PathBatch {
     const cat::Tree& tree, std::mt19937_64& rng, std::size_t n);
 
 /// Queries per engine unit of a path batch: the work item a QueryEngine
-/// worker claims and the batch one window kernel call runs over.  64
-/// keeps the window full across a scan_b64 frame (E27).
-inline constexpr std::size_t kPathGroup = 64;
+/// worker claims, so a pool can split a 64-query batch four ways.
+inline constexpr std::size_t kPathGroup = 16;
+
+/// Most queries one window kernel call runs over.  A worker runs the
+/// consecutive units it claims as windows of up to kPathRun queries, so
+/// a batch run inline keeps the window full across a scan_b64 frame
+/// (E27); the kernel's callers size their stack arrays by it.
+inline constexpr std::size_t kPathRun = 64;
 
 /// Queries the path kernel keeps in flight: enough outstanding misses to
 /// cover DRAM latency, few enough that every slot's state stays in L1.
@@ -408,21 +422,24 @@ class PathAnswerSet {
     const cat::Tree& tree, std::span<const PathQuery> queries,
     const PathAnswerSet& answers);
 
-/// Engine unit `gi` of a path batch (queries [gi * kPathGroup, ...))
-/// into its slots of `out`, which must have been reset() for `queries`:
-/// the unit of work an engine worker claims.  Returns the unit's lowest
-/// refused query (its index in the whole batch), as
-/// search_paths_grouped_into does.
-PathFault serve_path_group(const FlatCascade& f,
-                           std::span<const PathRef> queries, std::size_t gi,
-                           PathAnswerSet& out);
-PathFault serve_path_group(const FlatCascade& f,
-                           std::span<const PathQuery> queries, std::size_t gi,
+/// Engine units [first, last) of a path batch (queries [first *
+/// kPathGroup, ...)) into their slots of `out`, which must have been
+/// reset() for `queries`, as windows of up to kPathRun queries: the work
+/// of the units an engine worker claims.  Returns their lowest refused
+/// query (its index in the whole batch), as search_paths_grouped_into
+/// does.
+PathFault serve_path_units(const FlatCascade& f,
+                           std::span<const PathRef> queries, std::size_t first,
+                           std::size_t last, PathAnswerSet& out);
+PathFault serve_path_units(const FlatCascade& f,
+                           std::span<const PathQuery> queries,
+                           std::size_t first, std::size_t last,
                            PathAnswerSet& out);
 
 /// Serve a batch of explicit-path queries into `out` (reset to the
-/// batch here), one serve_path_group per engine work item: answer q is
-/// written only by the worker that owns query q's unit.  Allocates
+/// batch here), one serve_path_units per range of engine units a worker
+/// runs: answer q is written only by the worker that owns query q's
+/// unit.  Allocates
 /// nothing once `out` has grown to the batch.  For trusted paths: an
 /// invalid path is not read out of bounds, but it is not reported either
 /// (serve::Frontend refuses it).

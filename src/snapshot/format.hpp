@@ -20,7 +20,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 namespace snapshot {
 
@@ -176,93 +175,18 @@ static_assert(sizeof(RoutingMeta) == 64);
   return crc;
 }
 
-/// Shift tables for the three-lane kernel: entry [k][b] advances the
-/// register bits b << 8k over `len` zero bytes (multiplication by
-/// x^(8 len) mod P), so shifting a whole register is four lookups.
-/// `len` must be a power of two.
-struct Crc32cShift {
-  std::array<std::array<std::uint32_t, 256>, 4> t{};
-
-  explicit Crc32cShift(std::size_t len) {
-    // GF(2) 32x32 matrices, one column per register bit: start from the
-    // operator for one zero bit and square it up to `len` zero bytes.
-    using Mat = std::array<std::uint32_t, 32>;
-    const auto times = [](const Mat& m, std::uint32_t v) {
-      std::uint32_t sum = 0;
-      for (int i = 0; v != 0; v >>= 1, ++i) {
-        sum ^= (v & 1) ? m[i] : 0;
-      }
-      return sum;
-    };
-    const auto square = [&](const Mat& m) {
-      Mat r{};
-      for (int i = 0; i < 32; ++i) {
-        r[i] = times(m, m[i]);
-      }
-      return r;
-    };
-    Mat op{};
-    op[0] = 0x82F63B78u;
-    for (int i = 1; i < 32; ++i) {
-      op[i] = 1u << (i - 1);
-    }
-    for (std::size_t bits = 8 * len; bits > 1; bits >>= 1) {
-      op = square(op);
-    }
-    for (std::uint32_t b = 0; b < 256; ++b) {
-      for (int k = 0; k < 4; ++k) {
-        t[k][b] = times(op, b << (8 * k));
-      }
-    }
-  }
-
-  [[nodiscard]] std::uint32_t operator()(std::uint32_t crc) const {
-    return t[0][crc & 0xFFu] ^ t[1][(crc >> 8) & 0xFFu] ^
-           t[2][(crc >> 16) & 0xFFu] ^ t[3][crc >> 24];
-  }
-};
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define COOPSEARCH_CRC32C_SSE42 1
-/// SSE4.2 kernel (the crc32 instruction, 8 bytes per issue).  One crc32
-/// chain is bound by the instruction's latency, so a buffer of at least
-/// three lanes runs as three interleaved chains over three adjacent
-/// blocks, which are then combined with the shift tables (the
-/// three-stream method of Intel's "Fast CRC Computation for iSCSI
-/// Polynomial Using CRC32 Instruction"): 8 KiB blocks while they fit,
-/// then 256-byte blocks, then one chain for the tail.  Compiled with a
-/// per-function target so the translation unit needs no global
+/// SSE4.2 kernel (the crc32 instruction, 8 bytes per issue).  Compiled
+/// with a per-function target so the translation unit needs no global
 /// -msse4.2; call it only when crc32c_has_sse42().
 __attribute__((target("sse4.2"))) inline std::uint32_t crc32c_sse42(
     std::uint32_t crc, const unsigned char* p, std::size_t n) {
-  constexpr std::size_t kLong = 8192;
-  constexpr std::size_t kShort = 256;
-  static const Crc32cShift shift_long(kLong);
-  static const Crc32cShift shift_short(kShort);
-  const auto load = [](const unsigned char* at) {
-    std::uint64_t v;
-    __builtin_memcpy(&v, at, 8);
-    return v;
-  };
   std::uint64_t c = crc;
-  for (const auto& [block, shift] :
-       {std::pair{kLong, &shift_long}, std::pair{kShort, &shift_short}}) {
-    while (n >= 3 * block) {
-      std::uint64_t c1 = 0;
-      std::uint64_t c2 = 0;
-      for (const unsigned char* end = p + block; p < end; p += 8) {
-        c = __builtin_ia32_crc32di(c, load(p));
-        c1 = __builtin_ia32_crc32di(c1, load(p + block));
-        c2 = __builtin_ia32_crc32di(c2, load(p + 2 * block));
-      }
-      c = (*shift)(static_cast<std::uint32_t>(c)) ^ c1;
-      c = (*shift)(static_cast<std::uint32_t>(c)) ^ c2;
-      p += 2 * block;
-      n -= 3 * block;
-    }
-  }
   while (n >= 8) {
-    c = __builtin_ia32_crc32di(c, load(p));
+    std::uint64_t v;
+    __builtin_memcpy(&v, p, 8);
+    c = __builtin_ia32_crc32di(c, v);
     p += 8;
     n -= 8;
   }

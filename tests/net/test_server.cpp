@@ -3,8 +3,14 @@
 
 #include "net/server.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <limits>
@@ -14,6 +20,7 @@
 #include <set>
 #include <span>
 #include <thread>
+#include <utility>
 
 #include "catalog/tree.hpp"
 #include "fc/build.hpp"
@@ -442,6 +449,130 @@ TEST_F(GatedServerTest, HeldRequestDoesNotStallOtherConnections) {
   t.join();
   ASSERT_TRUE(held_resp.ok()) << held_resp.status().to_string();
   expect_oracle(batch, *held_resp);
+}
+
+/// Answers every request with kPayload zero bytes and records the most
+/// bytes its connection's output buffer held when a response began.
+class FillerBackend final : public net::Backend {
+ public:
+  static constexpr std::size_t kPayload = 64 * 1024;
+
+  coop::Status serve(const net::Request&,
+                     std::vector<std::uint8_t>& out) override {
+    std::size_t seen = max_before_.load(std::memory_order_relaxed);
+    while (out.size() > seen &&
+           !max_before_.compare_exchange_weak(seen, out.size())) {
+    }
+    out.resize(out.size() + kPayload);
+    return coop::OkStatus();
+  }
+  std::vector<net::CollectionHealth> health() override { return {}; }
+
+  [[nodiscard]] std::size_t max_before() const {
+    return max_before_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::size_t> max_before_{0};
+};
+
+/// The local and peer ports of socket `fd`, or {0, 0}.
+std::pair<std::uint16_t, std::uint16_t> tcp_ports(int fd) {
+  sockaddr_in self{}, peer{};
+  socklen_t len = sizeof(self);
+  if (getsockname(fd, reinterpret_cast<sockaddr*>(&self), &len) != 0 ||
+      self.sin_family != AF_INET) {
+    return {0, 0};
+  }
+  len = sizeof(peer);
+  if (getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+    return {0, 0};
+  }
+  return {ntohs(self.sin_port), ntohs(peer.sin_port)};
+}
+
+TEST(ServerBacklog, OutputBufferStaysBoundedByTheUnsentBytes) {
+  // A client that keeps kOutstanding responses unread while it reads one
+  // and asks for one more, over and over: the server's output buffer
+  // never empties, yet it must hold no more than about twice the bytes
+  // the client has not read, however much the connection carries.
+  auto backend = std::make_shared<FillerBackend>();
+  auto started = net::Server::start(net::ServerOptions{}, backend);
+  ASSERT_TRUE(started.ok()) << started.status().to_string();
+  std::unique_ptr<net::Server> server = started.take();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int small = 16 * 1024;  // before connect: no autotuning
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  net::FrameHeader fh;
+  fh.type = static_cast<std::uint16_t>(net::MsgType::kPathBatch);
+  const std::vector<std::uint8_t> request = net::encode_frame(fh, {});
+  const auto send_request = [&] {
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+  };
+  constexpr std::size_t kFrame = FillerBackend::kPayload + net::kFrameOverhead;
+  std::vector<std::uint8_t> sink(kFrame);
+  const auto read_response = [&] {
+    std::size_t got = 0;
+    while (got < kFrame) {
+      const ssize_t n = ::recv(fd, sink.data() + got, kFrame - got, 0);
+      ASSERT_GT(n, 0);
+      got += static_cast<std::size_t>(n);
+    }
+  };
+
+  // One round trip, so the server has accepted the connection; then
+  // shrink the server end's send buffer (the server shares this process),
+  // so the kernel holds little and the backlog waits in the server.
+  send_request();
+  read_response();
+  const std::uint16_t client_port = tcp_ports(fd).first;
+  int server_fd = -1;
+  for (int cand = 0; cand < 4096 && server_fd < 0; ++cand) {
+    const auto [self, peer] = tcp_ports(cand);
+    if (cand != fd && self == server->port() && peer == client_port) {
+      server_fd = cand;
+    }
+  }
+  ASSERT_GE(server_fd, 0);
+  ASSERT_EQ(
+      setsockopt(server_fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+
+  // 2 MiB outstanding against about 100 KiB of kernel buffers.
+  constexpr std::size_t kOutstanding = 32;
+  constexpr std::size_t kRounds = 512;
+  for (std::size_t i = 0; i < kOutstanding; ++i) {
+    send_request();
+  }
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    read_response();
+    send_request();
+  }
+  for (std::size_t i = 0; i < kOutstanding; ++i) {
+    read_response();
+  }
+  ::close(fd);
+
+  // At most kOutstanding + 1 responses are unsent at any time.
+  EXPECT_LE(backend->max_before(), 2 * (kOutstanding + 2) * kFrame);
+  // Each frame counts once it is wholly sent, backlog or not.
+  constexpr std::uint64_t kFrames = 1 + kOutstanding + kRounds;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server->stats().frames_out < kFrames &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server->stats().frames_out, kFrames);
+  EXPECT_EQ(server->stats().stall_closed, 0u);
 }
 
 // --- Variant fixtures ---

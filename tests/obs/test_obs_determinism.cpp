@@ -60,7 +60,7 @@ struct Fixture {
     auto f = serve::FlatCascade::compile(*s);
     EXPECT_TRUE(f.ok());
     registry.publish(snapshot::Snapshot::in_memory(f.take()));
-    queries.resize(256);
+    queries.resize(64);
     for (auto& q : queries) {
       q.path = test_helpers::random_root_leaf_path(tree, rng);
       q.y = test_helpers::random_query(tree, rng);

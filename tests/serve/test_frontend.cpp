@@ -130,7 +130,7 @@ TEST(Frontend, EmptyBatchIsServedWithoutTouchingTheEngine) {
 }
 
 TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
-  Fixture fx(256);
+  Fixture fx(64);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_inflight = 1;
@@ -190,7 +190,7 @@ TEST(Frontend, AdmissionShedsWhenBudgetExceeded) {
 }
 
 TEST(Frontend, RetryRecoversFromTransientWorkerThrow) {
-  Fixture fx(256);
+  Fixture fx(64);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_retries = 2;
@@ -232,7 +232,7 @@ TEST(Frontend, RetryRecoversFromTransientWorkerThrow) {
 }
 
 TEST(Frontend, BreakerTripsAndRecoversThroughProbe) {
-  Fixture fx(256);
+  Fixture fx(64);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_retries = 0;
@@ -276,8 +276,74 @@ TEST(Frontend, BreakerTripsAndRecoversThroughProbe) {
   EXPECT_EQ(stats.breaker_trips, 1u);  // recovery is not a second trip
 }
 
+// A batch with one broken path is refused whether or not its engine run
+// degraded.  The refusal is no failure, but a degraded run still counts
+// against the breaker, and a probe reports its run either way.
+TEST(Frontend, RefusedBatchesCountOnlyTheirDegradedRuns) {
+  Fixture fx(64);
+  QueryEngine engine(2);
+  FrontendOptions opts;
+  opts.max_retries = 0;
+  opts.breaker_threshold = 2;
+  opts.breaker_open_for = std::chrono::milliseconds(30);
+  opts.open_policy = OpenPolicy::kShed;
+  Frontend frontend(fx.registry, engine, opts);
+
+  std::vector<cat::NodeId> bad = fx.queries[37].path;
+  bad.back() = static_cast<cat::NodeId>(fx.tree.num_nodes());
+  std::vector<serve::PathRef> refs = fx.refs;
+  refs[37].path = bad.data();
+  const coop::Status want =
+      fx.registry.pin().snapshot().cascade.validate_path(bad);
+  ASSERT_FALSE(want.ok());
+
+  const BatchOptions squeezed = squeeze();
+  const auto serve = [&](const BatchOptions* batch, BatchReport* report) {
+    PathAnswerSet out;
+    const coop::Status st =
+        frontend.serve_paths(refs, out, report, nullptr, batch, nullptr);
+    EXPECT_EQ(st.code(), want.code());
+    EXPECT_EQ(st.message(), want.message());
+  };
+
+  // Clean refused runs leave the breaker alone; the caller's attempt
+  // buffer comes back, empty.
+  BatchReport report;
+  report.attempts.resize(3);
+  const serve::BatchAttempt* buffer = report.attempts.data();
+  for (int i = 0; i < 3; ++i) {
+    serve(nullptr, &report);
+  }
+  EXPECT_EQ(report.attempts.data(), buffer);
+  EXPECT_TRUE(report.attempts.empty());
+  EXPECT_EQ(frontend.breaker_state(), BreakerState::kClosed);
+
+  // Two degraded refused runs trip it.
+  serve(&squeezed, nullptr);
+  serve(&squeezed, nullptr);
+  EXPECT_EQ(frontend.breaker_state(), BreakerState::kOpen);
+  EXPECT_EQ(frontend.stats().breaker_trips, 1u);
+
+  // A probe whose run degrades opens it again, whatever its input.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  serve(&squeezed, nullptr);
+  EXPECT_EQ(frontend.breaker_state(), BreakerState::kOpen);
+
+  // A probe whose run is clean closes it, though its input is refused.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  serve(nullptr, nullptr);
+  EXPECT_EQ(frontend.breaker_state(), BreakerState::kClosed);
+  const serve::FrontendStats stats = frontend.stats();
+  EXPECT_EQ(stats.breaker_probes, 2u);
+  EXPECT_EQ(stats.retries, 0u);
+  // Every batch was admitted and refused; none completed.
+  EXPECT_EQ(stats.admitted, 7u);
+  EXPECT_EQ(stats.refused, 7u);
+  EXPECT_EQ(stats.completed, 0u);
+}
+
 TEST(Frontend, OpenPolicySequentialKeepsServingCorrectAnswers) {
-  Fixture fx(256);
+  Fixture fx(64);
   QueryEngine engine(2);
   FrontendOptions opts;
   opts.max_retries = 0;

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "fc/search.hpp"
 #include "geom/generators.hpp"
@@ -112,8 +114,9 @@ std::vector<PathQuery> mixed_batch(const cat::Tree& tree, std::size_t n,
 }
 
 TEST(QueryEngine, WindowKernelMatchesPerQuerySearchAtEveryBatchSize) {
-  // Below, at and past the window (16) and the engine unit (64): slots
-  // refill mid-batch, run partly empty, and finish at different steps.
+  // Below, at and past the window and the engine unit (16) and the most
+  // one window call runs over (64): slots refill mid-batch, run partly
+  // empty, and finish at different steps.
   std::mt19937_64 rng(79);
   const Fixture fx(0);
   for (const std::size_t n : {0, 1, 2, 15, 16, 17, 63, 64, 65, 200}) {
@@ -275,6 +278,42 @@ TEST(QueryEngine, EmptyBatch) {
   const auto report = engine.for_each(0, [](std::size_t) { FAIL(); });
   EXPECT_FALSE(report.degraded);
   EXPECT_EQ(report.shards, 0u);
+}
+
+TEST(QueryEngine, ForEachRangeHandsOutDisjointRangesThatCoverTheBatch) {
+  // Inline, the whole batch is one range; on the pool, each range is one
+  // claimed shard.
+  for (const std::size_t threads : {1, 3}) {
+    QueryEngine engine(threads);
+    BatchOptions opts;
+    opts.shard_size = 4;
+    std::vector<int> hits(50, 0);
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    const auto report = engine.for_each_range(
+        hits.size(),
+        [&](std::size_t begin, std::size_t end) {
+          std::lock_guard<std::mutex> lock(mu);
+          ranges.emplace_back(begin, end);
+          for (std::size_t i = begin; i < end; ++i) {
+            ++hits[i];
+          }
+        },
+        opts);
+    EXPECT_FALSE(report.degraded);
+    EXPECT_TRUE(std::ranges::all_of(hits, [](int h) { return h == 1; }))
+        << "threads=" << threads;
+    if (threads == 1) {
+      ASSERT_EQ(ranges.size(), 1u);
+      EXPECT_EQ(ranges[0], std::make_pair(std::size_t{0}, hits.size()));
+    } else {
+      EXPECT_EQ(ranges.size(), 13u);
+      for (const auto& [begin, end] : ranges) {
+        EXPECT_EQ(begin % 4, 0u);
+        EXPECT_EQ(end, std::min(begin + 4, hits.size()));
+      }
+    }
+  }
 }
 
 TEST(QueryEngine, EmptyPathSpanClearsOutputWithoutDegrading) {

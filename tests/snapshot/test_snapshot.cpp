@@ -349,10 +349,7 @@ std::uint32_t crc32c_bitwise(std::uint32_t crc, const unsigned char* p,
 
 // Both kernels against the bitwise reference and each other, over every
 // length 0..257 (the SSE4.2 kernel's 8-byte body and its byte tail), each
-// start offset 0..7 (unaligned loads) and several chained seeds.  Then,
-// since the SSE4.2 kernel runs three interleaved lanes over 3 x 8 KiB and
-// 3 x 256-byte blocks combined with shift tables, every length around
-// each lane split and random lengths up to 64 KiB, at odd offsets.
+// start offset 0..7 (unaligned loads) and several chained seeds.
 TEST(Snapshot, Crc32cKernelsAgree) {
   std::mt19937_64 rng(2024);
   std::vector<unsigned char> buf(257 + 8);
@@ -380,42 +377,6 @@ TEST(Snapshot, Crc32cKernelsAgree) {
       }
     }
   }
-  std::vector<unsigned char> big((64u << 10) + 8);
-  for (auto& b : big) {
-    b = static_cast<unsigned char>(rng());
-  }
-  std::vector<std::size_t> lengths;
-  for (const std::size_t split :
-       {std::size_t{768}, std::size_t{2 * 768}, std::size_t{24576},
-        std::size_t{24576 + 768}, std::size_t{2 * 24576},
-        std::size_t{2 * 24576 + 3 * 768}}) {
-    for (std::size_t d = 0; d <= 9; ++d) {
-      lengths.push_back(split - d);
-      lengths.push_back(split + d);
-    }
-  }
-  for (int i = 0; i < 24; ++i) {
-    lengths.push_back(rng() % (64u << 10));
-  }
-  lengths.push_back(64u << 10);
-  for (const std::size_t n : lengths) {
-    for (const std::size_t off : {1, 3, 7}) {
-      const unsigned char* p = big.data() + off;
-      const std::uint32_t seed = static_cast<std::uint32_t>(rng());
-      const std::uint32_t want = crc32c_bitwise(~seed, p, n);
-      ASSERT_EQ(snapshot::crc32c_table(~seed, p, n), want)
-          << "table, n=" << n << " off=" << off;
-#if defined(COOPSEARCH_CRC32C_SSE42)
-      if (snapshot::crc32c_has_sse42()) {
-        ASSERT_EQ(snapshot::crc32c_sse42(~seed, p, n), want)
-            << "sse4.2, n=" << n << " off=" << off;
-      }
-#endif
-      ASSERT_EQ(snapshot::crc32(p, n, seed), ~want)
-          << "dispatched, n=" << n << " off=" << off;
-    }
-  }
 }
-
 
 }  // namespace
