@@ -3,9 +3,12 @@
 // Reports, per n: augmented-catalog entries (the cascading structure S),
 // skeleton entries per substructure T_i (which must decay geometrically
 // thanks to the truncation), and the grand total divided by n (which must
-// approach a constant).
+// approach a constant).  The served arena (serve::FlatCascade, the bytes a
+// server maps) is reported beside them, per input entry and per
+// augmented entry: the constant of Lemma 2 that serving pays.
 
 #include "common.hpp"
+#include "serve/flat_cascade.hpp"
 
 namespace {
 
@@ -23,6 +26,15 @@ void BM_SpacePerSubstructure(benchmark::State& state) {
       double(inst.coop->total_skeleton_entries());
   state.counters["total_over_n"] =
       double(inst.coop->total_entries()) / double(entries);
+  const auto flat = serve::FlatCascade::compile(*inst.fc);
+  if (!flat.ok()) {
+    state.SkipWithError(flat.status().to_string().c_str());
+    return;
+  }
+  state.counters["arena_bytes_per_n"] =
+      double(flat->arena_bytes()) / double(entries);
+  state.counters["arena_bytes_per_aug"] =
+      double(flat->arena_bytes()) / double(inst.fc->total_aug_entries());
   for (std::uint32_t i = 0; i < inst.coop->substructure_count(); ++i) {
     std::string name = "T";
     name += std::to_string(i);

@@ -206,25 +206,23 @@ std::size_t num_chunks(std::size_t num_nodes) {
 
 ProperIndex ProperIndex::build(const serve::FlatCascade& flat) {
   ProperIndex idx;
-  const serve::FlatCascade::KernelView kv = flat.kernel_view();
   const std::size_t n = flat.num_nodes();
   idx.offsets_.assign(n + 1, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    const serve::FlatNode& nd = kv.nodes[v];
     // Proper size = proper index of the +inf terminal + 1 (the terminal
     // is itself a proper entry, so this covers the whole catalog).
     const std::uint32_t count =
-        kv.proper[nd.key_off + nd.key_count - 1] + 1;
+        flat.to_proper(v, flat.node(v).key_count - 1) + 1;
     idx.offsets_[v + 1] = idx.offsets_[v] + count;
   }
   idx.keys_.assign(idx.offsets_.back(), 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    const serve::FlatNode& nd = kv.nodes[v];
+    const std::uint32_t count = flat.node(v).key_count;
     Key* out = idx.keys_.data() + idx.offsets_[v];
     // Ascending scan: the last aug key mapping to proper index p is the
     // proper key itself (aug ⊇ proper), so overwrite-in-order lands it.
-    for (std::uint32_t i = 0; i < nd.key_count; ++i) {
-      out[kv.proper[nd.key_off + i]] = kv.keys[nd.key_off + i];
+    for (std::uint32_t i = 0; i < count; ++i) {
+      out[flat.to_proper(v, i)] = flat.key(v, i);
     }
   }
   return idx;

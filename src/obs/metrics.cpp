@@ -48,8 +48,9 @@ Histogram Registry::histogram(std::string name,
       return Histogram(&h);
     }
   }
+  const bool log_linear = upper_bounds == latency_bounds_ns();
   histograms_.emplace_back(std::move(name), std::move(help),
-                           std::move(upper_bounds));
+                           std::move(upper_bounds), log_linear);
   return Histogram(&histograms_.back());
 }
 
@@ -78,13 +79,13 @@ MetricsSnapshot Registry::scrape() const {
     v.help = h.help;
     v.bounds = h.bounds;
     v.buckets.assign(h.bounds.size() + 1, 0);
+    const std::size_t nb = h.bounds.size();
     for (std::size_t s = 0; s < kMetricShards; ++s) {
-      const detail::ShardCell* base = h.cells.data() + s * h.stride;
-      for (std::size_t b = 0; b <= h.bounds.size(); ++b) {
-        v.buckets[b] += base[b].v.load(std::memory_order_relaxed);
+      for (std::size_t b = 0; b <= nb; ++b) {
+        v.buckets[b] += h.cell(s, b).load(std::memory_order_relaxed);
       }
-      v.sum += base[h.bounds.size() + 1].v.load(std::memory_order_relaxed);
-      v.count += base[h.bounds.size() + 2].v.load(std::memory_order_relaxed);
+      v.sum += h.cell(s, nb + 1).load(std::memory_order_relaxed);
+      v.count += h.cell(s, nb + 2).load(std::memory_order_relaxed);
     }
     snap.histograms.push_back(std::move(v));
   }
@@ -148,15 +149,15 @@ std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {
 }
 
 std::vector<std::uint64_t> latency_bounds_ns() {
-  // 1us, 2.5us, 5us, 10us, ... 10s: three bounds per decade.
-  std::vector<std::uint64_t> b;
-  for (std::uint64_t decade = 1'000; decade <= 1'000'000'000ull;
-       decade *= 10) {
-    b.push_back(decade);
-    b.push_back(decade * 5 / 2);
-    b.push_back(decade * 5);
+  // 512 ns, then eight equal steps per octave up to 2^34 ns (17.2 s): a
+  // bucket is at most 1/8 of its value wide (detail::log_linear_bucket).
+  std::vector<std::uint64_t> b{std::uint64_t{1} << detail::kLogMin};
+  for (unsigned k = detail::kLogMin; k < detail::kLogMax; ++k) {
+    const std::uint64_t step = std::uint64_t{1} << (k - detail::kLogSub);
+    for (std::uint64_t s = 1; s <= (1u << detail::kLogSub); ++s) {
+      b.push_back((std::uint64_t{1} << k) + s * step);
+    }
   }
-  b.push_back(10'000'000'000ull);
   return b;
 }
 

@@ -11,7 +11,8 @@
 //              pinned readers); set/add are single relaxed atomics.
 //   Histogram  fixed upper-bucket bounds chosen at registration; one
 //              record() is a bucket add + sum add + count add, all
-//              relaxed, into the caller's shard.
+//              relaxed, into the caller's shard (the bucket found by a
+//              bit scan for the log-linear latency bounds).
 //
 // Registration is name-keyed and idempotent: instrumentation sites
 // resolve their handles once (a mutex-guarded lookup) and cache them in
@@ -67,21 +68,67 @@ struct GaugeData {
   std::atomic<std::int64_t> value{0};
 };
 
+/// The log-linear latency buckets (obs::latency_bounds_ns): 2^kLogMin ns,
+/// then 2^kLogSub bounds per octave up to 2^kLogMax ns, each octave
+/// [2^k, 2^(k+1)) cut into equal steps of 2^(k - kLogSub).
+inline constexpr unsigned kLogMin = 9;   ///< first bound 512 ns
+inline constexpr unsigned kLogMax = 34;  ///< last bound 2^34 ns (17.2 s)
+inline constexpr unsigned kLogSub = 3;   ///< 8 buckets per octave
+inline constexpr std::size_t kLogBounds =
+    1 + (std::size_t{kLogMax - kLogMin} << kLogSub);
+
+/// Bucket of v under the log-linear bounds (le semantics; kLogBounds is
+/// the +inf bucket): a bit scan of v - 1 finds the octave, its next
+/// kLogSub bits the step.
+[[nodiscard]] inline std::size_t log_linear_bucket(std::uint64_t v) {
+  if (v <= (std::uint64_t{1} << kLogMin)) {
+    return 0;
+  }
+  const std::uint64_t u = v - 1;
+  const auto k = static_cast<unsigned>(63 - __builtin_clzll(u));
+  if (k >= kLogMax) {
+    return kLogBounds;
+  }
+  return 1 + (std::size_t{k - kLogMin} << kLogSub) +
+         static_cast<std::size_t>((u >> (k - kLogSub)) &
+                                  ((1u << kLogSub) - 1));
+}
+
+/// One cache line of histogram cells.  A shard's cells are packed eight
+/// to a line (only its own threads write them); shards never share one.
+struct alignas(64) CellLine {
+  std::atomic<std::uint64_t> v[8];
+};
+
 struct HistogramData {
   HistogramData(std::string n, std::string h,
-                std::vector<std::uint64_t> upper_bounds)
+                std::vector<std::uint64_t> upper_bounds,
+                bool is_log_linear)
       : name(std::move(n)),
         help(std::move(h)),
         bounds(std::move(upper_bounds)),
-        stride(bounds.size() + 3),
-        cells(kMetricShards * stride) {}
+        log_linear(is_log_linear),
+        lines_per_shard((bounds.size() + 3 + 7) / 8),
+        lines(kMetricShards * lines_per_shard) {}
   std::string name;
   std::string help;
   /// Ascending inclusive upper bounds; a final +inf bucket is implicit.
   std::vector<std::uint64_t> bounds;
-  /// Per-shard layout: bounds.size()+1 bucket slots, then sum, then count.
-  std::size_t stride;
-  std::vector<ShardCell> cells;
+  /// The bounds are latency_bounds_ns(): record() bit-scans for the bucket.
+  bool log_linear;
+  /// Per-shard layout: bounds.size()+1 bucket cells, then sum, then count,
+  /// from the shard's first line.
+  std::size_t lines_per_shard;
+  std::vector<CellLine> lines;
+
+  [[nodiscard]] std::atomic<std::uint64_t>& cell(std::size_t shard,
+                                                 std::size_t i) {
+    return lines[shard * lines_per_shard + i / 8].v[i % 8];
+  }
+  [[nodiscard]] const std::atomic<std::uint64_t>& cell(std::size_t shard,
+                                                       std::size_t i) const {
+    return lines[shard * lines_per_shard + i / 8].v[i % 8];
+  }
 };
 
 }  // namespace detail
@@ -145,15 +192,19 @@ class Histogram {
     if (d_ == nullptr) {
       return;
     }
-    std::size_t b = 0;
     const std::size_t nb = d_->bounds.size();
-    while (b < nb && v > d_->bounds[b]) {
-      ++b;
+    std::size_t b = 0;
+    if (d_->log_linear) {
+      b = detail::log_linear_bucket(v);
+    } else {
+      while (b < nb && v > d_->bounds[b]) {
+        ++b;
+      }
     }
-    detail::ShardCell* base = d_->cells.data() + shard_index() * d_->stride;
-    base[b].v.fetch_add(1, std::memory_order_relaxed);
-    base[nb + 1].v.fetch_add(v, std::memory_order_relaxed);
-    base[nb + 2].v.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t shard = shard_index();
+    d_->cell(shard, b).fetch_add(1, std::memory_order_relaxed);
+    d_->cell(shard, nb + 1).fetch_add(v, std::memory_order_relaxed);
+    d_->cell(shard, nb + 2).fetch_add(1, std::memory_order_relaxed);
   }
 
  private:
@@ -232,9 +283,10 @@ class Registry {
   std::deque<detail::HistogramData> histograms_;
 };
 
-/// Exponential nanosecond latency bounds, 1us .. 10s (for batch-grained
-/// latency histograms; sub-microsecond events round into the first
-/// bucket).
+/// Log-linear nanosecond latency bounds, 512 ns .. 2^34 ns (17.2 s), eight
+/// per octave, so a quantile read from the buckets is within 1/8 of an
+/// octave of the true one.  A histogram registered with exactly these
+/// bounds finds its bucket by a bit scan.
 [[nodiscard]] std::vector<std::uint64_t> latency_bounds_ns();
 
 /// Exponential count bounds, 1 .. 2^30 (for step/depth distributions).

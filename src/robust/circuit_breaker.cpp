@@ -12,15 +12,18 @@ const char* to_string(BreakerState s) {
 }
 
 CircuitBreaker::Pass CircuitBreaker::admit(Change* change) {
+  if (state_.load(std::memory_order_acquire) == BreakerState::kClosed) {
+    return Pass::kNormal;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  switch (state_) {
+  switch (state_.load(std::memory_order_relaxed)) {
     case BreakerState::kClosed:
-      return Pass::kNormal;
+      return Pass::kNormal;  // closed by a probe since the check above
     case BreakerState::kOpen:
       if (std::chrono::steady_clock::now() < open_until_) {
         return Pass::kRefused;
       }
-      state_ = BreakerState::kHalfOpen;
+      state_.store(BreakerState::kHalfOpen, std::memory_order_release);
       if (change != nullptr) {
         change->transitioned = true;
       }
@@ -32,26 +35,33 @@ CircuitBreaker::Pass CircuitBreaker::admit(Change* change) {
 }
 
 CircuitBreaker::Change CircuitBreaker::record(Pass pass, bool ok) {
-  std::lock_guard<std::mutex> lock(mu_);
   Change c;
+  if (ok && pass != Pass::kProbe &&
+      failures_.load(std::memory_order_relaxed) == 0) {
+    return c;  // nothing to reset, no state to change
+  }
+  std::lock_guard<std::mutex> lock(mu_);
   if (ok) {
-    failures_ = 0;
+    failures_.store(0, std::memory_order_relaxed);
     if (pass == Pass::kProbe) {
-      state_ = BreakerState::kClosed;
+      state_.store(BreakerState::kClosed, std::memory_order_release);
       c.transitioned = true;
     }
     return c;
   }
-  ++failures_;
+  const std::uint64_t failures =
+      failures_.load(std::memory_order_relaxed) + 1;
+  failures_.store(failures, std::memory_order_relaxed);
+  const BreakerState state = state_.load(std::memory_order_relaxed);
   if (pass == Pass::kProbe) {
     // Back to OPEN for another window — not a new trip: the incident is
     // still the one that opened the breaker.
-    state_ = BreakerState::kOpen;
     open_until_ = std::chrono::steady_clock::now() + open_for_;
+    state_.store(BreakerState::kOpen, std::memory_order_release);
     c.transitioned = true;
-  } else if (state_ == BreakerState::kClosed && failures_ >= threshold_) {
-    state_ = BreakerState::kOpen;
+  } else if (state == BreakerState::kClosed && failures >= threshold_) {
     open_until_ = std::chrono::steady_clock::now() + open_for_;
+    state_.store(BreakerState::kOpen, std::memory_order_release);
     c.transitioned = true;
     c.tripped = true;
   }
@@ -59,13 +69,11 @@ CircuitBreaker::Change CircuitBreaker::record(Pass pass, bool ok) {
 }
 
 BreakerState CircuitBreaker::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
+  return state_.load(std::memory_order_acquire);
 }
 
 std::uint64_t CircuitBreaker::consecutive_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failures_;
+  return failures_.load(std::memory_order_relaxed);
 }
 
 }  // namespace robust

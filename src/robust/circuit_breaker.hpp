@@ -16,7 +16,13 @@
 // before the trip says nothing about the endpoint now.  Callers keep
 // their own metrics, trace events and OPEN policy (the frontend serves
 // sequentially or sheds; the router skips the endpoint).  Thread-safe.
+//
+// The state and the failure count are atomics, so the common case takes
+// no lock: admit while CLOSED, and record(ok) with no failure counted.
+// Failures and every state change lock a mutex; the state is only ever
+// written under it.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -51,12 +57,12 @@ class CircuitBreaker {
   [[nodiscard]] std::uint64_t consecutive_failures() const;
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;  ///< serializes failures and state changes
   const std::uint64_t threshold_;
   const std::chrono::nanoseconds open_for_;
-  BreakerState state_ = BreakerState::kClosed;
-  std::chrono::steady_clock::time_point open_until_{};
-  std::uint64_t failures_ = 0;
+  std::atomic<BreakerState> state_{BreakerState::kClosed};
+  std::chrono::steady_clock::time_point open_until_{};  ///< under mu_
+  std::atomic<std::uint64_t> failures_{0};
 };
 
 }  // namespace robust

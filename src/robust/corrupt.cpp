@@ -370,13 +370,35 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
   const std::size_t table_off = sizeof(snapshot::FileHeader);
   const std::size_t table_bytes =
       std::size_t{header.section_count} * sizeof(snapshot::SectionRecord);
+  // On even seeds the section kinds aim at the arena's entry pool
+  // (kEntries) when the file has one: it is the bulk of a cascade file
+  // and the pool every query reads.  Odd seeds pick anywhere in the file,
+  // so the header, table, meta and the other sections stay covered.
+  std::vector<snapshot::SectionRecord> table;
+  if (table_off + table_bytes <= bytes.size()) {
+    table.resize(header.section_count);
+    std::memcpy(table.data(), bytes.data() + table_off, table_bytes);
+  }
+  std::size_t entries = table.size();  // none, or an odd seed
+  for (std::size_t i = 0; i < table.size() && seed % 2 == 0; ++i) {
+    if (table[i].id ==
+            static_cast<std::uint32_t>(snapshot::SectionId::kEntries) &&
+        table[i].length > 0 &&
+        table[i].offset + table[i].length <= bytes.size()) {
+      entries = i;
+    }
+  }
 
   switch (kind) {
     case CorruptionKind::kSnapshotTruncated: {
-      // Cut anywhere, from an empty file to one byte short: every length
-      // must be rejected (by the size probe, the file_size cross-check,
-      // or a section bounds/CRC failure — whichever trips first).
-      bytes.resize(pick(seed, bytes.size()));
+      // Cut inside the entry pool (even seeds), else anywhere from an
+      // empty file to one byte short: every length must be rejected (by
+      // the size probe, the file_size cross-check, or a section
+      // bounds/CRC failure — whichever trips first).
+      bytes.resize(entries < table.size()
+                       ? table[entries].offset +
+                             pick(seed, table[entries].length)
+                       : pick(seed, bytes.size()));
       break;
     }
     case CorruptionKind::kSnapshotHeaderBitFlip: {
@@ -388,12 +410,9 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
       // Flip a bit strictly inside one section's payload (not in the
       // uncovered alignment padding), leaving header and table intact,
       // so only that section's CRC can catch it.
-      if (header.section_count == 0 ||
-          table_off + table_bytes > bytes.size()) {
+      if (table.empty()) {
         return Status::failed_precondition(path + " has no section table");
       }
-      std::vector<snapshot::SectionRecord> table(header.section_count);
-      std::memcpy(table.data(), bytes.data() + table_off, table_bytes);
       std::vector<std::size_t> hosts;
       for (std::size_t i = 0; i < table.size(); ++i) {
         if (table[i].length > 0 &&
@@ -404,21 +423,23 @@ Status corrupt_file(const std::string& path, CorruptionKind kind,
       if (hosts.empty()) {
         return Status::failed_precondition(path + " has no section payloads");
       }
-      const auto& rec = table[hosts[pick(seed, hosts.size())]];
+      const auto& rec = table[entries < table.size()
+                                  ? entries
+                                  : hosts[pick(seed, hosts.size())]];
       const std::size_t bit = pick(seed ^ 0x5eed, rec.length * 8);
       bytes[rec.offset + bit / 8] ^=
           static_cast<unsigned char>(1u << (bit % 8));
       break;
     }
     case CorruptionKind::kSnapshotSectionOffset: {
-      if (header.section_count == 0 ||
-          table_off + table_bytes > bytes.size()) {
+      if (table.empty()) {
         return Status::failed_precondition(path + " has no section table");
       }
       // Point one section far past end-of-file, then re-forge the table
       // CRC: the fault is invisible to every checksum and must be caught
       // by snapshot::open's explicit bounds validation.
-      const std::size_t victim = pick(seed, header.section_count);
+      const std::size_t victim =
+          entries < table.size() ? entries : pick(seed, table.size());
       snapshot::SectionRecord rec;
       unsigned char* rec_at =
           bytes.data() + table_off + victim * sizeof(snapshot::SectionRecord);

@@ -34,7 +34,11 @@ enum class CorruptionKind : int {
   // pointloc::SeparatorTree
   kGapBreakpointDisorder = 8,  ///< unsort one gap's (level, dir) list
   // snapshot files on disk (corrupt_file; snapshot::open must reject)
+  // On even seeds the section kinds aim at the kEntries section (the
+  // arena's entry pool) when the file has one; odd seeds, and files
+  // without one, get a random site.
   kSnapshotTruncated = 9,       ///< cut the file short at a random byte
+                                ///  (inside the entry pool on even seeds)
   kSnapshotHeaderBitFlip = 10,  ///< flip one bit inside the 64-byte header
   kSnapshotSectionCrc = 11,     ///< flip one bit inside a section payload
   kSnapshotSectionOffset = 12,  ///< point a section past end-of-file,

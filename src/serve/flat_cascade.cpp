@@ -107,13 +107,11 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
   }
 
   // Pass 2: pack.  Node order is node-id order (BFS-ish for the
-  // generators), keys/proper/bridge node-major so one node's hot data is
+  // generators), entries/bridge node-major so one node's hot data is
   // contiguous.
   FlatCascade f;
   f.b_ = s.fanout_bound();
   f.nodes_ = Pool<FlatNode>(nn);
-  f.keys_ = Pool<Key>(total_keys);
-  f.proper_ = Pool<std::uint32_t>(total_keys);
   f.bridge_ = Pool<std::uint32_t>(total_bridge);
   f.child_ = Pool<std::uint32_t>(total_child);
   std::uint32_t key_off = 0, bridge_off = 0, child_off = 0;
@@ -131,21 +129,25 @@ coop::Expected<FlatCascade> FlatCascade::compile(const fc::Structure& s) {
     nd.slot = v == t.root()
                   ? 0
                   : static_cast<std::uint16_t>(t.child_slot(v));
-    for (std::size_t i = 0; i < a.keys.size(); ++i) {
-      f.keys_[key_off + i] = a.keys[i];
-      f.proper_[key_off + i] = static_cast<std::uint32_t>(a.proper[i]);
-    }
     for (std::size_t i = 0; i < a.bridge.size(); ++i) {
       f.bridge_[bridge_off + i] = static_cast<std::uint32_t>(a.bridge[i]);
     }
     for (std::size_t e = 0; e < kids.size(); ++e) {
       f.child_[child_off + e] = static_cast<std::uint32_t>(kids[e]);
     }
-    key_off += static_cast<std::uint32_t>(a.keys.size());
+    key_off += nd.key_count;
     bridge_off += static_cast<std::uint32_t>(a.bridge.size());
     child_off += static_cast<std::uint32_t>(kids.size());
   }
-
+  const Status packed = f.pack_entries(
+      [&](std::size_t v) { return s.aug(static_cast<NodeId>(v)).keys.data(); },
+      [&](std::size_t v, std::uint32_t i) {
+        return static_cast<std::uint32_t>(
+            s.aug(static_cast<NodeId>(v)).proper[i]);
+      });
+  if (!packed.ok()) {
+    return packed;
+  }
   return f;
 }
 

@@ -366,7 +366,7 @@ struct Slot {
   enum Stage : std::uint8_t {
     kFree,  ///< no query
     kCell,  ///< the next hop's bridge cell is prefetched
-    kWalk,  ///< the landing key and proper lines are prefetched
+    kWalk,  ///< the landing entry lines are prefetched
   };
   const NodeId* path = nullptr;
   std::uint32_t len = 0;
@@ -375,6 +375,7 @@ struct Slot {
   std::size_t q = 0;                    ///< query index
   const FlatNode* from = nullptr;       ///< node at step - 1
   const FlatNode* to = nullptr;         ///< node at step
+  const std::uint32_t* hi = nullptr;    ///< its high words (wide nodes only)
   const std::uint32_t* cell = nullptr;  ///< bridge cell of the hop from -> to
   std::uint32_t idx = 0;                ///< answer at step - 1
   std::uint32_t pos = 0;                ///< bridge landing at step
@@ -408,6 +409,7 @@ inline bool aim(const FlatCascade::KernelView& kv, Slot& s, PathFault& fault) {
     return false;
   }
   s.to = to;
+  s.hi = kv.high_words(static_cast<std::uint32_t>(v));
   s.cell = kv.bridge + s.from->bridge_off +
            std::size_t{to->slot} * s.from->key_count + s.idx;
   __builtin_prefetch(s.cell);
@@ -428,6 +430,8 @@ PathFault run_window(const FlatCascade::KernelView& kv, const PathRef* queries,
   Slot slots[kPathWindow];
   const std::size_t w = std::min(n, kPathWindow);
   std::size_t next = 0;
+  const FlatNode* root = kv.nodes;
+  const std::uint32_t* root_hi = kv.high_words(0);
   // Start queries in `s` until one has a hop to make: check its head,
   // binary-search the root (the paper's Step 1 at p = 1) and aim.
   const auto fill = [&](Slot& s) {
@@ -442,12 +446,12 @@ PathFault run_window(const FlatCascade::KernelView& kv, const PathRef* queries,
         note(fault, PathFault::Kind::kNotRoot, 0, q);
         continue;
       }
-      const FlatNode* root = kv.nodes;
-      const std::uint32_t i =
-          FlatCascade::find_sorted(kv.keys + root->key_off, root->key_count,
-                                   r.y);
+      const FlatEntry* re = kv.entries + root->key_off;
+      const std::uint32_t i = FlatCascade::find_sorted(
+          re, root_hi, root->key_count,
+          FlatCascade::query_offset(r.y, root->base, root_hi));
       out_aug[q][0] = i;
-      out_prop[q][0] = kv.proper[root->key_off + i];
+      out_prop[q][0] = re[i].proper;
       s.path = r.path;
       s.len = r.len;
       s.step = 1;
@@ -475,22 +479,19 @@ PathFault run_window(const FlatCascade::KernelView& kv, const PathRef* queries,
         s.pos = *s.cell;
         const std::uint32_t back = s.pos > kv.fanout ? s.pos - kv.fanout : 0;
         // Both ends of that range: they straddle a line about half the
-        // time.
-        const Key* keys = kv.keys + s.to->key_off;
-        const std::uint32_t* proper = kv.proper + s.to->key_off;
-        __builtin_prefetch(keys + back);
-        __builtin_prefetch(keys + s.pos);
-        __builtin_prefetch(proper + back);
-        __builtin_prefetch(proper + s.pos);
+        // time.  An entry holds the key offset and the proper index, so
+        // the walk-back reads nothing else (a wide node's high words
+        // excepted).
+        const FlatEntry* e = kv.entries + s.to->key_off;
+        __builtin_prefetch(e + back);
+        __builtin_prefetch(e + s.pos);
         s.stage = Slot::kWalk;
       } else if (s.stage == Slot::kWalk) {
-        const Key* wk = kv.keys + s.to->key_off;
-        std::uint32_t p = s.pos;
-        while (p > 0 && wk[p - 1] >= s.y) {
-          --p;
-        }
+        const FlatEntry* e = kv.entries + s.to->key_off;
+        const std::uint32_t p = FlatCascade::walk_back(
+            e, s.hi, s.pos, FlatCascade::query_offset(s.y, s.to->base, s.hi));
         out_aug[s.q][s.step] = p;
-        out_prop[s.q][s.step] = kv.proper[s.to->key_off + p];
+        out_prop[s.q][s.step] = e[p].proper;
         s.from = s.to;
         s.idx = p;
         ++s.step;

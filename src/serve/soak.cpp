@@ -53,23 +53,24 @@ coop::Expected<SoakOutcome> run_chaos_soak(const SoakOptions& opts) {
   }
 
   // Flip target, computed ONCE while the mapping is pristine
-  // (section_extent re-runs the CRC ladder): the low byte of the last key
-  // in the kKeys section.  That key is the final catalog's +inf terminal
-  // (kInfinity = int64 max), so the flip cannot change any answer for the
-  // generated key range — but it is fatal to the section CRC.  Detection
-  // must come from the scrubber, not from a wrong answer.
+  // (section_extent re-runs the CRC ladder): the low byte of the last
+  // entry in the kEntries section.  That entry is the final catalog's +inf
+  // terminal, whose key offset saturates every query above the node's
+  // keys, so the flip cannot change any answer for the generated key
+  // range — but it is fatal to the section CRC.  Detection must come from
+  // the scrubber, not from a wrong answer.
   std::uint64_t flip_off = 0;
   {
     const snapshot::Registry::Pin pin = registry.pin();
-    const auto ext =
-        snapshot::section_extent(pin.snapshot(), snapshot::SectionId::kKeys);
+    const auto ext = snapshot::section_extent(pin.snapshot(),
+                                              snapshot::SectionId::kEntries);
     if (!ext.ok()) {
       return ext.status();
     }
-    if (ext->second < sizeof(cat::Key)) {
-      return Status::internal("kKeys section too small to host a bit flip");
+    if (ext->second < sizeof(FlatEntry)) {
+      return Status::internal("kEntries section too small to host a bit flip");
     }
-    flip_off = ext->first + ext->second - sizeof(cat::Key);
+    flip_off = ext->first + ext->second - sizeof(FlatEntry);
   }
 
   // ---- Serving stack under test. ----

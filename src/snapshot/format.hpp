@@ -32,15 +32,18 @@ inline constexpr std::array<char, 8> kMagic = {'C', 'O', 'O', 'P',
 /// best-effort parsing of unknown layouts).  Bump on any incompatible
 /// layout change.
 ///
-/// v2 files (written by older builds) also carry a blocked multiway copy
-/// of every node's keys — sections kSimdKeys/kSimdPos/kSimdOff — and a
-/// 64-byte meta whose extra field counts its slots.  Every catalog is now
-/// binary-searched over its sorted keys, so writers went back to the v1
-/// section set and a v2 file's layout sections are CRC-checked and never
-/// read (DESIGN.md §12).
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// v3 files hold every augmented entry as 8 bytes (key offset from the
+/// node's base key, proper index: section kEntries) beside 32-byte nodes
+/// that carry the base, and the high words of wide nodes in kHiOff/kHi.
+/// v1 files held int64 keys (kKeys) and proper indices (kProper) beside
+/// 24-byte nodes (FlatNodeV1); v2 files add a blocked multiway copy of
+/// every node's keys — sections kSimdKeys/kSimdPos/kSimdOff, CRC-checked
+/// and never read — and a 64-byte meta whose last field counts its slots.
+/// snapshot::open converts v1 and v2 files to the v3 pools on load
+/// (DESIGN.md §8).
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kMinFormatVersion = 1;
-inline constexpr std::uint32_t kMaxFormatVersion = 2;
+inline constexpr std::uint32_t kMaxFormatVersion = 3;
 
 /// Written natively by an LE writer; reads as 0x04030201 on a big-endian
 /// reader, turning a cross-endian file into a descriptive Status instead
@@ -65,9 +68,9 @@ enum class SnapshotKind : std::uint32_t {
 /// can be added without a version bump; unknown ids are ignored.
 enum class SectionId : std::uint32_t {
   kMeta = 1,      ///< one ArenaMeta
-  kNodes = 2,     ///< serve::FlatNode[num_nodes]
-  kKeys = 3,      ///< int64 keys, node-major
-  kProper = 4,    ///< uint32 aug -> proper map
+  kNodes = 2,     ///< serve::FlatNode[num_nodes] (FlatNodeV1 before v3)
+  kKeys = 3,      ///< int64 keys, node-major (v1/v2 files only)
+  kProper = 4,    ///< uint32 aug -> proper map (v1/v2 files only)
   kBridge = 5,    ///< uint32 bridge rows
   kChild = 6,     ///< uint32 flattened child lists
   // FlatPointLocator extension sections:
@@ -88,7 +91,25 @@ enum class SectionId : std::uint32_t {
   kRoutingOwner = 18,     ///< uint32 owner shard per global node
   kRoutingLocal = 19,     ///< uint32 local -> global ids, shard-major
   kRoutingShardOff = 20,  ///< uint64[num_shards+1] offsets into kRoutingLocal
+  // The v3 entry layout:
+  kEntries = 21,  ///< serve::FlatEntry[num_keys], node-major
+  kHiOff = 22,    ///< uint32 per node: first high word or serve::kNarrow;
+                  ///  present only when num_hi > 0
+  kHi = 23,       ///< uint32 high words of wide nodes' key offsets
 };
+
+/// The 24-byte node record of v1 and v2 files: serve::FlatNode without
+/// the base key (their keys were absolute int64s).
+struct FlatNodeV1 {
+  std::uint32_t key_off = 0;
+  std::uint32_t key_count = 0;
+  std::uint32_t bridge_off = 0;
+  std::uint32_t child_off = 0;
+  std::int32_t parent = -1;
+  std::uint16_t num_children = 0;
+  std::uint16_t slot = 0;
+};
+static_assert(sizeof(FlatNodeV1) == 24);
 
 /// 64-byte file header.  header_crc covers these 64 bytes with the
 /// header_crc field itself zeroed; table_crc covers the section table
@@ -122,18 +143,21 @@ static_assert(sizeof(SectionRecord) == 32);
 /// arena state.  Pointloc fields are zero for kCascade files.
 struct ArenaMeta {
   std::uint64_t num_nodes = 0;
-  std::uint64_t num_keys = 0;    ///< keys_/proper_ elements
+  std::uint64_t num_keys = 0;    ///< augmented entries
   std::uint64_t num_bridge = 0;
   std::uint64_t num_child = 0;
   std::uint32_t fanout_bound = 0;
   std::uint32_t pad = 0;
   std::uint64_t num_entries = 0;  ///< pointloc edge-geometry pool elements
   std::uint64_t num_regions = 0;  ///< pointloc region count
+  std::uint64_t num_hi = 0;       ///< kHi elements (v3; 0 if no wide node)
 };
-static_assert(sizeof(ArenaMeta) == 56);
+static_assert(sizeof(ArenaMeta) == 64);
 
-/// Size of the kMeta payload in v2 files: an ArenaMeta followed by the
-/// (unused) layout slot count.
+/// Size of the kMeta payload in v1 files: ArenaMeta up to num_regions.
+inline constexpr std::uint32_t kArenaMetaSizeV1 = 56;
+/// Size of the kMeta payload in v2 files: the v1 fields followed by the
+/// (unused) layout slot count where v3 keeps num_hi.
 inline constexpr std::uint32_t kArenaMetaSizeV2 = 64;
 
 /// Payload of SectionId::kRoutingMeta (SnapshotKind::kRoutingMap files).

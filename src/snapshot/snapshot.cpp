@@ -27,9 +27,8 @@ struct ArenaAccess {
   static const serve::Pool<serve::FlatNode>& nodes(const FC& f) {
     return f.nodes_;
   }
-  static const serve::Pool<cat::Key>& keys(const FC& f) { return f.keys_; }
-  static const serve::Pool<std::uint32_t>& proper(const FC& f) {
-    return f.proper_;
+  static const serve::Pool<serve::FlatEntry>& entries(const FC& f) {
+    return f.entries_;
   }
   static const serve::Pool<std::uint32_t>& bridge(const FC& f) {
     return f.bridge_;
@@ -37,18 +36,87 @@ struct ArenaAccess {
   static const serve::Pool<std::uint32_t>& child(const FC& f) {
     return f.child_;
   }
-  static FC assemble_cascade(serve::Pool<serve::FlatNode> nodes,
-                             serve::Pool<cat::Key> keys,
-                             serve::Pool<std::uint32_t> proper,
-                             serve::Pool<std::uint32_t> bridge,
-                             serve::Pool<std::uint32_t> child,
-                             std::uint32_t fanout_bound) {
+  static const serve::Pool<std::uint32_t>& hi_off(const FC& f) {
+    return f.hi_off_;
+  }
+  static const serve::Pool<std::uint32_t>& hi(const FC& f) { return f.hi_; }
+  /// The pools of one cascade, as open() installs them.
+  struct CascadePools {
+    serve::Pool<serve::FlatNode> nodes;
+    serve::Pool<serve::FlatEntry> entries;
+    serve::Pool<std::uint32_t> bridge;
+    serve::Pool<std::uint32_t> child;
+    serve::Pool<std::uint32_t> hi_off;
+    serve::Pool<std::uint32_t> hi;
+  };
+  /// A v1/v2 cascade converted to the v3 pools: 24-byte nodes with int64
+  /// keys and a separate proper pool become nodes with base keys and
+  /// 8-byte entries, packed as compile() packs them.  Checks what the
+  /// conversion itself reads — node slices inside the pools, ascending
+  /// keys ending at +inf — and leaves the rest to validate_cascade.
+  /// `m.num_hi` is set to the high words it made.
+  static coop::Status convert_legacy(const FlatNodeV1* old, ArenaMeta& m,
+                                     const cat::Key* keys,
+                                     const std::uint32_t* proper,
+                                     CascadePools& out) {
+    using coop::Status;
+    const auto at_node = [](std::uint64_t v) {
+      return " at node " + std::to_string(v);
+    };
     FC f;
-    f.nodes_ = std::move(nodes);
-    f.keys_ = std::move(keys);
-    f.proper_ = std::move(proper);
-    f.bridge_ = std::move(bridge);
-    f.child_ = std::move(child);
+    f.nodes_ = serve::Pool<serve::FlatNode>(m.num_nodes);
+    std::uint64_t key_off = 0;
+    for (std::uint64_t vi = 0; vi < m.num_nodes; ++vi) {
+      const FlatNodeV1& o = old[vi];
+      if (o.key_off != key_off || o.key_count == 0 ||
+          o.key_count > m.num_keys - key_off) {
+        return Status::corrupted("key slice breaks sequential packing" +
+                                 at_node(vi));
+      }
+      const cat::Key* k = keys + key_off;
+      for (std::uint32_t i = 1; i < o.key_count; ++i) {
+        if (k[i - 1] >= k[i]) {
+          return Status::corrupted("augmented keys not strictly increasing" +
+                                   at_node(vi));
+        }
+      }
+      if (k[o.key_count - 1] != cat::kInfinity) {
+        return Status::corrupted("augmented catalog missing +inf terminal" +
+                                 at_node(vi));
+      }
+      serve::FlatNode& nd = f.nodes_[vi];
+      nd.key_off = o.key_off;
+      nd.key_count = o.key_count;
+      nd.bridge_off = o.bridge_off;
+      nd.child_off = o.child_off;
+      nd.parent = o.parent;
+      nd.num_children = o.num_children;
+      nd.slot = o.slot;
+      key_off += o.key_count;
+    }
+    if (Status s = f.pack_entries(
+            [&](std::size_t v) { return keys + old[v].key_off; },
+            [&](std::size_t v, std::uint32_t i) {
+              return proper[old[v].key_off + i];
+            });
+        !s.ok()) {
+      return Status::corrupted(s.message());
+    }
+    m.num_hi = f.hi_.size();
+    out.nodes = std::move(f.nodes_);
+    out.entries = std::move(f.entries_);
+    out.hi_off = std::move(f.hi_off_);
+    out.hi = std::move(f.hi_);
+    return coop::OkStatus();
+  }
+  static FC assemble_cascade(CascadePools p, std::uint32_t fanout_bound) {
+    FC f;
+    f.nodes_ = std::move(p.nodes);
+    f.entries_ = std::move(p.entries);
+    f.bridge_ = std::move(p.bridge);
+    f.child_ = std::move(p.child);
+    f.hi_off_ = std::move(p.hi_off);
+    f.hi_ = std::move(p.hi);
     f.b_ = fanout_bound;
     return f;
   }
@@ -172,24 +240,29 @@ void append_cascade_sections(const serve::FlatCascade& f,
   out.push_back({SectionId::kNodes, sizeof(serve::FlatNode),
                  A::nodes(f).data(),
                  A::nodes(f).size() * sizeof(serve::FlatNode)});
-  out.push_back({SectionId::kKeys, sizeof(cat::Key), A::keys(f).data(),
-                 A::keys(f).size() * sizeof(cat::Key)});
-  out.push_back({SectionId::kProper, 4, A::proper(f).data(),
-                 A::proper(f).size() * 4});
+  out.push_back({SectionId::kEntries, sizeof(serve::FlatEntry),
+                 A::entries(f).data(),
+                 A::entries(f).size() * sizeof(serve::FlatEntry)});
   out.push_back({SectionId::kBridge, 4, A::bridge(f).data(),
                  A::bridge(f).size() * 4});
   out.push_back({SectionId::kChild, 4, A::child(f).data(),
                  A::child(f).size() * 4});
+  if (A::hi(f).size() > 0) {
+    out.push_back({SectionId::kHiOff, 4, A::hi_off(f).data(),
+                   A::hi_off(f).size() * 4});
+    out.push_back({SectionId::kHi, 4, A::hi(f).data(), A::hi(f).size() * 4});
+  }
 }
 
 ArenaMeta cascade_meta(const serve::FlatCascade& f) {
   using A = ArenaAccess;
   ArenaMeta m;
   m.num_nodes = A::nodes(f).size();
-  m.num_keys = A::keys(f).size();
+  m.num_keys = A::entries(f).size();
   m.num_bridge = A::bridge(f).size();
   m.num_child = A::child(f).size();
   m.fanout_bound = f.fanout_bound();
+  m.num_hi = A::hi(f).size();
   return m;
 }
 
@@ -204,7 +277,19 @@ struct Parsed {
   const unsigned char* base = nullptr;
 };
 
-Status parse_and_verify(const MappedFile& map, Parsed& out) {
+/// The sections open() converts from a v1 or v2 file into owning pools:
+/// their mapped bytes are never read again.
+bool is_converted_section(std::uint32_t id) {
+  return id == static_cast<std::uint32_t>(SectionId::kNodes) ||
+         id == static_cast<std::uint32_t>(SectionId::kKeys) ||
+         id == static_cast<std::uint32_t>(SectionId::kProper);
+}
+
+/// `converted`: the file was converted at open(), so the payload CRCs of
+/// its converted sections are not re-checked (the converted pools' CRC
+/// is, by verify()).
+Status parse_and_verify(const MappedFile& map, Parsed& out,
+                        bool converted = false) {
   if (map.size() < sizeof(FileHeader)) {
     return Status::corrupted("snapshot file too small for a header (" +
                              std::to_string(map.size()) + " bytes)");
@@ -273,7 +358,8 @@ Status parse_and_verify(const MappedFile& map, Parsed& out) {
                                  std::to_string(r.id));
       }
     }
-    if (crc32(map.data() + r.offset, r.length) != r.crc32) {
+    if (!(converted && is_converted_section(r.id)) &&
+        crc32(map.data() + r.offset, r.length) != r.crc32) {
       return Status::corrupted(which + " payload CRC mismatch — snapshot "
                                "damaged");
     }
@@ -311,21 +397,24 @@ Status get_section(const Parsed& p, SectionId id, std::uint32_t elem_size,
                            std::to_string(static_cast<std::uint32_t>(id)));
 }
 
-/// Structural pass over the mapped cascade pools: every offset, count,
-/// child id and bridge target the assert-free hot loop will dereference
-/// is proved in-bounds here, so even a file with forged-valid CRCs
-/// cannot cause an out-of-pool read.  Layout is required to be exactly
-/// the sequential node-major packing compile() emits.
-Status validate_mapped_cascade(const serve::FlatNode* nodes,
-                               const ArenaMeta& m, const cat::Key* keys,
-                               const std::uint32_t* proper,
-                               const std::uint32_t* bridge,
-                               const std::uint32_t* child,
-                               const std::uint32_t* entry_off) {
+/// Structural pass over the cascade pools: every offset, count, child id
+/// and bridge target the assert-free hot loop will dereference is proved
+/// in-bounds here, so even a file with forged-valid CRCs cannot cause an
+/// out-of-pool read.  Layout is required to be exactly the sequential
+/// node-major packing compile() emits, in its canonical form (each node's
+/// first offset 0, high words only where the keys need them), so a file
+/// that loads serves what its writer compiled.
+Status validate_cascade(const serve::FlatNode* nodes, const ArenaMeta& m,
+                        const serve::FlatEntry* entries,
+                        const std::uint32_t* hi_off, const std::uint32_t* hi,
+                        const std::uint32_t* bridge,
+                        const std::uint32_t* child,
+                        const std::uint32_t* entry_off) {
+  using serve::FlatCascade;
   const auto at_node = [](std::uint64_t v) {
     return " at node " + std::to_string(v);
   };
-  std::uint64_t key_off = 0, bridge_off = 0, child_off = 0;
+  std::uint64_t key_off = 0, bridge_off = 0, child_off = 0, hi_at = 0;
   for (std::uint64_t vi = 0; vi < m.num_nodes; ++vi) {
     const serve::FlatNode& nd = nodes[vi];
     if (nd.key_off != key_off || nd.bridge_off != bridge_off ||
@@ -371,15 +460,44 @@ Status validate_mapped_cascade(const serve::FlatNode* nodes,
         return Status::corrupted("child id out of range" + at_node(vi));
       }
     }
-    const cat::Key* k = keys + key_off;
+    // High words: wide nodes take consecutive runs of the kHi pool.
+    const std::uint32_t* h = nullptr;
+    if (hi_off != nullptr && hi_off[vi] != serve::kNarrow) {
+      if (hi_off[vi] != hi_at || nd.key_count > m.num_hi - hi_at) {
+        return Status::corrupted("high words break sequential packing" +
+                                 at_node(vi));
+      }
+      h = hi + hi_at;
+      hi_at += nd.key_count;
+    }
+    const serve::FlatEntry* e = entries + key_off;
+    const std::uint32_t last = nd.key_count - 1;
     for (std::uint32_t i = 1; i < nd.key_count; ++i) {
-      if (k[i - 1] >= k[i]) {
+      if (FlatCascade::entry_offset(e, h, i - 1) >=
+          FlatCascade::entry_offset(e, h, i)) {
         return Status::corrupted("augmented keys not strictly increasing" +
                                  at_node(vi));
       }
     }
-    if (k[nd.key_count - 1] != cat::kInfinity) {
+    const std::uint64_t terminal =
+        h == nullptr ? serve::kTerminalOffset : ~std::uint64_t{0};
+    if (FlatCascade::entry_offset(e, h, last) != terminal) {
       return Status::corrupted("augmented catalog missing +inf terminal" +
+                               at_node(vi));
+    }
+    if (last > 0) {
+      // The base is the node's smallest key, every real key lies below
+      // +inf, and only keys that need them keep high words.
+      const std::uint64_t top = FlatCascade::entry_offset(e, h, last - 1);
+      if (FlatCascade::entry_offset(e, h, 0) != 0 ||
+          top >= static_cast<std::uint64_t>(cat::kInfinity) -
+                     static_cast<std::uint64_t>(nd.base) ||
+          (h != nullptr) != (top >= serve::kTerminalOffset)) {
+        return Status::corrupted("key offsets do not fit the base key" +
+                                 at_node(vi));
+      }
+    } else if (h != nullptr) {
+      return Status::corrupted("high words on a terminal-only catalog" +
                                at_node(vi));
     }
     // proper[] indexes the node's own original catalog.  Without the
@@ -394,15 +512,15 @@ Status validate_mapped_cascade(const serve::FlatNode* nodes,
                   entry_off[vi]
             : nd.key_count;
     for (std::uint32_t i = 0; i < nd.key_count; ++i) {
-      if (proper[key_off + i] >= prop_bound) {
+      if (e[i].proper >= prop_bound) {
         return Status::corrupted("proper index out of range" + at_node(vi));
       }
     }
-    for (std::uint32_t e = 0; e < nd.num_children; ++e) {
-      const std::uint32_t w = child[child_off + e];
+    for (std::uint32_t c = 0; c < nd.num_children; ++c) {
+      const std::uint32_t w = child[child_off + c];
       const std::uint32_t wc = nodes[w].key_count;
       const std::uint32_t* row =
-          bridge + bridge_off + std::uint64_t{e} * nd.key_count;
+          bridge + bridge_off + std::uint64_t{c} * nd.key_count;
       for (std::uint32_t i = 0; i < nd.key_count; ++i) {
         if (row[i] >= wc) {
           return Status::corrupted("bridge target past child catalog" +
@@ -415,7 +533,7 @@ Status validate_mapped_cascade(const serve::FlatNode* nodes,
     child_off += nd.num_children;
   }
   if (key_off != m.num_keys || bridge_off != m.num_bridge ||
-      child_off != m.num_child) {
+      child_off != m.num_child || hi_at != m.num_hi) {
     return Status::corrupted("pool sizes do not match the node table");
   }
   return coop::OkStatus();
@@ -581,6 +699,61 @@ coop::Status rewrite(const std::string& in, const std::string& out) {
                                               : write(*snap->pointloc, out);
 }
 
+namespace {
+
+bool is_converted(const Snapshot& snap) {
+  return snap.mapping.mapped() && snap.format_version < 3;
+}
+
+const serve::FlatCascade& served_cascade(const Snapshot& snap) {
+  return snap.kind == SnapshotKind::kCascade
+             ? snap.cascade
+             : ArenaAccess::cascade(*snap.pointloc);
+}
+
+/// CRC-32C of the pools a v1/v2 file was converted into: nodes, entries
+/// and high words.
+std::uint32_t converted_pools_crc(const serve::FlatCascade& f) {
+  using A = ArenaAccess;
+  std::uint32_t c =
+      crc32(A::nodes(f).data(), A::nodes(f).size() * sizeof(serve::FlatNode));
+  c = crc32(A::entries(f).data(),
+            A::entries(f).size() * sizeof(serve::FlatEntry), c);
+  c = crc32(A::hi_off(f).data(), A::hi_off(f).size() * 4, c);
+  return crc32(A::hi(f).data(), A::hi(f).size() * 4, c);
+}
+
+/// Hand the kernel back the whole pages of a converted file's converted
+/// sections.  MADV_DONTNEED on a MAP_PRIVATE mapping drops them from RSS;
+/// nothing reads them again (verify() skips their CRCs).
+void release_converted(const MappedFile& map, const Parsed& p) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto base = reinterpret_cast<std::uintptr_t>(map.data());
+  for (const SectionRecord& r : p.table) {
+    if (!is_converted_section(r.id)) {
+      continue;
+    }
+    const std::uintptr_t begin = (base + r.offset + page - 1) / page * page;
+    const std::uintptr_t end = (base + r.offset + r.length) / page * page;
+    if (begin < end) {
+      ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+    }
+  }
+}
+
+/// Seal a snapshot open() has assembled: a converted file's pools get
+/// their CRC and its converted sections' pages are given back.
+Snapshot seal(Snapshot snap, MappedFile map, const Parsed& p) {
+  snap.mapping = std::move(map);
+  if (is_converted(snap)) {
+    snap.converted_crc = converted_pools_crc(served_cascade(snap));
+    release_converted(snap.mapping, p);
+  }
+  return snap;
+}
+
+}  // namespace
+
 coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
   auto mapped = MappedFile::map(path, mode == OpenMode::kWritableCopy);
   if (!mapped.ok()) {
@@ -597,43 +770,29 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
     return Status::error(s.code(), path + ": " + s.message());
   };
 
-  // A v2 meta is an ArenaMeta plus the slot count of its (unread) layout
-  // sections.
-  const std::uint32_t meta_size =
-      p.header.version < 2 ? sizeof(ArenaMeta) : kArenaMetaSizeV2;
+  // v1 metas stop before num_hi; a v2 meta has the layout slot count
+  // where v3 keeps num_hi.
+  const std::uint32_t version = p.header.version;
+  const std::uint32_t meta_size = version == 1   ? kArenaMetaSizeV1
+                                  : version == 2 ? kArenaMetaSizeV2
+                                                 : sizeof(ArenaMeta);
   const void* meta_raw = nullptr;
   if (Status s = get_section(p, SectionId::kMeta, meta_size, 1, meta_raw);
       !s.ok()) {
     return fail(s);
   }
   ArenaMeta meta{};
-  std::memcpy(&meta, meta_raw, sizeof(ArenaMeta));
-  if (meta.num_nodes == 0 ||
-      meta.num_nodes > std::numeric_limits<std::uint32_t>::max() ||
-      meta.num_keys > std::numeric_limits<std::uint32_t>::max() ||
-      meta.num_bridge > std::numeric_limits<std::uint32_t>::max() ||
-      meta.num_child > std::numeric_limits<std::uint32_t>::max() ||
-      meta.num_entries > std::numeric_limits<std::uint32_t>::max()) {
+  std::memcpy(&meta, meta_raw,
+              version < 3 ? kArenaMetaSizeV1 : sizeof(ArenaMeta));
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (meta.num_nodes == 0 || meta.num_nodes > kMax ||
+      meta.num_keys > kMax || meta.num_bridge > kMax ||
+      meta.num_child > kMax || meta.num_entries > kMax ||
+      meta.num_hi > kMax) {
     return fail(Status::corrupted("implausible pool sizes in meta section"));
   }
 
-  const void *nodes_raw = nullptr, *keys_raw = nullptr, *proper_raw = nullptr,
-             *bridge_raw = nullptr, *child_raw = nullptr;
-  if (Status s = get_section(p, SectionId::kNodes, sizeof(serve::FlatNode),
-                             meta.num_nodes, nodes_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = get_section(p, SectionId::kKeys, sizeof(cat::Key),
-                             meta.num_keys, keys_raw);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = get_section(p, SectionId::kProper, 4, meta.num_keys,
-                             proper_raw);
-      !s.ok()) {
-    return fail(s);
-  }
+  const void *bridge_raw = nullptr, *child_raw = nullptr;
   if (Status s = get_section(p, SectionId::kBridge, 4, meta.num_bridge,
                              bridge_raw);
       !s.ok()) {
@@ -644,31 +803,82 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
       !s.ok()) {
     return fail(s);
   }
-
-  const auto* nodes = static_cast<const serve::FlatNode*>(nodes_raw);
-  const auto* keys = static_cast<const cat::Key*>(keys_raw);
-  const auto* proper = static_cast<const std::uint32_t*>(proper_raw);
-  const auto* bridge = static_cast<const std::uint32_t*>(bridge_raw);
-  const auto* child = static_cast<const std::uint32_t*>(child_raw);
-
-  Snapshot snap;
-  snap.kind = static_cast<SnapshotKind>(p.header.kind);
-
-  if (snap.kind == SnapshotKind::kCascade) {
-    if (Status s = validate_mapped_cascade(nodes, meta, keys, proper, bridge,
-                                           child, nullptr);
+  ArenaAccess::CascadePools pools;
+  pools.bridge = view_of<std::uint32_t>(bridge_raw, meta.num_bridge);
+  pools.child = view_of<std::uint32_t>(child_raw, meta.num_child);
+  if (version >= 3) {
+    const void *nodes_raw = nullptr, *entries_raw = nullptr;
+    if (Status s = get_section(p, SectionId::kNodes, sizeof(serve::FlatNode),
+                               meta.num_nodes, nodes_raw);
         !s.ok()) {
       return fail(s);
     }
-    snap.cascade = ArenaAccess::assemble_cascade(
-        view_of<serve::FlatNode>(nodes_raw, meta.num_nodes),
-        view_of<cat::Key>(keys_raw, meta.num_keys),
-        view_of<std::uint32_t>(proper_raw, meta.num_keys),
-        view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
-        view_of<std::uint32_t>(child_raw, meta.num_child),
-        meta.fanout_bound);
-    snap.mapping = std::move(map);
-    return snap;
+    if (Status s = get_section(p, SectionId::kEntries,
+                               sizeof(serve::FlatEntry), meta.num_keys,
+                               entries_raw);
+        !s.ok()) {
+      return fail(s);
+    }
+    pools.nodes = view_of<serve::FlatNode>(nodes_raw, meta.num_nodes);
+    pools.entries = view_of<serve::FlatEntry>(entries_raw, meta.num_keys);
+    if (meta.num_hi > 0) {
+      const void *hi_off_raw = nullptr, *hi_raw = nullptr;
+      if (Status s = get_section(p, SectionId::kHiOff, 4, meta.num_nodes,
+                                 hi_off_raw);
+          !s.ok()) {
+        return fail(s);
+      }
+      if (Status s = get_section(p, SectionId::kHi, 4, meta.num_hi, hi_raw);
+          !s.ok()) {
+        return fail(s);
+      }
+      pools.hi_off = view_of<std::uint32_t>(hi_off_raw, meta.num_nodes);
+      pools.hi = view_of<std::uint32_t>(hi_raw, meta.num_hi);
+    }
+  } else {
+    const void *nodes_raw = nullptr, *keys_raw = nullptr,
+               *proper_raw = nullptr;
+    if (Status s = get_section(p, SectionId::kNodes, sizeof(FlatNodeV1),
+                               meta.num_nodes, nodes_raw);
+        !s.ok()) {
+      return fail(s);
+    }
+    if (Status s = get_section(p, SectionId::kKeys, sizeof(cat::Key),
+                               meta.num_keys, keys_raw);
+        !s.ok()) {
+      return fail(s);
+    }
+    if (Status s = get_section(p, SectionId::kProper, 4, meta.num_keys,
+                               proper_raw);
+        !s.ok()) {
+      return fail(s);
+    }
+    if (Status s = ArenaAccess::convert_legacy(
+            static_cast<const FlatNodeV1*>(nodes_raw), meta,
+            static_cast<const cat::Key*>(keys_raw),
+            static_cast<const std::uint32_t*>(proper_raw), pools);
+        !s.ok()) {
+      return fail(s);
+    }
+  }
+  const auto validate = [&](const std::uint32_t* entry_off) {
+    return validate_cascade(
+        pools.nodes.data(), meta, pools.entries.data(),
+        pools.hi_off.size() == 0 ? nullptr : pools.hi_off.data(),
+        pools.hi.data(), pools.bridge.data(), pools.child.data(), entry_off);
+  };
+
+  Snapshot snap;
+  snap.kind = static_cast<SnapshotKind>(p.header.kind);
+  snap.format_version = version;
+
+  if (snap.kind == SnapshotKind::kCascade) {
+    if (Status s = validate(nullptr); !s.ok()) {
+      return fail(s);
+    }
+    snap.cascade =
+        ArenaAccess::assemble_cascade(std::move(pools), meta.fanout_bound);
+    return seal(std::move(snap), std::move(map), p);
   }
 
   // Point-locator extension sections.
@@ -737,20 +947,12 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
                                     std::to_string(vi)));
     }
   }
-  if (Status s = validate_mapped_cascade(nodes, meta, keys, proper, bridge,
-                                         child, entry_off);
-      !s.ok()) {
+  if (Status s = validate(entry_off); !s.ok()) {
     return fail(s);
   }
 
   snap.pointloc.emplace(ArenaAccess::assemble_pointloc(
-      ArenaAccess::assemble_cascade(
-          view_of<serve::FlatNode>(nodes_raw, meta.num_nodes),
-          view_of<cat::Key>(keys_raw, meta.num_keys),
-          view_of<std::uint32_t>(proper_raw, meta.num_keys),
-          view_of<std::uint32_t>(bridge_raw, meta.num_bridge),
-          view_of<std::uint32_t>(child_raw, meta.num_child),
-          meta.fanout_bound),
+      ArenaAccess::assemble_cascade(std::move(pools), meta.fanout_bound),
       view_of<std::uint32_t>(eo_raw, meta.num_nodes),
       view_of<std::int32_t>(sep_raw, meta.num_nodes),
       view_of<geom::Coord>(lox_raw, meta.num_entries),
@@ -759,8 +961,7 @@ coop::Expected<Snapshot> open(const std::string& path, OpenMode mode) {
       view_of<geom::Coord>(hiy_raw, meta.num_entries),
       view_of<std::int32_t>(ms_raw, meta.num_entries),
       static_cast<std::size_t>(meta.num_regions)));
-  snap.mapping = std::move(map);
-  return snap;
+  return seal(std::move(snap), std::move(map), p);
 }
 
 coop::Status verify(const Snapshot& snap) {
@@ -768,7 +969,17 @@ coop::Status verify(const Snapshot& snap) {
     return coop::OkStatus();  // in-memory: owning pools, no file bytes to rot
   }
   Parsed p;
-  return parse_and_verify(snap.mapping, p);
+  if (Status s = parse_and_verify(snap.mapping, p, is_converted(snap));
+      !s.ok()) {
+    return s;
+  }
+  if (is_converted(snap) &&
+      converted_pools_crc(served_cascade(snap)) != snap.converted_crc) {
+    return Status::corrupted(
+        "converted node and entry pools CRC mismatch — served arena "
+        "damaged");
+  }
+  return coop::OkStatus();
 }
 
 coop::Expected<std::pair<std::uint64_t, std::uint64_t>> section_extent(
@@ -780,7 +991,8 @@ coop::Expected<std::pair<std::uint64_t, std::uint64_t>> section_extent(
   // The mapping was fully verified at open(); re-parse just the header
   // and table (cheap) rather than caching parse results in Snapshot.
   Parsed p;
-  if (Status s = parse_and_verify(snap.mapping, p); !s.ok()) {
+  if (Status s = parse_and_verify(snap.mapping, p, is_converted(snap));
+      !s.ok()) {
     return s;
   }
   for (const SectionRecord& r : p.table) {

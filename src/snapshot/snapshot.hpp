@@ -77,6 +77,13 @@ struct Snapshot {
   serve::FlatCascade cascade;  ///< kCascade payload (views into mapping)
   std::optional<serve::FlatPointLocator> pointloc;  ///< kPointLocator payload
   MappedFile mapping;  ///< unmapped state for in-memory snapshots
+  /// Format version of the file it was opened from (0 in memory).  v1
+  /// and v2 files are converted on load into owning node and entry pools;
+  /// the mapped sections they came from are given back to the kernel.
+  std::uint32_t format_version = 0;
+  /// CRC-32C of those converted pools, taken at open(); verify()
+  /// re-checks it (0 unless converted).
+  std::uint32_t converted_crc = 0;
 
   /// Wrap an in-memory compile result (owning pools, no file) so freshly
   /// built and mmap-loaded structures publish through the same Registry.
@@ -96,8 +103,8 @@ struct Snapshot {
 
 /// Open `in` with full verification and write what it serves to `out` in
 /// the current format, atomically as write() does (`in` may equal
-/// `out`): a file from an older writer, e.g. a v2 file with its unread
-/// layout sections, comes out as today's writer would have written it.
+/// `out`): a file from an older writer, e.g. a v1 or v2 file with int64
+/// keys, comes out as today's writer would have written it.
 [[nodiscard]] coop::Status rewrite(const std::string& in,
                                    const std::string& out);
 
@@ -128,8 +135,9 @@ enum class OpenMode {
 /// mapping (header, table, and per-section payload CRCs — the scrubber's
 /// detection primitive for in-memory rot).  The structural pass is not
 /// repeated: it proved bounds at open() time and those bytes are covered
-/// by the CRCs re-checked here.  In-memory snapshots (no mapping) verify
-/// trivially OK.
+/// by the CRCs re-checked here.  For a converted v1/v2 file, the CRC of
+/// the converted pools it serves stands in for the CRCs of the sections
+/// they replaced.  In-memory snapshots (no mapping) verify trivially OK.
 [[nodiscard]] coop::Status verify(const Snapshot& snap);
 
 /// Byte extent (offset, length) of section `id` inside the snapshot's

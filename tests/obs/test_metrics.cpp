@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,6 +185,58 @@ TEST(Metrics, LatencyBoundsAreAscending) {
     for (std::size_t i = 1; i < bounds.size(); ++i) {
       EXPECT_LT(bounds[i - 1], bounds[i]);
     }
+  }
+}
+
+TEST(Metrics, LatencyBucketsFindTheBoundByBitScan) {
+  // The bit-scan bucket is the linear scan's first bound >= v, at and
+  // either side of every bound.
+  const std::vector<std::uint64_t> bounds = obs::latency_bounds_ns();
+  ASSERT_EQ(bounds.size(), obs::detail::kLogBounds);
+  const auto scan = [&](std::uint64_t v) {
+    std::size_t b = 0;
+    while (b < bounds.size() && v > bounds[b]) {
+      ++b;
+    }
+    return b;
+  };
+  std::vector<std::uint64_t> probes{0, 1, ~std::uint64_t{0}};
+  for (const std::uint64_t b : bounds) {
+    probes.insert(probes.end(), {b - 1, b, b + 1});
+  }
+  for (const std::uint64_t v : probes) {
+    EXPECT_EQ(obs::detail::log_linear_bucket(v), scan(v)) << "v " << v;
+  }
+}
+
+TEST(Metrics, LatencyQuantilesComeBackWithinAnEighthOctave) {
+  // Log-uniform latencies from 700 ns to 3 s: every quantile read from
+  // the buckets is the true one rounded up by less than one step of its
+  // octave, an eighth of the octave's base, so at most 9/8 of the value.
+  obs::Registry r;
+  const obs::Histogram h =
+      r.histogram("lat_ns", obs::latency_bounds_ns(), "test");
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> exponent(std::log2(700.0),
+                                                  std::log2(3e9));
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 50000; ++i) {
+    values.push_back(
+        static_cast<std::uint64_t>(std::exp2(exponent(rng))));
+    h.record(values.back());
+  }
+  std::sort(values.begin(), values.end());
+  const auto snap = r.scrape();
+  const obs::HistogramValue* v = snap.find_histogram("lat_ns");
+  ASSERT_NE(v, nullptr);
+  for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(values.size())));
+    const std::uint64_t truth = values[rank - 1];
+    const std::uint64_t got = v->quantile_bound(q);
+    EXPECT_GE(got, truth) << "q " << q;
+    EXPECT_LE(static_cast<double>(got), 1.125 * static_cast<double>(truth))
+        << "q " << q;
   }
 }
 

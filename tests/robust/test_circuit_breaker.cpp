@@ -120,4 +120,93 @@ TEST(CircuitBreaker, OnlyTheProbeCloses) {
   EXPECT_EQ(b.admit(), Pass::kNormal);
 }
 
+TEST(CircuitBreaker, ConcurrentCallersKeepTheContract) {
+  // Several threads admit and record, each failing on its own seeded
+  // schedule, with a short window so probes come and go.  Whatever the
+  // interleaving, every change a caller sees must fit the state machine:
+  // a trip is a CLOSED -> OPEN transition, each probe is the one
+  // OPEN -> HALF_OPEN transition of its window and the only attempt in
+  // flight then, its success closes and its failure re-opens without a
+  // trip, and trips and closes alternate.
+  constexpr int kThreads = 4;
+  constexpr int kAttempts = 20000;
+  CircuitBreaker b(3, std::chrono::microseconds(50));
+  std::atomic<int> probes_out{0};
+  std::atomic<bool> two_probes{false};
+  struct Tally {
+    std::uint64_t trips = 0, probes = 0, probe_ok = 0, probe_failed = 0;
+    std::uint64_t half_opens = 0, bad_changes = 0, refused = 0;
+  };
+  std::vector<Tally> tallies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Tally& tally = tallies[t];
+      std::uint64_t rng = 0x9E3779B97F4A7C15ull * (t + 1);
+      for (int i = 0; i < kAttempts; ++i) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        // Failure bursts: a quarter of the threads' attempts fail, in
+        // runs, so the threshold is reached often.
+        const bool ok = (rng >> 40) % 8 >= 2 || (i / 64) % 2 == 0;
+        CircuitBreaker::Change admitted;
+        const Pass pass = b.admit(&admitted);
+        if (pass == Pass::kRefused) {
+          ++tally.refused;
+          tally.bad_changes += admitted.transitioned ? 1 : 0;
+          continue;
+        }
+        if (pass == Pass::kProbe) {
+          ++tally.probes;
+          tally.half_opens += admitted.transitioned ? 1 : 0;
+          if (probes_out.fetch_add(1) != 0) {
+            two_probes = true;
+          }
+          probes_out.fetch_sub(1);
+        } else {
+          tally.bad_changes += admitted.transitioned ? 1 : 0;
+        }
+        const CircuitBreaker::Change c = b.record(pass, ok);
+        if (pass == Pass::kProbe) {
+          // A probe's verdict always moves the state, never as a trip.
+          tally.bad_changes += (!c.transitioned || c.tripped) ? 1 : 0;
+          (ok ? tally.probe_ok : tally.probe_failed) += 1;
+        } else if (c.tripped) {
+          ++tally.trips;
+          tally.bad_changes += (ok || !c.transitioned) ? 1 : 0;
+        } else {
+          tally.bad_changes += c.transitioned ? 1 : 0;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  Tally all;
+  for (const Tally& t : tallies) {
+    all.trips += t.trips;
+    all.probes += t.probes;
+    all.probe_ok += t.probe_ok;
+    all.probe_failed += t.probe_failed;
+    all.half_opens += t.half_opens;
+    all.bad_changes += t.bad_changes;
+    all.refused += t.refused;
+  }
+  EXPECT_EQ(all.bad_changes, 0u);
+  EXPECT_FALSE(two_probes.load());
+  EXPECT_GT(all.trips, 0u);
+  EXPECT_GT(all.refused, 0u);
+  // Each probe is one OPEN -> HALF_OPEN transition, reported to it alone.
+  EXPECT_EQ(all.half_opens, all.probes);
+  EXPECT_EQ(all.probes, all.probe_ok + all.probe_failed);
+  // Each trip opens an incident that only a probe's success ends, so the
+  // closes trail the trips by the incident still open at the end.
+  const BreakerState end = b.state();
+  EXPECT_NE(end, BreakerState::kHalfOpen);  // every probe was recorded
+  EXPECT_EQ(all.probe_ok + (end == BreakerState::kClosed ? 0 : 1),
+            all.trips);
+}
+
 }  // namespace

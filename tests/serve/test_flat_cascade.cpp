@@ -181,11 +181,22 @@ void expect_find_sorted_exact(std::vector<Key> keys, std::mt19937_64& rng) {
   for (int i = 0; i < 32; ++i) {
     ys.push_back(static_cast<Key>(rng()));
   }
+  // Packed as compile() packs a node: offsets from keys[0], with high
+  // words when the keys span 2^32 - 1 or more.
   const auto n = static_cast<std::uint32_t>(keys.size());
+  std::vector<serve::FlatEntry> entries(n);
+  std::vector<std::uint32_t> high(n);
+  const std::uint32_t* hi =
+      FlatCascade::needs_high_words(keys.data(), n) ? high.data() : nullptr;
+  FlatCascade::pack_keys(keys.data(), n, entries.data(),
+                         hi == nullptr ? nullptr : high.data());
   for (const Key y : ys) {
     const auto want = static_cast<std::uint32_t>(
         std::lower_bound(keys.begin(), keys.end(), y) - keys.begin());
-    EXPECT_EQ(FlatCascade::find_sorted(keys.data(), n, y), want)
+    EXPECT_EQ(FlatCascade::find_sorted(
+                  entries.data(), hi, n,
+                  FlatCascade::query_offset(y, keys[0], hi)),
+              want)
         << "n=" << n << " y=" << y;
   }
 }
@@ -228,6 +239,14 @@ TEST(FlatCascade, FindSortedMatchesStdLowerBound) {
   expect_find_sorted_exact({Lim::min()}, rng);
   expect_find_sorted_exact({Lim::min(), Lim::min() + 1, -1, 0, 1}, rng);
   expect_find_sorted_exact({Lim::min(), 0, Lim::max() - 1}, rng);
+  // Either side of the widest span 32-bit offsets hold (2^32 - 2): the
+  // narrowest catalogs that need high words, and their neighbours.
+  constexpr Key k32 = Key{1} << 32;
+  for (const Key lo : {Lim::min(), Key{-7}, Key{0}, Lim::max() - 1 - k32}) {
+    expect_find_sorted_exact({lo, lo + k32 - 2}, rng);
+    expect_find_sorted_exact({lo, lo + 1, lo + k32 - 1}, rng);
+    expect_find_sorted_exact({lo, lo + k32 - 3, lo + k32}, rng);
+  }
 }
 
 TEST(FlatCascade, RejectsCorruptedStructures) {

@@ -12,6 +12,7 @@
 
 #include "fc/build.hpp"
 #include "helpers.hpp"
+#include "snapshot/legacy_format.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -51,12 +52,13 @@ struct Fixture {
     };
   }
 
-  /// Extent of the kKeys section of the *current* (pristine) generation.
-  static std::pair<std::uint64_t, std::uint64_t> keys_extent(
+  /// Extent of the kEntries section of the *current* (pristine)
+  /// generation.
+  static std::pair<std::uint64_t, std::uint64_t> entries_extent(
       const Registry& registry) {
     const Registry::Pin pin = registry.pin();
     const auto ext = snapshot::section_extent(pin.snapshot(),
-                                              snapshot::SectionId::kKeys);
+                                              snapshot::SectionId::kEntries);
     EXPECT_TRUE(ext.ok()) << ext.status().to_string();
     return *ext;
   }
@@ -95,19 +97,19 @@ TEST(Scrubber, CrcRotQuarantinesAndRollsBack) {
   fx.publish_writable(registry);
   EXPECT_TRUE(scrubber.run_pass().ok());
   fx.publish_writable(registry);
-  const auto [off, len] = Fixture::keys_extent(registry);
-  ASSERT_GE(len, sizeof(cat::Key));
+  const auto [off, len] = Fixture::entries_extent(registry);
+  ASSERT_GE(len, sizeof(serve::FlatEntry));
   EXPECT_TRUE(scrubber.run_pass().ok());
   EXPECT_EQ(registry.last_known_good(), 2u);
 
-  // Flip one bit in the low byte of the final +inf key terminal of the
-  // served copy: provably answer-preserving for in-range queries, yet
+  // Flip one bit in the low byte of the final +inf terminal's key offset
+  // in the served copy: provably answer-preserving for in-range queries, yet
   // CRC-fatal — the leading-indicator case the scrubber exists for.
   {
     const Registry::Pin pin = registry.pin();
     unsigned char* bytes = pin.snapshot().mapping.mutable_data();
     ASSERT_NE(bytes, nullptr);
-    bytes[off + len - sizeof(cat::Key)] ^= 0x01;
+    bytes[off + len - sizeof(serve::FlatEntry)] ^= 0x01;
   }
 
   const auto st = scrubber.run_pass();
@@ -141,20 +143,20 @@ TEST(Scrubber, DifferentialSamplingCatchesRotWhenCrcIsDisabled) {
   fx.publish_writable(registry);
   EXPECT_TRUE(scrubber.run_pass().ok());
   fx.publish_writable(registry);
-  const auto [off, len] = Fixture::keys_extent(registry);
-  ASSERT_GT(len, 2 * sizeof(cat::Key));
+  const auto [off, len] = Fixture::entries_extent(registry);
+  ASSERT_GT(len, 2 * sizeof(serve::FlatEntry));
   EXPECT_TRUE(scrubber.run_pass().ok());
 
-  // Rot the whole key pool (except the final +inf terminal) to 0x7F7F…:
-  // every corrupted key is a huge positive value, so binary search stays
-  // in bounds (memory-safe even under ASan) while nearly every sampled
-  // find() answer detaches from the oracle.
+  // Rot the whole entry pool (except the final +inf terminal) to
+  // 0x7F7F…: every corrupted key offset is far above the sampled keys, so
+  // binary search stays in bounds (memory-safe even under ASan) while
+  // every sampled proper index detaches from the oracle.
   {
     const Registry::Pin pin = registry.pin();
     unsigned char* bytes = pin.snapshot().mapping.mutable_data();
     ASSERT_NE(bytes, nullptr);
     std::memset(bytes + off, 0x7F,
-                static_cast<std::size_t>(len - sizeof(cat::Key)));
+                static_cast<std::size_t>(len - sizeof(serve::FlatEntry)));
   }
 
   const auto st = scrubber.run_pass();
@@ -170,6 +172,56 @@ TEST(Scrubber, DifferentialSamplingCatchesRotWhenCrcIsDisabled) {
   EXPECT_EQ(registry.current_version(), 1u);
 }
 
+TEST(Scrubber, CrcCoversThePoolsAV1FileWasConvertedInto) {
+  const Fixture fx;
+  legacy_format::downgrade_v3_to_v1(fx.snap_path);
+  Registry registry;
+  ScrubberOptions opts;
+  opts.samples = 8;
+  Scrubber scrubber(registry, opts, fx.oracle());
+
+  fx.publish_writable(registry);
+  EXPECT_TRUE(scrubber.run_pass().ok());
+  fx.publish_writable(registry);
+  EXPECT_TRUE(scrubber.run_pass().ok());
+  EXPECT_EQ(registry.last_known_good(), 2u);
+
+  // The mapped int64 keys were converted at open() and are never read
+  // again: a flip there changes no answer and is not a CRC failure.
+  {
+    const Registry::Pin pin = registry.pin();
+    ASSERT_EQ(pin.snapshot().format_version, 1u);
+    const auto ext = snapshot::section_extent(pin.snapshot(),
+                                              snapshot::SectionId::kKeys);
+    ASSERT_TRUE(ext.ok()) << ext.status().to_string();
+    unsigned char* bytes = pin.snapshot().mapping.mutable_data();
+    ASSERT_NE(bytes, nullptr);
+    bytes[ext->first] ^= 0x01;
+  }
+  EXPECT_TRUE(scrubber.run_pass().ok());
+  EXPECT_EQ(scrubber.stats().crc_failures, 0u);
+
+  // The converted entry pool is what answers.  Flip the low bit of its
+  // final +inf terminal's key offset (answer-preserving for the sampled
+  // keys): the converted pools' CRC catches it.
+  {
+    const Registry::Pin pin = registry.pin();
+    const serve::FlatCascade& c = pin.snapshot().cascade;
+    auto* entries =
+        const_cast<serve::FlatEntry*>(c.kernel_view().entries);
+    entries[c.total_entries() - 1].key ^= 0x01;
+  }
+  const auto st = scrubber.run_pass();
+  EXPECT_EQ(st.code(), coop::StatusCode::kCorrupted) << st.to_string();
+  EXPECT_NE(st.message().find("generation 2"), std::string::npos)
+      << st.message();
+  const auto stats = scrubber.stats();
+  EXPECT_EQ(stats.crc_failures, 1u);
+  EXPECT_EQ(stats.differential_failures, 0u);
+  EXPECT_EQ(stats.rollbacks, 1u);
+  EXPECT_EQ(registry.current_version(), 1u);
+}
+
 TEST(Scrubber, NoRollbackTargetIsAFailureCounterNotACrash) {
   const Fixture fx;
   Registry registry;
@@ -178,11 +230,11 @@ TEST(Scrubber, NoRollbackTargetIsAFailureCounterNotACrash) {
   // Only one generation, never scrubbed before the rot: detection works
   // but there is nowhere to roll back to — keep serving, count it.
   fx.publish_writable(registry);
-  const auto [off, len] = Fixture::keys_extent(registry);
+  const auto [off, len] = Fixture::entries_extent(registry);
   {
     const Registry::Pin pin = registry.pin();
-    pin.snapshot().mapping.mutable_data()[off + len - sizeof(cat::Key)] ^=
-        0x01;
+    unsigned char* bytes = pin.snapshot().mapping.mutable_data();
+    bytes[off + len - sizeof(serve::FlatEntry)] ^= 0x01;
   }
   EXPECT_EQ(scrubber.run_pass().code(), coop::StatusCode::kCorrupted);
   const auto stats = scrubber.stats();

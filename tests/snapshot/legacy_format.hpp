@@ -1,13 +1,17 @@
 #pragma once
 
 // Byte-level crafting of the older snapshot formats, for the tests that
-// prove those files keep loading.  Today's writer emits the v1 section
-// set; a v2 file additionally carries a blocked multiway copy of every
-// node's keys (sections kSimdKeys/kSimdPos/kSimdOff) and a 64-byte meta
-// whose appended field counts its slots.  upgrade_to_v2 rebuilds exactly
-// such a file from a current one, downgrade_to_v1 turns a v2 file back
-// into the v1 format, both re-forging every CRC.  v2 files on disk carry
-// real layouts, so the in-order fill that produced them is kept here.
+// prove those files keep loading.  Today's writer emits v3: 32-byte nodes
+// with base keys and one pool of 8-byte entries (key offset, proper
+// index).  A v1 file holds 24-byte nodes (snapshot::FlatNodeV1), absolute
+// int64 keys (kKeys) and proper indices (kProper); a v2 file additionally
+// carries a blocked multiway copy of every node's keys (sections
+// kSimdKeys/kSimdPos/kSimdOff) and a 64-byte meta whose appended field
+// counts its slots.  downgrade_v3_to_v1 rebuilds a v1 file from a current
+// one, upgrade_to_v2 a v2 file from a v1 (or current) one, and
+// downgrade_to_v1 turns a v2 file back into the v1 format, each
+// re-forging every CRC.  v2 files on disk carry real layouts, so the
+// in-order fill that produced them is kept here.
 
 #include <gtest/gtest.h>
 
@@ -134,7 +138,83 @@ inline void build_layout(const cat::Key* keys, std::uint32_t n,
   in_order(0, (n + kBlock - 1) / kBlock, emit);
 }
 
-/// Rewrite a current (v1-format) snapshot at `path` as a v2 writer laid it
+/// Rewrite a current (v3) snapshot at `path` as a v1 writer laid it out:
+/// 24-byte nodes without base keys, every entry's absolute key in kKeys
+/// and its proper index in kProper where kEntries stood, no high-word
+/// sections, the 56-byte meta, version 1, every CRC re-forged.
+inline void downgrade_v3_to_v1(const std::string& path) {
+  const std::vector<unsigned char> bytes = slurp(path);
+  ASSERT_GE(bytes.size(), sizeof(snapshot::FileHeader));
+  snapshot::FileHeader header = header_of(bytes);
+  ASSERT_EQ(header.version, 3u);
+
+  std::vector<Section> sections;
+  std::vector<serve::FlatNode> nodes;
+  std::vector<serve::FlatEntry> entries;
+  std::vector<std::uint32_t> hi_off, hi;
+  for (const SectionRecord& rec : table_of(bytes)) {
+    const unsigned char* at = bytes.data() + rec.offset;
+    const auto id = static_cast<SectionId>(rec.id);
+    const auto load = [&](auto& v) {
+      v.resize(rec.length / sizeof(v[0]));
+      std::memcpy(v.data(), at, rec.length);
+    };
+    if (id == SectionId::kNodes) {
+      load(nodes);
+    } else if (id == SectionId::kEntries) {
+      load(entries);
+    } else if (id == SectionId::kHiOff) {
+      load(hi_off);
+    } else if (id == SectionId::kHi) {
+      load(hi);
+    }
+    sections.push_back({id, rec.elem_size, {at, at + rec.length}});
+  }
+  ASSERT_FALSE(nodes.empty());
+
+  std::vector<snapshot::FlatNodeV1> old;
+  std::vector<cat::Key> keys;
+  std::vector<std::uint32_t> proper;
+  for (std::size_t v = 0; v < nodes.size(); ++v) {
+    const serve::FlatNode& nd = nodes[v];
+    old.push_back({nd.key_off, nd.key_count, nd.bridge_off, nd.child_off,
+                   nd.parent, nd.num_children, nd.slot});
+    const std::uint32_t* h = hi_off.empty() || hi_off[v] == serve::kNarrow
+                                 ? nullptr
+                                 : hi.data() + hi_off[v];
+    const serve::FlatEntry* e = entries.data() + nd.key_off;
+    for (std::uint32_t i = 0; i < nd.key_count; ++i) {
+      keys.push_back(i + 1 == nd.key_count
+                         ? cat::kInfinity
+                         : static_cast<cat::Key>(
+                               static_cast<std::uint64_t>(nd.base) +
+                               serve::FlatCascade::entry_offset(e, h, i)));
+      proper.push_back(e[i].proper);
+    }
+  }
+
+  std::vector<Section> out;
+  for (Section& s : sections) {
+    if (s.id == SectionId::kHiOff || s.id == SectionId::kHi) {
+      continue;
+    }
+    if (s.id == SectionId::kMeta) {
+      s.payload.resize(snapshot::kArenaMetaSizeV1);
+      s.elem_size = snapshot::kArenaMetaSizeV1;
+    } else if (s.id == SectionId::kNodes) {
+      s = {SectionId::kNodes, sizeof(snapshot::FlatNodeV1), as_bytes(old)};
+    } else if (s.id == SectionId::kEntries) {
+      out.push_back({SectionId::kKeys, sizeof(cat::Key), as_bytes(keys)});
+      s = {SectionId::kProper, 4, as_bytes(proper)};
+    }
+    out.push_back(std::move(s));
+  }
+  header.version = 1;
+  spit(path, lay_out(header, out));
+}
+
+/// Rewrite a v1 snapshot at `path` (a current one is first turned into
+/// v1 by downgrade_v3_to_v1) as a v2 writer laid it
 /// out: every node's blocked layout built with build_layout,
 /// packed node-major into kSimdKeys/kSimdPos with per-node first slots in
 /// kSimdOff, placed right after kChild; the meta grown to 64 bytes with
@@ -143,17 +223,22 @@ inline void upgrade_to_v2(const std::string& path) {
   const std::vector<unsigned char> bytes = slurp(path);
   ASSERT_GE(bytes.size(), sizeof(snapshot::FileHeader));
   snapshot::FileHeader header = header_of(bytes);
+  if (header.version == 3) {
+    downgrade_v3_to_v1(path);
+    upgrade_to_v2(path);
+    return;
+  }
   ASSERT_EQ(header.version, 1u);
 
   std::vector<Section> sections;
-  std::vector<serve::FlatNode> nodes;
+  std::vector<snapshot::FlatNodeV1> nodes;
   std::vector<cat::Key> keys;
   for (const SectionRecord& rec : table_of(bytes)) {
     const unsigned char* at = bytes.data() + rec.offset;
     sections.push_back({static_cast<SectionId>(rec.id), rec.elem_size,
                         {at, at + rec.length}});
     if (rec.id == static_cast<std::uint32_t>(SectionId::kNodes)) {
-      nodes.resize(rec.length / sizeof(serve::FlatNode));
+      nodes.resize(rec.length / sizeof(snapshot::FlatNodeV1));
       std::memcpy(nodes.data(), at, rec.length);
     } else if (rec.id == static_cast<std::uint32_t>(SectionId::kKeys)) {
       keys.resize(rec.length / sizeof(cat::Key));
@@ -165,7 +250,7 @@ inline void upgrade_to_v2(const std::string& path) {
   std::vector<cat::Key> slot_keys;
   std::vector<std::uint32_t> slot_pos;
   std::vector<std::uint32_t> slot_off;
-  for (const serve::FlatNode& nd : nodes) {
+  for (const snapshot::FlatNodeV1& nd : nodes) {
     const std::uint32_t at = static_cast<std::uint32_t>(slot_keys.size());
     slot_off.push_back(at);
     slot_keys.resize(at + (nd.key_count + kBlock - 1) / kBlock * kBlock);
@@ -179,7 +264,7 @@ inline void upgrade_to_v2(const std::string& path) {
   for (Section& s : sections) {
     const SectionId id = s.id;
     if (id == SectionId::kMeta) {
-      ASSERT_EQ(s.payload.size(), sizeof(snapshot::ArenaMeta));
+      ASSERT_EQ(s.payload.size(), snapshot::kArenaMetaSizeV1);
       const std::uint64_t num_slots = slot_keys.size();
       const auto* p = reinterpret_cast<const unsigned char*>(&num_slots);
       s.payload.insert(s.payload.end(), p, p + sizeof(num_slots));
@@ -219,8 +304,8 @@ inline void downgrade_to_v1(const std::string& path) {
     Section s{id, rec.elem_size, {at, at + rec.length}};
     if (id == SectionId::kMeta) {
       ASSERT_EQ(rec.length, snapshot::kArenaMetaSizeV2);
-      s.payload.resize(sizeof(snapshot::ArenaMeta));
-      s.elem_size = sizeof(snapshot::ArenaMeta);
+      s.payload.resize(snapshot::kArenaMetaSizeV1);
+      s.elem_size = snapshot::kArenaMetaSizeV1;
     }
     kept.push_back(std::move(s));
   }

@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <tuple>
 #include <fstream>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "fc/build.hpp"
 #include "geom/generators.hpp"
 #include "robust/corrupt.hpp"
+#include "snapshot/format.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -63,6 +68,91 @@ TEST(SnapshotCorruption, EveryFaultKindIsRejectedByOpen) {
           << snap.status().to_string();
     }
   }
+  std::remove(path.c_str());
+}
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(SnapshotCorruption, SectionKindsAimAtTheEntryPool) {
+  // On even seeds the cut, the flipped bit and the forged offset all
+  // land on the kEntries section, the pool every query reads; odd seeds
+  // keep random sites, so some land elsewhere in the file.
+  const std::string path = tmp_path("entries_victim.snap");
+  write_good_snapshot(path);
+  std::uint64_t off = 0, len = 0;
+  {
+    auto good = snapshot::open(path);
+    ASSERT_TRUE(good.ok());
+    const auto ext =
+        snapshot::section_extent(*good, snapshot::SectionId::kEntries);
+    ASSERT_TRUE(ext.ok()) << ext.status().to_string();
+    std::tie(off, len) = *ext;
+  }
+  const std::vector<char> original = slurp(path);
+  const auto in_entries = [&](std::uint64_t at) {
+    return at >= off && at < off + len;
+  };
+  bool cut_elsewhere = false, flip_elsewhere = false, forge_elsewhere = false;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const bool aimed = seed % 2 == 0;
+    write_good_snapshot(path);
+    ASSERT_TRUE(
+        robust::corrupt_file(path, CorruptionKind::kSnapshotTruncated, seed)
+            .ok());
+    const std::size_t cut = slurp(path).size();
+    if (aimed) {
+      EXPECT_TRUE(in_entries(cut)) << cut;
+    } else {
+      cut_elsewhere |= !in_entries(cut);
+    }
+
+    write_good_snapshot(path);
+    ASSERT_TRUE(
+        robust::corrupt_file(path, CorruptionKind::kSnapshotSectionCrc, seed)
+            .ok());
+    const std::vector<char> flipped = slurp(path);
+    ASSERT_EQ(flipped.size(), original.size());
+    for (std::size_t i = 0; i < flipped.size(); ++i) {
+      if (flipped[i] != original[i]) {
+        if (aimed) {
+          EXPECT_TRUE(in_entries(i)) << i;
+        } else {
+          flip_elsewhere |= !in_entries(i);
+        }
+      }
+    }
+
+    write_good_snapshot(path);
+    ASSERT_TRUE(robust::corrupt_file(
+                    path, CorruptionKind::kSnapshotSectionOffset, seed)
+                    .ok());
+    const std::vector<char> forged = slurp(path);
+    snapshot::FileHeader h;
+    std::memcpy(&h, forged.data(), sizeof(h));
+    for (std::uint32_t i = 0; i < h.section_count; ++i) {
+      snapshot::SectionRecord rec;
+      std::memcpy(&rec, forged.data() + sizeof(h) + i * sizeof(rec),
+                  sizeof(rec));
+      if (rec.offset < forged.size()) {
+        continue;
+      }
+      const bool entries =
+          rec.id == static_cast<std::uint32_t>(snapshot::SectionId::kEntries);
+      if (aimed) {
+        EXPECT_TRUE(entries) << rec.id;
+      } else {
+        forge_elsewhere |= !entries;
+      }
+    }
+  }
+  EXPECT_TRUE(cut_elsewhere);
+  EXPECT_TRUE(flip_elsewhere);
+  EXPECT_TRUE(forge_elsewhere);
   std::remove(path.c_str());
 }
 

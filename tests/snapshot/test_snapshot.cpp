@@ -270,21 +270,45 @@ TEST(Snapshot, EveryByteFlipIsRejectedOrHarmless) {
     pts.push_back(geom::random_query_point(sub, rng));
   }
 
+  // A cascade whose nodes mix 32-bit key offsets with high words, probed
+  // at keys of every width.
+  const cat::Tree mixed = test_helpers::mixed_width_tree(3, 200, rng);
+  std::vector<cat::Key> mixed_keys;
+  for (int i = 0; i < 24; ++i) {
+    mixed_keys.push_back(test_helpers::mixed_width_query(mixed, rng));
+  }
+
   const std::string path = tmp_path("byte_flip.snap");
-  // Today's files, and the v2 files older writers left behind: their
-  // per-node layout sections are never read, so damage there must be
-  // refused by the CRCs or change no answer.
-  for (int variant = 0; variant < 4; ++variant) {
-    const bool cascade = variant < 2;
-    const bool v2 = variant % 2 == 1;
-    SCOPED_TRACE(std::string(cascade ? "cascade" : "point locator") +
-                 (v2 ? ", v2 file" : ""));
-    ASSERT_TRUE((cascade ? snapshot::write(compile_tree(tree), path)
-                         : snapshot::write(*ploc, path))
-                    .ok());
-    if (v2) {
+  // Today's files, for a cascade, a point locator and a mixed-width
+  // cascade, and the v1 and v2 files older writers left behind, which
+  // are converted on load: damage anywhere must be refused by the CRCs
+  // and the structural checks, or change no answer.
+  enum class What { kCascade, kPointLocator, kMixed };
+  const std::pair<What, std::uint32_t> variants[] = {
+      {What::kCascade, 3},      {What::kCascade, 2},
+      {What::kCascade, 1},      {What::kPointLocator, 3},
+      {What::kPointLocator, 2}, {What::kPointLocator, 1},
+      {What::kMixed, 3},        {What::kMixed, 1}};
+  for (const auto& [what, version] : variants) {
+    SCOPED_TRACE(std::string(what == What::kCascade        ? "cascade"
+                             : what == What::kPointLocator ? "point locator"
+                                                           : "mixed cascade") +
+                 ", v" + std::to_string(version) + " file");
+    const coop::Status written =
+        what == What::kPointLocator
+            ? snapshot::write(*ploc, path)
+            : snapshot::write(
+                  compile_tree(what == What::kMixed ? mixed : tree), path);
+    ASSERT_TRUE(written.ok()) << written.to_string();
+    if (version <= 2) {
       legacy_format::upgrade_to_v2(path);
     }
+    if (version == 1) {
+      legacy_format::downgrade_to_v1(path);
+    }
+    const bool cascade = what != What::kPointLocator;
+    const std::vector<cat::Key>& probe_keys =
+        what == What::kMixed ? mixed_keys : keys;
     std::vector<char> original;
     {
       std::ifstream f(path, std::ios::binary);
@@ -294,7 +318,8 @@ TEST(Snapshot, EveryByteFlipIsRejectedOrHarmless) {
     ASSERT_FALSE(original.empty());
     auto pristine = snapshot::open(path);
     ASSERT_TRUE(pristine.ok()) << pristine.status().to_string();
-    const std::vector<std::uint64_t> want = probe_answers(*pristine, keys, pts);
+    const std::vector<std::uint64_t> want =
+        probe_answers(*pristine, probe_keys, pts);
 
     std::size_t rejected = 0;
     for (std::size_t pos = 0; pos < original.size(); ++pos) {
@@ -310,7 +335,7 @@ TEST(Snapshot, EveryByteFlipIsRejectedOrHarmless) {
         ++rejected;
         continue;
       }
-      ASSERT_EQ(probe_answers(*snap, keys, pts), want)
+      ASSERT_EQ(probe_answers(*snap, probe_keys, pts), want)
           << (cascade ? "cascade" : "point locator") << " flip at byte "
           << pos;
     }

@@ -534,12 +534,12 @@ int cmd_snapshot_load(int argc, char** argv) {
   const serve::FlatCascade& c = snap->kind == snapshot::SnapshotKind::kCascade
                                     ? snap->cascade
                                     : snap->pointloc->cascade();
-  std::printf("snapshot OK: kind %s, %zu nodes, %zu aug entries, "
-              "%zu mapped bytes, opened in %.3f ms\n",
+  std::printf("snapshot OK: kind %s, format v%u, %zu nodes, %zu aug "
+              "entries, %zu mapped bytes, opened in %.3f ms\n",
               snap->kind == snapshot::SnapshotKind::kCascade ? "cascade"
                                                              : "pointloc",
-              c.num_nodes(), c.total_entries(), snap->mapping.size(),
-              sec * 1e3);
+              snap->format_version, c.num_nodes(), c.total_entries(),
+              snap->mapping.size(), sec * 1e3);
   return 0;
 }
 
